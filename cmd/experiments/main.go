@@ -7,18 +7,17 @@
 //
 // Usage:
 //
-//	experiments                        # run everything
-//	experiments e1 t2 f2               # run selected experiments
-//	experiments -bench-out BENCH_2.json  # write the benchmark trajectory
-//	experiments -pprof :6060 t1          # serve pprof + expvar while running
+//	experiments            # run everything
+//	experiments e1 t2 f2   # run selected experiments
+//
+// Performance is measured by the seeded benchmark in bench/ (see
+// bench/README.md), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net/http"
-	_ "net/http/pprof" // -pprof: profiles + /debug/vars on DefaultServeMux
 	"os"
 	"sort"
 	"strings"
@@ -34,7 +33,6 @@ import (
 	"semacyclic/internal/gen"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/hypergraph"
-	"semacyclic/internal/obs"
 	"semacyclic/internal/pcp"
 	"semacyclic/internal/rewrite"
 	"semacyclic/internal/telemetry"
@@ -64,43 +62,7 @@ func main() {
 		{"t5", "Section 8.2: acyclic approximations", runT5},
 		{"t6", "Section 4: connecting operator", runT6},
 	}
-	benchOut := flag.String("bench-out", "", "measure the witness-search and hom-key benchmarks and write the JSON trajectory to this file")
-	serveOut := flag.String("serve-out", "", "stand up an in-process semacycd, drive it with a mixed decide/batch load and write the serving trajectory JSON to this file")
-	serveN := flag.Int("serve-n", 10000, "decision count for the -serve-out mixed workload")
-	serveClients := flag.Int("serve-clients", 16, "concurrent client connections for -serve-out")
-	evalOut := flag.String("eval-out", "", "measure the evaluation trajectory (indexed vs scan Yannakakis, plan cache, game crossover) and write the JSON to this file")
-	internOut := flag.String("intern-out", "", "measure the interned hot path against the string-path oracle and write the JSON trajectory to this file")
-	metricsOut := flag.String("metrics-out", "", "measure per-class decision latency quantiles via telemetry histograms plus the tracing overhead and write the JSON trajectory to this file")
-	deltaOut := flag.String("delta-out", "", "measure incremental re-evaluation (ExecuteDelta over retained reducer state) against full re-evaluation on small-delta workloads and write the JSON trajectory to this file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar (the semacyclic.* counters) on this address, e.g. :6060")
 	flag.Parse()
-	if *pprofAddr != "" {
-		obs.Publish()
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof+expvar on http://%s/debug/pprof/ and /debug/vars\n", *pprofAddr)
-	}
-	if *benchOut != "" {
-		os.Exit(runBenchOut(*benchOut))
-	}
-	if *serveOut != "" {
-		os.Exit(runServeOut(*serveOut, *serveN, *serveClients))
-	}
-	if *evalOut != "" {
-		os.Exit(runEvalOut(*evalOut))
-	}
-	if *internOut != "" {
-		os.Exit(runInternOut(*internOut))
-	}
-	if *metricsOut != "" {
-		os.Exit(runMetricsOut(*metricsOut))
-	}
-	if *deltaOut != "" {
-		os.Exit(runDeltaOut(*deltaOut))
-	}
 	want := map[string]bool{}
 	for _, a := range flag.Args() {
 		want[strings.ToLower(a)] = true
@@ -140,9 +102,6 @@ func runE1() {
 	r := rand.New(rand.NewSource(1))
 	for _, scale := range []int{20, 50, 100, 200, 400} {
 		db := gen.Example1DB(r, scale, scale, 8)
-		var direct, fast [][]interface{}
-		_ = direct
-		_ = fast
 		var nd, nf int
 		td := timeIt(func() { nd = len(hom.Evaluate(q, db)) })
 		tf := timeIt(func() {
@@ -370,9 +329,6 @@ func runT3() {
 	fmt.Printf("%-10s %-12s %-12s %-12s\n", "|D|", "game", "direct", "agree")
 	for _, scale := range []int{50, 100, 200, 400} {
 		db := gen.RandomGraphDB(r, scale, scale/3)
-		var g, d [][]interface{}
-		_ = g
-		_ = d
 		var ng, nd int
 		tg := timeIt(func() { ng = len(game.Evaluate(q, db)) })
 		td := timeIt(func() { nd = len(hom.Evaluate(q, db)) })

@@ -136,9 +136,6 @@ func run() int {
 
 // printStatsSummary renders the -v one-line-per-subsystem stats view.
 func printStatsSummary(st *semacyclic.Stats) {
-	if st == nil {
-		return
-	}
 	fmt.Printf("wall: %s\n", time.Duration(st.WallNS))
 	for _, l := range st.Layers {
 		fmt.Printf("layer %-13s candidates=%-6d wall=%s\n", l.Name, l.Candidates, time.Duration(l.WallNS))

@@ -10,9 +10,9 @@ import (
 	"semacyclic/internal/deps"
 )
 
-// The sticky workload of the BENCH trajectory: verification rewrites,
-// layer 4 enumerates — every cancellation poll in the pipeline is on
-// the path.
+// The tri-sticky workload the server deadline tests also use:
+// verification rewrites, layer 4 enumerates — every cancellation poll
+// in the pipeline is on the path.
 func stickyCancelCase() (*cq.CQ, *deps.Set) {
 	set := deps.MustParse("US1(x), US0(y) -> S0(x,y).\nS1(x,y) -> S1(y,w).\nUS0(x), US1(y) -> S1(x,y).")
 	q := cq.MustParse("q :- S0(x,y), S0(y,z), S0(z,x).")

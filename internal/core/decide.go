@@ -96,14 +96,6 @@ type Options struct {
 	// functions, so the decision is identical either way — only the
 	// cost changes.
 	DisableSearchMemo bool
-	// DisableStats turns off per-decision stats collection: Result.Stats
-	// is then nil and the engines skip their counter flushes. Like
-	// DisableSearchMemo this is a benchmarking ablation knob — stats
-	// collection never influences the verdict or witness, only the cost,
-	// and the stats-overhead arm of the BENCH_* trajectory measures that
-	// cost against this baseline. The process-global obs counters stay on
-	// regardless (they are not per-decision state).
-	DisableStats bool
 	// Trace, when non-nil, receives a span per pipeline stage (the
 	// decision, each layer, the layer-3 chase, containment preparation).
 	// Spans are opened only from the sequential coordinator code — never
@@ -184,19 +176,16 @@ type Result struct {
 	Bound int
 	// Candidates counts queries examined across layers.
 	Candidates int
-	// Stats is the decision's observability snapshot (nil when
-	// Options.DisableStats). Collection is passive: the verdict, witness
-	// and determinism contract are identical with stats on or off.
+	// Stats is the decision's observability snapshot; Decide always
+	// fills it. Collection is passive: the verdict, witness and
+	// determinism contract never depend on it.
 	Stats *obs.Stats
 }
 
 // Decide determines whether q is semantically acyclic under the set.
 func Decide(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	var st *obs.Stats
-	if !opt.DisableStats {
-		st = obs.NewStats()
-	}
+	st := obs.NewStats()
 	sw := telemetry.StartTimer()
 	snap := obs.TakeSnapshot()
 	sp := opt.Trace.Start("decide")
@@ -206,11 +195,9 @@ func Decide(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 		return nil, mapCancelled(err)
 	}
 	obs.Decisions.Add(1)
-	if st != nil {
-		st.WallNS = sw.ElapsedNS()
-		st.Hom = snap.HomDelta()
-		res.Stats = st
-	}
+	st.WallNS = sw.ElapsedNS()
+	st.Hom = snap.HomDelta()
+	res.Stats = st
 	return res, nil
 }
 

@@ -210,31 +210,6 @@ func TestStatsDeterministicAcrossMemo(t *testing.T) {
 	}
 }
 
-// TestDisableStatsSameAnswer: stats collection is passive — turning it
-// off must not change the verdict, witness or definitiveness, and must
-// leave Result.Stats nil.
-func TestDisableStatsSameAnswer(t *testing.T) {
-	for _, c := range determinismCorpus() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			on, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			off, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5, DisableStats: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if off.Stats != nil {
-				t.Error("DisableStats left Result.Stats non-nil")
-			}
-			if got, want := fingerprintResult(off), fingerprintResult(on); got != want {
-				t.Errorf("DisableStats changed the answer:\n  on:  %s\n  off: %s", want, got)
-			}
-		})
-	}
-}
-
 // TestStatsDecisiveCandidatesSequential: at -j 1 the decisive candidate
 // count on non-truncated runs is just the examined count — pin the two
 // together so the decisive aggregation cannot silently drift from the

@@ -54,10 +54,9 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 	sp := eopt.Trace.Start("execute")
 	defer sp.End()
 	yopt := yannakakis.Options{
-		Cancel:       eopt.Cancel,
-		DisableIndex: eopt.DisableIndex,
-		Stats:        st,
-		Trace:        eopt.Trace,
+		Cancel: eopt.Cancel,
+		Stats:  st,
+		Trace:  eopt.Trace,
 	}
 	var (
 		ans   [][]term.Term
@@ -108,10 +107,9 @@ func (p *Plan) ExecuteOverlay(ov *instance.Overlay, eopt EvalOptions) ([][]term.
 	sp := eopt.Trace.Start("execute")
 	defer sp.End()
 	ans, err := p.compiled.ExecuteView(ov.Interned(), yannakakis.Options{
-		Cancel:       eopt.Cancel,
-		DisableIndex: eopt.DisableIndex,
-		Stats:        st,
-		Trace:        eopt.Trace,
+		Cancel: eopt.Cancel,
+		Stats:  st,
+		Trace:  eopt.Trace,
 	})
 	if err != nil {
 		return nil, nil, mapEvalCancelled(err)

@@ -73,9 +73,6 @@ type EvalOptions struct {
 	// channel is closed; Execute then returns ErrCancelled. Wire a
 	// context's Done() channel here.
 	Cancel <-chan struct{}
-	// DisableIndex forces the Yannakakis leaf-load to scan instead of
-	// using the per-position indexes (benchmarking ablation).
-	DisableIndex bool
 	// Trace, when non-nil, receives an "execute" span with per-phase
 	// children from the Yannakakis evaluator (leaf loading, the two
 	// semijoin passes, the join). Nil is free — see core.Options.Trace.
@@ -178,10 +175,9 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 	switch p.Method {
 	case MethodYannakakis:
 		ans, err = p.compiled.Execute(db, yannakakis.Options{
-			Cancel:       eopt.Cancel,
-			DisableIndex: eopt.DisableIndex,
-			Stats:        st,
-			Trace:        eopt.Trace,
+			Cancel: eopt.Cancel,
+			Stats:  st,
+			Trace:  eopt.Trace,
 		})
 	case MethodGuardedGame:
 		ans, err = game.EvaluateOpt(p.Query, db, game.Options{Cancel: eopt.Cancel})

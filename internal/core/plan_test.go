@@ -107,31 +107,3 @@ func TestPlanExecuteCancelPreClosed(t *testing.T) {
 		}
 	}
 }
-
-// The DisableIndex ablation changes work, never answers.
-func TestPlanExecuteIndexAblation(t *testing.T) {
-	p, err := CompilePlan(cq.MustParse("q(x) :- R('g1',x)."), &deps.Set{}, Options{}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := instance.New()
-	for i := 0; i < 50; i++ {
-		if err := db.Add(instance.NewAtom("R", term.Const(fmt.Sprintf("g%d", i%5)), term.Const(fmt.Sprintf("v%d", i)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fast, fs, err := p.Execute(db, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, ss, err := p.Execute(db, EvalOptions{DisableIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(fast) != fmt.Sprint(slow) {
-		t.Fatalf("ablation changed answers: %v vs %v", fast, slow)
-	}
-	if fs.RowsScanned >= ss.RowsScanned {
-		t.Fatalf("indexed scanned %d rows, scan %d — index not engaged", fs.RowsScanned, ss.RowsScanned)
-	}
-}

@@ -32,12 +32,11 @@ import (
 // whether the enumeration exhausted the search space definitively —
 // which additionally requires the pruning chase to have been complete.
 //
-// Exported within the module so cmd/experiments can benchmark layer 4
-// directly; the public facade does not re-export it.
+// Exported within the module so tests can drive layer 4 directly; the
+// public facade does not re-export it.
 //
-// SearchComplete collects no observability counters — it is the
-// zero-overhead baseline the stats-overhead benchmark compares against.
-// Use SearchCompleteStats to get the same answer plus an obs.Stats.
+// SearchComplete collects no observability counters. Use
+// SearchCompleteStats to get the same answer plus an obs.Stats.
 func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, int, bool, error) {
 	w, examined, exhausted, err := searchComplete(q, set, opt, bound, nil)
 	return w, examined, exhausted, mapCancelled(err)

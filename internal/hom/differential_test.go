@@ -2,17 +2,21 @@ package hom
 
 // Differential tests for the interned candidate pre-filter: enumeration
 // through the columnar sorted runs must produce the same answer sets as
-// the ByPred/ByPos map path, sequentially (flag-toggled ablation) and
-// from concurrent read-only goroutines (CI runs this under -race).
+// the ByPred/ByPos map path, sequentially (a view-cached instance
+// against a view-less clone) and from concurrent read-only goroutines
+// (CI runs this under -race).
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/gen"
+	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
 )
 
@@ -52,35 +56,40 @@ func eqAnswers(a, b [][]term.Term) bool {
 	return true
 }
 
-// TestDifferentialInternedCandidates: Evaluate with the interned
+// enumerate collects every homomorphism of q into target through
+// Enumerate, which never builds an interned view: it takes the interned
+// path exactly when target already has one cached.
+func enumerate(q *cq.CQ, target *instance.Instance) []string {
+	vars := q.Vars()
+	var out []string
+	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
+		out = append(out, fmt.Sprint(s.ResolveTuple(vars)))
+		return true
+	})
+	sort.Strings(out)
+	return out
+}
+
+// TestDifferentialInternedCandidates: enumeration with the interned
 // candidate probe (view force-built, so the path runs even below the
-// size threshold) agrees with the map path on random queries and
-// databases.
+// size threshold) finds the same homomorphisms as a view-less clone of
+// the same database on the map path, on random queries and databases.
 func TestDifferentialInternedCandidates(t *testing.T) {
-	if DisableInternedCandidates {
-		t.Fatal("DisableInternedCandidates must start false")
-	}
-	defer func() { DisableInternedCandidates = false }()
 	r := rand.New(rand.NewSource(3))
 	nonEmpty := 0
 	for trial := 0; trial < 60; trial++ {
 		q := randomHomCQ(r)
 		db := gen.RandomGraphDB(r, 40+r.Intn(250), 3+r.Intn(10))
+		plain := db.Clone()
 		db.Interned() // force the columnar view regardless of size
 
-		DisableInternedCandidates = false
-		got := Evaluate(q, db)
-		gotBool := EvaluateBool(q, db)
-
-		DisableInternedCandidates = true
-		want := Evaluate(q, db)
-		wantBool := EvaluateBool(q, db)
-
-		if !eqAnswers(got, want) {
-			t.Fatalf("trial %d: query %s\ninterned: %v\nmap path: %v", trial, q, got, want)
+		got := enumerate(q, db)
+		want := enumerate(q, plain)
+		if plain.InternedCached() != nil {
+			t.Fatalf("trial %d: Enumerate built an interned view on the map-path clone", trial)
 		}
-		if gotBool != wantBool {
-			t.Fatalf("trial %d: query %s: bool %v vs %v", trial, q, gotBool, wantBool)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: query %s\ninterned: %v\nmap path: %v", trial, q, got, want)
 		}
 		if len(want) > 0 {
 			nonEmpty++

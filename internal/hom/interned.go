@@ -5,13 +5,6 @@ import (
 	"semacyclic/internal/term"
 )
 
-// DisableInternedCandidates turns off the interned candidate
-// pre-filtering, forcing the ByPred/ByPos map path everywhere: the
-// ablation knob for the BENCH_5 old-vs-new arms and the hom
-// differential tests. The answer sets are identical either way; only
-// the per-candidate probe cost changes.
-var DisableInternedCandidates bool
-
 // internMinAtoms is the instance size below which building the interned
 // view is not worth its O(n log n) construction: decision-path targets
 // (frozen queries, chase instances) are small and churn under mutation,
@@ -26,7 +19,7 @@ const internMinAtoms = 128
 // never thrash the view cache. Enumerate uses the interned path exactly
 // when a view is already cached.
 func PrepareTarget(target *instance.Instance) {
-	if !DisableInternedCandidates && target.Len() >= internMinAtoms {
+	if target.Len() >= internMinAtoms {
 		target.Interned()
 	}
 }
@@ -59,10 +52,8 @@ func (c *candSet) at(k int) instance.Atom {
 // strictly-smaller rule, so enumeration results never depend on which
 // path ran.
 func pickCandidates(target *instance.Instance, a instance.Atom, sub term.Subst) candSet {
-	if !DisableInternedCandidates {
-		if iv := target.InternedCached(); iv != nil {
-			return pickInterned(iv, a, sub)
-		}
+	if iv := target.InternedCached(); iv != nil {
+		return pickInterned(iv, a, sub)
 	}
 	list := candidates(target, a, sub)
 	return candSet{list: list, n: len(list)}

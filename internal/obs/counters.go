@@ -132,8 +132,8 @@ var publishOnce sync.Once
 
 // Publish registers every global counter with expvar (idempotent).
 // Importing expvar also installs the /debug/vars handler on
-// http.DefaultServeMux, so any caller that serves DefaultServeMux —
-// cmd/experiments -pprof does — exposes the counters over HTTP.
+// http.DefaultServeMux; semacycd's server mounts expvar.Handler, which
+// exposes the counters over HTTP.
 func Publish() {
 	publishOnce.Do(func() {
 		for _, c := range registry {

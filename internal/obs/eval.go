@@ -62,8 +62,8 @@ type EvalStats struct {
 }
 
 // Fingerprint renders the deterministic evaluation fields canonically;
-// two evaluations of the same plan over the same database with the same
-// index setting must produce byte-identical fingerprints.
+// two evaluations of the same plan over the same database must produce
+// byte-identical fingerprints.
 func (e *EvalStats) Fingerprint() string {
 	return fmt.Sprintf("eval{method=%s answers=%d scanned=%d lookups=%d hits=%d skipped=%d semijoins=%d dropped=%d joinrows=%d delta{ins=%d del=%d reused=%d repaired=%d recomputed=%d}}",
 		e.Method, e.Answers, e.RowsScanned, e.IndexLookups, e.IndexHits,

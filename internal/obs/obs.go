@@ -16,8 +16,7 @@
 //
 // The structs are plain data with JSON tags; the stats-collection cost
 // lives in the packages that fill them (per-branch local counters
-// flushed once, one atomic pair per hom enumeration), measured in the
-// BENCH_* trajectory's stats-overhead arm.
+// flushed once, one atomic pair per hom enumeration).
 package obs
 
 import (

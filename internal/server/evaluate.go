@@ -16,8 +16,8 @@ import (
 // acyclicity of (query, deps), compile an evaluation plan, and run it
 // against a registered instance. The decision knobs (budget,
 // max_witness, skip_complete) mirror /decide and enter the plan-cache
-// key; deadline_ms, parallelism and no_index are per-request execution
-// knobs and do not.
+// key; deadline_ms and parallelism are per-request execution knobs and
+// do not.
 type EvaluateRequest struct {
 	// Query is the conjunctive query to evaluate.
 	Query string `json:"query"`
@@ -38,9 +38,6 @@ type EvaluateRequest struct {
 	Parallelism  int  `json:"parallelism,omitempty"`
 	// DeadlineMS bounds plan compilation plus execution.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// NoIndex disables the per-position index lookups in the
-	// Yannakakis leaf-load (benchmarking ablation; answers identical).
-	NoIndex bool `json:"no_index,omitempty"`
 	// Overlay, when present, evaluates a what-if delta layered over the
 	// named instance without mutating it: answers are computed as if the
 	// overlay's deletes-then-inserts had been applied, the stored
@@ -91,8 +88,8 @@ type EvaluateResponse struct {
 }
 
 // planKey derives the plan-cache key for a parsed unit and method.
-// Parallelism, deadline and no_index stay out: the plan is identical
-// at every value of each.
+// Parallelism and deadline stay out: the plan is identical at every
+// value of each.
 func planKey(u *decideUnit, method string) string {
 	return "plan\x00" + u.key + "\x00m=" + method
 }
@@ -219,9 +216,8 @@ func (s *Server) serveEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		eopt := core.EvalOptions{
-			Cancel:       ctx.Done(),
-			DisableIndex: req.NoIndex,
-			Trace:        rec,
+			Cancel: ctx.Done(),
+			Trace:  rec,
 		}
 		// The entry read lock spans the whole evaluation, so a
 		// concurrent PATCH cannot mutate the instance (or its epoch)

@@ -176,20 +176,16 @@ func (s *Server) computeDecide(ctx context.Context, u *decideUnit) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats != nil {
-		s.metrics.observeLayers(res.Stats.Layers)
-	}
+	s.metrics.observeLayers(res.Stats.Layers)
 	resp := DecideResponse{
-		Verdict:    res.Verdict.String(),
-		Definitive: res.Definitive,
-		Layer:      res.Layer,
-		Bound:      res.Bound,
+		Verdict:     res.Verdict.String(),
+		Definitive:  res.Definitive,
+		Layer:       res.Layer,
+		Bound:       res.Bound,
+		Fingerprint: res.Stats.DeterministicFingerprint(),
 	}
 	if res.Witness != nil {
 		resp.Witness = res.Witness.String()
-	}
-	if res.Stats != nil {
-		resp.Fingerprint = res.Stats.DeterministicFingerprint()
 	}
 	return json.Marshal(&resp)
 }

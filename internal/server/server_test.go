@@ -77,25 +77,35 @@ func TestDecideCacheByteIdentical(t *testing.T) {
 	}
 }
 
-// A request deadline propagates into every decision layer: the sticky
-// workload aborts with 504 promptly instead of running the search to
-// its (huge) budget.
+// A request deadline propagates into every decision layer: each sticky
+// request aborts with 504 within a bounded overshoot of its deadline
+// instead of running the search to its (huge) budget.
 func TestDeadlinePropagation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	const (
+		deadline  = 50 * time.Millisecond
+		overshoot = time.Second
+		requests  = 5
+	)
 	before := obs.ServerCancelled.Load()
-	start := time.Now()
-	resp, body := post(t, ts, "/decide", DecideRequest{
-		Query: stickyQuery, Deps: stickyDeps, Budget: 1 << 30, DeadlineMS: 50,
-	})
-	wall := time.Since(start)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, body)
+	var worst time.Duration
+	for i := 0; i < requests; i++ {
+		start := time.Now()
+		resp, body := post(t, ts, "/decide", DecideRequest{
+			Query: stickyQuery, Deps: stickyDeps, Budget: 1<<30 + i, DeadlineMS: deadline.Milliseconds(),
+		})
+		wall := time.Since(start)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status = %d (%s), want 504", i, resp.StatusCode, body)
+		}
+		worst = max(worst, wall)
 	}
-	if wall > 15*time.Second {
-		t.Fatalf("cancellation took %v", wall)
+	t.Logf("slowest of %d cancellations: %v", requests, worst)
+	if worst > deadline+overshoot {
+		t.Fatalf("slowest cancellation took %v, want at most %v", worst, deadline+overshoot)
 	}
-	if got := obs.ServerCancelled.Load(); got <= before {
-		t.Fatalf("server.cancelled counter did not advance (%d -> %d)", before, got)
+	if got := obs.ServerCancelled.Load(); got < before+requests {
+		t.Fatalf("server.cancelled counter advanced %d, want at least %d", got-before, requests)
 	}
 }
 

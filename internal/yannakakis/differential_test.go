@@ -60,7 +60,7 @@ func sameAnswers(a, b [][]term.Term) bool {
 // TestDifferentialInternedVsOracle: compiled interned evaluation equals
 // the string-path oracle — identical answer lists (content and order)
 // and identical deterministic stats fingerprints — across random
-// acyclic queries, databases and index settings.
+// acyclic queries and databases.
 func TestDifferentialInternedVsOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	nonEmpty := 0
@@ -71,12 +71,9 @@ func TestDifferentialInternedVsOracle(t *testing.T) {
 			t.Fatalf("trial %d: generated query %s is not acyclic", trial, q)
 		}
 		db := gen.RandomGraphDB(r, 30+r.Intn(250), 2+r.Intn(12))
-		opt := Options{DisableIndex: r.Intn(4) == 0}
 
 		var stO, stI obs.EvalStats
-		oracleOpt := opt
-		oracleOpt.Stats = &stO
-		want, err := EvaluateWithForestOracleOpt(q, forest, db, oracleOpt)
+		want, err := EvaluateWithForestOracleOpt(q, forest, db, Options{Stats: &stO})
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
@@ -85,9 +82,7 @@ func TestDifferentialInternedVsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Compile: %v", trial, err)
 		}
-		internedOpt := opt
-		internedOpt.Stats = &stI
-		got, err := c.Execute(db, internedOpt)
+		got, err := c.Execute(db, Options{Stats: &stI})
 		if err != nil {
 			t.Fatalf("trial %d: Execute: %v", trial, err)
 		}

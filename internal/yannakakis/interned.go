@@ -477,20 +477,18 @@ func loadLeaf(n *cnode, iv *instance.InternedView, constID []symtab.ID, constOK 
 	usePerm := false
 	selPos, selLo := 0, 0
 	indexed := false
-	if !st.opt.DisableIndex {
-		for _, pos := range n.constPos {
-			var plo, phi int
-			if ci := n.argConst[pos]; rel != nil && constOK[ci] {
-				plo, phi = rel.Range(int(pos), constID[ci])
-			}
-			if st.opt.Stats != nil {
-				st.opt.Stats.IndexLookups++
-			}
-			if !indexed || phi-plo < nCand {
-				nCand = phi - plo
-				usePerm, selPos, selLo = true, int(pos), plo
-				indexed = true
-			}
+	for _, pos := range n.constPos {
+		var plo, phi int
+		if ci := n.argConst[pos]; rel != nil && constOK[ci] {
+			plo, phi = rel.Range(int(pos), constID[ci])
+		}
+		if st.opt.Stats != nil {
+			st.opt.Stats.IndexLookups++
+		}
+		if !indexed || phi-plo < nCand {
+			nCand = phi - plo
+			usePerm, selPos, selLo = true, int(pos), plo
+			indexed = true
 		}
 	}
 	if st.opt.Stats != nil {

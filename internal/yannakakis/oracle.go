@@ -199,29 +199,27 @@ func flexTerms(a instance.Atom) []term.Term {
 }
 
 // matchRows loads the database rows matching atom a. When a mentions
-// constants and indexing is enabled, the candidate list comes from the
-// most selective per-(predicate, position, term) index instead of the
-// full per-predicate scan; each candidate is still verified against
-// all of a's constants and repeated terms by MatchTuple.
+// constants, the candidate list comes from the most selective
+// per-(predicate, position, term) index instead of the full
+// per-predicate scan; each candidate is still verified against all of
+// a's constants and repeated terms by MatchTuple.
 func matchRows(a instance.Atom, vars []term.Term, db *instance.Instance, st *evalState) ([][]term.Term, error) {
 	candidates := db.ByPred(a.Pred)
 	indexed := false
-	if !st.opt.DisableIndex {
-		// Probe every bound (constant) position and keep the smallest
-		// candidate list. Probes are map lookups; on paper-scale atom
-		// widths the exhaustive probing is cheaper than guessing wrong.
-		for pos, t := range a.Args {
-			if !t.IsConst() {
-				continue
-			}
-			byPos := db.ByPos(a.Pred, pos, t)
-			if st.opt.Stats != nil {
-				st.opt.Stats.IndexLookups++
-			}
-			if !indexed || len(byPos) < len(candidates) {
-				candidates = byPos
-				indexed = true
-			}
+	// Probe every bound (constant) position and keep the smallest
+	// candidate list. Probes are map lookups; on paper-scale atom
+	// widths the exhaustive probing is cheaper than guessing wrong.
+	for pos, t := range a.Args {
+		if !t.IsConst() {
+			continue
+		}
+		byPos := db.ByPos(a.Pred, pos, t)
+		if st.opt.Stats != nil {
+			st.opt.Stats.IndexLookups++
+		}
+		if !indexed || len(byPos) < len(candidates) {
+			candidates = byPos
+			indexed = true
 		}
 	}
 	if st.opt.Stats != nil {

@@ -29,8 +29,9 @@ import (
 // Options.Cancel before completing.
 var ErrCancelled = errors.New("yannakakis: evaluation cancelled")
 
-// Options tunes one evaluation. The zero value is the default: indexed
-// leaf loading, no cancellation, no stats collection.
+// Options tunes one evaluation. The zero value is the default: no
+// cancellation, no stats collection. Leaf loading always probes the
+// per-position index when an atom mentions constants.
 type Options struct {
 	// Cancel, when non-nil, aborts the evaluation as soon as the
 	// channel is closed; the evaluator then returns ErrCancelled.
@@ -39,11 +40,6 @@ type Options struct {
 	// loops, so latency is bounded by a fraction of one phase, not a
 	// whole evaluation.
 	Cancel <-chan struct{}
-	// DisableIndex forces leaf loading to scan the full per-predicate
-	// list even when constant argument positions admit an index
-	// lookup. A benchmarking ablation knob (the indexed-vs-scan arm of
-	// BENCH_4); the answers are identical either way.
-	DisableIndex bool
 	// Stats, when non-nil, receives the evaluation's work counters
 	// (rows scanned, index hits, semijoin reductions). Collection never
 	// influences the answers.

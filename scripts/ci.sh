@@ -45,6 +45,11 @@ echo "== go test -race =="
 # accidental inter-test coupling surfaces here, not in a flaky bisect.
 go test -race -shuffle=on ./...
 
+echo "== bench module (vet, race tests, semalint) =="
+# bench/ is its own Go module (it replaces semacyclic with this
+# checkout), so the root ./... patterns above never reach it.
+(cd bench && go vet ./... && go test -race -count=1 ./... && go run semacyclic/cmd/semalint ./...)
+
 echo "== allocation guards (no race: counts must be exact) =="
 # The interned hot path promises 0 allocs/op on its probe operations
 # (candidate pre-filter, semijoin membership, index range), and the

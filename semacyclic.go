@@ -96,8 +96,7 @@ type (
 	// decision, method selection and join forest happen once; Execute
 	// then runs per database.
 	Plan = core.Plan
-	// EvalOptions tunes one Plan.Execute run (cancellation, index
-	// ablation).
+	// EvalOptions tunes one Plan.Execute run (cancellation, tracing).
 	EvalOptions = core.EvalOptions
 	// ReducerState is the retained per-plan semijoin state that
 	// Plan.ExecuteIncremental repairs from an instance's delta journal
