@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/telemetry"
@@ -43,7 +45,9 @@ func (p *Plan) Incremental() bool { return p.Method == MethodYannakakis && p.com
 // Incremental. Answers and their canonical order are identical to
 // Execute's on the current instance in every case; EvalStats
 // additionally reports the delta consumed and the per-tree
-// reuse/repair/recompute split.
+// reuse/repair/recompute split. The returned slice is the caller's
+// own, but its tuples are shared with the returned state (and, on a
+// reuse, with prev): treat them as read-only.
 func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eopt EvalOptions) ([][]term.Term, *obs.EvalStats, *ReducerState, error) {
 	if !p.Incremental() {
 		ans, st, err := p.Execute(db, eopt)
@@ -82,7 +86,9 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 	if err != nil {
 		return nil, nil, nil, mapEvalCancelled(err)
 	}
-	ans = canonicalizeAnswers(ans)
+	// The state keeps its answers: hand the caller a copy of the outer
+	// slice so that writing to it cannot reach the next reused run.
+	ans = canonicalizeAnswers(slices.Clone(ans))
 	st.Answers = len(ans)
 	st.WallNS = sw.ElapsedNS()
 	return ans, st, &ReducerState{Epoch: db.Epoch(), inner: inner}, nil
@@ -93,7 +99,9 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 // columnar view is evaluated directly — cost proportional to the
 // delta, the base untouched; every other method materializes the
 // overlay and runs Execute on the copy. Answers are exactly Execute's
-// on the materialized overlay.
+// on the materialized overlay. The run retains nothing, so the
+// returned slice is the caller's own; its tuples are read-only, as
+// with Execute.
 func (p *Plan) ExecuteOverlay(ov *instance.Overlay, eopt EvalOptions) ([][]term.Term, *obs.EvalStats, error) {
 	if !p.Incremental() {
 		mat, err := ov.Materialize()

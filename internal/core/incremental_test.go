@@ -111,6 +111,42 @@ func TestExecuteIncrementalMatchesExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteIncrementalAnswersNotShared: writing to the slice
+// ExecuteIncremental returns must not reach the reducer state, so the
+// next run, which reuses that state, still returns the true answers —
+// for a single answer (a true Boolean plan) and for many.
+func TestExecuteIncrementalAnswersNotShared(t *testing.T) {
+	db := gen.RandomGraphDB(rand.New(rand.NewSource(7)), 80, 6)
+	for _, src := range []string{"q :- E(x,y), E(y,z).", "q(x,z) :- E(x,y), E(y,z)."} {
+		p, err := CompilePlan(cq.MustParse(src), &deps.Set{}, Options{}, "")
+		if err != nil {
+			t.Fatalf("%s: CompilePlan: %v", src, err)
+		}
+		want, _, err := p.Execute(db, EvalOptions{})
+		if err != nil {
+			t.Fatalf("%s: Execute: %v", src, err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: fixture has no answers", src)
+		}
+		state := (*ReducerState)(nil)
+		for run := 0; run < 3; run++ {
+			ans, st, next, err := p.ExecuteIncremental(db, state, EvalOptions{})
+			if err != nil {
+				t.Fatalf("%s run %d: ExecuteIncremental: %v", src, run, err)
+			}
+			if run > 0 && st.TreesReused != int64(p.compiled.NumTrees()) {
+				t.Fatalf("%s run %d: want a reuse run, got %s", src, run, st.Fingerprint())
+			}
+			if !sameTuples(ans, want) {
+				t.Fatalf("%s run %d: answers %v, want %v", src, run, ans, want)
+			}
+			ans[0] = []term.Term{term.Const("mutated")}
+			state = next
+		}
+	}
+}
+
 // TestExecuteIncrementalNonIncrementalMethod: generic plans run
 // through ExecuteIncremental recompute every time and return no state.
 func TestExecuteIncrementalNonIncrementalMethod(t *testing.T) {

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
@@ -207,35 +207,24 @@ func mapEvalCancelled(err error) error {
 	return err
 }
 
-// canonicalizeAnswers sorts and deduplicates an answer set by the
-// canonical tuple key, so every method returns byte-identical answer
-// lists for equal answer sets.
+// canonicalizeAnswers puts an answer set in canonical order — strictly
+// increasing under term.CompareTuples, the canonical key order — so
+// every method returns byte-identical answer lists for equal answer
+// sets. Yannakakis and the generic path already emit that order, and
+// for them this is one allocation-free pass that checks it. The game
+// paths enumerate candidate tuples in database order, possibly with
+// duplicates; their answers are sorted and deduplicated in place.
 func canonicalizeAnswers(ans [][]term.Term) [][]term.Term {
-	if len(ans) <= 1 {
-		return ans
-	}
-	type keyed struct {
-		key   string
-		tuple []term.Term
-	}
-	keyedAns := make([]keyed, 0, len(ans))
-	seen := make(map[string]bool, len(ans))
-	var buf []byte
-	for _, t := range ans {
-		buf = hom.AppendTupleKey(buf[:0], t)
-		if !seen[string(buf)] {
-			k := string(buf)
-			seen[k] = true
-			keyedAns = append(keyedAns, keyed{key: k, tuple: t})
+	for i := 1; i < len(ans); i++ {
+		if term.CompareTuples(ans[i-1], ans[i]) >= 0 {
+			slices.SortFunc(ans, term.CompareTuples)
+			return slices.CompactFunc(ans, equalTuples)
 		}
 	}
-	sort.Slice(keyedAns, func(i, j int) bool { return keyedAns[i].key < keyedAns[j].key })
-	out := make([][]term.Term, len(keyedAns))
-	for i, a := range keyedAns {
-		out[i] = a.tuple
-	}
-	return out
+	return ans
 }
+
+func equalTuples(a, b []term.Term) bool { return term.CompareTuples(a, b) == 0 }
 
 // genericEvaluate is hom.Evaluate with cancellation: the backtracking
 // enumeration stops at the first cancel poll. Polls happen once per
@@ -249,7 +238,7 @@ func genericEvaluate(q *cq.CQ, db *instance.Instance, cancel <-chan struct{}) ([
 	hom.PrepareTarget(db)
 	// Duplicate rejection runs on dense integer ids from a per-call
 	// interner (4 bytes per term, allocation-free probe); the ids never
-	// reach the output, which canonicalizeAnswers orders by string keys.
+	// reach the output, which is sorted by term.CompareTuples.
 	local := symtab.New()
 	seen := make(map[string]bool)
 	var answers [][]term.Term
@@ -262,20 +251,20 @@ func genericEvaluate(q *cq.CQ, db *instance.Instance, cancel <-chan struct{}) ([
 			return false
 		default:
 		}
-		tuple := s.ResolveTuple(q.Free)
 		buf = buf[:0]
-		for _, t := range tuple {
-			buf = symtab.AppendID(buf, local.Intern(t))
+		for _, x := range q.Free {
+			buf = symtab.AppendID(buf, local.Intern(s.Resolve(x)))
 		}
 		if !seen[string(buf)] {
 			seen[string(buf)] = true
-			answers = append(answers, tuple)
+			answers = append(answers, s.ResolveTuple(q.Free))
 		}
 		return true
 	})
 	if aborted {
 		return nil, ErrCancelled
 	}
+	slices.SortFunc(answers, term.CompareTuples)
 	return answers, nil
 }
 

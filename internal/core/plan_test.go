@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"semacyclic/internal/cq"
@@ -12,6 +13,7 @@ import (
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
+	"semacyclic/internal/testutil"
 )
 
 // Auto plan selection mirrors the one-shot helpers: Yes → Yannakakis on
@@ -83,6 +85,87 @@ func TestPlanExecuteMatchesGenericProperty(t *testing.T) {
 				t.Fatalf("trial %d: stats answers %d != %d", trial, st.Answers, len(got))
 			}
 		}
+	}
+}
+
+// randomAnswers draws n tuples of width w from a pool small enough to
+// repeat tuples often, with names that exercise the key order's corners
+// (empty, prefix and NUL-bearing names, all three kinds).
+func randomAnswers(r *rand.Rand, n, w int) [][]term.Term {
+	pool := []term.Term{
+		term.Const(""), term.Const("a"), term.Const("ab"), term.Const("a\x00"),
+		term.Const("a\x00b"), term.NullTerm("a"), term.NullTerm(""), term.Var("b"),
+	}
+	out := make([][]term.Term, n)
+	for i := range out {
+		out[i] = make([]term.Term, w)
+		for j := range out[i] {
+			out[i][j] = pool[r.Intn(len(pool))]
+		}
+	}
+	return out
+}
+
+// keySorted is the reference order: deduplicate by the canonical key
+// string and sort by it.
+func keySorted(ans [][]term.Term) [][]term.Term {
+	byKey := map[string][]term.Term{}
+	var keys []string
+	for _, t := range ans {
+		var b []byte
+		for _, x := range t {
+			b = x.AppendKey(b)
+		}
+		if _, ok := byKey[string(b)]; !ok {
+			byKey[string(b)] = t
+			keys = append(keys, string(b))
+		}
+	}
+	sort.Strings(keys)
+	out := make([][]term.Term, len(keys))
+	for i, k := range keys {
+		out[i] = byKey[k]
+	}
+	return out
+}
+
+// TestCanonicalizeAnswersMatchesKeyOrder: on unsorted input full of
+// duplicates — what the game and egd-game paths produce — and on input
+// that is already canonical, canonicalizeAnswers equals a dedup and
+// sort by the canonical key string.
+func TestCanonicalizeAnswersMatchesKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		ans := randomAnswers(r, r.Intn(40), r.Intn(4))
+		want := keySorted(ans)
+		got := canonicalizeAnswers(ans)
+		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+			t.Fatalf("trial %d:\n got %q\nwant %q", trial, got, want)
+		}
+		if again := canonicalizeAnswers(got); fmt.Sprintf("%q", again) != fmt.Sprintf("%q", want) {
+			t.Fatalf("trial %d: canonical input changed:\n got %q\nwant %q", trial, again, want)
+		}
+	}
+}
+
+// TestAllocsCanonicalSorted: answers already in canonical order — what
+// Yannakakis and the generic path emit — pass through canonicalizeAnswers
+// with no allocation.
+func TestAllocsCanonicalSorted(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	ans := keySorted(randomAnswers(rand.New(rand.NewSource(4)), 200, 3))
+	if len(ans) < 100 {
+		t.Fatalf("fixture too small: %d distinct answers", len(ans))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := canonicalizeAnswers(ans); len(got) != len(ans) {
+			t.Fatalf("canonical input lost answers: %d of %d", len(got), len(ans))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("canonicalizeAnswers allocates %v on canonical input, want 0", allocs)
 	}
 }
 

@@ -59,52 +59,6 @@ func BenchmarkContainment(b *testing.B) {
 	}
 }
 
-// naiveTupleKey is the pre-optimization key construction (plain byte
-// append, reallocating as it grows), kept as the ablation baseline for
-// the allocation benchmarks below.
-func naiveTupleKey(ts []term.Term) string {
-	var b []byte
-	for _, t := range ts {
-		b = append(b, byte(t.K))
-		b = append(b, t.Name...)
-		b = append(b, 0)
-	}
-	return string(b)
-}
-
-func benchTuple(n int) []term.Term {
-	out := make([]term.Term, n)
-	for i := range out {
-		out[i] = term.Const(fmt.Sprintf("const-value-%d", i))
-	}
-	return out
-}
-
-// BenchmarkTupleKeyNaive / BenchmarkTupleKeyBuilder: the exact-Grow
-// builder materializes a key in one allocation where the byte-append
-// version pays one per growth step.
-func BenchmarkTupleKeyNaive(b *testing.B) {
-	tuple := benchTuple(6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if naiveTupleKey(tuple) == "" {
-			b.Fatal("empty key")
-		}
-	}
-}
-
-func BenchmarkTupleKeyBuilder(b *testing.B) {
-	tuple := benchTuple(6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tupleKey(tuple) == "" {
-			b.Fatal("empty key")
-		}
-	}
-}
-
 // TestAllocsCandidateProbe is the regression guard for the interned
 // candidate-check path: selecting the most selective candidate set for
 // an atom (the per-node inner operation of Enumerate) must not allocate
@@ -137,8 +91,9 @@ func TestAllocsCandidateProbe(t *testing.T) {
 }
 
 // BenchmarkEvaluateAllocsPath3 measures the full evaluation pipeline's
-// allocation profile: answer dedup probes a reused key buffer and the
-// final sort compares retained keys instead of re-deriving them.
+// allocation profile: matches bind through one undo stack, answer dedup
+// probes a reused id buffer, and the final sort compares tuples with
+// term.CompareTuples instead of building keys.
 func BenchmarkEvaluateAllocsPath3(b *testing.B) {
 	db := benchDB(2000, 200)
 	q := cq.MustParse("q(x,w) :- E(x,y), E(y,z), E(z,w).")
@@ -146,5 +101,42 @@ func BenchmarkEvaluateAllocsPath3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Evaluate(q, db)
+	}
+}
+
+// TestAllocsEnumerateBacktrack guards the undo stack of Enumerate: the
+// allocations of one enumeration over a fixed pattern must not grow
+// with the number of successful matches. A 10x larger target yields
+// about 10x the homomorphisms; only a constant may separate the two
+// allocation counts.
+func TestAllocsEnumerateBacktrack(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	pattern := []instance.Atom{
+		instance.NewAtom("E", term.Var("x"), term.Var("y")),
+		instance.NewAtom("E", term.Var("y"), term.Var("z")),
+	}
+	measure := func(size int) (allocs float64, matches int) {
+		db := benchDB(size, size/10)
+		PrepareTarget(db)
+		allocs = testing.AllocsPerRun(20, func() {
+			matches = 0
+			Enumerate(pattern, db, nil, func(term.Subst) bool {
+				matches++
+				return true
+			})
+		})
+		return allocs, matches
+	}
+	small, nSmall := measure(200)
+	big, nBig := measure(2000)
+	if nBig < 5*nSmall {
+		t.Fatalf("fixture too flat: %d vs %d matches", nSmall, nBig)
+	}
+	t.Logf("%v allocs for %d matches, %v for %d", small, nSmall, big, nBig)
+	if big > small+8 {
+		t.Fatalf("Enumerate allocates %v for %d matches but %v for %d: allocations grow with matches",
+			small, nSmall, big, nBig)
 	}
 }

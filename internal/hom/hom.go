@@ -5,8 +5,7 @@
 package hom
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
@@ -96,6 +95,11 @@ func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Sub
 	// global counter once per enumeration: the hot loop pays a plain
 	// increment, the observability layer two atomic adds per call.
 	var backtracks int64
+	// One undo stack serves the whole enumeration: each level marks its
+	// height, matches (pushing the keys it binds), recurses, then
+	// unbinds and pops its own frame, so a successful match allocates
+	// nothing once the stack has grown to the pattern's variable count.
+	var undo []term.Term
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(ordered) {
@@ -105,13 +109,16 @@ func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Sub
 		cs := pickCandidates(target, a, sub)
 		for k := 0; k < cs.n; k++ {
 			cand := cs.at(k)
-			added, ok := term.MatchTuple(sub, a.Args, cand.Args)
+			mark := len(undo)
+			var ok bool
+			undo, ok = term.MatchTuple(sub, a.Args, cand.Args, undo)
 			if !ok {
 				backtracks++
 				continue
 			}
 			cont := rec(i + 1)
-			term.Unbind(sub, added)
+			term.Unbind(sub, undo[mark:])
+			undo = undo[:mark]
 			if !cont {
 				return false
 			}
@@ -142,72 +149,33 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 }
 
 // Evaluate computes q(I): the set of answer tuples, each a tuple over
-// the terms of I, deduplicated, in deterministic order.
+// the terms of I, deduplicated, in canonical order (term.CompareTuples).
 //
 // Allocation discipline: duplicate answers are rejected on dense
 // integer ids from a per-call interner — 4 bytes per term in a reused
-// buffer, and the map probe with string(buf) does not allocate. The
-// canonical string key is materialized once per distinct tuple, only to
-// order the answers (ids never influence the output order), and the
-// final sort compares those retained keys instead of re-deriving them
-// per comparison.
+// buffer, and the map probe with string(buf) does not allocate — so
+// only a distinct answer pays for its tuple and its dedup key. The ids
+// never influence the output order: the answers are sorted once by
+// term.CompareTuples, which builds no key.
 func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
 	PrepareTarget(target)
-	type keyed struct {
-		key   string
-		tuple []term.Term
-	}
 	local := symtab.New()
 	seen := make(map[string]bool)
-	var answers []keyed
-	var idbuf, keybuf []byte
+	var answers [][]term.Term
+	var idbuf []byte
 	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
-		tuple := s.ResolveTuple(q.Free)
 		idbuf = idbuf[:0]
-		for _, t := range tuple {
-			idbuf = symtab.AppendID(idbuf, local.Intern(t))
+		for _, x := range q.Free {
+			idbuf = symtab.AppendID(idbuf, local.Intern(s.Resolve(x)))
 		}
 		if !seen[string(idbuf)] {
 			seen[string(idbuf)] = true
-			keybuf = AppendTupleKey(keybuf[:0], tuple)
-			answers = append(answers, keyed{key: string(keybuf), tuple: tuple})
+			answers = append(answers, s.ResolveTuple(q.Free))
 		}
 		return true
 	})
-	sort.Slice(answers, func(i, j int) bool { return answers[i].key < answers[j].key })
-	out := make([][]term.Term, len(answers))
-	for i, a := range answers {
-		out[i] = a.tuple
-	}
-	return out
-}
-
-// AppendTupleKey appends a canonical byte key for the tuple to buf and
-// returns the extended slice: two tuples have equal keys iff they are
-// equal termwise. Callers reuse one buffer across tuples to keep key
-// construction allocation-free.
-func AppendTupleKey(buf []byte, ts []term.Term) []byte {
-	for _, t := range ts {
-		buf = t.AppendKey(buf)
-	}
-	return buf
-}
-
-// tupleKey materializes a tuple key as a string in one exact-sized
-// allocation.
-func tupleKey(ts []term.Term) string {
-	n := 0
-	for _, t := range ts {
-		n += len(t.Name) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, t := range ts {
-		b.WriteByte(byte(t.K))
-		b.WriteString(t.Name)
-		b.WriteByte(0)
-	}
-	return b.String()
+	slices.SortFunc(answers, term.CompareTuples)
+	return answers
 }
 
 // EvaluateBool reports whether the Boolean query holds (for non-Boolean

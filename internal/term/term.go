@@ -8,6 +8,7 @@
 package term
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -85,14 +86,93 @@ func (t Term) String() string {
 }
 
 // AppendKey appends t's canonical key encoding — kind byte, name
-// bytes, NUL — to buf. Tuple keys built by concatenating AppendKey
-// over the tuple's terms are the repo-wide canonical dedup/sort key
-// format (hom.AppendTupleKey, the yannakakis oracle keys); the byte
-// layout is load-bearing for answer order and must not change.
+// bytes, NUL — to buf. The byte order of tuple keys built by
+// concatenating AppendKey over a tuple's terms is the repo-wide
+// canonical answer order: CompareTuples computes it without building
+// keys, and the yannakakis oracle sorts by the keys themselves. The
+// byte layout is load-bearing for answer order and must not change.
 func (t Term) AppendKey(buf []byte) []byte {
 	buf = append(buf, byte(t.K))
 	buf = append(buf, t.Name...)
 	return append(buf, 0)
+}
+
+// CompareTuples orders tuples exactly as bytes.Compare orders their
+// concatenated AppendKey encodings — the canonical answer order —
+// without building either key. Equal terms are skipped, a kind
+// difference decides, and otherwise the first differing name byte
+// does. The one case that needs the byte stream itself is a name that
+// is a strict prefix of the other where the longer name continues with
+// NUL: that byte ties with the shorter name's terminator, so the
+// comparison carries on across term boundaries.
+func CompareTuples(a, b []Term) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		x, y := a[i], b[i]
+		if x == y {
+			continue
+		}
+		if x.K != y.K {
+			return cmp.Compare(x.K, y.K)
+		}
+		m := min(len(x.Name), len(y.Name))
+		for j := 0; j < m; j++ {
+			if x.Name[j] != y.Name[j] {
+				return cmp.Compare(x.Name[j], y.Name[j])
+			}
+		}
+		// One name is a strict prefix of the other: its NUL terminator
+		// meets the longer name's next byte.
+		if len(x.Name) < len(y.Name) && y.Name[m] != 0 {
+			return -1
+		}
+		if len(y.Name) < len(x.Name) && x.Name[m] != 0 {
+			return 1
+		}
+		return compareKeyStreams(a[i:], b[i:])
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareKeyStreams is bytes.Compare over the concatenated AppendKey
+// encodings of a and b, one byte at a time.
+func compareKeyStreams(a, b []Term) int {
+	sa, sb := keyStream{ts: a}, keyStream{ts: b}
+	for {
+		x, okx := sa.next()
+		y, oky := sb.next()
+		switch {
+		case !okx && !oky:
+			return 0
+		case !okx:
+			return -1
+		case !oky:
+			return 1
+		case x != y:
+			return cmp.Compare(x, y)
+		}
+	}
+}
+
+// keyStream yields the bytes of a tuple's key encoding in order.
+type keyStream struct {
+	ts  []Term
+	pos int // 0: kind byte; 1..len(Name): name bytes; len(Name)+1: NUL
+}
+
+func (s *keyStream) next() (byte, bool) {
+	if len(s.ts) == 0 {
+		return 0, false
+	}
+	t, p := s.ts[0], s.pos
+	s.pos++
+	switch {
+	case p == 0:
+		return byte(t.K), true
+	case p <= len(t.Name):
+		return t.Name[p-1], true
+	}
+	s.ts, s.pos = s.ts[1:], 0
+	return 0, true
 }
 
 // Compare orders terms first by kind then by name. It induces a total

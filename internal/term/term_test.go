@@ -1,6 +1,9 @@
 package term
 
 import (
+	"bytes"
+	"cmp"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -250,7 +253,7 @@ func TestMatchTuple(t *testing.T) {
 	s := NewSubst()
 	pat := []Term{Var("x"), Var("x"), Const("a")}
 	tgt := []Term{Const("c"), Const("c"), Const("a")}
-	added, ok := MatchTuple(s, pat, tgt)
+	added, ok := MatchTuple(s, pat, tgt, nil)
 	if !ok {
 		t.Fatal("match should succeed")
 	}
@@ -267,28 +270,98 @@ func TestMatchTupleFailureRollsBack(t *testing.T) {
 	s := NewSubst()
 	pat := []Term{Var("x"), Var("x")}
 	tgt := []Term{Const("c"), Const("d")}
-	if _, ok := MatchTuple(s, pat, tgt); ok {
+	if _, ok := MatchTuple(s, pat, tgt, nil); ok {
 		t.Fatal("match should fail")
 	}
 	if len(s) != 0 {
 		t.Errorf("failed match left bindings: %v", s)
 	}
 	// Constant mismatch and length mismatch also roll back.
-	if _, ok := MatchTuple(s, []Term{Const("a")}, []Term{Const("b")}); ok {
+	if _, ok := MatchTuple(s, []Term{Const("a")}, []Term{Const("b")}, nil); ok {
 		t.Error("constant mismatch should fail")
 	}
-	if _, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("a"), Const("b")}); ok {
+	if _, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("a"), Const("b")}, nil); ok {
 		t.Error("length mismatch should fail")
 	}
 }
 
 func TestMatchTupleRespectsExistingBindings(t *testing.T) {
 	s := Subst{Var("x"): Const("c")}
-	if _, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("d")}); ok {
+	if _, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("d")}, nil); ok {
 		t.Error("match must respect pre-existing binding")
 	}
-	if added, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("c")}); !ok || len(added) != 0 {
+	if added, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("c")}, nil); !ok || len(added) != 0 {
 		t.Errorf("compatible match should succeed with no additions: %v %v", added, ok)
+	}
+}
+
+// TestMatchTupleUndoStack: bindings are appended to the caller's undo
+// stack, and a failed match unbinds only its own additions and hands
+// the stack back at its entry length.
+func TestMatchTupleUndoStack(t *testing.T) {
+	s := NewSubst()
+	undo, ok := MatchTuple(s, []Term{Var("x")}, []Term{Const("a")}, nil)
+	if !ok || len(undo) != 1 {
+		t.Fatalf("first match: %v %v", undo, ok)
+	}
+	mark := len(undo)
+	undo, ok = MatchTuple(s, []Term{Var("y"), Var("x")}, []Term{Const("b"), Const("c")}, undo)
+	if ok || len(undo) != mark {
+		t.Fatalf("clashing match: ok=%v undo=%v, want failure at length %d", ok, undo, mark)
+	}
+	if len(s) != 1 || s[Var("x")] != Const("a") {
+		t.Fatalf("failed match disturbed earlier bindings: %v", s)
+	}
+	undo, ok = MatchTuple(s, []Term{Var("y"), Var("z")}, []Term{Const("b"), Const("c")}, undo)
+	if !ok || len(undo) != mark+2 {
+		t.Fatalf("second match: %v %v", undo, ok)
+	}
+	Unbind(s, undo[mark:])
+	if len(s) != 1 || s[Var("x")] != Const("a") {
+		t.Fatalf("unbinding the second frame touched the first: %v", s)
+	}
+}
+
+// keyOf is the canonical tuple key CompareTuples must agree with: the
+// concatenated AppendKey encodings.
+func keyOf(ts []Term) []byte {
+	var b []byte
+	for _, x := range ts {
+		b = x.AppendKey(b)
+	}
+	return b
+}
+
+// TestCompareTuplesMatchesKeyOrder: CompareTuples is bytes.Compare on
+// the canonical keys, on random tuples drawn from an alphabet made to
+// hit every branch — all three kinds, empty names, names that are
+// prefixes of each other, names containing NUL (including a NUL right
+// after a shared prefix, the byte that ties with the shorter name's
+// terminator), and the empty tuple.
+func TestCompareTuplesMatchesKeyOrder(t *testing.T) {
+	names := []string{"", "a", "ab", "abc", "a\x00", "a\x00b", "\x00", "\x00\x00", "b", "a\x01", "\x01"}
+	kinds := []Kind{Constant, Null, Variable}
+	r := rand.New(rand.NewSource(1))
+	tuple := func() []Term {
+		out := make([]Term, r.Intn(4))
+		for i := range out {
+			out[i] = Term{K: kinds[r.Intn(len(kinds))], Name: names[r.Intn(len(names))]}
+		}
+		return out
+	}
+	sign := func(c int) int { return cmp.Compare(c, 0) }
+	for i := 0; i < 200000; i++ {
+		a, b := tuple(), tuple()
+		want := bytes.Compare(keyOf(a), keyOf(b))
+		if got := sign(CompareTuples(a, b)); got != want {
+			t.Fatalf("CompareTuples(%q, %q) = %d, key order says %d", a, b, got, want)
+		}
+	}
+	// Every tuple, the empty one included, equals itself.
+	for _, a := range [][]Term{nil, {}, {Const("")}, {Var("a\x00"), NullTerm("")}} {
+		if CompareTuples(a, a) != 0 {
+			t.Errorf("CompareTuples(%q, itself) != 0", a)
+		}
 	}
 }
 

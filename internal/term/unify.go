@@ -69,35 +69,38 @@ func unifyOne(s Subst, x, y Term) error {
 
 // MatchTuple extends init so that pattern maps onto target
 // homomorphism-style: variables and nulls of pattern may be bound, but
-// target terms are rigid. It returns false (and leaves init untouched)
-// when no extension exists. On success the extension is written into
-// init in place; the returned undo list names the keys added, so
-// backtracking searches can cheaply revert with Unbind.
-func MatchTuple(init Subst, pattern, target []Term) (added []Term, ok bool) {
+// target terms are rigid. On success the extension is written into
+// init in place and the keys it bound are appended to undo, which is
+// returned; a backtracking search keeps one undo stack, records
+// mark := len(undo) before the call and reverts with
+// Unbind(init, undo[mark:]). On failure init is left as it was and
+// undo comes back truncated to its entry length. A nil undo is fine.
+func MatchTuple(init Subst, pattern, target, undo []Term) ([]Term, bool) {
 	if len(pattern) != len(target) {
-		return nil, false
+		return undo, false
 	}
+	mark := len(undo)
 	for i := range pattern {
 		p := pattern[i]
 		t := target[i]
 		if p.IsConst() {
 			if p != t {
-				Unbind(init, added)
-				return nil, false
+				Unbind(init, undo[mark:])
+				return undo[:mark], false
 			}
 			continue
 		}
 		if got, bound := init[p]; bound {
 			if got != t {
-				Unbind(init, added)
-				return nil, false
+				Unbind(init, undo[mark:])
+				return undo[:mark], false
 			}
 			continue
 		}
 		init[p] = t
-		added = append(added, p)
+		undo = append(undo, p)
 	}
-	return added, true
+	return undo, true
 }
 
 // Unbind removes the listed keys from s; the inverse of a successful

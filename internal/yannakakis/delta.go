@@ -63,7 +63,8 @@ func (s *ReducerState) Answers() [][]term.Term { return s.answers }
 // deltas that moved the instance from prev's epoch to the current one
 // (instance.DeltaSince, oldest first). Answers are exactly what
 // Execute would return on db today; the returned state replaces prev
-// for the next round.
+// for the next round. The answers are the returned state's own (on a
+// reuse, prev's too): callers must not mutate them.
 //
 // Per join tree the run reuses the cached projection (no plan-relevant
 // change), repairs it (insert-only delta, semi-naive union), or

@@ -2,6 +2,7 @@ package yannakakis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"semacyclic/internal/cq"
@@ -16,19 +17,20 @@ import (
 // (query, join forest) pair into a Compiled program whose every step —
 // leaf verification, semijoin columns, the whole phase-3 join/project
 // cascade — is precomputed as integer column indices, so Execute never
-// touches a term.Term or materializes a string until the final answer
-// boundary. Relations flow through Execute as flat row-major
-// []symtab.ID matrices; semijoin filters are sorted id runs probed by
-// binary search (zero allocations per probe) instead of map[string]bool
-// keyed by per-row string materializations.
+// touches a term.Term until the final answer boundary and never
+// materializes a string at all. Relations flow through Execute as flat
+// row-major []symtab.ID matrices; semijoin filters are sorted id runs
+// probed by binary search (zero allocations per probe) instead of
+// map[string]bool keyed by per-row string materializations.
 //
 // Equivalence with the string oracle (oracle.go) is structural, not
 // accidental: every stage mirrors the oracle's candidate choice,
 // iteration order, dedup-keeps-first rule and stats arithmetic, and the
 // differential tests enforce answer-for-answer, stat-for-stat equality.
-// Interned ids never reach the output: answers are ordered by the same
-// canonical string keys as before, so EvalStats and fingerprints stay
-// byte-identical whatever ids a build assigned.
+// Interned ids never reach the output: answers are ordered by
+// term.CompareTuples, the canonical key order the oracle sorts by key
+// strings, so answers, EvalStats and fingerprints stay byte-identical
+// whatever ids a build assigned.
 
 // edge holds one semijoin's projection columns: li into the left
 // (reduced) relation, ri into the right (filter) relation.
@@ -427,36 +429,32 @@ func (c *Compiled) incompleteState(iv *instance.InternedView, keepState bool) *R
 	return &ReducerState{view: iv, incomplete: true}
 }
 
-// materializeAnswers is the answer boundary: dedup on interned tuples,
-// then de-intern each distinct answer once and order by its canonical
-// string key — never by ids, whose values are build-order accidents.
+// materializeAnswers is the answer boundary. Every result row is
+// de-interned once into one slab of terms, each answer a capped
+// sub-slice of it (an append to one answer can never overwrite its
+// neighbour), and the answers are ordered by term.CompareTuples — the
+// canonical key order, never by ids, whose values are build-order
+// accidents. Within one table equal ids mean equal terms, so duplicate
+// rows become adjacent equal tuples and are dropped. The returned
+// tuples share the slab; callers treat them as read-only.
 func (c *Compiled) materializeAnswers(result irel, iv *instance.InternedView, st *ievalState) [][]term.Term {
-	freeW := len(c.colIdx)
-	seen := make(map[string]bool, result.n)
 	var out [][]term.Term
-	var keys []string
-	var idbuf, keybuf []byte
-	for r := 0; r < result.n; r++ {
-		row := result.ids[r*result.w : r*result.w+result.w]
-		idbuf = idbuf[:0]
-		for _, cc := range c.colIdx {
-			idbuf = symtab.AppendID(idbuf, row[cc])
+	if result.n > 0 {
+		w := len(c.colIdx)
+		slab := make([]term.Term, result.n*w)
+		out = make([][]term.Term, result.n)
+		for r := range out {
+			row := result.ids[r*result.w : r*result.w+result.w]
+			tuple := slab[r*w : (r+1)*w : (r+1)*w]
+			for i, cc := range c.colIdx {
+				//semalint:allow internleak(answer materialization at the string boundary)
+				tuple[i] = iv.Table.Term(row[cc])
+			}
+			out[r] = tuple
 		}
-		if seen[string(idbuf)] {
-			continue
-		}
-		seen[string(idbuf)] = true
-		tuple := make([]term.Term, freeW)
-		keybuf = keybuf[:0]
-		for i, cc := range c.colIdx {
-			//semalint:allow internleak(answer materialization at the string boundary)
-			tuple[i] = iv.Table.Term(row[cc])
-			keybuf = tuple[i].AppendKey(keybuf)
-		}
-		out = append(out, tuple)
-		keys = append(keys, string(keybuf))
+		slices.SortFunc(out, term.CompareTuples)
+		out = slices.CompactFunc(out, func(a, b []term.Term) bool { return term.CompareTuples(a, b) == 0 })
 	}
-	sort.Sort(&keyedRows{keys: keys, rows: out})
 	if st.opt.Stats != nil {
 		st.opt.Stats.Answers = len(out)
 	}

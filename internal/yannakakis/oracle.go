@@ -174,7 +174,9 @@ func EvaluateWithForestOracleOpt(q *cq.CQ, forest *hypergraph.Forest, db *instan
 
 // keyedRows sorts rows by their precomputed canonical keys in tandem:
 // O(n) key materializations instead of the O(n log n) a key-building
-// comparator would pay.
+// comparator would pay. Only the oracle uses it: ordering by the key
+// strings themselves keeps it an independent reference for the
+// interned path, which orders with term.CompareTuples.
 type keyedRows struct {
 	keys []string
 	rows [][]term.Term
@@ -239,7 +241,7 @@ func matchRows(a instance.Atom, vars []term.Term, db *instance.Instance, st *eva
 		if st.cancelled() {
 			return nil, ErrCancelled
 		}
-		added, ok := term.MatchTuple(sub, a.Args, fact.Args)
+		added, ok := term.MatchTuple(sub, a.Args, fact.Args, nil)
 		if !ok {
 			continue
 		}

@@ -52,11 +52,14 @@ echo "== bench module (vet, race tests, semalint) =="
 
 echo "== allocation guards (no race: counts must be exact) =="
 # The interned hot path promises 0 allocs/op on its probe operations
-# (candidate pre-filter, semijoin membership, index range), and the
+# (candidate pre-filter, semijoin membership, index range), the answer
+# boundary promises allocations that do not grow with the number of
+# matches or answers (hom undo stack, yannakakis answer slab) and none
+# at all for answers already in canonical order (core), and the
 # telemetry nil-recorder span hook promises 0 allocs/op so untraced
 # requests pay nothing. The guards skip themselves under -race, so run
 # them once without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/yannakakis/ ./internal/instance/ ./internal/telemetry/
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
