@@ -9,7 +9,7 @@ package chase
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -124,11 +124,16 @@ type Result struct {
 func Run(db *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	st := &state{
-		inst:   db.Clone(),
-		set:    set,
-		opt:    opt,
-		merges: term.NewSubst(),
-		depth:  make(map[string]int),
+		inst:    db.Clone(),
+		set:     set,
+		opt:     opt,
+		merges:  term.NewSubst(),
+		depth:   make(map[string]int),
+		vars:    make([]tgdVars, len(set.TGDs)),
+		scratch: term.NewSubst(),
+	}
+	for i, t := range set.TGDs {
+		st.vars[i] = tgdVars{frontier: t.FrontierVars(), body: t.BodyVars(), existential: t.ExistentialVars()}
 	}
 	for _, a := range st.inst.AtomsUnordered() {
 		st.depth[a.Key()] = 0
@@ -182,8 +187,21 @@ type state struct {
 	trace    []Step
 	stats    obs.ChaseStats
 	// fired remembers body-homomorphism fingerprints for the oblivious
-	// chase so each trigger fires at most once.
+	// chase so each trigger fires at most once; fpBuf builds them.
 	fired map[string]bool
+	fpBuf []byte
+	// vars holds each tgd's variable lists, computed once per run;
+	// parallel trigger collection only reads them.
+	vars []tgdVars
+	// scratch is the one substitution the single-writer firing loop
+	// binds a trigger's frontier (and then its nulls) into.
+	scratch term.Subst
+}
+
+// tgdVars are a tgd's frontier, body and existential variables, each
+// in first-occurrence order.
+type tgdVars struct {
+	frontier, body, existential []term.Term
 }
 
 // cancelled polls the cancel channel without blocking (a nil channel
@@ -239,12 +257,12 @@ func (s *state) tgdPass() (progressed, truncated bool, err error) {
 	if s.opt.Parallelism > 1 && len(s.set.TGDs) > 1 {
 		collected = s.collectTriggersParallel()
 	}
-	for ti, t := range s.set.TGDs {
+	for ti := range s.set.TGDs {
 		var triggers []trigger
 		if collected != nil {
 			triggers = collected[ti]
 		} else {
-			triggers = s.collectTriggers(t)
+			triggers = s.collectTriggers(ti)
 		}
 		s.stats.TriggersCollected += len(triggers)
 		for _, trig := range triggers {
@@ -255,42 +273,49 @@ func (s *state) tgdPass() (progressed, truncated bool, err error) {
 				return progressed, true, nil
 			}
 			// Re-check against the current (mutated) instance.
-			if !s.opt.Oblivious && s.headSatisfied(t, trig.frontier) {
+			if !s.opt.Oblivious && s.headSatisfied(ti, trig.frontier) {
 				continue
 			}
 			if s.opt.Oblivious {
-				fp := fmt.Sprintf("%d|%s", ti, substKey(trig.body, t.BodyVars()))
-				if s.fired[fp] {
+				s.fpBuf = append(strconv.AppendInt(s.fpBuf[:0], int64(ti), 10), '|')
+				for _, img := range trig.body {
+					s.fpBuf = img.AppendKey(s.fpBuf)
+				}
+				if s.fired[string(s.fpBuf)] {
 					continue
 				}
-				s.fired[fp] = true
+				s.fired[string(s.fpBuf)] = true
 			}
 			newDepth := trig.depth + 1
 			if s.opt.MaxDepth > 0 && newDepth > s.opt.MaxDepth {
 				truncated = true
 				continue
 			}
-			s.fire(t, trig.frontier, newDepth)
+			s.fire(ti, trig.frontier, newDepth)
 			progressed = true
 		}
 	}
 	return progressed, truncated, nil
 }
 
+// trigger is one body homomorphism of a tgd, kept as the images of the
+// tgd's variable lists (tgdVars). Both image slices are capped windows
+// of one slab per collection.
 type trigger struct {
-	frontier term.Subst // bindings of the tgd's frontier (body∩head) variables
-	body     term.Subst // full body-variable bindings (oblivious dedup)
-	depth    int        // max derivation depth over the body image
+	frontier []term.Term // images of the frontier (body∩head) variables
+	body     []term.Term // images of all body variables (oblivious dedup only)
+	depth    int         // max derivation depth over the body image
 }
 
-// collectTriggers snapshots the homomorphisms from t's body into the
-// current instance, keeping the frontier bindings and body-image depth.
-// It only reads the instance, the depth map and the tgd, so distinct
-// calls may run concurrently between mutations.
-func (s *state) collectTriggers(t *deps.TGD) []trigger {
+// collectTriggers snapshots the homomorphisms from tgd ti's body into
+// the current instance, keeping the frontier images and body-image
+// depth. It only reads the instance, the depth map and the tgd's
+// variable lists, so distinct calls may run concurrently between
+// mutations.
+func (s *state) collectTriggers(ti int) []trigger {
+	t, tv := s.set.TGDs[ti], &s.vars[ti]
 	var out []trigger
-	frontier := t.FrontierVars()
-	bodyVars := t.BodyVars()
+	var slab []term.Term
 	var keyBuf []byte
 	hom.Enumerate(t.Body, s.inst, nil, func(h term.Subst) bool {
 		// Stop collecting on cancellation: the partial trigger list is
@@ -298,28 +323,32 @@ func (s *state) collectTriggers(t *deps.TGD) []trigger {
 		if len(out)%64 == 63 && s.cancelled() {
 			return false
 		}
-		f := term.NewSubst()
-		for _, v := range frontier {
-			f[v] = h.Resolve(v)
-		}
-		var full term.Subst
+		var trig trigger
+		slab, trig.frontier = appendImages(slab, h, tv.frontier)
 		if s.opt.Oblivious {
-			full = term.NewSubst()
-			for _, v := range bodyVars {
-				full[v] = h.Resolve(v)
-			}
+			slab, trig.body = appendImages(slab, h, tv.body)
 		}
-		d := 0
 		for _, b := range t.Body {
 			keyBuf = b.AppendKeyApplied(keyBuf[:0], h)
-			if dep, ok := s.depth[string(keyBuf)]; ok && dep > d {
-				d = dep
+			if dep, ok := s.depth[string(keyBuf)]; ok && dep > trig.depth {
+				trig.depth = dep
 			}
 		}
-		out = append(out, trigger{frontier: f, body: full, depth: d})
+		out = append(out, trig)
 		return true
 	})
 	return out
+}
+
+// appendImages appends the images of vars under h to slab and returns
+// the grown slab with the appended window, capped so that nothing can
+// append through it into the slab.
+func appendImages(slab []term.Term, h term.Subst, vars []term.Term) ([]term.Term, []term.Term) {
+	start := len(slab)
+	for _, v := range vars {
+		slab = append(slab, h.Resolve(v))
+	}
+	return slab, slab[start:len(slab):len(slab)]
 }
 
 // collectTriggersParallel collects every tgd's triggers concurrently
@@ -343,7 +372,7 @@ func (s *state) collectTriggersParallel() [][]trigger {
 				if i >= len(s.set.TGDs) {
 					return
 				}
-				out[i] = s.collectTriggers(s.set.TGDs[i])
+				out[i] = s.collectTriggers(i)
 			}
 		}()
 	}
@@ -351,28 +380,33 @@ func (s *state) collectTriggersParallel() [][]trigger {
 	return out
 }
 
-// headSatisfied reports whether the head already holds under the
-// frontier bindings (the restricted-chase applicability test).
-func (s *state) headSatisfied(t *deps.TGD, frontier term.Subst) bool {
-	return hom.Exists(t.Head, s.inst, frontier)
+// bindFrontier binds tgd ti's frontier variables to images in the
+// scratch substitution, dropping whatever the previous trigger bound.
+func (s *state) bindFrontier(ti int, images []term.Term) term.Subst {
+	clear(s.scratch)
+	for i, v := range s.vars[ti].frontier {
+		s.scratch[v] = images[i]
+	}
+	return s.scratch
 }
 
-// fire adds the head atoms with fresh nulls for existential variables.
-func (s *state) fire(t *deps.TGD, frontier term.Subst, depth int) {
-	sub := frontier.Clone()
-	for _, z := range t.ExistentialVars() {
+// headSatisfied reports whether tgd ti's head already holds under the
+// frontier images (the restricted-chase applicability test).
+func (s *state) headSatisfied(ti int, frontier []term.Term) bool {
+	return hom.Exists(s.set.TGDs[ti].Head, s.inst, s.bindFrontier(ti, frontier))
+}
+
+// fire adds tgd ti's head atoms under the frontier images, with fresh
+// nulls for the existential variables.
+func (s *state) fire(ti int, frontier []term.Term, depth int) {
+	t := s.set.TGDs[ti]
+	sub := s.bindFrontier(ti, frontier)
+	for _, z := range s.vars[ti].existential {
 		sub[z] = term.FreshNull()
 		s.stats.NullsCreated++
 	}
 	var step *Step
 	if s.opt.Trace {
-		ti := -1
-		for i, cand := range s.set.TGDs {
-			if cand == t {
-				ti = i
-				break
-			}
-		}
 		step = &Step{TGD: ti}
 	}
 	for _, h := range t.Head {
@@ -517,10 +551,11 @@ func (s *state) replace(old, new term.Term) {
 // count as violations.
 func Satisfies(db *instance.Instance, set *deps.Set) bool {
 	ok := true
+	f := term.NewSubst()
 	for _, t := range set.TGDs {
 		frontier := t.FrontierVars()
 		hom.Enumerate(t.Body, db, nil, func(h term.Subst) bool {
-			f := term.NewSubst()
+			clear(f)
 			for _, v := range frontier {
 				f[v] = h.Resolve(v)
 			}
@@ -547,20 +582,4 @@ func Satisfies(db *instance.Instance, set *deps.Set) bool {
 		}
 	}
 	return true
-}
-
-func substKey(s term.Subst, vars []term.Term) string {
-	n := 0
-	for _, v := range vars {
-		n += len(s.Apply(v).Name) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, v := range vars {
-		img := s.Apply(v)
-		b.WriteByte(byte(img.K))
-		b.WriteString(img.Name)
-		b.WriteByte(0)
-	}
-	return b.String()
 }

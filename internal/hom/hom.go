@@ -6,6 +6,7 @@ package hom
 
 import (
 	"slices"
+	"sync"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
@@ -14,30 +15,109 @@ import (
 	"semacyclic/internal/term"
 )
 
-// orderAtoms returns the pattern atoms in a connected, selectivity-
-// friendly order: start from the atom with the most constants/bound
-// terms, then repeatedly pick the atom sharing the most already-seen
-// variables. A good static order keeps the backtracking search shallow.
-func orderAtoms(atoms []instance.Atom, bound term.Subst) []instance.Atom {
+// enumerator is the state of one Enumerate, Find or Exists call: the
+// substitution being extended, the undo stack of the open levels, the
+// pattern in search order and orderAtoms' scratch. Enumerators are
+// recycled through enumPool, so a steady-state call allocates nothing
+// for its own bookkeeping. Nested calls (an Exists inside a yield, as
+// in the chase) each take their own enumerator.
+type enumerator struct {
+	sub    term.Subst         // the partial homomorphism; init copied in
+	undo   []term.Term        // keys bound by the open levels, innermost last
+	order  []instance.Atom    // the pattern atoms in search order
+	used   []bool             // orderAtoms: atoms already placed
+	seen   map[term.Term]bool // orderAtoms: bound terms and placed variables
+	target *instance.Instance
+	// terms bounds how many entries sub and seen can hold: init's
+	// bindings plus the pattern's argument positions.
+	terms int
+	// Backtracks are counted here and flushed to the process-global
+	// counter once per enumeration: the hot loop pays a plain
+	// increment, the observability layer two atomic adds per call.
+	backtracks int64
+}
+
+// maxPooledTerms is the largest enumerator, in terms its maps may have
+// held, that goes back to the pool. Go maps never shrink, so an
+// enumerator grown for an outsized pattern or init would make every
+// later clear pay for its table; it is left to the collector instead.
+const maxPooledTerms = 64
+
+var enumPool = sync.Pool{New: func() any {
+	return &enumerator{sub: term.NewSubst(), seen: make(map[term.Term]bool)}
+}}
+
+// newEnumerator takes an enumerator from the pool and readies it for
+// pattern over target, extending init (which is copied, not retained).
+func newEnumerator(pattern []instance.Atom, target *instance.Instance, init term.Subst) *enumerator {
+	e := enumPool.Get().(*enumerator)
+	e.target = target
+	nargs := 0
+	for _, a := range pattern {
+		nargs += len(a.Args)
+	}
+	e.terms = len(init) + nargs
+	// Each pattern argument binds at most one key, so one allocation
+	// sizes the undo stack of an enumerator fresh from the pool.
+	if cap(e.undo) < nargs {
+		e.undo = make([]term.Term, 0, nargs)
+	}
+	//semalint:allow detmap(copies init into the pooled substitution; insertion order cannot escape)
+	for k, v := range init {
+		e.sub[k] = v
+	}
+	e.orderAtoms(pattern)
+	return e
+}
+
+// release flushes the enumeration's counters and returns e to the pool
+// unless its maps may have grown past maxPooledTerms.
+func (e *enumerator) release() {
+	obs.HomEnumerations.Add(1)
+	if e.backtracks > 0 {
+		obs.HomBacktracks.Add(e.backtracks)
+	}
+	if e.terms > maxPooledTerms {
+		return
+	}
+	clear(e.sub)
+	clear(e.seen)
+	clear(e.order)
+	e.order, e.undo, e.target, e.backtracks = e.order[:0], e.undo[:0], nil, 0
+	enumPool.Put(e)
+}
+
+// orderAtoms writes the pattern atoms into e.order in a connected,
+// selectivity-friendly order: start from the atom with the most
+// constants/bound terms, then repeatedly pick the atom sharing the most
+// already-seen variables (the first such atom on a tie). The terms
+// bound in e.sub count as seen. A good static order keeps the
+// backtracking search shallow.
+func (e *enumerator) orderAtoms(atoms []instance.Atom) {
 	n := len(atoms)
-	used := make([]bool, n)
-	seen := make(map[term.Term]bool, len(bound))
+	if cap(e.used) < n {
+		e.used = make([]bool, n)
+	}
+	if cap(e.order) < n {
+		e.order = make([]instance.Atom, 0, n)
+	}
+	used := e.used[:n]
+	clear(used)
 	//semalint:allow detmap(set union into seen; insertion order cannot escape)
-	for t := range bound {
-		seen[t] = true
+	for t := range e.sub {
+		e.seen[t] = true
 	}
 	score := func(a instance.Atom) int {
 		s := 0
 		for _, t := range a.Args {
-			if t.IsConst() || seen[t] {
+			if t.IsConst() || e.seen[t] {
 				s += 2
 			}
 		}
 		return s
 	}
-	out := make([]instance.Atom, 0, n)
 	//semalint:allow cancelpoll(selects one unused atom per pass; exactly n iterations)
-	for len(out) < n {
+	for len(e.order) < n {
 		best, bestScore := -1, -1
 		for i, a := range atoms {
 			if used[i] {
@@ -48,14 +128,46 @@ func orderAtoms(atoms []instance.Atom, bound term.Subst) []instance.Atom {
 			}
 		}
 		used[best] = true
-		out = append(out, atoms[best])
+		e.order = append(e.order, atoms[best])
 		for _, t := range atoms[best].Args {
 			if t.IsVar() {
-				seen[t] = true
+				e.seen[t] = true
 			}
 		}
 	}
-	return out
+}
+
+// rec extends e.sub over e.order[i:]. At a complete homomorphism it
+// calls yield, or with a nil yield stops the search. It reports false
+// once the search was stopped.
+func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
+	if i == len(e.order) {
+		return yield != nil && yield(e.sub)
+	}
+	a := e.order[i]
+	cs := pickCandidates(e.target, a, e.sub)
+	for k := 0; k < cs.n; k++ {
+		cand := cs.at(k)
+		// One undo stack serves the whole enumeration: each level marks
+		// its height, matches (pushing the keys it binds), recurses,
+		// then unbinds and pops its own frame, so a successful match
+		// allocates nothing once the stack has grown to the pattern's
+		// variable count.
+		mark := len(e.undo)
+		var ok bool
+		e.undo, ok = term.MatchTuple(e.sub, a.Args, cand.Args, e.undo)
+		if !ok {
+			e.backtracks++
+			continue
+		}
+		cont := e.rec(i+1, yield)
+		term.Unbind(e.sub, e.undo[mark:])
+		e.undo = e.undo[:mark]
+		if !cont {
+			return false
+		}
+	}
+	return true
 }
 
 // candidates returns the target atoms that could match pattern a under
@@ -83,53 +195,15 @@ func candidates(target *instance.Instance, a instance.Atom, sub term.Subst) []in
 // into target that extends init (init itself is never mutated). The
 // pattern may mention variables, constants and nulls; variables and
 // nulls are bindable, constants are rigid. Enumeration stops early when
-// yield returns false. The substitution passed to yield is reused
-// across calls; yield must copy it (term.Subst.Clone) to retain it.
+// yield returns false. The substitution passed to yield is valid only
+// during that yield call: it is extended and unbound in place as the
+// search goes on, and recycled for another enumeration once Enumerate
+// returns. yield must copy it (term.Subst.Clone, ResolveTuple) to keep
+// any part of it.
 func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Subst, yield func(term.Subst) bool) {
-	sub := init.Clone()
-	if sub == nil {
-		sub = term.NewSubst()
-	}
-	ordered := orderAtoms(pattern, sub)
-	// Backtracks are counted in a local and flushed to the process-
-	// global counter once per enumeration: the hot loop pays a plain
-	// increment, the observability layer two atomic adds per call.
-	var backtracks int64
-	// One undo stack serves the whole enumeration: each level marks its
-	// height, matches (pushing the keys it binds), recurses, then
-	// unbinds and pops its own frame, so a successful match allocates
-	// nothing once the stack has grown to the pattern's variable count.
-	var undo []term.Term
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(ordered) {
-			return yield(sub)
-		}
-		a := ordered[i]
-		cs := pickCandidates(target, a, sub)
-		for k := 0; k < cs.n; k++ {
-			cand := cs.at(k)
-			mark := len(undo)
-			var ok bool
-			undo, ok = term.MatchTuple(sub, a.Args, cand.Args, undo)
-			if !ok {
-				backtracks++
-				continue
-			}
-			cont := rec(i + 1)
-			term.Unbind(sub, undo[mark:])
-			undo = undo[:mark]
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0)
-	obs.HomEnumerations.Add(1)
-	if backtracks > 0 {
-		obs.HomBacktracks.Add(backtracks)
-	}
+	e := newEnumerator(pattern, target, init)
+	e.rec(0, yield)
+	e.release()
 }
 
 // Find returns one homomorphism extending init, or nil/false.
@@ -142,10 +216,13 @@ func Find(pattern []instance.Atom, target *instance.Instance, init term.Subst) (
 	return out, out != nil
 }
 
-// Exists reports whether any homomorphism extends init.
+// Exists reports whether any homomorphism extends init. It runs the
+// search of Find without building the homomorphism.
 func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst) bool {
-	_, ok := Find(pattern, target, init)
-	return ok
+	e := newEnumerator(pattern, target, init)
+	found := !e.rec(0, nil)
+	e.release()
+	return found
 }
 
 // Evaluate computes q(I): the set of answer tuples, each a tuple over

@@ -30,16 +30,34 @@ func NewAtom(pred string, args ...term.Term) Atom {
 
 // Key returns a canonical string identity for the atom, usable as a map
 // key. Two atoms have equal keys iff they are equal.
+//
+// Layout: the predicate, then per argument a NUL, the term's kind byte
+// and its name. A NUL inside a predicate or a name is written as NUL
+// followed by keyNULEscape, a byte no kind takes, so every other NUL
+// starts an argument and the key is injective; keys of NUL-free atoms
+// are their plain concatenation. Key is a map identity only: nothing
+// orders atoms by it (Instance.Atoms sorts by CompareAtoms).
 func (a Atom) Key() string {
-	var b strings.Builder
-	b.Grow(len(a.Pred) + 8*len(a.Args))
-	b.WriteString(a.Pred)
-	for _, t := range a.Args {
-		b.WriteByte(0)
-		b.WriteByte(byte(t.K))
-		b.WriteString(t.Name)
+	var arr [64]byte
+	return string(a.AppendKey(arr[:0]))
+}
+
+// keyNULEscape follows a NUL that belongs to a predicate or term name
+// in an atom key. Kind bytes are 0, 1 and 2, so it never starts an
+// argument.
+const keyNULEscape = 0xff
+
+// appendKeyName appends name to an atom key, escaping its NUL bytes.
+func appendKeyName(buf []byte, name string) []byte {
+	for {
+		i := strings.IndexByte(name, 0)
+		if i < 0 {
+			return append(buf, name...)
+		}
+		buf = append(buf, name[:i+1]...)
+		buf = append(buf, keyNULEscape)
+		name = name[i+1:]
 	}
-	return b.String()
 }
 
 // AppendKey appends the atom's canonical key (the bytes of Key) to buf
@@ -47,10 +65,9 @@ func (a Atom) Key() string {
 // reuse one buffer across atoms and look up with string(buf), which the
 // compiler compiles to an allocation-free map access.
 func (a Atom) AppendKey(buf []byte) []byte {
-	buf = append(buf, a.Pred...)
+	buf = appendKeyName(buf, a.Pred)
 	for _, t := range a.Args {
-		buf = append(buf, 0, byte(t.K))
-		buf = append(buf, t.Name...)
+		buf = appendKeyName(append(buf, 0, byte(t.K)), t.Name)
 	}
 	return buf
 }
@@ -59,11 +76,10 @@ func (a Atom) AppendKey(buf []byte) []byte {
 // without materializing the substituted atom: the key of the atom whose
 // arguments are the (chain-resolved) images of a's arguments under s.
 func (a Atom) AppendKeyApplied(buf []byte, s term.Subst) []byte {
-	buf = append(buf, a.Pred...)
+	buf = appendKeyName(buf, a.Pred)
 	for _, t := range a.Args {
 		img := s.Resolve(t)
-		buf = append(buf, 0, byte(img.K))
-		buf = append(buf, img.Name...)
+		buf = appendKeyName(append(buf, 0, byte(img.K)), img.Name)
 	}
 	return buf
 }

@@ -39,6 +39,41 @@ func TestAtomKeyUniqueness(t *testing.T) {
 	}
 }
 
+// TestAtomKeyInjectiveWithNUL: a NUL inside a name no longer passes
+// for the argument separator, so atoms that used to share a key stay
+// apart in an instance, while NUL-free atoms keep their plain key.
+func TestAtomKeyInjectiveWithNUL(t *testing.T) {
+	c := term.Const
+	a := NewAtom("R", c("a\x00\x00b"), c("c"))
+	b := NewAtom("R", c("a"), c("b\x00\x00c"))
+	if a.Key() == b.Key() {
+		t.Fatalf("%q and %q share key %q", a, b, a.Key())
+	}
+	ins := MustFromAtoms(a)
+	if ins.Has(b) {
+		t.Errorf("Has(%q) on an instance holding only %q", b, a)
+	}
+	ins = MustFromAtoms(a, b)
+	if ins.Len() != 2 || !ins.Has(a) || !ins.Has(b) {
+		t.Errorf("instance of two distinct atoms: Len %d, Has %v %v", ins.Len(), ins.Has(a), ins.Has(b))
+	}
+	for _, pair := range [][2]Atom{
+		{NewAtom("R\x00", c("a")), NewAtom("R", c("\xffa"))},
+		{NewAtom("R", c("\x00")), NewAtom("R", c(""), c(""))},
+	} {
+		if pair[0].Key() == pair[1].Key() {
+			t.Errorf("%q and %q share key %q", pair[0], pair[1], pair[0].Key())
+		}
+	}
+	plain := NewAtom("R", c("a"), term.NullTerm("n1"), c("\xff"))
+	if got, want := plain.Key(), "R\x00\x00a\x00\x01n1\x00\x00\xff"; got != want {
+		t.Errorf("NUL-free key %q, want %q", got, want)
+	}
+	if got := string(b.AppendKeyApplied(nil, nil)); got != b.Key() {
+		t.Errorf("AppendKeyApplied %q, Key %q", got, b.Key())
+	}
+}
+
 func TestAtomEqual(t *testing.T) {
 	a := NewAtom("R", term.Const("a"), term.Var("x"))
 	if !a.Equal(a.Clone()) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +75,33 @@ func TestDecideCacheByteIdentical(t *testing.T) {
 	}
 	if dr.Verdict != "yes" || dr.Witness == "" || dr.Fingerprint == "" {
 		t.Fatalf("unexpected response: %+v", dr)
+	}
+}
+
+// Queries whose constants hold the canonical key's separator bytes are
+// cached apart: the second of two non-isomorphic queries, which shared
+// a key before the key escaped those bytes, is decided afresh and
+// answered with its own witness.
+func TestDecideCacheKeySeparatorBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct{ query, constant string }{
+		{"q :- R('a\x00c:b','c'), S(x).", "a\x00c:b"},
+		{"q :- R('a','b\x00c:c'), S(x).", "b\x00c:c"},
+	} {
+		r, body := post(t, ts, "/decide", DecideRequest{Query: c.query})
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", c.query, r.StatusCode, body)
+		}
+		var dr DecideResponse
+		if err := json.Unmarshal(body, &dr); err != nil {
+			t.Fatalf("%q: response not a DecideResponse: %v", c.query, err)
+		}
+		if got := r.Header.Get(cacheHeader); got != "miss" {
+			t.Errorf("%q: %s = %q, want miss", c.query, cacheHeader, got)
+		}
+		if !strings.Contains(dr.Witness, "'"+c.constant+"'") {
+			t.Errorf("%q: witness %q is not this query's", c.query, dr.Witness)
+		}
 	}
 }
 

@@ -55,11 +55,13 @@ echo "== allocation guards (no race: counts must be exact) =="
 # (candidate pre-filter, semijoin membership, index range), the answer
 # boundary promises allocations that do not grow with the number of
 # matches or answers (hom undo stack, yannakakis answer slab) and none
-# at all for answers already in canonical order (core), and the
-# telemetry nil-recorder span hook promises 0 allocs/op so untraced
-# requests pay nothing. The guards skip themselves under -race, so run
-# them once without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/
+# at all for answers already in canonical order (core), the decision
+# path promises a steady-state hom.Exists with 0 allocs (pooled
+# enumerator) and a canonical key in a handful (cq), and the telemetry
+# nil-recorder span hook promises 0 allocs/op so untraced requests pay
+# nothing. The guards skip themselves under -race, so run them once
+# without it.
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
