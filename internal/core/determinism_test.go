@@ -263,3 +263,30 @@ func TestParallelSearchSharedBudgetStops(t *testing.T) {
 		}
 	}
 }
+
+// TestDecideMapOrderDeterministic: with a small search budget the
+// chase-subset layer's outcome follows the restricted chase's firing
+// order, which follows the candidate order of the cloned instance it
+// starts from. Instance.Clone keeps index order, so repeated runs give
+// one witness and one DETERMINISTIC stats fingerprint.
+func TestDecideMapOrderDeterministic(t *testing.T) {
+	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x), P(x,y), P(y,x), P(x,x).")
+	set := deps.MustParse("P(x,y) -> Q(x,z), Q(y,z).")
+	render := func() string {
+		res, err := Decide(q, set, Options{SearchBudget: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := "<none>"
+		if res.Witness != nil {
+			w = res.Witness.String()
+		}
+		return fmt.Sprintf("verdict=%s witness=%s %s", res.Verdict, w, res.Stats.DeterministicFingerprint())
+	}
+	want := render()
+	for i := 0; i < 20; i++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d: %s\nfirst run: %s", i, got, want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
 	"semacyclic/internal/telemetry"
@@ -101,44 +102,66 @@ func contains(s, sub string) bool {
 
 // TestExecuteTraceLeavesAnswersUnchanged: plan execution with a
 // recorder attached returns byte-identical answers and EvalStats
-// fingerprints, and records the four execution phases in order.
+// fingerprints, and records the execution phases in order. A Boolean
+// Yannakakis plan runs exactly two phases (leaf loading and the
+// bottom-up semijoin pass) whatever its answer; a plan with answer
+// variables runs all four unless the reduction emptied a node.
 func TestExecuteTraceLeavesAnswersUnchanged(t *testing.T) {
+	const (
+		boolean = "evaluate(execute(yannakakis:leaves,yannakakis:semijoin-up))"
+		full    = "evaluate(execute(yannakakis:leaves,yannakakis:semijoin-up,yannakakis:semijoin-down,yannakakis:join))"
+		reduced = "evaluate(execute(yannakakis:leaves,yannakakis:semijoin-up,yannakakis:semijoin-down))"
+	)
 	r := rand.New(rand.NewSource(23))
+	seen := map[string]int{}
+	boolHolds := 0
 	for trial := 0; trial < 20; trial++ {
-		q := gen.RandomAcyclicCQ(r, 2+r.Intn(4), []string{"E", "F"})
+		bq := gen.RandomAcyclicCQ(r, 2+r.Intn(4), []string{"E", "F"})
 		db := gen.RandomGraphDB(r, 10+r.Intn(30), 8)
-		p, err := CompilePlan(q, &deps.Set{}, Options{}, MethodAuto)
-		if err != nil {
-			t.Fatalf("trial %d: compile: %v (q=%s)", trial, err, q)
-		}
-		plainAns, plainStats, err := p.Execute(db, EvalOptions{})
-		if err != nil {
-			t.Fatalf("trial %d: execute: %v", trial, err)
-		}
-		rec := telemetry.NewRecorder("evaluate")
-		tracedAns, tracedStats, err := p.Execute(db, EvalOptions{Trace: rec})
-		if err != nil {
-			t.Fatalf("trial %d: traced execute: %v", trial, err)
-		}
-		if fmt.Sprint(tracedAns) != fmt.Sprint(plainAns) {
-			t.Fatalf("trial %d: tracing changed answers\n plain  %v\n traced %v\nq=%s", trial, plainAns, tracedAns, q)
-		}
-		if got, want := tracedStats.Fingerprint(), plainStats.Fingerprint(); got != want {
-			t.Fatalf("trial %d: tracing changed EvalStats fingerprint\n plain  %s\n traced %s", trial, want, got)
-		}
-		if p.Method == MethodYannakakis {
+		// Each trial runs the Boolean query and the same atoms with the
+		// first variable free.
+		for _, q := range []*cq.CQ{bq, cq.MustNew(bq.Vars()[:1], bq.Atoms)} {
+			p, err := CompilePlan(q, &deps.Set{}, Options{}, MethodAuto)
+			if err != nil {
+				t.Fatalf("trial %d: compile: %v (q=%s)", trial, err, q)
+			}
+			plainAns, plainStats, err := p.Execute(db, EvalOptions{})
+			if err != nil {
+				t.Fatalf("trial %d: execute: %v", trial, err)
+			}
+			rec := telemetry.NewRecorder("evaluate")
+			tracedAns, tracedStats, err := p.Execute(db, EvalOptions{Trace: rec})
+			if err != nil {
+				t.Fatalf("trial %d: traced execute: %v", trial, err)
+			}
+			if fmt.Sprint(tracedAns) != fmt.Sprint(plainAns) {
+				t.Fatalf("trial %d: tracing changed answers\n plain  %v\n traced %v\nq=%s", trial, plainAns, tracedAns, q)
+			}
+			if got, want := tracedStats.Fingerprint(), plainStats.Fingerprint(); got != want {
+				t.Fatalf("trial %d: tracing changed EvalStats fingerprint\n plain  %s\n traced %s", trial, want, got)
+			}
+			if p.Method != MethodYannakakis {
+				continue
+			}
 			structure := rec.Finish().Structure()
-			// The join phase is skipped when the semijoin reduction
-			// already emptied a node — data-dependent, but deterministic
-			// for a fixed (plan, db).
-			full := "evaluate(execute(yannakakis:leaves,yannakakis:semijoin-up,yannakakis:semijoin-down,yannakakis:join))"
-			reduced := "evaluate(execute(yannakakis:leaves,yannakakis:semijoin-up,yannakakis:semijoin-down))"
+			seen[structure]++
+			if len(q.Free) == 0 && len(plainAns) > 0 {
+				boolHolds++
+			}
 			switch {
-			case len(plainAns) > 0 && structure != full:
-				t.Fatalf("trial %d: span structure = %q, want %q", trial, structure, full)
-			case len(plainAns) == 0 && structure != full && structure != reduced:
-				t.Fatalf("trial %d: span structure = %q, want %q or %q", trial, structure, full, reduced)
+			case len(q.Free) == 0 && structure != boolean:
+				t.Fatalf("trial %d: Boolean span structure = %q, want %q (q=%s)", trial, structure, boolean, q)
+			case len(q.Free) > 0 && len(plainAns) > 0 && structure != full:
+				// The join phase is skipped when the semijoin reduction
+				// already emptied a node — data-dependent, but
+				// deterministic for a fixed (plan, db).
+				t.Fatalf("trial %d: span structure = %q, want %q (q=%s)", trial, structure, full, q)
+			case len(q.Free) > 0 && structure != full && structure != reduced:
+				t.Fatalf("trial %d: span structure = %q, want %q or %q (q=%s)", trial, structure, full, reduced, q)
 			}
 		}
+	}
+	if boolHolds == 0 || seen[full] == 0 {
+		t.Fatalf("span structures seen %v, %d true Boolean plans: want true Boolean plans and full runs", seen, boolHolds)
 	}
 }

@@ -236,3 +236,17 @@ func TestCoreOfExample1(t *testing.T) {
 		t.Errorf("Example 1 query should be its own core, got %s", got)
 	}
 }
+
+// TestCoreMapOrderDeterministic: the query has three equal retractions
+// onto a two-atom path, and which one Core returns follows the order in
+// which the per-victim clones of the frozen query hand out candidates.
+// Instance.Clone keeps index order, so every call returns the same core.
+func TestCoreMapOrderDeterministic(t *testing.T) {
+	q := cq.MustParse("q :- E(x,y), E(y,z), E(x,u), E(u,v), E(x,a), E(a,b).")
+	want := Core(q).String()
+	for i := 0; i < 200; i++ {
+		if got := Core(q).String(); got != want {
+			t.Fatalf("call %d: core %s, first call %s", i, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -240,30 +241,62 @@ func (ins *Instance) Nulls() []term.Term {
 	return out
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent copy. The atom map and every ByPred and
+// ByPos list are copied in their current order, so the clone hands out
+// candidates exactly as ins does and index order stays a function of
+// the operation history. The stored atoms are shared: nothing writes a
+// stored atom's Args. Like an instance filled by Add, the clone is at
+// epoch Len() with an empty journal and no interned view.
 func (ins *Instance) Clone() *Instance {
-	out := New()
-	for _, a := range ins.atoms {
-		if err := out.Add(a); err != nil {
-			panic(err) // cannot happen: source atoms were validated
+	out := &Instance{
+		atoms:  make(map[string]Atom, len(ins.atoms)),
+		byPred: make(map[string][]Atom, len(ins.byPred)),
+		byPos:  make(map[posKey][]Atom, len(ins.byPos)),
+		sch:    schema.New(),
+		epoch:  uint64(len(ins.atoms)),
+	}
+	for k, a := range ins.atoms {
+		out.atoms[k] = a
+	}
+	for _, p := range ins.predNames() {
+		list := ins.byPred[p]
+		out.byPred[p] = slices.Clone(list)
+		if err := out.sch.Add(p, len(list[0].Args)); err != nil {
+			panic(err) // cannot happen: one arity per predicate
 		}
+	}
+	for pk, list := range ins.byPos {
+		out.byPos[pk] = slices.Clone(list)
 	}
 	return out
 }
 
+// predNames returns the predicates holding atoms, in sorted order.
+func (ins *Instance) predNames() []string {
+	names := make([]string, 0, len(ins.byPred))
+	for p, atoms := range ins.byPred {
+		if len(atoms) > 0 {
+			names = append(names, p)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // ReplaceTerm rewrites every occurrence of old to new, re-indexing the
 // affected atoms. It is the primitive the egd chase uses to identify
-// nulls. Atoms that collapse onto existing ones are merged.
+// nulls. Atoms that collapse onto existing ones are merged. Atoms are
+// rewritten in sorted predicate order, each predicate's in ByPred
+// order, so the resulting index order is deterministic.
 func (ins *Instance) ReplaceTerm(old, new term.Term) {
 	if old == new {
 		return
 	}
 	var touched []Atom
-	for _, a := range ins.atoms {
-		for _, t := range a.Args {
-			if t == old {
+	for _, p := range ins.predNames() {
+		for _, a := range ins.byPred[p] {
+			if slices.Contains(a.Args, old) {
 				touched = append(touched, a)
-				break
 			}
 		}
 	}
@@ -282,13 +315,17 @@ func (ins *Instance) ReplaceTerm(old, new term.Term) {
 }
 
 // Union adds every atom of other into ins (mutating ins) and returns ins.
+// Atoms are added in sorted predicate order, each predicate's in other's
+// ByPred order, so the resulting index order is deterministic.
 func (ins *Instance) Union(other *Instance) (*Instance, error) {
 	if other == nil {
 		return ins, nil
 	}
-	for _, a := range other.atoms {
-		if err := ins.Add(a); err != nil {
-			return nil, err
+	for _, p := range other.predNames() {
+		for _, a := range other.byPred[p] {
+			if err := ins.Add(a); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return ins, nil

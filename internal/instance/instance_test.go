@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -268,5 +269,47 @@ func TestDump(t *testing.T) {
 	}
 	if !back.Equal(nasty) {
 		t.Errorf("Parse(Dump) != original:\n%s\nvs\n%s", back, nasty)
+	}
+}
+
+// TestIndexOrderMapOrderDeterministic: ByPred and ByPos order is a
+// function of the operation history alone. Clone copies it, and
+// ReplaceTerm and Union rewrite and add in a fixed order, so 100 runs
+// of the same Clone/ReplaceTerm/Union sequence build identical lists.
+func TestIndexOrderMapOrderDeterministic(t *testing.T) {
+	c := func(i int) term.Term { return term.Const(fmt.Sprintf("c%d", i%13)) }
+	n := func(i int) term.Term { return term.NullTerm(fmt.Sprintf("n%d", i%5)) }
+	render := func() string {
+		base := New()
+		other := New()
+		for i := 0; i < 60; i++ {
+			base.Add(NewAtom("E", c(i), c(7*i+3)))
+			base.Add(NewAtom("F", n(i), c(i)))
+			other.Add(NewAtom("G", c(3*i), n(i)))
+			other.Add(NewAtom("E", c(5*i+1), c(i)))
+		}
+		ins := base.Clone()
+		ins.ReplaceTerm(n(1), c(2))
+		ins.ReplaceTerm(c(4), n(3))
+		if _, err := ins.Union(other); err != nil {
+			t.Fatal(err)
+		}
+		ins = ins.Clone()
+		var b strings.Builder
+		for _, p := range []string{"E", "F", "G"} {
+			fmt.Fprintln(&b, p, ins.ByPred(p))
+			for pos := 0; pos < 2; pos++ {
+				for i := 0; i < 13; i++ {
+					fmt.Fprintln(&b, p, pos, i, ins.ByPos(p, pos, c(i)))
+				}
+			}
+		}
+		return b.String()
+	}
+	want := render()
+	for i := 0; i < 100; i++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d: index order differs\n%s\nfirst run:\n%s", i, got, want)
+		}
 	}
 }

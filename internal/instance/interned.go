@@ -119,13 +119,7 @@ func (ins *Instance) invalidateInterned() { ins.interned.Store(nil) }
 // that: ids stay invisible in all observable output.
 func buildInterned(ins *Instance) *InternedView {
 	tab := symtab.New()
-	preds := make([]string, 0, len(ins.byPred))
-	for p, atoms := range ins.byPred {
-		if len(atoms) > 0 {
-			preds = append(preds, p)
-		}
-	}
-	sort.Strings(preds)
+	preds := ins.predNames()
 	rels := make(map[string]*InternedRelation, len(preds))
 	for _, p := range preds {
 		src := ins.byPred[p]

@@ -2,7 +2,6 @@ package instance
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -153,15 +152,10 @@ func isConstDelim(r rune) bool {
 // Predicates returns the instance's predicate names in sorted order
 // with their atom counts — the summary the registry listing shows.
 func (ins *Instance) Predicates() ([]string, map[string]int) {
-	counts := make(map[string]int, len(ins.byPred))
-	names := make([]string, 0, len(ins.byPred))
-	for p, atoms := range ins.byPred {
-		if len(atoms) == 0 {
-			continue
-		}
-		names = append(names, p)
-		counts[p] = len(atoms)
+	names := ins.predNames()
+	counts := make(map[string]int, len(names))
+	for _, p := range names {
+		counts[p] = len(ins.byPred[p])
 	}
-	sort.Strings(names)
 	return names, counts
 }

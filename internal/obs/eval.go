@@ -35,14 +35,16 @@ type EvalStats struct {
 	// scanning: Σ over indexed atoms of (predicate size − candidates).
 	// DETERMINISTIC.
 	IndexSkippedRows int64 `json:"index_skipped_rows" sem:"det"`
-	// Semijoins counts semijoin reductions performed (two per join-tree
-	// edge in a full Yannakakis pass). DETERMINISTIC.
+	// Semijoins counts semijoin reductions performed: two per join-tree
+	// edge in a full Yannakakis pass, one per edge when a Boolean plan
+	// (no free variables) stops after the bottom-up pass. DETERMINISTIC.
 	Semijoins int64 `json:"semijoins" sem:"det"`
-	// SemijoinDroppedRows counts rows eliminated by those reductions.
-	// DETERMINISTIC.
+	// SemijoinDroppedRows counts rows eliminated by those reductions
+	// (on a Boolean plan, by the bottom-up pass alone). DETERMINISTIC.
 	SemijoinDroppedRows int64 `json:"semijoin_dropped_rows" sem:"det"`
-	// JoinRows counts rows materialized by the bottom-up join phase.
-	// DETERMINISTIC.
+	// JoinRows counts rows materialized by the bottom-up join phase and
+	// the cross-product across join trees; always 0 on a Boolean plan,
+	// which runs neither. DETERMINISTIC.
 	JoinRows int64 `json:"join_rows" sem:"det"`
 	// DeltaInserts / DeltaDeletes count the plan-relevant net delta
 	// atoms an incremental (ExecuteDelta) run consumed; 0 on full runs.

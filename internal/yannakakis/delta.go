@@ -164,13 +164,17 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 			return nil, state, nil
 		}
 	}
-	result := irel{w: 0, n: 1} // one empty row: identity for ⨯
-	for ridx := range c.roots {
-		step := c.rootSteps[ridx]
-		var err error
-		result, err = st.join(result, projs[ridx], step.li, step.ri, step.rExtra, step.outW)
-		if err != nil {
-			return nil, nil, err
+	// One empty row: identity for ⨯, and already the answer of a Boolean
+	// plan, whose projections are all that row.
+	result := irel{w: 0, n: 1}
+	if !c.boolean() {
+		for ridx := range c.roots {
+			step := c.rootSteps[ridx]
+			var err error
+			result, err = st.join(result, projs[ridx], step.li, step.ri, step.rExtra, step.outW)
+			if err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	out := c.materializeAnswers(result, iv, st)
@@ -423,7 +427,9 @@ func (c *Compiled) recomputeTree(ridx int, iv *instance.InternedView, constID []
 // reduceAndProject runs the full evaluator's phases over one tree's
 // loaded leaves: both semijoin passes restricted to the tree, the
 // empty-node short-circuit, the bottom-up join, and the root
-// projection.
+// projection. A Boolean plan stops after the bottom-up pass, as in
+// executeView: the tree's projection is the one empty row iff its root
+// survived.
 func (c *Compiled) reduceAndProject(ridx int, rels []irel, st *ievalState) (irel, error) {
 	for _, i := range c.post {
 		if int(c.treeOf[i]) != ridx {
@@ -434,6 +440,12 @@ func (c *Compiled) reduceAndProject(ridx int, rels []irel, st *ievalState) (irel
 				return irel{}, err
 			}
 		}
+	}
+	if c.boolean() {
+		if rels[c.roots[ridx]].n == 0 {
+			return irel{}, nil
+		}
+		return irel{w: 0, n: 1}, nil
 	}
 	for t := len(c.post) - 1; t >= 0; t-- {
 		i := c.post[t]

@@ -1,9 +1,9 @@
 package yannakakis
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/hypergraph"
@@ -22,6 +22,13 @@ import (
 // row-major []symtab.ID matrices; semijoin filters are sorted id runs
 // probed by binary search (zero allocations per probe) instead of
 // map[string]bool keyed by per-row string materializations.
+//
+// A Boolean plan (no free variables) stops after leaf loading and the
+// bottom-up semijoin pass: it answers {()} iff every root is non-empty,
+// and runs no top-down pass, no phase-3 join and no cross-product, so
+// its JoinRows is 0 and its Semijoins is the number of forest edges.
+// Execute, ExecuteView, ExecuteState and ExecuteDelta (full fallback
+// and per-tree repair alike) all take the stop.
 //
 // Equivalence with the string oracle (oracle.go) is structural, not
 // accidental: every stage mirrors the oracle's candidate choice,
@@ -366,6 +373,12 @@ func (c *Compiled) executeView(iv *instance.InternedView, opt Options, keepState
 		}
 	}
 	upSp.End()
+	if c.boolean() {
+		// A Boolean plan is decided here: after the bottom-up pass a root
+		// is non-empty iff its tree has a match (an empty node empties
+		// every ancestor), so no further phase runs.
+		return c.booleanAnswer(rels, iv, st, keepState)
+	}
 	// Phase 2: top-down semijoin child ⋉ parent.
 	downSp := opt.Trace.Start("yannakakis:semijoin-down")
 	for k := len(c.post) - 1; k >= 0; k-- {
@@ -416,6 +429,32 @@ func (c *Compiled) executeView(iv *instance.InternedView, opt Options, keepState
 	out := c.materializeAnswers(result, iv, st)
 	if !keepState {
 		return out, nil, nil
+	}
+	return out, &ReducerState{view: iv, projs: projs, answers: out}, nil
+}
+
+// boolean reports whether the plan has no free variables. Its answer is
+// then {()} or empty, settled by the bottom-up semijoin pass alone.
+func (c *Compiled) boolean() bool { return len(c.colIdx) == 0 }
+
+// booleanAnswer finishes a Boolean run after the bottom-up pass: {()}
+// iff every root is non-empty, otherwise no answers and (like the full
+// run's empty-node short-circuit) an incomplete state. The retained
+// projection of each tree is the width-0, one-row relation — what
+// phase 3's projectRel(step.keep) yields for a non-empty Boolean tree.
+func (c *Compiled) booleanAnswer(rels []irel, iv *instance.InternedView, st *ievalState, keepState bool) ([][]term.Term, *ReducerState, error) {
+	for _, r := range c.roots {
+		if rels[r].n == 0 {
+			return nil, c.incompleteState(iv, keepState), nil
+		}
+	}
+	out := c.materializeAnswers(irel{w: 0, n: 1}, iv, st)
+	if !keepState {
+		return out, nil, nil
+	}
+	projs := make([]irel, len(c.roots))
+	for ridx := range projs {
+		projs[ridx] = irel{w: 0, n: 1}
 	}
 	return out, &ReducerState{view: iv, projs: projs, answers: out}, nil
 }
@@ -625,16 +664,15 @@ func (st *ievalState) join(acc, child irel, li, ri, rExtra []int32, outW int) (i
 		perm[i] = int32(i)
 	}
 	if len(ri) > 0 {
-		sort.Slice(perm, func(i, j int) bool {
-			a, b := perm[i], perm[j]
+		slices.SortFunc(perm, func(a, b int32) int {
 			ra := child.ids[int(a)*child.w : int(a)*child.w+child.w]
 			rb := child.ids[int(b)*child.w : int(b)*child.w+child.w]
 			for _, cc := range ri {
 				if ra[cc] != rb[cc] {
-					return ra[cc] < rb[cc]
+					return cmp.Compare(ra[cc], rb[cc])
 				}
 			}
-			return a < b
+			return cmp.Compare(a, b)
 		})
 	}
 	if cap(st.key) < len(li) {
@@ -736,16 +774,15 @@ func projectRel(rel irel, keep []int32) irel {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		a, b := perm[i], perm[j]
+	slices.SortFunc(perm, func(a, b int32) int {
 		ra := proj[int(a)*w : int(a)*w+w]
 		rb := proj[int(b)*w : int(b)*w+w]
 		for k := 0; k < w; k++ {
 			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
+				return cmp.Compare(ra[k], rb[k])
 			}
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	dup := make([]bool, rel.n)
 	for k := 1; k < rel.n; k++ {

@@ -12,12 +12,14 @@ import (
 )
 
 // This file is the retained string-keyed evaluator: the original
-// implementation kept verbatim (modulo the O(n) answer-sort fix) as the
-// parse/print-boundary semantics reference and as the differential-test
-// oracle for the interned integer-coded path in interned.go. Production
-// callers go through EvaluateWithForestOpt, which compiles to the
-// interned form; nothing outside benchmarks and differential tests
-// should call the oracle.
+// implementation kept verbatim (modulo the O(n) answer-sort fix and the
+// Boolean stop) as the parse/print-boundary semantics reference and as
+// the differential-test oracle for the interned integer-coded path in
+// interned.go. Production callers go through EvaluateWithForestOpt,
+// which compiles to the interned form; nothing outside benchmarks and
+// differential tests should call the oracle. Like the interned path, it
+// answers a Boolean query (no free variables) from the bottom-up
+// semijoin pass alone: no top-down pass, no join.
 
 // node is one join-tree node: a query atom, its distinct flexible
 // terms, and the rows of the database matching it (aligned with vars).
@@ -66,6 +68,19 @@ func EvaluateWithForestOracleOpt(q *cq.CQ, forest *hypergraph.Forest, db *instan
 				return nil, err
 			}
 		}
+	}
+	// A Boolean query holds iff every root survived phase 1: an empty
+	// node empties all of its ancestors, so nothing else can fail.
+	if len(q.Free) == 0 {
+		for _, r := range roots {
+			if len(nodes[r].rows) == 0 {
+				return nil, nil
+			}
+		}
+		if st.opt.Stats != nil {
+			st.opt.Stats.Answers = 1
+		}
+		return [][]term.Term{{}}, nil
 	}
 	// Phase 2: top-down semijoin child ⋉ parent.
 	for k := len(post) - 1; k >= 0; k-- {

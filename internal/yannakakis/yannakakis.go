@@ -2,7 +2,9 @@
 // linear in the database (Yannakakis' algorithm, VLDB 1981, the
 // tractability result the paper's notion of semantic acyclicity buys):
 // a full semijoin reduction over a join tree followed by a bottom-up
-// join that never materializes more than the answer requires.
+// join that never materializes more than the answer requires. A Boolean
+// query needs only the bottom-up semijoin pass: it holds iff every
+// root survives it.
 //
 // The production data path is integer-coded: EvaluateWithForestOpt
 // compiles the query to a Compiled program (interned.go) and executes
@@ -44,10 +46,11 @@ type Options struct {
 	// (rows scanned, index hits, semijoin reductions). Collection never
 	// influences the answers.
 	Stats *obs.EvalStats
-	// Trace, when non-nil, records one span per Execute phase (leaf
-	// loading, the two semijoin passes, the join). The phases run
-	// sequentially, so the span structure is deterministic; nil is free
-	// (the hooks are no-ops that allocate nothing).
+	// Trace, when non-nil, records one span per Execute phase that runs
+	// (leaf loading, the two semijoin passes, the join; a Boolean plan
+	// runs only the first two). The phases run sequentially, so the
+	// span structure is deterministic; nil is free (the hooks are no-ops
+	// that allocate nothing).
 	Trace *telemetry.Recorder
 }
 

@@ -74,10 +74,21 @@ echo "== delta & overlay differential gate (race) =="
 # Incremental evaluation must never drift from from-scratch: replay
 # delta journals through ExecuteDelta and overlays and compare answers
 # and deterministic fingerprints against full re-evaluation, at the
-# instance, reducer and plan layers. -count=1: a cached 'ok' can never
-# satisfy the gate.
-go test -race -count=1 -run 'Delta|Overlay|Incremental' \
+# instance, reducer and plan layers. BooleanPlan is the Boolean stop's
+# property test (hom's answer, no join rows, one semijoin per forest
+# edge, delta runs equal to fresh ones). -count=1: a cached 'ok' can
+# never satisfy the gate.
+go test -race -count=1 -run 'Delta|Overlay|Incremental|BooleanPlan' \
     ./internal/instance/ ./internal/yannakakis/ ./internal/core/
+
+echo "== map-order determinism gate (race) =="
+# Go randomizes map iteration per run, so a map-order leak shows only
+# when two runs differ: these tests repeat one Clone/ReplaceTerm/Union
+# sequence, one core computation, one chase and one decision, and
+# demand a single result. -count=1: a cached 'ok' can never satisfy
+# the gate.
+go test -race -count=1 -run 'MapOrder' \
+    ./internal/instance/ ./internal/hom/ ./internal/chase/ ./internal/core/
 
 echo "== internal/README.md completeness =="
 # Every internal package gets its paragraph; a new package without one
