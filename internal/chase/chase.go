@@ -122,9 +122,14 @@ type Result struct {
 // input database is not modified. An egd clash of rigid constants
 // returns ErrFailed (wrapped), per the paper's "failure" outcome.
 func Run(db *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
+	return run(db.Clone(), set, opt)
+}
+
+// run chases inst in place: the result's Instance is inst itself.
+func run(inst *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	st := &state{
-		inst:    db.Clone(),
+		inst:    inst,
 		set:     set,
 		opt:     opt,
 		merges:  term.NewSubst(),
@@ -169,7 +174,8 @@ func Query(q *cq.CQ, set *deps.Set, opt Options) (*Result, []term.Term, error) {
 	if len(set.EGDs) > 0 {
 		opt.FreezeAsNulls = true
 	}
-	res, err := Run(db, set, opt)
+	// db is this call's own: chase it in place rather than a clone.
+	res, err := run(db, set, opt)
 	if err != nil {
 		return nil, nil, err
 	}

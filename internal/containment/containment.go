@@ -50,10 +50,10 @@ type Options struct {
 	// Rewrite tunes the rewriting-based method.
 	Rewrite rewrite.Options
 	// Trace, when non-nil, records a span around Prepare (the hoisted,
-	// possibly-exponential right-hand-side work). Per-candidate Check
-	// calls are deliberately unspanned: they run inside the layer-4
-	// branch workers, where spans would make the tree shape depend on
-	// scheduling. Nil is free.
+	// possibly-exponential right-hand-side work); the Prepared does not
+	// keep it. Per-candidate Check calls are deliberately unspanned:
+	// among others they run inside the layer-4 branch workers, where
+	// spans would make the tree shape depend on scheduling. Nil is free.
 	Trace *telemetry.Recorder
 }
 
@@ -189,11 +189,15 @@ type Prepared struct {
 }
 
 // Prepare builds a Prepared checker for the fixed right-hand side q'.
+// opt.Trace receives the containment:prepare span only: the checker
+// keeps no recorder, so a cached checker never holds on to the span
+// tree of the request that built it.
 func Prepare(qp *cq.CQ, set *deps.Set, opt Options) (*Prepared, error) {
 	sp := opt.Trace.Start("containment:prepare")
 	defer sp.End()
 	m := SelectMethod(set, opt)
 	p := &Prepared{qp: qp, set: set, opt: opt, m: m, checks: new(atomic.Int64)}
+	p.opt.Trace = nil
 	if m == MethodRewrite {
 		rw, err := rewrite.Rewrite(qp, set, opt.Rewrite)
 		if err != nil {

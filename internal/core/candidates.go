@@ -16,7 +16,7 @@ import (
 // variables strengthens it (r ⊆ q plainly); since the BFS mixes both
 // moves, every acyclic candidate gets a full two-sided equivalence
 // verification. BFS with canonical-form dedup, budgeted.
-func searchQuotients(q *cq.CQ, set *deps.Set, opt Options, already int) (*cq.CQ, int, error) {
+func searchQuotients(q *cq.CQ, v *verifier, opt Options) (*cq.CQ, int, error) {
 	start := q.DedupAtoms()
 	seen := map[string]bool{start.CanonicalKey(): true}
 	queue := []*cq.CQ{start}
@@ -31,7 +31,7 @@ func searchQuotients(q *cq.CQ, set *deps.Set, opt Options, already int) (*cq.CQ,
 		examined++
 
 		if hypergraph.IsAcyclic(cur.Atoms) {
-			ok, _, err := verifyWitness(q, cur, set, opt)
+			ok, _, err := v.verifyWitness(cur)
 			if err != nil {
 				return nil, examined, err
 			}
@@ -83,8 +83,8 @@ func quotientMoves(cur *cq.CQ) []*cq.CQ {
 			if !ok {
 				continue
 			}
-			next := &cq.CQ{Name: cur.Name, Free: append([]term.Term(nil), cur.Free...), Atoms: rest}
-			out = append(out, next.Clone().DedupAtoms())
+			// cur is duplicate-free, so rest is too: no dedup needed.
+			out = append(out, &cq.CQ{Name: cur.Name, Free: append([]term.Term(nil), cur.Free...), Atoms: rest})
 		}
 	}
 
@@ -109,7 +109,7 @@ func quotientMoves(cur *cq.CQ) []*cq.CQ {
 // searchChaseSubsets enumerates acyclic connected atom-subsets of the
 // (bounded, thawed) chase of q up to the witness bound, checking both
 // containments for each candidate.
-func searchChaseSubsets(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, int, error) {
+func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int) (*cq.CQ, int, error) {
 	if bound <= 0 {
 		bound = 2 * q.Size()
 	}
@@ -172,7 +172,7 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ
 				seen[k] = true
 				examined++
 				if hypergraph.IsAcyclic(cand.Atoms) {
-					ok, _, err := verifyWitness(q, cand, set, opt)
+					ok, _, err := v.verifyWitness(cand)
 					if err != nil {
 						return false, err
 					}

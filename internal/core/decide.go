@@ -30,9 +30,11 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/hypergraph"
+	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/rewrite"
 	"semacyclic/internal/telemetry"
+	"semacyclic/internal/term"
 )
 
 // Verdict is the outcome of a SemAc decision.
@@ -97,7 +99,8 @@ type Options struct {
 	// cost changes.
 	DisableSearchMemo bool
 	// Trace, when non-nil, receives a span per pipeline stage (the
-	// decision, each layer, the layer-3 chase, containment preparation).
+	// decision, each layer, the layer-3 chase, containment preparation
+	// — inside the first layer whose verification needs the checker).
 	// Spans are opened only from the sequential coordinator code — never
 	// from parallel branch workers — so the span-tree *structure* (names
 	// and nesting) is identical at every Parallelism value; only the
@@ -105,13 +108,16 @@ type Options struct {
 	// hooks are no-ops that allocate nothing.
 	Trace *telemetry.Recorder
 	// Prepared, when non-nil, supplies a pre-built containment checker
-	// for the layer-4 verification right-hand side. It MUST have been
-	// built by containment.Prepare with this decision's query as q' and
-	// the same dependency set — Decide cannot verify the match and a
-	// mismatched checker yields wrong verdicts. Long-lived callers (the
-	// semacycd server) cache one per (query, Σ) so repeated decisions
-	// skip the worst-case-exponential UCQ rewriting. Ignored when
-	// DisableSearchMemo is set (the ablation re-derives per candidate).
+	// for the right-hand side q of every candidate verification w ⊆Σ q
+	// in layers 2, 3 and 4. It MUST have been built by
+	// containment.Prepare with this decision's query as q', the same
+	// dependency set and this decision's Containment options — Decide
+	// cannot verify the match and a mismatched checker yields wrong
+	// verdicts. Long-lived callers (the semacycd server) cache one per
+	// (query, Σ) so repeated decisions skip the worst-case-exponential
+	// UCQ rewriting. When nil, Decide prepares one itself at the first
+	// verification that needs it. Ignored when DisableSearchMemo is set
+	// (the reference arm re-derives per candidate).
 	Prepared *containment.Prepared
 }
 
@@ -257,10 +263,11 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 
 	bound := witnessBound(q, set, opt)
 	res := &Result{Bound: bound}
+	v := newVerifier(q, set, opt)
 
 	// Layer 2: quotients and subqueries of q.
 	beginLayer("quotient")
-	if w, n, err := searchQuotients(q, set, opt, res.Candidates); err != nil {
+	if w, n, err := searchQuotients(q, v, opt); err != nil {
 		return nil, err
 	} else {
 		res.Candidates += n
@@ -273,7 +280,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 
 	// Layer 3: acyclic connected subsets of the (bounded) chase of q.
 	beginLayer("chase-subset")
-	if w, n, err := searchChaseSubsets(q, set, opt, bound); err != nil {
+	if w, n, err := searchChaseSubsets(q, set, v, opt, bound); err != nil {
 		return nil, err
 	} else {
 		res.Candidates += n
@@ -287,7 +294,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	// Layer 4: complete bounded enumeration.
 	if !opt.SkipCompleteSearch && bound > 0 {
 		beginLayer("complete")
-		w, n, exhausted, err := searchComplete(q, set, opt, bound, st)
+		w, n, exhausted, err := searchComplete(q, set, v, opt, bound, st)
 		if err != nil {
 			return nil, err
 		}
@@ -365,14 +372,94 @@ func polishWitness(w *cq.CQ) *cq.CQ {
 	return w
 }
 
+// verifier checks candidate witnesses w for q ≡Σ w against the
+// decision's fixed query q. The right-hand side of w ⊆Σ q is the same
+// for every candidate, so one containment checker serves layers 2, 3
+// and 4: opt.Prepared when the caller supplied one, otherwise a single
+// containment.Prepare(q, Σ), built at the first verification that needs
+// it. A verifier belongs to one decision and is not safe for concurrent
+// use; layer 4's parallel workers share only the checker.
+type verifier struct {
+	q   *cq.CQ
+	set *deps.Set
+	opt Options
+	// checker is the resolved containment checker, nil until needed.
+	checker *containment.Prepared
+	// db and frozen are q's frozen instance D_q and head tuple (Lemma
+	// 1), built at the first plain q ⊆ w check.
+	db     *instance.Instance
+	frozen []term.Term
+}
+
+func newVerifier(q *cq.CQ, set *deps.Set, opt Options) *verifier {
+	return &verifier{q: q, set: set, opt: opt}
+}
+
+// prepared returns the decision's containment checker for the fixed
+// right-hand side q, resolving it on first use.
+func (v *verifier) prepared() (*containment.Prepared, error) {
+	if v.checker != nil {
+		return v.checker, nil
+	}
+	if v.opt.Prepared != nil {
+		// A long-lived caller (the semacycd server) already hoisted the
+		// right-hand side for this (q, Σ); reuse it, re-wired to this
+		// decision's cancel channel.
+		v.checker = v.opt.Prepared.WithCancel(v.opt.Cancel)
+		return v.checker, nil
+	}
+	// Prepare the right-hand side once: for sticky sets this hoists the
+	// exponential UCQ rewriting out of the per-candidate loop.
+	checker, err := containment.Prepare(v.q, v.set, v.opt.Containment)
+	if err != nil {
+		return nil, err
+	}
+	v.checker = checker
+	return checker, nil
+}
+
 // verifyWitness checks q ≡Σ w. It returns whether the equivalence
 // holds (only definitive positives count) and whether the answer was
 // definitive — a non-definitive rejection means a budget may have
 // hidden a witness, which exhaustion claims must account for.
-func verifyWitness(q, w *cq.CQ, set *deps.Set, opt Options) (holds, definitive bool, err error) {
-	dec, err := containment.Equivalent(q, w, set, opt.Containment)
-	if err != nil {
-		return false, false, err
+//
+// q ⊆Σ w runs containment.Contains and w ⊆Σ q the shared checker, and
+// each direction first tries plain Chandra–Merlin containment: it
+// implies containment under any Σ, where every procedure answers
+// holds, definitively. The answer is therefore the one
+// containment.Equivalent gives, which DisableSearchMemo still runs, as
+// the unhoisted reference.
+func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
+	if v.opt.DisableSearchMemo {
+		dec, err := containment.Equivalent(v.q, w, v.set, v.opt.Containment)
+		if err != nil {
+			return false, false, err
+		}
+		return dec.Holds && dec.Definitive, dec.Definitive, nil
 	}
-	return dec.Holds && dec.Definitive, dec.Definitive, nil
+	if v.db == nil {
+		v.db, v.frozen = v.q.Freeze()
+	}
+	plain := containment.Decision{Holds: true, Definitive: true}
+	a := plain
+	if !hom.HasTuple(w, v.db, v.frozen) {
+		if a, err = containment.Contains(v.q, w, v.set, v.opt.Containment); err != nil {
+			return false, false, err
+		}
+		if !a.Holds {
+			return false, a.Definitive, nil
+		}
+	}
+	b := plain
+	if !hom.Contained(w, v.q) {
+		checker, err := v.prepared()
+		if err != nil {
+			return false, false, err
+		}
+		if b, err = checker.Check(w); err != nil {
+			return false, false, err
+		}
+	}
+	definitive = a.Definitive && b.Definitive
+	return b.Holds && definitive, definitive, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"semacyclic/internal/chase"
-	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/instance"
@@ -38,7 +37,8 @@ import (
 // SearchComplete collects no observability counters. Use
 // SearchCompleteStats to get the same answer plus an obs.Stats.
 func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, int, bool, error) {
-	w, examined, exhausted, err := searchComplete(q, set, opt, bound, nil)
+	opt = opt.withDefaults()
+	w, examined, exhausted, err := searchComplete(q, set, newVerifier(q, set, opt), opt, bound, nil)
 	return w, examined, exhausted, mapCancelled(err)
 }
 
@@ -49,13 +49,15 @@ func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, in
 // chase, search and containment sections; Hom and Layers are left to
 // Decide, which owns the process-wide delta and the pipeline view.
 func SearchCompleteStats(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, *obs.Stats, int, bool, error) {
+	opt = opt.withDefaults()
 	st := obs.NewStats()
-	witness, examined, exhausted, err := searchComplete(q, set, opt, bound, st)
+	witness, examined, exhausted, err := searchComplete(q, set, newVerifier(q, set, opt), opt, bound, st)
 	return witness, st, examined, exhausted, mapCancelled(err)
 }
 
-func searchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int, st *obs.Stats) (*cq.CQ, int, bool, error) {
-	opt = opt.withDefaults()
+// searchComplete runs layer 4 with opt already defaulted; v supplies
+// the decision's containment checker.
+func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int, st *obs.Stats) (*cq.CQ, int, bool, error) {
 	sch, err := q.Schema().Union(set.Schema())
 	if err != nil {
 		return nil, 0, false, err
@@ -126,23 +128,13 @@ func searchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int, st *obs.Sta
 		st:       st,
 	}
 	if !opt.DisableSearchMemo {
-		if opt.Prepared != nil {
-			// A long-lived caller (the semacycd server) already hoisted
-			// the right-hand side for this (q, Σ); reuse it, re-wired to
-			// this run's cancel channel.
-			eng.checker = opt.Prepared.WithCancel(opt.Cancel)
-		} else {
-			// Prepare the fixed right-hand side of every verification
-			// once: for sticky sets this hoists the exponential UCQ
-			// rewriting out of the per-candidate loop. Gated with the
-			// memo flag so the ablation baseline re-derives it per
-			// candidate, as the unoptimized search did.
-			checker, err := containment.Prepare(q, set, opt.Containment)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			eng.checker = checker
+		// Gated with the memo flag so the reference arm re-derives the
+		// right-hand side per candidate, as the unoptimized search did.
+		checker, err := v.prepared()
+		if err != nil {
+			return nil, 0, false, err
 		}
+		eng.checker = checker
 	}
 	witness, examined, exhausted, err := eng.run()
 	if err != nil {

@@ -29,7 +29,7 @@ func TestSearchCompleteFindsWitness(t *testing.T) {
 	if w.Size() != 1 || !hypergraph.IsAcyclic(w.Atoms) {
 		t.Errorf("witness = %s", w)
 	}
-	ok, _, err := verifyWitness(q, w, set, opt)
+	ok, _, err := newVerifier(q, set, opt).verifyWitness(w)
 	if err != nil || !ok {
 		t.Errorf("witness does not verify: %v", err)
 	}

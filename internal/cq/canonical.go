@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
 )
 
@@ -184,18 +185,27 @@ func (q *CQ) CanonicalKey() string {
 	return b.String()
 }
 
-// DedupAtoms removes exact duplicate atoms, preserving order.
+// DedupAtoms returns an independent copy of q without exact duplicate
+// atoms, keeping first occurrences in order. Queries are small, so
+// duplicates are found by comparing each atom with the earlier ones,
+// and the kept atoms' arguments are copied into one shared slab.
 func (q *CQ) DedupAtoms() *CQ {
-	seen := make(map[string]bool, len(q.Atoms))
-	out := q.Clone()
-	atoms := out.Atoms[:0]
-	for _, a := range out.Atoms {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
-			atoms = append(atoms, a)
+	kept, nargs := 0, 0
+	for i, a := range q.Atoms {
+		if !slices.ContainsFunc(q.Atoms[:i], a.Equal) {
+			kept++
+			nargs += len(a.Args)
 		}
 	}
-	out.Atoms = atoms
+	out := &CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: make([]instance.Atom, 0, kept)}
+	slab := make([]term.Term, 0, nargs)
+	for i, a := range q.Atoms {
+		if slices.ContainsFunc(q.Atoms[:i], a.Equal) {
+			continue
+		}
+		start := len(slab)
+		slab = append(slab, a.Args...)
+		out.Atoms = append(out.Atoms, instance.Atom{Pred: a.Pred, Args: slab[start:len(slab):len(slab)]})
+	}
 	return out
 }

@@ -51,8 +51,9 @@ func cloneAtoms(atoms []instance.Atom) []instance.Atom {
 }
 
 // Validate checks the CQ's well-formedness: at least one atom, no
-// nulls, free terms are variables, every free variable occurs in some
-// atom, no duplicate free variables, and consistent predicate arities.
+// nulls, no constants in the reserved frozen namespace, free terms are
+// variables, every free variable occurs in some atom, no duplicate free
+// variables, and consistent predicate arities.
 func (q *CQ) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cq: query %s has no atoms", q.Name)
@@ -66,6 +67,9 @@ func (q *CQ) Validate() error {
 		for _, t := range a.Args {
 			if t.IsNull() {
 				return fmt.Errorf("cq: atom %s mentions null %s", a, t)
+			}
+			if term.IsFrozen(t) {
+				return fmt.Errorf("cq: atom %s mentions constant %q in the reserved frozen namespace", a, t.Name)
 			}
 			inBody[t] = true
 		}
@@ -203,18 +207,14 @@ func (q *CQ) Freeze() (*instance.Instance, []term.Term) {
 	return db, s.ResolveTuple(q.Free)
 }
 
-// frozenPrefix marks constants produced by Freeze. See FrozenConst.
-const frozenPrefix = "\x01c:"
-
-// FrozenConst returns the frozen constant c(x) for variable x.
+// FrozenConst returns the frozen constant c(x) for variable x, a
+// constant in the namespace term.FrozenPrefix reserves.
 func FrozenConst(x term.Term) term.Term {
-	return term.Const(frozenPrefix + x.Name)
+	return term.Const(term.FrozenPrefix + x.Name)
 }
 
 // IsFrozenConst reports whether t was produced by FrozenConst.
-func IsFrozenConst(t term.Term) bool {
-	return t.IsConst() && strings.HasPrefix(t.Name, frozenPrefix)
-}
+func IsFrozenConst(t term.Term) bool { return term.IsFrozen(t) }
 
 // Thaw inverts FrozenConst, returning the original variable; it panics
 // if t is not a frozen constant.
@@ -222,7 +222,7 @@ func Thaw(t term.Term) term.Term {
 	if !IsFrozenConst(t) {
 		panic(fmt.Sprintf("cq: %s is not a frozen constant", t))
 	}
-	return term.Var(strings.TrimPrefix(t.Name, frozenPrefix))
+	return term.Var(strings.TrimPrefix(t.Name, term.FrozenPrefix))
 }
 
 // ThawAtoms maps frozen constants back to variables across a slice of

@@ -398,3 +398,33 @@ func TestMustTGDPanics(t *testing.T) {
 	}()
 	MustTGD(nil, nil)
 }
+
+// Constants in the namespace freezing uses would thaw into variables
+// inside the rewriting and the chase, so dependencies may not mention
+// them: the parser and both Validate methods refuse them.
+func TestRejectsFrozenConstants(t *testing.T) {
+	for _, src := range []string{
+		"E(x,'\x01c:w') -> F(x).",
+		"E(x,y) -> F(x,'\x01c:y').",
+		"E(x,y), E(x,'\x01c:z'), E(x,z) -> y = z.",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "reserved frozen namespace") {
+			t.Errorf("Parse(%q) err = %v, want a reserved-namespace error", src, err)
+		}
+	}
+	frozen := term.Const(term.FrozenPrefix + "w")
+	if _, err := NewTGD(
+		[]instance.Atom{instance.NewAtom("E", term.Var("x"), frozen)},
+		[]instance.Atom{instance.NewAtom("F", term.Var("x"))},
+	); err == nil {
+		t.Error("NewTGD accepted a frozen constant")
+	}
+	if _, err := NewEGD([]instance.Atom{
+		instance.NewAtom("E", term.Var("x"), term.Var("y")),
+		instance.NewAtom("E", term.Var("x"), term.Var("z")),
+		instance.NewAtom("F", frozen),
+	}, term.Var("y"), term.Var("z")); err == nil {
+		t.Error("NewEGD accepted a frozen constant")
+	}
+}

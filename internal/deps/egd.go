@@ -47,6 +47,9 @@ func (e *EGD) Validate() error {
 			if tm.IsNull() {
 				return fmt.Errorf("deps: egd atom %s mentions a null", a)
 			}
+			if term.IsFrozen(tm) {
+				return fmt.Errorf("deps: egd atom %s mentions constant %q in the reserved frozen namespace", a, tm.Name)
+			}
 		}
 	}
 	if !e.X.IsVar() || !e.Y.IsVar() {
@@ -55,8 +58,7 @@ func (e *EGD) Validate() error {
 	if e.X == e.Y {
 		return fmt.Errorf("deps: egd equates a variable with itself")
 	}
-	body := varSet(e.Body)
-	if !body[e.X] || !body[e.Y] {
+	if !mentions(e.Body, e.X) || !mentions(e.Body, e.Y) {
 		return fmt.Errorf("deps: egd equates variables not in its body")
 	}
 	return nil

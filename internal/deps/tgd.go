@@ -8,6 +8,7 @@ package deps
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"semacyclic/internal/instance"
@@ -50,6 +51,7 @@ func cloneAtoms(atoms []instance.Atom) []instance.Atom {
 }
 
 // Validate checks well-formedness: nonempty body and head, no nulls,
+// no constants in the reserved frozen namespace (term.FrozenPrefix),
 // and consistent arities across body and head.
 func (t *TGD) Validate() error {
 	if len(t.Body) == 0 {
@@ -67,6 +69,9 @@ func (t *TGD) Validate() error {
 			if tm.IsNull() {
 				return fmt.Errorf("deps: tgd atom %s mentions a null", a)
 			}
+			if term.IsFrozen(tm) {
+				return fmt.Errorf("deps: tgd atom %s mentions constant %q in the reserved frozen namespace", a, tm.Name)
+			}
 		}
 	}
 	return nil
@@ -81,27 +86,27 @@ func (t *TGD) HeadVars() []term.Term { return varsOf(t.Head) }
 // FrontierVars returns the body variables that also occur in the head
 // (the exported x̄ of the tgd).
 func (t *TGD) FrontierVars() []term.Term {
-	head := varSet(t.Head)
-	var out []term.Term
-	for _, v := range t.BodyVars() {
-		if head[v] {
-			out = append(out, v)
+	out := t.BodyVars()
+	frontier := out[:0]
+	for _, v := range out {
+		if mentions(t.Head, v) {
+			frontier = append(frontier, v)
 		}
 	}
-	return out
+	return frontier
 }
 
 // ExistentialVars returns the head variables not occurring in the body
 // (the z̄ of the tgd).
 func (t *TGD) ExistentialVars() []term.Term {
-	body := varSet(t.Body)
-	var out []term.Term
-	for _, v := range t.HeadVars() {
-		if !body[v] {
-			out = append(out, v)
+	out := t.HeadVars()
+	existential := out[:0]
+	for _, v := range out {
+		if !mentions(t.Body, v) {
+			existential = append(existential, v)
 		}
 	}
-	return out
+	return existential
 }
 
 // RenameApart returns a copy of the tgd whose variables are fresh,
@@ -125,18 +130,29 @@ func applyAtoms(atoms []instance.Atom, s term.Subst) []instance.Atom {
 	return out
 }
 
+// varsOf returns the distinct variables of the atoms in first-occurrence
+// order. Dependencies are small, so a linear scan of the output
+// replaces a set.
 func varsOf(atoms []instance.Atom) []term.Term {
-	seen := make(map[term.Term]bool)
 	var out []term.Term
 	for _, a := range atoms {
 		for _, tm := range a.Args {
-			if tm.IsVar() && !seen[tm] {
-				seen[tm] = true
+			if tm.IsVar() && !slices.Contains(out, tm) {
 				out = append(out, tm)
 			}
 		}
 	}
 	return out
+}
+
+// mentions reports whether some atom has v as an argument.
+func mentions(atoms []instance.Atom, v term.Term) bool {
+	for _, a := range atoms {
+		if slices.Contains(a.Args, v) {
+			return true
+		}
+	}
+	return false
 }
 
 func varSet(atoms []instance.Atom) map[term.Term]bool {

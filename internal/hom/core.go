@@ -1,6 +1,8 @@
 package hom
 
 import (
+	"slices"
+
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
@@ -28,7 +30,10 @@ func Core(q *cq.CQ) *cq.CQ {
 }
 
 // retractOnce searches for an endomorphism of cur that avoids at least
-// one atom; on success it returns the image query.
+// one atom; on success it returns the image query. cur is frozen once,
+// and each victim atom is excluded from the enumeration rather than
+// removed from a copy; the enumeration visits candidates in the order
+// the copy would hand them out, so the same retraction is found.
 func retractOnce(cur *cq.CQ) (*cq.CQ, bool) {
 	db, _ := cur.Freeze()
 	// Free variables must map to themselves.
@@ -36,47 +41,88 @@ func retractOnce(cur *cq.CQ) (*cq.CQ, bool) {
 	for _, x := range cur.Free {
 		init[x] = cq.FrozenConst(x)
 	}
+	var next *cq.CQ
+	yield := func(h term.Subst) bool {
+		next = image(cur, h)
+		return false
+	}
 	for _, victim := range cur.Atoms {
-		reduced := db.Clone()
-		frozenVictim := freezeAtom(victim)
-		if !reduced.Remove(frozenVictim) {
-			// Duplicate-free queries always contain their frozen atoms;
-			// a miss can only mean the atom collapsed with another under
-			// freezing, which cannot happen (freezing is injective).
-			continue
-		}
-		h, ok := Find(cur.Atoms, reduced, init)
+		// Duplicate-free queries always contain their frozen atoms
+		// (freezing is injective), so the lookup cannot miss.
+		frozenVictim, ok := frozenAtom(db, victim)
 		if !ok {
 			continue
 		}
-		// Build the image query in two stages: first apply h (variables
-		// to frozen constants), then thaw frozen constants back to
-		// variables. Two stages avoid composing a variable→variable
-		// substitution that could contain swaps (x↦y, y↦x), which
-		// Resolve would reject as cyclic.
-		frozenImage := term.NewSubst()
-		thaw := term.NewSubst()
-		for _, v := range cur.Vars() {
-			img := h.Resolve(v)
-			frozenImage[v] = img
-			if cq.IsFrozenConst(img) {
-				thaw[img] = cq.Thaw(img)
-			}
-		}
-		next := cur.ApplySubst(frozenImage).ApplySubst(thaw).DedupAtoms()
-		if next.Size() < cur.Size() {
+		enumerateWithout(cur.Atoms, db, init, frozenVictim, yield)
+		if next != nil && next.Size() < cur.Size() {
 			return next, true
 		}
+		next = nil
 	}
 	return nil, false
 }
 
-func freezeAtom(a instance.Atom) instance.Atom {
-	out := a.Clone()
-	for i, t := range out.Args {
-		if t.IsVar() {
-			out.Args[i] = cq.FrozenConst(t)
+// frozenAtom returns the atom of cur's frozen instance db that freezes
+// a: a's variables read as their frozen constants, other terms as
+// themselves. It compares names in place, building no frozen constant.
+func frozenAtom(db *instance.Instance, a instance.Atom) (instance.Atom, bool) {
+	for _, f := range db.ByPred(a.Pred) {
+		if freezes(a, f) {
+			return f, true
 		}
+	}
+	return instance.Atom{}, false
+}
+
+// freezes reports whether f is a with every variable frozen.
+func freezes(a, f instance.Atom) bool {
+	if len(a.Args) != len(f.Args) {
+		return false
+	}
+	for i, t := range a.Args {
+		u := f.Args[i]
+		if !t.IsVar() {
+			if u != t {
+				return false
+			}
+			continue
+		}
+		if !cq.IsFrozenConst(u) || u.Name[len(term.FrozenPrefix):] != t.Name {
+			return false
+		}
+	}
+	return true
+}
+
+// image builds the image of cur under the endomorphism h found over its
+// frozen instance, in two stages that never compose variable to
+// variable (a swap x↦y, y↦x would be cyclic): each variable takes the
+// term h maps it to, and a frozen constant thaws back to its variable.
+// Other terms stay. Duplicate image atoms merge, keeping first
+// occurrences, and the arguments share one slab.
+func image(cur *cq.CQ, h term.Subst) *cq.CQ {
+	nargs := 0
+	for _, a := range cur.Atoms {
+		nargs += len(a.Args)
+	}
+	slab := make([]term.Term, 0, nargs)
+	out := &cq.CQ{Name: cur.Name, Free: append([]term.Term(nil), cur.Free...), Atoms: make([]instance.Atom, 0, len(cur.Atoms))}
+	for _, a := range cur.Atoms {
+		start := len(slab)
+		for _, t := range a.Args {
+			if t.IsVar() {
+				if t = h.Resolve(t); cq.IsFrozenConst(t) {
+					t = cq.Thaw(t)
+				}
+			}
+			slab = append(slab, t)
+		}
+		img := instance.Atom{Pred: a.Pred, Args: slab[start:len(slab):len(slab)]}
+		if slices.ContainsFunc(out.Atoms, img.Equal) {
+			slab = slab[:start]
+			continue
+		}
+		out.Atoms = append(out.Atoms, img)
 	}
 	return out
 }

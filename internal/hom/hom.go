@@ -28,6 +28,10 @@ type enumerator struct {
 	used   []bool             // orderAtoms: atoms already placed
 	seen   map[term.Term]bool // orderAtoms: bound terms and placed variables
 	target *instance.Instance
+	// without, when hasWithout, is a target atom the enumeration treats
+	// as removed (Core's retraction search; see candidatesWithout).
+	without    instance.Atom
+	hasWithout bool
 	// terms bounds how many entries sub and seen can hold: init's
 	// bindings plus the pattern's argument positions.
 	terms int
@@ -84,6 +88,7 @@ func (e *enumerator) release() {
 	clear(e.seen)
 	clear(e.order)
 	e.order, e.undo, e.target, e.backtracks = e.order[:0], e.undo[:0], nil, 0
+	e.without, e.hasWithout = instance.Atom{}, false
 	enumPool.Put(e)
 }
 
@@ -145,7 +150,12 @@ func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
 		return yield != nil && yield(e.sub)
 	}
 	a := e.order[i]
-	cs := pickCandidates(e.target, a, e.sub)
+	var cs candSet
+	if e.hasWithout {
+		cs = candidatesWithout(e.target, a, e.sub, e.without)
+	} else {
+		cs = pickCandidates(e.target, a, e.sub)
+	}
 	for k := 0; k < cs.n; k++ {
 		cand := cs.at(k)
 		// One undo stack serves the whole enumeration: each level marks
@@ -175,20 +185,70 @@ func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
 func candidates(target *instance.Instance, a instance.Atom, sub term.Subst) []instance.Atom {
 	best := target.ByPred(a.Pred)
 	for i, t := range a.Args {
-		img := sub.Apply(t)
-		if img.IsVar() {
-			continue // still unbound
-		}
-		if img.IsNull() {
-			if _, bound := sub[t]; !bound {
-				continue // free pattern null: bindable, not a fixed value
-			}
+		img, ok := pinned(t, sub)
+		if !ok {
+			continue
 		}
 		if list := target.ByPos(a.Pred, i, img); len(list) < len(best) {
 			best = list
 		}
 	}
 	return best
+}
+
+// pinned returns the value pattern term t is fixed to under sub, or
+// false while t can still be bound: an unbound variable, or a pattern
+// null sub does not bind (bindable, not a fixed value).
+func pinned(t term.Term, sub term.Subst) (term.Term, bool) {
+	img := sub.Apply(t)
+	if img.IsVar() {
+		return img, false
+	}
+	if img.IsNull() {
+		if _, bound := sub[t]; !bound {
+			return img, false
+		}
+	}
+	return img, true
+}
+
+// candidatesWithout is candidates on target with atom x removed, read
+// as Instance.Remove would leave the index lists: the list's last atom
+// fills x's slot and the list is one shorter. Lengths are compared
+// after the removal, so the list that wins is the one candidates picks
+// on the removed instance, and its atoms come in the same order. x
+// must be an atom of target. The interned view is never consulted.
+func candidatesWithout(target *instance.Instance, a instance.Atom, sub term.Subst, x instance.Atom) candSet {
+	best := target.ByPred(a.Pred)
+	bestN := len(best)
+	inPred := x.Pred == a.Pred && len(x.Args) == len(a.Args)
+	if inPred {
+		bestN--
+	}
+	for i, t := range a.Args {
+		img, ok := pinned(t, sub)
+		if !ok {
+			continue
+		}
+		list := target.ByPos(a.Pred, i, img)
+		n := len(list)
+		if inPred && x.Args[i] == img {
+			n--
+		}
+		if n < bestN {
+			best, bestN = list, n
+		}
+	}
+	hole := -1
+	if bestN < len(best) {
+		for k := range best {
+			if best[k].Equal(x) {
+				hole = k
+				break
+			}
+		}
+	}
+	return candSet{list: best, n: bestN, hole: hole}
 }
 
 // Enumerate calls yield for every homomorphism from the pattern atoms
@@ -202,6 +262,16 @@ func candidates(target *instance.Instance, a instance.Atom, sub term.Subst) []in
 // any part of it.
 func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Subst, yield func(term.Subst) bool) {
 	e := newEnumerator(pattern, target, init)
+	e.rec(0, yield)
+	e.release()
+}
+
+// enumerateWithout is Enumerate into target with its atom x treated as
+// removed, in the order Enumerate would take on a clone of target from
+// which x was removed. It reads target's map indexes only.
+func enumerateWithout(pattern []instance.Atom, target *instance.Instance, init term.Subst, x instance.Atom, yield func(term.Subst) bool) {
+	e := newEnumerator(pattern, target, init)
+	e.without, e.hasWithout = x, true
 	e.rec(0, yield)
 	e.release()
 }

@@ -33,10 +33,17 @@ type candSet struct {
 	pos  int // sorted-run position; -1 means whole relation in row order
 	lo   int
 	n    int
+	// hole is the list index of an atom read as removed, whose slot the
+	// list's last atom fills (see candidatesWithout); -1 for none. Only
+	// the slice case has one.
+	hole int
 }
 
 func (c *candSet) at(k int) instance.Atom {
 	if c.rel == nil {
+		if k == c.hole {
+			return c.list[len(c.list)-1]
+		}
 		return c.list[k]
 	}
 	if c.pos < 0 {
@@ -56,7 +63,7 @@ func pickCandidates(target *instance.Instance, a instance.Atom, sub term.Subst) 
 		return pickInterned(iv, a, sub)
 	}
 	list := candidates(target, a, sub)
-	return candSet{list: list, n: len(list)}
+	return candSet{list: list, n: len(list), hole: -1}
 }
 
 // pickInterned is the integer-coded candidate probe: each pinned
@@ -70,14 +77,9 @@ func pickInterned(iv *instance.InternedView, a instance.Atom, sub term.Subst) ca
 	}
 	best := candSet{rel: rel, pos: -1, n: rel.Rows()}
 	for i, t := range a.Args {
-		img := sub.Apply(t)
-		if img.IsVar() {
-			continue // still unbound
-		}
-		if img.IsNull() {
-			if _, bound := sub[t]; !bound {
-				continue // free pattern null: bindable, not a fixed value
-			}
+		img, ok := pinned(t, sub)
+		if !ok {
+			continue
 		}
 		id, ok := iv.Table.Lookup(img)
 		if !ok {

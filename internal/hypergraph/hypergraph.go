@@ -11,6 +11,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
@@ -47,108 +48,168 @@ func flexTerms(a instance.Atom) []term.Term {
 // true when the hypergraph is acyclic, or nil and false otherwise.
 func GYO(atoms []instance.Atom) (*Forest, bool) {
 	// Deduplicate while preserving first-occurrence order.
-	seen := make(map[string]bool, len(atoms))
-	var nodes []instance.Atom
-	for _, a := range atoms {
-		k := a.Key()
-		if !seen[k] {
-			seen[k] = true
+	nodes := make([]instance.Atom, 0, len(atoms))
+	for i, a := range atoms {
+		if !slices.ContainsFunc(atoms[:i], a.Equal) {
 			nodes = append(nodes, a)
 		}
 	}
-	n := len(nodes)
-	parent := make([]int, n)
+	if len(nodes) == 0 {
+		return &Forest{}, true
+	}
+	parent := make([]int, len(nodes))
+	if !removeEars(nodes, parent) {
+		return nil, false
+	}
+	return &Forest{Atoms: nodes, Parent: parent}, true
+}
+
+// IsAcyclic reports whether the atoms form an acyclic hypergraph. It
+// runs GYO's ear removal without building a forest. Duplicate atoms
+// stay in: a duplicate is always an ear of its twin, and ear removal
+// reaches the same verdict whatever order it removes ears in.
+func IsAcyclic(atoms []instance.Atom) bool {
+	return removeEars(atoms, nil)
+}
+
+// earSlabSize is the largest table removeEars keeps on the stack, in
+// int32 entries: enough for the small queries the decision procedure
+// tests by the thousand.
+const earSlabSize = 256
+
+// removeEars is the ear-removal kernel of GYO and IsAcyclic. The edges
+// are the atoms' sets of flexible terms. An alive edge is an ear when
+// the terms it shares with other alive edges all lie in one other alive
+// edge — its parent, the least such index, found among the edges
+// holding the first shared term — or when it shares none, which makes
+// it a root. Ears go lowest index first until one edge is left
+// (acyclic) or none is an ear (cyclic). When parent is non-nil it
+// receives each edge's parent, -1 for roots.
+//
+// A term's dense id is the position of its first occurrence in the
+// flattened argument list, found by scanning the earlier arguments, so
+// the kernel builds no map, no atom key and no per-atom slice: one
+// int32 slab, on the stack for small inputs, holds every table.
+func removeEars(atoms []instance.Atom, parent []int) bool {
+	n, total := len(atoms), 0
+	for _, a := range atoms {
+		total += len(a.Args)
+	}
+	// Layout: off[n+1] | ids[total] | occ[total] | alive[n] |
+	// inOff[total+1] | in[total]. Edge i's distinct flexible term ids
+	// are ids[off[i]:off[i+1]]; occ counts, per id, the alive edges
+	// holding it; in[inOff[t]:inOff[t+1]] lists the edges holding t in
+	// ascending order.
+	var buf [earSlabSize]int32
+	size := 2*n + 4*total + 2
+	var slab []int32
+	if size <= len(buf) {
+		slab = buf[:size]
+	} else {
+		slab = make([]int32, size)
+	}
+	off, rest := slab[:n+1], slab[n+1:]
+	ids, rest := rest[:total], rest[total:]
+	occ, rest := rest[:total], rest[total:]
+	alive, rest := rest[:n], rest[n:]
+	inOff, in := rest[:total+1], rest[total+1:]
+	clear(occ)
+	m, base := 0, 0
+	for i, a := range atoms {
+		off[i] = int32(m)
+		for p, t := range a.Args {
+			if !flexible(t) {
+				continue
+			}
+			id, flat := int32(base+p), 0
+			for j, b := range atoms[:i+1] {
+				if k := slices.Index(b.Args, t); k >= 0 && (j < i || k < p) {
+					id = int32(flat + k)
+					break
+				}
+				flat += len(b.Args)
+			}
+			if !slices.Contains(ids[off[i]:m], id) {
+				ids[m] = id
+				m++
+				occ[id]++
+			}
+		}
+		base += len(a.Args)
+		alive[i] = 1
+	}
+	off[n] = int32(m)
+	inOff[0] = 0
+	for t, c := range occ {
+		inOff[t+1] = inOff[t] + c
+	}
+	// Fill the occurrence lists edge by edge, counting occ back up as
+	// the cursor.
+	clear(occ)
+	for i := 0; i < n; i++ {
+		for _, t := range ids[off[i]:off[i+1]] {
+			in[inOff[t]+occ[t]] = int32(i)
+			occ[t]++
+		}
+	}
 	for i := range parent {
 		parent[i] = -1
 	}
-	if n == 0 {
-		return &Forest{}, true
-	}
 
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	vars := make([][]term.Term, n)
-	for i, a := range nodes {
-		vars[i] = flexTerms(a)
-	}
-	// occ[t] = number of alive edges containing t; occIn[t] lists the
-	// edges containing t (stale entries filtered by the alive mask).
-	occ := make(map[term.Term]int)
-	occIn := make(map[term.Term][]int)
-	for i := range nodes {
-		for _, t := range vars[i] {
-			occ[t]++
-			occIn[t] = append(occIn[t], i)
-		}
-	}
-
-	remaining := n
-	for remaining > 1 {
-		ear := -1
-		earParent := -1
+	for remaining := n; remaining > 1; remaining-- {
+		ear, earParent := -1, -1
 		for i := 0; i < n && ear < 0; i++ {
-			if !alive[i] {
+			if alive[i] == 0 {
 				continue
 			}
-			// W = flexible terms of i shared with another alive edge.
-			var w []term.Term
-			for _, t := range vars[i] {
-				if occ[t] > 1 {
-					w = append(w, t)
-				}
-			}
-			if len(w) == 0 {
+			edge := ids[off[i]:off[i+1]]
+			w0 := firstShared(edge, occ)
+			if w0 < 0 {
 				// Isolated edge: becomes a root of its own component.
-				ear, earParent = i, -1
+				ear = i
 				continue
 			}
-			// A parent must contain all of W, so it suffices to scan
-			// the edges containing w[0].
-			for _, j := range occIn[w[0]] {
-				if j == i || !alive[j] {
-					continue
-				}
-				if containsAll(vars[j], w) {
-					ear, earParent = i, j
+			for _, j := range in[inOff[w0]:inOff[w0+1]] {
+				if int(j) != i && alive[j] != 0 && holdsShared(ids[off[j]:off[j+1]], edge, occ) {
+					ear, earParent = i, int(j)
 					break
 				}
 			}
 		}
 		if ear < 0 {
-			return nil, false // no ear: cyclic
+			return false // no ear: cyclic
 		}
-		alive[ear] = false
-		parent[ear] = earParent
-		for _, t := range vars[ear] {
+		alive[ear] = 0
+		if parent != nil {
+			parent[ear] = earParent
+		}
+		for _, t := range ids[off[ear]:off[ear+1]] {
 			occ[t]--
-		}
-		remaining--
-	}
-	return &Forest{Atoms: nodes, Parent: parent}, true
-}
-
-func containsAll(haystack, needles []term.Term) bool {
-	for _, t := range needles {
-		found := false
-		for _, h := range haystack {
-			if h == t {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
 		}
 	}
 	return true
 }
 
-// IsAcyclic reports whether the atoms form an acyclic hypergraph.
-func IsAcyclic(atoms []instance.Atom) bool {
-	_, ok := GYO(atoms)
-	return ok
+// firstShared returns the edge's first term that another alive edge
+// holds too, or -1 when it shares none.
+func firstShared(edge, occ []int32) int32 {
+	for _, t := range edge {
+		if occ[t] > 1 {
+			return t
+		}
+	}
+	return -1
+}
+
+// holdsShared reports whether other holds every term of edge that some
+// other alive edge holds too.
+func holdsShared(other, edge, occ []int32) bool {
+	for _, t := range edge {
+		if occ[t] > 1 && !slices.Contains(other, t) {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of nodes.

@@ -6,6 +6,7 @@
 package instance
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -109,13 +110,12 @@ func (a Atom) Clone() Atom {
 }
 
 // Terms returns the distinct terms of the atom in order of first
-// occurrence.
+// occurrence. Arities are small, so duplicates are found by scanning
+// the output rather than through a set.
 func (a Atom) Terms() []term.Term {
-	seen := make(map[term.Term]bool, len(a.Args))
 	out := make([]term.Term, 0, len(a.Args))
 	for _, t := range a.Args {
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}

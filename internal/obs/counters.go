@@ -50,8 +50,10 @@ var (
 	SearchRuns       = reg("semacyclic.search.runs")
 	SearchCandidates = reg("semacyclic.search.candidates")
 
-	// ContainmentChecks counts containment decisions (Contains and
-	// Prepared.Check calls).
+	// ContainmentChecks counts containment decisions made by a Σ
+	// procedure (Contains and Prepared.Check calls). The plain
+	// Chandra–Merlin containment core's witness verification tries
+	// first is not counted.
 	ContainmentChecks = reg("semacyclic.containment.checks")
 
 	// HomEnumerations / HomBacktracks aggregate the backtracking

@@ -185,7 +185,9 @@ type ContainmentStats struct {
 	// RewriteComplete reports whether the rewriting was exhaustive.
 	RewriteComplete bool `json:"rewrite_complete" sem:"det"`
 	// PreparedChecks is the number of Check calls served by the
-	// prepared right-hand side — the Prepare reuse count.
+	// prepared right-hand side — the Prepare reuse count. The checker
+	// serves layers 2 and 3 before layer 4, so their checks count too,
+	// and a checker the caller supplied brings its earlier checks.
 	// NONDETERMINISTIC (aborted branches verify extra candidates).
 	PreparedChecks int64 `json:"prepared_checks" sem:"nondet"`
 }

@@ -329,6 +329,22 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// Constants in the namespace that freezing reserves are refused with a
+// 400, in the query and in Σ: before, /decide answered yes with a
+// witness in which such a constant had thawed into a variable.
+func TestDecideRejectsFrozenConstants(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, req := range []DecideRequest{
+		{Query: "q :- E(x,y), E(x,'\x01c:w')."},
+		{Query: "q :- E(x,y), E(y,z), E(z,x).", Deps: "E(x,y) -> F(x,'\x01c:y')."},
+	} {
+		resp, body := post(t, ts, "/decide", req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "reserved frozen namespace") {
+			t.Errorf("%+v: status = %d (%s), want 400 naming the reserved namespace", req, resp.StatusCode, body)
+		}
+	}
+}
+
 // /approximate returns an acyclic approximation and caches it under its
 // own key space.
 func TestApproximate(t *testing.T) {

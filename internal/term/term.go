@@ -187,6 +187,21 @@ func (t Term) Compare(u Term) int {
 	return strings.Compare(t.Name, u.Name)
 }
 
+// FrozenPrefix begins the name of every frozen constant: freezing a
+// query (its canonical database, Lemma 1 of the paper) replaces each
+// variable x by the constant FrozenPrefix + x, and thawing maps such a
+// constant back to x. The namespace is reserved: queries and
+// dependencies must not mention constants in it, or a user constant
+// would thaw into a variable (their Validate methods reject them).
+// Instances may hold such constants; they are plain constants there.
+const FrozenPrefix = "\x01c:"
+
+// IsFrozen reports whether t is a constant in the reserved frozen
+// namespace (see FrozenPrefix).
+func IsFrozen(t Term) bool {
+	return t.K == Constant && strings.HasPrefix(t.Name, FrozenPrefix)
+}
+
 // freshCounter backs FreshNull and FreshVar. A process-global atomic is
 // deliberate: the chase requires nulls "not occurring in I", and a
 // global counter guarantees freshness across every instance in the

@@ -59,9 +59,22 @@ echo "== allocation guards (no race: counts must be exact) =="
 # path promises a steady-state hom.Exists with 0 allocs (pooled
 # enumerator) and a canonical key in a handful (cq), and the telemetry
 # nil-recorder span hook promises 0 allocs/op so untraced requests pay
-# nothing. The guards skip themselves under -race, so run them once
-# without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/
+# nothing. The candidate kernels are copy-free: hom.Core freezes once
+# per round rather than cloning per victim, DedupAtoms copies into one
+# slab, and IsAcyclic builds no forest, keys or per-atom slices. The
+# guards skip themselves under -race, so run them once without it.
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/
+
+echo "== reference gate =="
+# The allocation-light kernels against the implementations they
+# replaced, kept as test-only references: hom.Core (same retraction,
+# atom for atom) and the enumerator's atom order, cq's DedupAtoms and
+# CanonicalKey, hypergraph's IsAcyclic and GYO (same forest); and the
+# decision's hoisted witness verification against
+# containment.Equivalent, with a caller's Prepared serving layers 2-3.
+# -count=1: a cached 'ok' can never satisfy the gate.
+go test -count=1 -run 'MatchesReference|MatchesEquivalent|PreparedServes' \
+    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/core/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
