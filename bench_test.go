@@ -230,7 +230,7 @@ func BenchmarkT1_SemAc(b *testing.B) {
 func BenchmarkT2_FPTEvaluation(b *testing.B) {
 	q := gen.Example1Query()
 	set := gen.Example1TGD()
-	ev, err := core.NewEvaluator(q, set, core.Options{})
+	p, err := core.CompilePlan(q, set, core.Options{}, core.MethodYannakakis)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkT2_FPTEvaluation(b *testing.B) {
 		db := gen.Example1DB(r, scale, scale, 10)
 		b.Run(fmt.Sprintf("atoms=%d", db.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ev.EvaluateBool(db); err != nil {
+				if _, _, err := p.Execute(db, core.EvalOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,7 +255,9 @@ func BenchmarkT3_CoverGameEvaluation(b *testing.B) {
 	db := gen.RandomGraphDB(r, 300, 80)
 	b.Run("game", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			game.Evaluate(q, db)
+			if _, err := game.Evaluate(q.Atoms, q.Free, db, game.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("direct", func(b *testing.B) {

@@ -307,14 +307,14 @@ func chainQuery(k int) *cq.CQ {
 func runT2() {
 	q := gen.Example1Query()
 	set := gen.Example1TGD()
-	ev, err := core.NewEvaluator(q, set, core.Options{})
+	p, err := core.CompilePlan(q, set, core.Options{}, core.MethodYannakakis)
 	must(err)
 	r := rand.New(rand.NewSource(4))
 	fmt.Printf("%-10s %-14s %-16s\n", "|D|", "bool eval", "time per atom")
 	for _, scale := range []int{100, 200, 400, 800, 1600} {
 		db := gen.Example1DB(r, scale, scale, 10)
 		t := timeIt(func() {
-			_, err := ev.EvaluateBool(db)
+			_, _, err := p.Execute(db, core.EvalOptions{})
 			must(err)
 		})
 		fmt.Printf("%-10d %-14s %-16s\n", db.Len(), t, time.Duration(int64(t)/int64(db.Len()+1)))
@@ -330,7 +330,11 @@ func runT3() {
 	for _, scale := range []int{50, 100, 200, 400} {
 		db := gen.RandomGraphDB(r, scale, scale/3)
 		var ng, nd int
-		tg := timeIt(func() { ng = len(game.Evaluate(q, db)) })
+		tg := timeIt(func() {
+			ans, err := game.Evaluate(q.Atoms, q.Free, db, game.Options{})
+			must(err)
+			ng = len(ans)
+		})
 		td := timeIt(func() { nd = len(hom.Evaluate(q, db)) })
 		fmt.Printf("%-10d %-12s %-12s %-12v\n", db.Len(), tg, td, ng == nd)
 	}

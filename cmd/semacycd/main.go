@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"semacyclic/internal/obs"
 	"semacyclic/internal/server"
 )
 
@@ -43,9 +42,6 @@ func run(args []string) int {
 	slowMS := fs.Int64("slow-ms", 0, "log requests slower than this many milliseconds with their span tree (0 = off)")
 	traceRing := fs.Int("trace-ring", 128, "recent request traces kept for GET /debug/traces")
 	_ = fs.Parse(args)
-
-	// Publish is idempotent: server.New publishes again, harmlessly.
-	obs.Publish()
 
 	cfg := server.Config{
 		Workers:          *workers,

@@ -140,10 +140,14 @@ func ExampleEvaluateGuardedGame() {
 	if err != nil {
 		panic(err)
 	}
-	for _, t := range semacyclic.EvaluateGuardedGame(q, db) {
+	answers, err := semacyclic.EvaluateGuardedGame(q, db)
+	if err != nil {
+		panic(err)
+	}
+	for _, t := range answers {
 		fmt.Println(t[0].Name)
 	}
-	// Unordered output:
+	// Output:
 	// a
 	// b
 }
@@ -166,7 +170,7 @@ func ExampleEvaluateEGDGame() {
 	for _, t := range answers {
 		fmt.Println(t[0].Name, t[1].Name)
 	}
-	// Unordered output:
+	// Output:
 	// a b
 	// c d
 }

@@ -94,7 +94,10 @@ Parent(kurt, kurt).
 	if err != nil {
 		log.Fatal(err)
 	}
-	viaGame := semacyclic.EvaluateGuardedGame(q2, db)
+	viaGame, err := semacyclic.EvaluateGuardedGame(q2, db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nanswers: direct=%d, witness=%d, game=%d (all agree: %v)\n",
 		len(direct), len(viaWitness), len(viaGame),
 		len(direct) == len(viaWitness) && len(direct) == len(viaGame))

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
@@ -54,16 +52,6 @@ type Options struct {
 	// Trace records every chase step in Result.Trace. Off by default:
 	// long chases produce long traces.
 	Trace bool
-	// Parallelism, when > 1, evaluates tgd-body applicability for the
-	// distinct dependencies of a round concurrently: each tgd's
-	// triggers are collected by one goroutine against the round-start
-	// instance (a read-only snapshot), and the collected triggers are
-	// then fired by a single writer in dependency order, re-checked
-	// against the mutated instance. The chase reaches the same fixpoint
-	// as the sequential rounds — triggers enabled mid-round are picked
-	// up next round — but null naming may differ from the sequential
-	// interleaving. Default (0 or 1): sequential rounds.
-	Parallelism int
 	// Cancel, when non-nil, aborts the run as soon as the channel is
 	// closed (or receives); Run then returns ErrCancelled. The channel
 	// is polled before every trigger firing, every egd application and
@@ -196,8 +184,7 @@ type state struct {
 	// chase so each trigger fires at most once; fpBuf builds them.
 	fired map[string]bool
 	fpBuf []byte
-	// vars holds each tgd's variable lists, computed once per run;
-	// parallel trigger collection only reads them.
+	// vars holds each tgd's variable lists, computed once per run.
 	vars []tgdVars
 	// scratch is the one substitution the single-writer firing loop
 	// binds a trigger's frontier (and then its nulls) into.
@@ -249,27 +236,15 @@ func (s *state) run() error {
 // reports whether anything fired and whether any application was
 // suppressed by a budget.
 //
-// Sequential rounds interleave collection and firing: tgd i's triggers
-// are collected against the instance already mutated by tgds < i.
-// Parallel rounds (Options.Parallelism > 1) snapshot-collect all tgds
-// concurrently first, then fire under a single writer; the restricted
-// re-check below keeps stale triggers sound, and triggers enabled by
-// this round's firings are collected next round. A round that fires
-// nothing left the instance untouched, so its snapshot was current and
-// the fixpoint claim is exact in both modes.
+// A round interleaves collection and firing: tgd i's triggers are
+// collected against the instance already mutated by tgds < i, and the
+// restricted re-check below keeps triggers made stale by tgd i's own
+// firings sound. A round that fires nothing left the instance
+// untouched, so the fixpoint claim is exact.
 func (s *state) tgdPass() (progressed, truncated bool, err error) {
 	s.stats.Rounds++
-	var collected [][]trigger
-	if s.opt.Parallelism > 1 && len(s.set.TGDs) > 1 {
-		collected = s.collectTriggersParallel()
-	}
 	for ti := range s.set.TGDs {
-		var triggers []trigger
-		if collected != nil {
-			triggers = collected[ti]
-		} else {
-			triggers = s.collectTriggers(ti)
-		}
+		triggers := s.collectTriggers(ti)
 		s.stats.TriggersCollected += len(triggers)
 		for _, trig := range triggers {
 			if s.cancelled() {
@@ -316,8 +291,7 @@ type trigger struct {
 // collectTriggers snapshots the homomorphisms from tgd ti's body into
 // the current instance, keeping the frontier images and body-image
 // depth. It only reads the instance, the depth map and the tgd's
-// variable lists, so distinct calls may run concurrently between
-// mutations.
+// variable lists.
 func (s *state) collectTriggers(ti int) []trigger {
 	t, tv := s.set.TGDs[ti], &s.vars[ti]
 	var out []trigger
@@ -355,35 +329,6 @@ func appendImages(slab []term.Term, h term.Subst, vars []term.Term) ([]term.Term
 		slab = append(slab, h.Resolve(v))
 	}
 	return slab, slab[start:len(slab):len(slab)]
-}
-
-// collectTriggersParallel collects every tgd's triggers concurrently
-// against the current (round-start) instance. Collection is read-only;
-// per-tgd trigger order is preserved because each tgd is scanned by a
-// single goroutine, so firing order stays deterministic.
-func (s *state) collectTriggersParallel() [][]trigger {
-	out := make([][]trigger, len(s.set.TGDs))
-	workers := s.opt.Parallelism
-	if workers > len(s.set.TGDs) {
-		workers = len(s.set.TGDs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(s.set.TGDs) {
-					return
-				}
-				out[i] = s.collectTriggers(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // bindFrontier binds tgd ti's frontier variables to images in the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"semacyclic/internal/cq"
@@ -12,58 +14,59 @@ import (
 	"semacyclic/internal/term"
 )
 
+// executePlan compiles (q, Σ) with method and executes it on db.
+func executePlan(t *testing.T, q *cq.CQ, set *deps.Set, method string, db *instance.Instance) [][]term.Term {
+	t.Helper()
+	p, err := CompilePlan(q, set, Options{}, method)
+	if err != nil {
+		t.Fatalf("compile %s: %v", method, err)
+	}
+	ans, _, err := p.Execute(db, EvalOptions{})
+	if err != nil {
+		t.Fatalf("execute %s: %v", method, err)
+	}
+	return ans
+}
+
+// The Yannakakis plan — what the facade's Evaluator runs — computes the
+// reformulation once and answers exactly as direct evaluation does.
 func TestEvaluatorMatchesDirectEvaluation(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	q := gen.Example1Query()
-	set := gen.Example1TGD()
-	ev, err := NewEvaluator(q, set, Options{})
+	p, err := CompilePlan(q, gen.Example1TGD(), Options{}, MethodYannakakis)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p.Verdict != Yes {
+		t.Errorf("plan verdict %s, want yes", p.Verdict)
+	}
 	for trial := 0; trial < 10; trial++ {
 		db := gen.Example1DB(r, 4+r.Intn(8), 4+r.Intn(8), 3)
-		fast, err := ev.Evaluate(db)
+		fast, _, err := p.Execute(db, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		slow := hom.Evaluate(q, db)
-		if len(fast) != len(slow) {
-			t.Fatalf("trial %d: |fast|=%d |slow|=%d on %s", trial, len(fast), len(slow), db)
+		if fmt.Sprint(fast) != fmt.Sprint(slow) {
+			t.Fatalf("trial %d: answers differ: %v vs %v on %s", trial, fast, slow, db)
 		}
-		for i := range slow {
-			for j := range slow[i] {
-				if fast[i][j] != slow[i][j] {
-					t.Fatalf("trial %d: answers differ: %v vs %v", trial, fast[i], slow[i])
-				}
-			}
-		}
-	}
-	if ev.Result().Verdict != Yes {
-		t.Error("evaluator result not yes")
 	}
 }
 
 func TestEvaluatorBool(t *testing.T) {
 	q := gen.Example1Query()
-	ev, err := NewEvaluator(q, gen.Example1TGD(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(6))
-	db := gen.Example1DB(r, 5, 5, 3)
-	ok, err := ev.EvaluateBool(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok != hom.EvaluateBool(q, db) {
+	db := gen.Example1DB(rand.New(rand.NewSource(6)), 5, 5, 3)
+	ans := executePlan(t, q, gen.Example1TGD(), MethodYannakakis, db)
+	if (len(ans) > 0) != hom.EvaluateBool(q, db) {
 		t.Error("bool evaluation disagrees")
 	}
 }
 
 func TestNewEvaluatorRejectsNonSemAc(t *testing.T) {
 	tri := cq.MustParse("q :- E(x,y), E(y,z), E(z,x).")
-	if _, err := NewEvaluator(tri, emptySet(), Options{}); err == nil {
-		t.Error("evaluator accepted a non-semantically-acyclic query")
+	_, err := CompilePlan(tri, emptySet(), Options{}, MethodYannakakis)
+	if err == nil || !strings.Contains(err.Error(), "not verifiably semantically acyclic") {
+		t.Errorf("yannakakis plan of a non-semantically-acyclic query: err = %v", err)
 	}
 }
 
@@ -71,22 +74,16 @@ func TestEvaluateGuardedGame(t *testing.T) {
 	// Under the guarded set E(x,y) → P(x) the query is semantically
 	// acyclic (its core is already acyclic), and the database below
 	// satisfies it; Theorem 25 says the game decides evaluation.
+	set := deps.MustParse("E(x,y) -> P(x).")
 	q := cq.MustParse("q(x) :- E(x,y), P(x).")
 	db := instance.MustFromAtoms(
 		instance.NewAtom("E", term.Const("a"), term.Const("b")),
 		instance.NewAtom("P", term.Const("a")),
 		instance.NewAtom("P", term.Const("z")),
 	)
-	got := EvaluateGuardedGame(q, db)
-	want := hom.Evaluate(q, db)
-	if len(got) != len(want) {
+	got := executePlan(t, q, set, MethodGuardedGame, db)
+	if want := hom.Evaluate(q, db); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 1 {
 		t.Fatalf("game answers %v, direct %v", got, want)
-	}
-	if !GuardedGameHasTuple(q, db, []term.Term{term.Const("a")}) {
-		t.Error("game missed the answer")
-	}
-	if GuardedGameHasTuple(q, db, []term.Term{term.Const("z")}) {
-		t.Error("game accepted a non-answer")
 	}
 }
 
@@ -102,25 +99,17 @@ func TestEvaluateEGDGame(t *testing.T) {
 		instance.NewAtom("R", term.Const("c"), term.Const("d")),
 		instance.NewAtom("P", term.Const("d")),
 	)
-	got, err := EvaluateEGDGame(q, set, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hom.Evaluate(q, db)
-	if len(got) != len(want) || len(got) != 1 || got[0][0] != term.Const("a") {
+	got := executePlan(t, q, set, MethodEGDGame, db)
+	if want := hom.Evaluate(q, db); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 1 {
 		t.Fatalf("game answers %v, direct %v", got, want)
 	}
 	// Boolean variant.
 	qb := cq.MustParse("q :- R(x,y), P(y), R(x,z), Q(z).")
-	gotB, err := EvaluateEGDGame(qb, set, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotB) != 1 {
+	if gotB := executePlan(t, qb, set, MethodEGDGame, db); len(gotB) != 1 {
 		t.Errorf("boolean game answers = %v", gotB)
 	}
 	// Rejects tgd sets.
-	if _, err := EvaluateEGDGame(q, deps.MustParse("R(x,y) -> P(y)."), db); err == nil {
+	if _, err := CompilePlan(q, deps.MustParse("R(x,y) -> P(y)."), Options{}, MethodEGDGame); err == nil {
 		t.Error("tgd set accepted")
 	}
 }

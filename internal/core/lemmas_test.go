@@ -142,8 +142,14 @@ func TestLemma32(t *testing.T) {
 		// from D's terms.
 		for _, cand := range D.Terms() {
 			tuple := []term.Term{cand}
-			onQ := game.Covers(q.Atoms, q.Free, D, tuple)
-			onChase := game.Covers(chq.Instance.Atoms(), frozen, D, tuple)
+			onQ, err := game.Covers(q.Atoms, q.Free, D, tuple, game.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			onChase, err := game.Covers(chq.Instance.Atoms(), frozen, D, tuple, game.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if onQ != onChase {
 				t.Fatalf("Lemma 32 violated for %v:\nq-game=%v chase-game=%v\nD=%s",
 					cand, onQ, onChase, D)

@@ -89,8 +89,7 @@ type EvalOptions struct {
 //   - yannakakis: like auto but fails unless the decision is Yes.
 //   - guarded-game: the Theorem 25 evaluator; requires a guarded pure
 //     tgd set. The decision is skipped — that is the theorem's point —
-//     so the semantic-acyclicity precondition is the caller's, exactly
-//     as for EvaluateGuardedGame.
+//     so the semantic-acyclicity precondition is the caller's.
 //   - egd-game: the Section 7 chase-then-game evaluator; requires a
 //     pure egd set. The chase of q happens here, once.
 //   - generic: the backtracking evaluator, no decision at all.
@@ -180,9 +179,13 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 			Trace:  eopt.Trace,
 		})
 	case MethodGuardedGame:
-		ans, err = game.EvaluateOpt(p.Query, db, game.Options{Cancel: eopt.Cancel})
+		ans, err = game.Evaluate(p.Query.Atoms, p.Query.Free, db, game.Options{Cancel: eopt.Cancel})
 	case MethodEGDGame:
-		ans, err = egdGameAnswers(p.Query, p.pattern, p.frozen, db, eopt.Cancel)
+		// A nil pattern (failing chase at compile time) is the empty
+		// answer set; the game would cover an empty pattern.
+		if p.pattern != nil {
+			ans, err = game.Evaluate(p.pattern, p.frozen, db, game.Options{Cancel: eopt.Cancel})
+		}
 	case MethodGeneric:
 		ans, err = genericEvaluate(p.Query, db, eopt.Cancel)
 	default:
@@ -266,84 +269,4 @@ func genericEvaluate(q *cq.CQ, db *instance.Instance, cancel <-chan struct{}) ([
 	}
 	slices.SortFunc(answers, term.CompareTuples)
 	return answers, nil
-}
-
-// egdGameAnswers evaluates a pre-chased egd-game plan: candidate
-// values per free position come from the pattern's predicates, each
-// candidate tuple is checked with the 1-cover game. A nil pattern
-// (failing chase at compile time) means the empty answer set.
-func egdGameAnswers(q *cq.CQ, pattern []instance.Atom, frozen []term.Term, db *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
-	if pattern == nil {
-		return nil, nil
-	}
-	gopt := game.Options{Cancel: cancel}
-	if len(q.Free) == 0 {
-		ok, err := game.CoversOpt(pattern, nil, db, nil, gopt)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return [][]term.Term{{}}, nil
-		}
-		return nil, nil
-	}
-	cand := candidateValues(q, pattern, frozen, db)
-	var out [][]term.Term
-	tuple := make([]term.Term, len(q.Free))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(q.Free) {
-			ok, err := game.CoversOpt(pattern, frozen, db, tuple, gopt)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, append([]term.Term(nil), tuple...))
-			}
-			return nil
-		}
-		for _, v := range cand[i] {
-			tuple[i] = v
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// candidateValues collects, per free position, the database values
-// occurring at a (predicate, position) where the frozen head term
-// occurs in the pattern — the output-bounded candidate domains the
-// egd-game enumeration ranges over. A head coordinate the egd chase
-// equated with a genuine constant is semantically forced to that
-// constant on every Σ-satisfying database, so its domain is that
-// single value (the game check would reject anything else anyway).
-func candidateValues(q *cq.CQ, pattern []instance.Atom, frozen []term.Term, db *instance.Instance) [][]term.Term {
-	cand := make([][]term.Term, len(q.Free))
-	for i, f := range frozen {
-		if f.IsConst() && !cq.IsFrozenConst(f) {
-			cand[i] = []term.Term{f}
-			continue
-		}
-		seen := make(map[term.Term]bool)
-		for _, a := range pattern {
-			for p, t := range a.Args {
-				if t != f {
-					continue
-				}
-				for _, fact := range db.ByPred(a.Pred) {
-					if p < len(fact.Args) && !seen[fact.Args[p]] {
-						seen[fact.Args[p]] = true
-						cand[i] = append(cand[i], fact.Args[p])
-					}
-				}
-			}
-		}
-	}
-	return cand
 }

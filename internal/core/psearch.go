@@ -263,7 +263,7 @@ func (e *searchEngine) run() (*cq.CQ, int, bool, error) {
 			// deterministic fields at their "not defined" sentinels,
 			// because a truncated run has no reconstructible sequential
 			// prefix. This keeps a cancelled run's partial Stats (and
-			// the process-global expvar counters) consistent instead of
+			// the process-global obs counters) consistent instead of
 			// dropping the buffered flushes.
 			e.fillStats(examined, -1, -1, false)
 			return nil, examined, false, oc.err

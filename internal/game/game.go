@@ -12,6 +12,7 @@ package game
 
 import (
 	"errors"
+	"slices"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
@@ -62,15 +63,9 @@ type posPair struct{ pi, pj int }
 // Covers decides whether the duplicator wins the existential 1-cover
 // game on (pattern, ptuple) versus (target, ttuple): Lemma 28's H
 // exists. ptuple and ttuple must have equal length; position i of
-// ptuple is pinned to position i of ttuple.
-func Covers(pattern []instance.Atom, ptuple []term.Term, target *instance.Instance, ttuple []term.Term) bool {
-	ok, _ := CoversOpt(pattern, ptuple, target, ttuple, Options{})
-	return ok
-}
-
-// CoversOpt is Covers with cancellation support: on Options.Cancel it
-// aborts the arc-consistency fixpoint and returns ErrCancelled.
-func CoversOpt(pattern []instance.Atom, ptuple []term.Term, target *instance.Instance, ttuple []term.Term, opt Options) (bool, error) {
+// ptuple is pinned to position i of ttuple. On Options.Cancel it aborts
+// the arc-consistency fixpoint and returns ErrCancelled.
+func Covers(pattern []instance.Atom, ptuple []term.Term, target *instance.Instance, ttuple []term.Term, opt Options) (bool, error) {
 	if len(ptuple) != len(ttuple) {
 		return false, nil
 	}
@@ -222,74 +217,29 @@ func imageOf(a, fact instance.Atom, pin map[term.Term]term.Term) (candidate, boo
 	return img, true
 }
 
-// HasTuple reports whether (q, x̄) ≡∃1c (db, tuple): under the premises
-// of Theorem 25 (q semantically acyclic under guarded Σ, db ⊨ Σ) this
-// decides tuple ∈ q(db) in polynomial time. Without those premises it
-// is a sound overapproximation of CQ evaluation (never misses a real
-// answer).
-func HasTuple(q *cq.CQ, db *instance.Instance, tuple []term.Term) bool {
-	return Covers(q.Atoms, q.Free, db, tuple)
-}
-
-// Bool reports whether the Boolean game holds: (q) ≡∃1c (db) with
-// empty tuples.
-func Bool(q *cq.CQ, db *instance.Instance) bool {
-	return Covers(q.Atoms, nil, db, nil)
-}
-
-// Evaluate enumerates the game-certified answers of q over db: every
-// tuple over db's terms passing HasTuple. Candidate values per free
-// variable are drawn from the positions where the variable occurs, so
-// the enumeration is output-bounded per position rather than |D|^k
-// blind. Under Theorem 25's premises this is exactly q(db).
-func Evaluate(q *cq.CQ, db *instance.Instance) [][]term.Term {
-	out, _ := EvaluateOpt(q, db, Options{})
-	return out
-}
-
-// EvaluateOpt is Evaluate with cancellation support: on Options.Cancel
-// the enumeration stops and ErrCancelled is returned.
-func EvaluateOpt(q *cq.CQ, db *instance.Instance, opt Options) ([][]term.Term, error) {
-	if len(q.Free) == 0 {
-		ok, err := CoversOpt(q.Atoms, nil, db, nil, opt)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return [][]term.Term{{}}, nil
-		}
-		return nil, nil
-	}
-	// Candidate values for each free variable: terms appearing at some
-	// position where the variable occurs in q.
-	cand := make([][]term.Term, len(q.Free))
-	for i, x := range q.Free {
-		seen := make(map[term.Term]bool)
-		for _, a := range q.Atoms {
-			for pos, t := range a.Args {
-				if t != x {
-					continue
-				}
-				for _, fact := range db.ByPred(a.Pred) {
-					if pos < len(fact.Args) && !seen[fact.Args[pos]] {
-						seen[fact.Args[pos]] = true
-						cand[i] = append(cand[i], fact.Args[pos])
-					}
-				}
-			}
-		}
-	}
+// Evaluate enumerates the game-certified answers of (pattern, ptuple)
+// over db: every tuple t̄ with (pattern, ptuple) ≡∃1c (db, t̄), once
+// each, in database order rather than canonical order. Under Theorem
+// 25's premises, with pattern = q's atoms and ptuple = x̄, this is
+// exactly q(db); with pattern = chase(q,Σ) and ptuple its frozen head
+// it is Section 7's egd evaluation. Without those premises it
+// overapproximates CQ evaluation (never misses a real answer). A
+// Boolean ptuple yields {()} or nothing. On Options.Cancel the
+// enumeration stops and ErrCancelled is returned.
+func Evaluate(pattern []instance.Atom, ptuple []term.Term, db *instance.Instance, opt Options) ([][]term.Term, error) {
+	cand := domains(pattern, ptuple, db)
 	var out [][]term.Term
-	tuple := make([]term.Term, len(q.Free))
+	tuple := make([]term.Term, len(ptuple))
 	var rec func(i int) error
 	rec = func(i int) error {
-		if i == len(q.Free) {
-			ok, err := CoversOpt(q.Atoms, q.Free, db, tuple, opt)
+		if i == len(ptuple) {
+			ok, err := Covers(pattern, ptuple, db, tuple, opt)
 			if err != nil {
 				return err
 			}
 			if ok {
-				out = append(out, append([]term.Term(nil), tuple...))
+				// Clone keeps a Boolean answer a non-nil empty tuple.
+				out = append(out, slices.Clone(tuple))
 			}
 			return nil
 		}
@@ -305,4 +255,36 @@ func EvaluateOpt(q *cq.CQ, db *instance.Instance, opt Options) ([][]term.Term, e
 		return nil, err
 	}
 	return out, nil
+}
+
+// domains collects the candidate values of each position of ptuple,
+// keeping the enumeration output-bounded per position rather than
+// |D|^k blind. A rigid ptuple element (a genuine constant, e.g. a head
+// coordinate the egd chase equated with a query constant) can only be
+// its own image, so its domain is that single value. A flexible one
+// ranges over the database values at every (predicate, position) where
+// it occurs in the pattern.
+func domains(pattern []instance.Atom, ptuple []term.Term, db *instance.Instance) [][]term.Term {
+	cand := make([][]term.Term, len(ptuple))
+	for i, x := range ptuple {
+		if !flexibleElem(x) {
+			cand[i] = []term.Term{x}
+			continue
+		}
+		seen := make(map[term.Term]bool)
+		for _, a := range pattern {
+			for pos, t := range a.Args {
+				if t != x {
+					continue
+				}
+				for _, fact := range db.ByPred(a.Pred) {
+					if pos < len(fact.Args) && !seen[fact.Args[pos]] {
+						seen[fact.Args[pos]] = true
+						cand[i] = append(cand[i], fact.Args[pos])
+					}
+				}
+			}
+		}
+	}
+	return cand
 }

@@ -16,19 +16,35 @@ func edge(a, b string) instance.Atom {
 	return instance.NewAtom("E", term.Const(a), term.Const(b))
 }
 
+// covers is Covers without cancellation, failing the test on error.
+func covers(t *testing.T, pattern []instance.Atom, ptuple []term.Term, db *instance.Instance, ttuple []term.Term) bool {
+	t.Helper()
+	ok, err := Covers(pattern, ptuple, db, ttuple, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+// holds reports whether the Boolean game holds on (q) versus (db).
+func holds(t *testing.T, q *cq.CQ, db *instance.Instance) bool {
+	t.Helper()
+	return covers(t, q.Atoms, nil, db, nil)
+}
+
 func TestGameAgreesWithHomOnAcyclicQueries(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "b"), edge("b", "c"), edge("b", "d"))
 	q := cq.MustParse("q(x,z) :- E(x,y), E(y,z).")
-	if !HasTuple(q, db, []term.Term{term.Const("a"), term.Const("c")}) {
+	if !covers(t, q.Atoms, q.Free, db, []term.Term{term.Const("a"), term.Const("c")}) {
 		t.Error("game missed (a,c)")
 	}
-	if HasTuple(q, db, []term.Term{term.Const("c"), term.Const("a")}) {
+	if covers(t, q.Atoms, q.Free, db, []term.Term{term.Const("c"), term.Const("a")}) {
 		t.Error("game accepted (c,a)")
 	}
-	if !Bool(cq.MustParse("q :- E(x,y)."), db) {
+	if !holds(t, cq.MustParse("q :- E(x,y)."), db) {
 		t.Error("Boolean game false")
 	}
-	if Bool(cq.MustParse("q :- E(x,x)."), db) {
+	if holds(t, cq.MustParse("q :- E(x,x)."), db) {
 		t.Error("loop query true on loop-free graph")
 	}
 }
@@ -44,7 +60,7 @@ func TestGameOverapproximatesOnCyclicQueries(t *testing.T) {
 	if hom.EvaluateBool(tri, db) {
 		t.Fatal("C6 should not contain a directed triangle")
 	}
-	if !Bool(tri, db) {
+	if !holds(t, tri, db) {
 		t.Error("1-cover game should overapproximate the triangle on C6")
 	}
 }
@@ -52,11 +68,11 @@ func TestGameOverapproximatesOnCyclicQueries(t *testing.T) {
 func TestGameRespectsConstants(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "b"))
 	q := cq.MustParse("q :- E('a',y).")
-	if !Bool(q, db) {
+	if !holds(t, q, db) {
 		t.Error("constant-anchored query false")
 	}
 	q2 := cq.MustParse("q :- E('zzz',y).")
-	if Bool(q2, db) {
+	if holds(t, q2, db) {
 		t.Error("missing constant matched")
 	}
 }
@@ -65,12 +81,12 @@ func TestGameRespectsRepeatedTupleElements(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "b"))
 	q := cq.MustParse("q(x,y) :- E(x,y).")
 	// Tuple (a,a) requires x and y to map to the same element — no.
-	if HasTuple(q, db, []term.Term{term.Const("a"), term.Const("a")}) {
+	if covers(t, q.Atoms, q.Free, db, []term.Term{term.Const("a"), term.Const("a")}) {
 		t.Error("accepted mismatched repeated pin")
 	}
 	// Pattern side repeats: q(x,x) against tuple (a,b) must fail fast.
 	q2 := cq.MustParse("q(x,x2) :- E(x,x2), E(x2,x).")
-	if HasTuple(q2, db, []term.Term{term.Const("a"), term.Const("b")}) {
+	if covers(t, q2.Atoms, q2.Free, db, []term.Term{term.Const("a"), term.Const("b")}) {
 		t.Error("accepted impossible cycle pin")
 	}
 }
@@ -83,10 +99,10 @@ func TestGameRigidConstantPin(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "a"), edge("b", "a"))
 	pattern := []instance.Atom{edge("a", "a")}
 	pinned := []term.Term{term.Const("a")}
-	if !Covers(pattern, pinned, db, []term.Term{term.Const("a")}) {
+	if !covers(t, pattern, pinned, db, []term.Term{term.Const("a")}) {
 		t.Error("identity pin on a rigid constant rejected")
 	}
-	if Covers(pattern, pinned, db, []term.Term{term.Const("b")}) {
+	if covers(t, pattern, pinned, db, []term.Term{term.Const("b")}) {
 		t.Error("pin mapped a rigid constant to a different element")
 	}
 }
@@ -94,14 +110,14 @@ func TestGameRigidConstantPin(t *testing.T) {
 func TestGameArityMismatch(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "b"))
 	q := cq.MustParse("q(x) :- E(x,y).")
-	if HasTuple(q, db, []term.Term{term.Const("a"), term.Const("b")}) {
+	if covers(t, q.Atoms, q.Free, db, []term.Term{term.Const("a"), term.Const("b")}) {
 		t.Error("tuple arity mismatch accepted")
 	}
 }
 
 func TestGameEmptyPattern(t *testing.T) {
 	db := instance.MustFromAtoms(edge("a", "b"))
-	if !Covers(nil, nil, db, nil) {
+	if !covers(t, nil, nil, db, nil) {
 		t.Error("empty pattern should be covered")
 	}
 }
@@ -122,7 +138,10 @@ func TestEvaluateMatchesHomOnAcyclic(t *testing.T) {
 		}
 		q := cq.MustParse(queries[r.Intn(len(queries))])
 		want := hom.Evaluate(q, db)
-		got := Evaluate(q, db)
+		got, err := Evaluate(q.Atoms, q.Free, db, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sortTuples(got)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d answers, want %d (q=%s db=%s)\n%v\n%v",
@@ -167,7 +186,7 @@ func TestGameSoundnessProperty(t *testing.T) {
 		}
 		q := queries[r.Intn(len(queries))]
 		for _, ans := range hom.Evaluate(q, db) {
-			if !HasTuple(q, db, ans) {
+			if !covers(t, q.Atoms, q.Free, db, ans) {
 				t.Fatalf("game rejected certified answer %v of %s on %s", ans, q, db)
 			}
 		}

@@ -1,14 +1,9 @@
 package obs
 
-import (
-	"expvar"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Counter is a named process-global counter: always-on, lock-free, and
-// publishable through expvar. Counters only ever grow; readers take
-// snapshots and diff them.
+// Counter is a named process-global counter: always-on and lock-free.
+// Counters only ever grow; readers take snapshots and diff them.
 type Counter struct {
 	name string
 	v    atomic.Int64
@@ -20,7 +15,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Name returns the counter's expvar name.
+// Name returns the counter's name; /metrics exports it as
+// <name>_total with dots turned into underscores.
 func (c *Counter) Name() string { return c.name }
 
 var registry []*Counter
@@ -128,19 +124,4 @@ func (s Snapshot) HomDelta() HomStats {
 // the serving histograms.
 func All() []*Counter {
 	return registry
-}
-
-var publishOnce sync.Once
-
-// Publish registers every global counter with expvar (idempotent).
-// Importing expvar also installs the /debug/vars handler on
-// http.DefaultServeMux; semacycd's server mounts expvar.Handler, which
-// exposes the counters over HTTP.
-func Publish() {
-	publishOnce.Do(func() {
-		for _, c := range registry {
-			c := c
-			expvar.Publish(c.name, expvar.Func(func() any { return c.Load() }))
-		}
-	})
 }

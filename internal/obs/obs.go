@@ -1,7 +1,7 @@
 // Package obs is the decision pipeline's observability layer: per-run
 // statistics structs that flow out on core.Result, process-global
-// always-on counters published through expvar, and the determinism
-// bookkeeping that keeps the two kinds of numbers honest.
+// always-on counters (exported by semacycd's /metrics), and the
+// determinism bookkeeping that keeps the two kinds of numbers honest.
 //
 // Every counter is classified as DETERMINISTIC or NONDETERMINISTIC:
 //
@@ -71,11 +71,8 @@ type LayerStats struct {
 }
 
 // ChaseStats counts the work of one chase run. All fields are
-// DETERMINISTIC for fixed chase options: the decision pipeline chases
-// with sequential rounds regardless of -j. (Chasing with
-// chase.Options.Parallelism > 1 reaches the same fixpoint but may
-// regroup rounds, changing Rounds and TriggersCollected — the pipeline
-// never does.)
+// DETERMINISTIC for fixed chase options: the chase runs sequential
+// rounds regardless of -j.
 type ChaseStats struct {
 	// Rounds is the number of tgd passes executed (including the final
 	// pass that fires nothing and certifies the fixpoint).

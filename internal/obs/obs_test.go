@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"strings"
 	"testing"
 )
@@ -120,22 +119,5 @@ func TestCountersAndSnapshots(t *testing.T) {
 	after := TakeSnapshot()
 	if after[HomEnumerations.Name()]-before[HomEnumerations.Name()] < 3 {
 		t.Errorf("snapshot delta too small: %v vs %v", after, before)
-	}
-}
-
-func TestPublishIdempotent(t *testing.T) {
-	Publish()
-	Publish() // second call must not panic on duplicate expvar names
-	v := expvar.Get(Decisions.Name())
-	if v == nil {
-		t.Fatalf("counter %s not published", Decisions.Name())
-	}
-	base := Decisions.Load()
-	Decisions.Add(2)
-	if got := v.String(); got == "" {
-		t.Error("published var renders empty")
-	}
-	if Decisions.Load() != base+2 {
-		t.Errorf("Load after Add: got %d, want %d", Decisions.Load(), base+2)
 	}
 }

@@ -40,11 +40,6 @@ type Options struct {
 	// MaxRounds caps the BFS depth (default 10000 — effectively the
 	// disjunct cap governs).
 	MaxRounds int
-	// NoCoreReduction disables core-reducing generated disjuncts. Only
-	// for ablation studies: without reduction the closure diverges on
-	// recursive sticky sets (see the Rewrite implementation comment)
-	// and the UCQ carries redundant disjuncts.
-	NoCoreReduction bool
 	// Cancel, when non-nil, aborts the closure as soon as the channel
 	// is closed (or receives); Rewrite then returns ErrCancelled. The
 	// channel is polled once per (disjunct, tgd) rewriting step, so a
@@ -94,10 +89,7 @@ func Rewrite(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 	}
 	opt = opt.withDefaults()
 
-	start := q.DedupAtoms()
-	if !opt.NoCoreReduction {
-		start = hom.Core(start)
-	}
+	start := hom.Core(q.DedupAtoms())
 	seen := map[string]*cq.CQ{start.CanonicalKey(): start}
 	frontier := []*cq.CQ{start}
 	order := []*cq.CQ{start}
@@ -123,9 +115,7 @@ func Rewrite(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 					// sticky sets, where raw piece-rewriting keeps
 					// producing redundant inflations of earlier
 					// disjuncts.
-					if !opt.NoCoreReduction {
-						r = hom.Core(r)
-					}
+					r = hom.Core(r)
 					k := r.CanonicalKey()
 					if _, ok := seen[k]; ok {
 						continue

@@ -11,7 +11,9 @@
 //	POST /evaluate         — evaluate a query on a loaded instance
 //	                         (optionally over a what-if overlay)
 //	GET  /healthz          — liveness + queue depth
-//	GET  /debug/vars       — the expvar counters (obs.Publish)
+//	GET  /metrics          — Prometheus text: serving histograms and
+//	                         every obs counter
+//	GET  /debug/traces     — recent request span trees
 //
 // Three properties make it suitable for a long-lived deployment:
 //
@@ -35,7 +37,6 @@ package server
 
 import (
 	"errors"
-	"expvar"
 	"io"
 	"net/http"
 	"os"
@@ -46,7 +47,6 @@ import (
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
-	"semacyclic/internal/obs"
 	"semacyclic/internal/telemetry"
 )
 
@@ -190,8 +190,7 @@ var (
 	errDraining  = errors.New("server: draining")
 )
 
-// New builds the server and starts its worker pool. obs counters are
-// published to expvar (idempotently).
+// New builds the server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -216,7 +215,6 @@ func New(cfg Config) *Server {
 		}
 	})
 	s.metrics = newMetricsSet(s)
-	obs.Publish()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -233,7 +231,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.serveHealthz)
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
 	mux.HandleFunc("GET /debug/traces", s.serveTraces)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	s.mux = mux
 	return s
 }

@@ -293,17 +293,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// obs.Publish is idempotent and New publishes: building several servers
-// in one process must not panic with duplicate expvar registration.
-func TestPublishIdempotent(t *testing.T) {
-	obs.Publish()
-	obs.Publish()
-	a := New(Config{Workers: 1})
-	b := New(Config{Workers: 1})
-	a.Drain()
-	b.Drain()
-}
-
 // Parse errors and malformed bodies come back as 400 with a JSON error.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})

@@ -31,7 +31,7 @@ func BenchmarkEvaluateLinearInDB(b *testing.B) {
 		db := benchGraph(size, size/4)
 		b.Run(fmt.Sprintf("atoms=%d", db.Len()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := EvaluateBool(q, db); err != nil {
+				if _, err := Evaluate(q, db); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -39,8 +39,8 @@ func BenchmarkEvaluateLinearInDB(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateWithForest measures the amortization of reusing the
-// join forest across databases.
+// BenchmarkEvaluateWithForest measures the amortization of compiling
+// the query and its join forest once and executing per database.
 func BenchmarkEvaluateWithForest(b *testing.B) {
 	q := cq.MustParse("q(x,w) :- E(x,y), E(y,z), E(z,w).")
 	db := benchGraph(3000, 500)
@@ -55,9 +55,13 @@ func BenchmarkEvaluateWithForest(b *testing.B) {
 	if !ok {
 		b.Fatal("query cyclic")
 	}
+	c, err := Compile(q, forest)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("reused-forest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := EvaluateWithForest(q, forest, db); err != nil {
+			if _, err := c.Execute(db, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,10 +8,26 @@ import (
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/hom"
+	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/term"
 )
+
+// compileExecute compiles an acyclic q over its GYO forest and executes
+// it on db with opt.
+func compileExecute(t *testing.T, q *cq.CQ, db *instance.Instance, opt Options) ([][]term.Term, error) {
+	t.Helper()
+	forest, ok := hypergraph.GYO(q.Atoms)
+	if !ok {
+		t.Fatalf("query %s is cyclic", q)
+	}
+	c, err := Compile(q, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Execute(db, opt)
+}
 
 // randomConstQuery is randomAcyclicQuery with constants substituted for
 // some non-free variables, so the leaf load has bound positions to
@@ -55,7 +71,7 @@ func TestIndexedAgreesWithScanAndNaiveProperty(t *testing.T) {
 		q := randomConstQuery(r)
 		db := randomDB(r, 3+r.Intn(15))
 		var st obs.EvalStats
-		indexed, err := EvaluateOpt(q, db, Options{Stats: &st})
+		indexed, err := compileExecute(t, q, db, Options{Stats: &st})
 		if err != nil {
 			t.Fatalf("trial %d: indexed: %v (query %s)", trial, err, q)
 		}
@@ -101,7 +117,7 @@ func TestIndexStatsSelective(t *testing.T) {
 	}
 	q := cq.MustParse("q(x) :- R('g3',x).")
 	var st obs.EvalStats
-	ans, err := EvaluateOpt(q, db, Options{Stats: &st})
+	ans, err := compileExecute(t, q, db, Options{Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +143,7 @@ func TestEvaluateCancelPreClosed(t *testing.T) {
 	q := cq.MustParse("q(x,y) :- E(x,y).")
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, err := EvaluateOpt(q, db, Options{Cancel: cancel}); !errors.Is(err, ErrCancelled) {
+	if _, err := compileExecute(t, q, db, Options{Cancel: cancel}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
 }

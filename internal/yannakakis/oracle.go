@@ -15,9 +15,9 @@ import (
 // implementation kept verbatim (modulo the O(n) answer-sort fix and the
 // Boolean stop) as the parse/print-boundary semantics reference and as
 // the differential-test oracle for the interned integer-coded path in
-// interned.go. Production callers go through EvaluateWithForestOpt,
-// which compiles to the interned form; nothing outside benchmarks and
-// differential tests should call the oracle. Like the interned path, it
+// interned.go. Production callers go through Compile and
+// Compiled.Execute; nothing outside benchmarks and differential tests
+// should call the oracle. Like the interned path, it
 // answers a Boolean query (no free variables) from the bottom-up
 // semijoin pass alone: no top-down pass, no join.
 
@@ -27,12 +27,6 @@ type node struct {
 	atom instance.Atom
 	vars []term.Term
 	rows [][]term.Term
-}
-
-// EvaluateWithForestOracle is EvaluateWithForestOracleOpt with default
-// options.
-func EvaluateWithForestOracle(q *cq.CQ, forest *hypergraph.Forest, db *instance.Instance) ([][]term.Term, error) {
-	return EvaluateWithForestOracleOpt(q, forest, db, Options{})
 }
 
 // EvaluateWithForestOracleOpt evaluates q over db on the string-keyed

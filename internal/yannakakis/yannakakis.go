@@ -6,10 +6,10 @@
 // query needs only the bottom-up semijoin pass: it holds iff every
 // root survives it.
 //
-// The production data path is integer-coded: EvaluateWithForestOpt
-// compiles the query to a Compiled program (interned.go) and executes
-// it over the database's columnar interned view, replacing per-tuple
-// string keys with merge-joins over sorted id runs. The original
+// The production data path is integer-coded: Compile turns the query
+// and its join forest into a Compiled program (interned.go), and
+// Execute runs it over the database's columnar interned view, replacing
+// per-tuple string keys with merge-joins over sorted id runs. The original
 // string-keyed implementation survives in oracle.go as the
 // differential-test oracle; both paths produce identical answers,
 // order and EvalStats.
@@ -85,42 +85,17 @@ func (st *evalState) cancelled() bool {
 // Evaluate computes q(D) for an acyclic q. It returns an error when q
 // is not acyclic (callers wanting cyclic evaluation use package hom).
 // For Boolean queries the answer set is [[]] (one empty tuple) when the
-// query holds and empty otherwise.
+// query holds and empty otherwise. It compiles q on every call; callers
+// evaluating one query repeatedly should Compile once and reuse the
+// Compiled program.
 func Evaluate(q *cq.CQ, db *instance.Instance) ([][]term.Term, error) {
-	return EvaluateOpt(q, db, Options{})
-}
-
-// EvaluateOpt is Evaluate with explicit options.
-func EvaluateOpt(q *cq.CQ, db *instance.Instance, opt Options) ([][]term.Term, error) {
 	forest, ok := hypergraph.GYO(q.Atoms)
 	if !ok {
 		return nil, fmt.Errorf("yannakakis: query %s is not acyclic", q.Name)
 	}
-	return EvaluateWithForestOpt(q, forest, db, opt)
-}
-
-// EvaluateBool reports whether q(D) is nonempty.
-func EvaluateBool(q *cq.CQ, db *instance.Instance) (bool, error) {
-	ans, err := Evaluate(q, db)
-	return len(ans) > 0, err
-}
-
-// EvaluateWithForest is Evaluate with a precomputed join forest,
-// letting callers amortize GYO across many databases.
-func EvaluateWithForest(q *cq.CQ, forest *hypergraph.Forest, db *instance.Instance) ([][]term.Term, error) {
-	return EvaluateWithForestOpt(q, forest, db, Options{})
-}
-
-// EvaluateWithForestOpt is the full evaluator: a precomputed join
-// forest (the compiled-plan path of the semacycd /evaluate endpoint),
-// index-aware leaf loading, cancellation and stats per Options. It
-// compiles the query once and executes on the interned data path;
-// callers evaluating the same plan repeatedly should Compile once and
-// reuse the Compiled program instead.
-func EvaluateWithForestOpt(q *cq.CQ, forest *hypergraph.Forest, db *instance.Instance, opt Options) ([][]term.Term, error) {
 	c, err := Compile(q, forest)
 	if err != nil {
 		return nil, err
 	}
-	return c.Execute(db, opt)
+	return c.Execute(db, Options{})
 }

@@ -53,16 +53,12 @@ func TestBooleanQuery(t *testing.T) {
 	db := mustDB(t, edge("a", "b"))
 	yes := cq.MustParse("q :- E(x,y).")
 	no := cq.MustParse("q :- E(x,x).")
-	if ok, err := EvaluateBool(yes, db); err != nil || !ok {
-		t.Errorf("yes query: %v %v", ok, err)
+	// Boolean true answers are a single empty tuple, false ones none.
+	if ans, err := Evaluate(yes, db); err != nil || len(ans) != 1 || len(ans[0]) != 0 {
+		t.Errorf("yes query: answers %v, err %v", ans, err)
 	}
-	if ok, err := EvaluateBool(no, db); err != nil || ok {
-		t.Errorf("no query: %v %v", ok, err)
-	}
-	// Boolean true answers are a single empty tuple.
-	ans, _ := Evaluate(yes, db)
-	if len(ans) != 1 || len(ans[0]) != 0 {
-		t.Errorf("boolean answer shape = %v", ans)
+	if ans, err := Evaluate(no, db); err != nil || len(ans) != 0 {
+		t.Errorf("no query: answers %v, err %v", ans, err)
 	}
 }
 

@@ -119,10 +119,11 @@ plain_hdr=$(curl -s -D - -o /dev/null -X POST "$BASE/decide" -d "$DECIDE_BODY" \
 echo "-- debug traces ring"
 expect_contains "$(request GET /debug/traces 200)" '"traces":' debug-traces
 
-echo "-- expvar counters"
-vars=$(request GET /debug/vars 200)
-expect_contains "$vars" '"server.evaluations"' expvar
-expect_contains "$vars" '"server.plan_cache_hits"' expvar
+echo "-- obs counters on /metrics (the one metrics surface; no /debug/vars)"
+metrics=$(request GET /metrics 200)
+expect_contains "$metrics" 'server_evaluations_total' obs-counters
+expect_contains "$metrics" 'server_plan_cache_hits_total' obs-counters
+request GET /debug/vars 404 >/dev/null
 
 echo "-- patch: apply delta, epoch advances, errors"
 p1=$(request PATCH /instances/musicstore 200 \

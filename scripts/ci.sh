@@ -3,10 +3,10 @@
 #
 #   scripts/ci.sh          # vet + build + race-enabled tests + short benchmarks
 #
-# The test step runs with -race on purpose: the witness search, the
-# parallel chase and the UCQ layer all run goroutine pools, and their
-# determinism contract (same answer at every -j) is enforced by tests
-# that only mean something when the race detector watches them.
+# The test step runs with -race on purpose: the witness search and the
+# UCQ layer run goroutine pools, and their determinism contract (same
+# answer at every -j) is enforced by tests that only mean something
+# when the race detector watches them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,9 +69,12 @@ echo "== reference gate =="
 # The allocation-light kernels against the implementations they
 # replaced, kept as test-only references: hom.Core (same retraction,
 # atom for atom) and the enumerator's atom order, cq's DedupAtoms and
-# CanonicalKey, hypergraph's IsAcyclic and GYO (same forest); and the
+# CanonicalKey, hypergraph's IsAcyclic and GYO (same forest); the
 # decision's hoisted witness verification against
-# containment.Equivalent, with a caller's Prepared serving layers 2-3.
+# containment.Equivalent, with a caller's Prepared serving layers 2-3;
+# and game.Evaluate, the one enumerator both game methods run, against
+# the guarded and egd enumerators it merged (same answer sets, also
+# through the Plans).
 # -count=1: a cached 'ok' can never satisfy the gate.
 go test -count=1 -run 'MatchesReference|MatchesEquivalent|PreparedServes' \
     ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/core/

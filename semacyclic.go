@@ -28,6 +28,8 @@
 package semacyclic
 
 import (
+	"slices"
+
 	"semacyclic/internal/chase"
 	"semacyclic/internal/containment"
 	"semacyclic/internal/core"
@@ -89,9 +91,6 @@ type (
 	Approximation = core.Approximation
 	// Verdict is yes / no / unknown.
 	Verdict = core.Verdict
-	// Evaluator evaluates a semantically acyclic query in O(|D|) per
-	// database after a one-time reformulation (Prop. 24).
-	Evaluator = core.Evaluator
 	// Plan is a compiled evaluation plan for a fixed (q, Σ): the
 	// decision, method selection and join forest happen once; Execute
 	// then runs per database.
@@ -243,10 +242,40 @@ func Approximate(q *CQ, set *Dependencies, opt Options) (*Approximation, error) 
 	return core.Approximate(q, set, opt)
 }
 
+// Evaluator evaluates a semantically acyclic query in O(|D|) per
+// database after a one-time reformulation (Prop. 24): a Plan compiled
+// with MethodYannakakis.
+type Evaluator struct {
+	// Query is the original query; Witness is its verified acyclic
+	// equivalent under Σ, the query Evaluate actually runs.
+	Query   *CQ
+	Witness *CQ
+	plan    *Plan
+}
+
 // NewEvaluator reformulates a semantically acyclic q once and then
-// evaluates it in time linear in each database (Prop. 24).
+// evaluates it in time linear in each database (Prop. 24). It fails
+// when q is not (verifiably) semantically acyclic; callers can then
+// fall back to Evaluate or to an approximation (§8.2).
 func NewEvaluator(q *CQ, set *Dependencies, opt Options) (*Evaluator, error) {
-	return core.NewEvaluator(q, set, opt)
+	p, err := core.CompilePlan(q, set, opt, MethodYannakakis)
+	if err != nil {
+		return nil, err
+	}
+	return &Evaluator{Query: q, Witness: p.Witness, plan: p}, nil
+}
+
+// Evaluate computes q(D), in canonical order, for a database D ⊨ Σ by
+// evaluating the acyclic witness with Yannakakis' algorithm.
+func (e *Evaluator) Evaluate(db *Instance) ([][]Term, error) {
+	ans, _, err := e.plan.Execute(db, EvalOptions{})
+	return ans, err
+}
+
+// EvaluateBool reports whether q(D) is nonempty.
+func (e *Evaluator) EvaluateBool(db *Instance) (bool, error) {
+	ans, err := e.Evaluate(db)
+	return len(ans) > 0, err
 }
 
 // CompilePlan compiles an evaluation plan for (q, Σ): the semantic-
@@ -259,15 +288,30 @@ func CompilePlan(q *CQ, set *Dependencies, opt Options, method string) (*Plan, e
 
 // EvaluateGuardedGame evaluates a semantically acyclic q over D ⊨ Σ
 // for guarded Σ via the existential 1-cover game (Thm. 25), without
-// computing a reformulation.
-func EvaluateGuardedGame(q *CQ, db *Instance) [][]Term {
-	return core.EvaluateGuardedGame(q, db)
+// computing a reformulation: a MethodGuardedGame plan run once. The
+// game never reads Σ, so the premises (q semantically acyclic under a
+// guarded Σ, D ⊨ Σ) are the caller's; violating them can only
+// overapproximate. It fails when q is invalid.
+func EvaluateGuardedGame(q *CQ, db *Instance) ([][]Term, error) {
+	return evaluateOnce(q, nil, db, MethodGuardedGame)
 }
 
 // EvaluateEGDGame evaluates a semantically acyclic q over D ⊨ Σ for a
-// pure egd set via chase-then-game (Section 7, closing remark).
+// pure egd set via chase-then-game (Section 7, closing remark): a
+// MethodEGDGame plan run once.
 func EvaluateEGDGame(q *CQ, set *Dependencies, db *Instance) ([][]Term, error) {
-	return core.EvaluateEGDGame(q, set, db)
+	return evaluateOnce(q, set, db, MethodEGDGame)
+}
+
+// evaluateOnce compiles a plan for (q, Σ) with the given method and
+// executes it on db, returning the answers in canonical order.
+func evaluateOnce(q *CQ, set *Dependencies, db *Instance, method string) ([][]Term, error) {
+	p, err := core.CompilePlan(q, set, Options{}, method)
+	if err != nil {
+		return nil, err
+	}
+	ans, _, err := p.Execute(db, EvalOptions{})
+	return ans, err
 }
 
 // IsAcyclic reports whether the query is acyclic (admits a join tree).
@@ -306,23 +350,15 @@ func EquivalentUCQ(q, qp *UCQ, set *Dependencies, opt ContainmentOptions) (Conta
 }
 
 // EvaluateUCQ computes Q(D) as the union of the disjuncts' answers,
-// deduplicated, using the generic evaluator per disjunct.
+// using the generic evaluator per disjunct, in canonical order without
+// duplicates (the order every Plan returns).
 func EvaluateUCQ(u *UCQ, db *Instance) [][]Term {
-	seen := make(map[string]bool)
 	var out [][]Term
 	for _, d := range u.Disjuncts {
-		for _, tup := range hom.Evaluate(d, db) {
-			key := ""
-			for _, t := range tup {
-				key += string(rune(t.K)) + t.Name + "\x00"
-			}
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, tup)
-			}
-		}
+		out = append(out, hom.Evaluate(d, db)...)
 	}
-	return out
+	slices.SortFunc(out, term.CompareTuples)
+	return slices.CompactFunc(out, slices.Equal[[]Term])
 }
 
 // Chase chases a database with the dependencies.

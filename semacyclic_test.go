@@ -1,7 +1,11 @@
 package semacyclic
 
 import (
+	"fmt"
 	"testing"
+
+	"semacyclic/internal/cq"
+	"semacyclic/internal/term"
 )
 
 // TestFacadeEndToEnd drives the public API through the paper's
@@ -133,9 +137,9 @@ func TestFacadeRewriteAndGame(t *testing.T) {
 		NewAtom("P", Const("a")),
 	)
 	qq := MustParseQuery("q(x) :- E(x,y), P(x).")
-	ans := EvaluateGuardedGame(qq, db)
-	if len(ans) != 1 || ans[0][0] != Const("a") {
-		t.Errorf("game answers = %v", ans)
+	ans, err := EvaluateGuardedGame(qq, db)
+	if err != nil || len(ans) != 1 || ans[0][0] != Const("a") {
+		t.Errorf("game answers = %v, %v", ans, err)
 	}
 
 	key := MustParseDependencies("R(x,y), R(x,z) -> y = z.")
@@ -148,6 +152,79 @@ func TestFacadeRewriteAndGame(t *testing.T) {
 	ans2, err := EvaluateEGDGame(q2, key, db2)
 	if err != nil || len(ans2) != 1 {
 		t.Errorf("egd game answers = %v, %v", ans2, err)
+	}
+}
+
+// The game helpers are Plans: they validate q exactly as CompilePlan
+// does, so a query holding a constant in the reserved frozen namespace
+// is an error rather than a variable in disguise.
+func TestFacadeGameHelpersRejectFrozenConstants(t *testing.T) {
+	q := &CQ{Name: "q", Free: []Term{Var("x")},
+		Atoms: []Atom{NewAtom("E", Var("x"), Const(term.FrozenPrefix+"w"))}}
+	db, err := ParseDatabase("E(a,b).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompilePlan(q, nil, Options{}, MethodGuardedGame); err == nil {
+		t.Fatal("CompilePlan accepted a frozen-namespace constant")
+	}
+	if ans, err := EvaluateGuardedGame(q, db); err == nil {
+		t.Errorf("EvaluateGuardedGame = %v, want an error", ans)
+	}
+	key := MustParseDependencies("E(x,y), E(x,z) -> y = z.")
+	if ans, err := EvaluateEGDGame(q, key, db); err == nil {
+		t.Errorf("EvaluateEGDGame = %v, want an error", ans)
+	}
+}
+
+// The game helpers return answers in the canonical order every Plan
+// returns, not in database order.
+func TestFacadeGameHelpersCanonicalOrder(t *testing.T) {
+	db, err := ParseDatabase("E(z,b). E(a,b). P(z). P(a).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustParseQuery("q(x) :- E(x,y), P(x).")
+	ans, err := EvaluateGuardedGame(q, db)
+	if err != nil || fmt.Sprint(ans) != "[[a] [z]]" {
+		t.Errorf("EvaluateGuardedGame = %v, %v; want [[a] [z]]", ans, err)
+	}
+	key := MustParseDependencies("E(x,y), E(x,z) -> y = z.")
+	ans, err = EvaluateEGDGame(q, key, db)
+	if err != nil || fmt.Sprint(ans) != "[[a] [z]]" {
+		t.Errorf("EvaluateEGDGame = %v, %v; want [[a] [z]]", ans, err)
+	}
+}
+
+// EvaluateUCQ keeps answers apart whose names differ only in where NUL
+// bytes fall, and returns the union in canonical order.
+func TestEvaluateUCQDistinctCanonicalAnswers(t *testing.T) {
+	q := MustParseQuery("q(x,y) :- R(x,y).")
+	u, err := cq.NewUCQ(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDatabase(
+		NewAtom("R", Const("a"), Const("b\x00\x00c")),
+		NewAtom("R", Const("a\x00\x00b"), Const("c")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := EvaluateUCQ(u, db), Evaluate(q, db); fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) || len(got) != 2 {
+		t.Errorf("EvaluateUCQ = %q, Evaluate = %q", got, want)
+	}
+
+	u, err = ParseUCQ("q(x,y) :- A(x,y).\nq(x,y) :- B(x,y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err = ParseDatabase("A(a,a). A(z,z). B(b,b). B(a,a).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(EvaluateUCQ(u, db)); got != "[[a a] [b b] [z z]]" {
+		t.Errorf("EvaluateUCQ = %s, want [[a a] [b b] [z z]]", got)
 	}
 }
 
