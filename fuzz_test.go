@@ -2,6 +2,8 @@ package semacyclic
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -143,6 +145,23 @@ func FuzzInstanceRoundTrip(f *testing.F) {
 		}
 		if !back.Equal(db) {
 			t.Fatalf("constant round trip lost data for %q, %q:\n%s\nvs\n%s", c1, c2, back, db)
+		}
+		// Rule arm: the rule renderer quotes the same constants so the
+		// query and dependency parsers read them back. Dependencies are
+		// one per line, and rules refuse the reserved frozen namespace.
+		k1, k2 := term.Const(c1), term.Const(c2)
+		if strings.Contains(c1+c2, "\n") || term.IsFrozen(k1) || term.IsFrozen(k2) {
+			return
+		}
+		body := []instance.Atom{instance.NewAtom("R", k1, k2)}
+		q := cq.MustNew(nil, body)
+		if backQ, err := cq.Parse(q.String()); err != nil || !reflect.DeepEqual(backQ.Atoms, body) {
+			t.Fatalf("query %q does not re-parse to its constants %q, %q: %v", q, c1, c2, err)
+		}
+		tgd := deps.MustTGD(body, []instance.Atom{instance.NewAtom("S", k1)})
+		set, err := deps.Parse(tgd.String() + ".")
+		if err != nil || len(set.TGDs) != 1 || !reflect.DeepEqual(set.TGDs[0], tgd) {
+			t.Fatalf("tgd %q does not re-parse to its constants %q, %q: %v", tgd, c1, c2, err)
 		}
 	})
 }

@@ -13,7 +13,6 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
-	"semacyclic/internal/symtab"
 	"semacyclic/internal/telemetry"
 	"semacyclic/internal/term"
 	"semacyclic/internal/yannakakis"
@@ -187,7 +186,7 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 			ans, err = game.Evaluate(p.pattern, p.frozen, db, game.Options{Cancel: eopt.Cancel})
 		}
 	case MethodGeneric:
-		ans, err = genericEvaluate(p.Query, db, eopt.Cancel)
+		ans, err = hom.EvaluateCancel(p.Query, db, eopt.Cancel)
 	default:
 		return nil, nil, fmt.Errorf("core: plan has unknown method %q", p.Method)
 	}
@@ -204,7 +203,7 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 // the package's ErrCancelled.
 func mapEvalCancelled(err error) error {
 	if errors.Is(err, yannakakis.ErrCancelled) || errors.Is(err, game.ErrCancelled) ||
-		errors.Is(err, chase.ErrCancelled) {
+		errors.Is(err, hom.ErrCancelled) || errors.Is(err, chase.ErrCancelled) {
 		return ErrCancelled
 	}
 	return err
@@ -228,45 +227,3 @@ func canonicalizeAnswers(ans [][]term.Term) [][]term.Term {
 }
 
 func equalTuples(a, b []term.Term) bool { return term.CompareTuples(a, b) == 0 }
-
-// genericEvaluate is hom.Evaluate with cancellation: the backtracking
-// enumeration stops at the first cancel poll. Polls happen once per
-// enumerated homomorphism, so on answer-dense databases latency is
-// tight; a long fruitless backtrack between answers is not
-// interruptible without hooks inside package hom.
-func genericEvaluate(q *cq.CQ, db *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
-	if cancel == nil {
-		return hom.Evaluate(q, db), nil
-	}
-	hom.PrepareTarget(db)
-	// Duplicate rejection runs on dense integer ids from a per-call
-	// interner (4 bytes per term, allocation-free probe); the ids never
-	// reach the output, which is sorted by term.CompareTuples.
-	local := symtab.New()
-	seen := make(map[string]bool)
-	var answers [][]term.Term
-	var buf []byte
-	aborted := false
-	hom.Enumerate(q.Atoms, db, nil, func(s term.Subst) bool {
-		select {
-		case <-cancel:
-			aborted = true
-			return false
-		default:
-		}
-		buf = buf[:0]
-		for _, x := range q.Free {
-			buf = symtab.AppendID(buf, local.Intern(s.Resolve(x)))
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			answers = append(answers, s.ResolveTuple(q.Free))
-		}
-		return true
-	})
-	if aborted {
-		return nil, ErrCancelled
-	}
-	slices.SortFunc(answers, term.CompareTuples)
-	return answers, nil
-}

@@ -261,35 +261,7 @@ func (q *CQ) String() string {
 		b.WriteString(x.Name)
 	}
 	b.WriteString(") :- ")
-	for i, a := range q.Atoms {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(renderAtom(a))
-	}
-	return b.String()
-}
-
-func renderAtom(a instance.Atom) string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
-	for i, t := range a.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		switch {
-		case t.IsVar():
-			b.WriteString(t.Name)
-		case t.IsConst():
-			b.WriteByte('\'')
-			b.WriteString(t.Name)
-			b.WriteByte('\'')
-		default:
-			b.WriteString(t.String())
-		}
-	}
-	b.WriteByte(')')
+	instance.WriteRuleAtoms(&b, q.Atoms)
 	return b.String()
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
+	"semacyclic/internal/testutil"
 )
 
 var (
@@ -176,6 +177,29 @@ func TestParseErrors(t *testing.T) {
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("accepted %q", in)
+		}
+	}
+}
+
+// TestAllocsParse guards the shared rule cursor: one argument scratch
+// per parse and escape-free constants sliced from the input. The
+// bounds are the counts of the two hand-written parsers it replaced
+// (measured at 13, 13 and 16).
+func TestAllocsParse(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	for _, tc := range []struct {
+		src string
+		max float64
+	}{
+		{"q(x,y) :- R(x,z), S(z,y), T('a',x).", 18},
+		{"q(x) :- E(x,y), E(y,'c5'), P(y).", 16},
+		{"q :- E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7).", 26},
+	} {
+		allocs := testing.AllocsPerRun(200, func() { _, _ = Parse(tc.src) })
+		if allocs > tc.max {
+			t.Errorf("Parse(%q) allocates %v, want at most %v", tc.src, allocs, tc.max)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package cq
 import (
 	"fmt"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/scan"
@@ -15,21 +13,22 @@ import (
 //
 //	q(x,y) :- R(x,z), S(z,y), T('a',x).
 //
-// Identifiers in argument positions are variables; single-quoted
-// strings and bare numbers are constants. The head argument list and
-// the trailing period are optional (a bare head means a Boolean query).
+// Identifiers in argument positions are variables; bare numbers and
+// quoted strings are constants, in the one quoted-constant syntax
+// queries, dependencies and databases share (scan.Quoted: \' and \\
+// are the only escapes). The head argument list and the trailing
+// period are optional (a bare head means a Boolean query).
 func Parse(input string) (*CQ, error) {
 	if err := scan.CheckUTF8(input); err != nil {
 		return nil, fmt.Errorf("cq: %w", err)
 	}
-	p := &parser{src: input}
-	q, err := p.parseRule()
+	c := instance.NewRuleCursor("cq", input)
+	q, err := parseRule(&c)
 	if err != nil {
 		return nil, err
 	}
-	p.skipSpace()
-	if !p.eof() {
-		return nil, p.errf("trailing input after query")
+	if !c.Done() {
+		return nil, c.Errf("trailing input after query")
 	}
 	return q, nil
 }
@@ -61,169 +60,33 @@ func ParseUCQ(input string) (*UCQ, error) {
 	return NewUCQ(disjuncts...)
 }
 
-type parser struct {
-	src string
-	pos int
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("cq: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func (p *parser) eof() bool { return p.pos >= len(p.src) }
-
-func (p *parser) peek() byte {
-	if p.eof() {
-		return 0
-	}
-	return p.src[p.pos]
-}
-
-// skipSpace and ident are rune-aware (via internal/scan): byte-wise
-// unicode checks used to split multi-byte UTF-8 identifiers mid-rune.
-func (p *parser) skipSpace() {
-	p.pos = scan.SkipSpace(p.src, p.pos)
-}
-
-func (p *parser) expect(tok string) error {
-	p.skipSpace()
-	if !strings.HasPrefix(p.src[p.pos:], tok) {
-		return p.errf("expected %q", tok)
-	}
-	p.pos += len(tok)
-	return nil
-}
-
-func (p *parser) ident() (string, error) {
-	p.skipSpace()
-	id, end, ok := scan.Ident(p.src, p.pos)
-	if !ok {
-		return "", p.errf("expected identifier")
-	}
-	p.pos = end
-	return id, nil
-}
-
-// peekRune decodes the rune at the cursor (0 at EOF).
-func (p *parser) peekRune() rune {
-	if p.eof() {
-		return 0
-	}
-	r, _ := utf8.DecodeRuneInString(p.src[p.pos:])
-	return r
-}
-
-// parseTerm reads one argument: a quoted or numeric constant, or a
-// variable identifier.
-func (p *parser) parseTerm() (term.Term, error) {
-	p.skipSpace()
-	switch {
-	case p.peek() == '\'':
-		p.pos++
-		start := p.pos
-		for !p.eof() && p.peek() != '\'' {
-			p.pos++
-		}
-		if p.eof() {
-			return term.Term{}, p.errf("unterminated constant literal")
-		}
-		name := p.src[start:p.pos]
-		p.pos++
-		return term.Const(name), nil
-	case unicode.IsDigit(p.peekRune()):
-		lit, end, _ := scan.Digits(p.src, p.pos)
-		p.pos = end
-		return term.Const(lit), nil
-	default:
-		name, err := p.ident()
-		if err != nil {
-			return term.Term{}, err
-		}
-		return term.Var(name), nil
-	}
-}
-
-func (p *parser) parseTermList() ([]term.Term, error) {
-	var out []term.Term
-	p.skipSpace()
-	if p.peek() == ')' {
-		return out, nil
-	}
-	for {
-		t, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		p.skipSpace()
-		if p.peek() != ',' {
-			return out, nil
-		}
-		p.pos++
-	}
-}
-
-func (p *parser) parseAtom() (instance.Atom, error) {
-	pred, err := p.ident()
-	if err != nil {
-		return instance.Atom{}, err
-	}
-	if err := p.expect("("); err != nil {
-		return instance.Atom{}, err
-	}
-	args, err := p.parseTermList()
-	if err != nil {
-		return instance.Atom{}, err
-	}
-	if err := p.expect(")"); err != nil {
-		return instance.Atom{}, err
-	}
-	return instance.NewAtom(pred, args...), nil
-}
-
-func (p *parser) parseRule() (*CQ, error) {
-	name, err := p.ident()
+func parseRule(c *instance.RuleCursor) (*CQ, error) {
+	name, err := c.Ident()
 	if err != nil {
 		return nil, err
 	}
 	var free []term.Term
-	p.skipSpace()
-	if p.peek() == '(' {
-		p.pos++
-		args, err := p.parseTermList()
-		if err != nil {
+	if c.Accept('(') {
+		if free, err = c.TermList(); err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := c.Expect(")"); err != nil {
 			return nil, err
 		}
-		for _, t := range args {
+		for _, t := range free {
 			if !t.IsVar() {
-				return nil, p.errf("head argument %s is not a variable", t)
+				return nil, c.Errf("head argument %s is not a variable", t)
 			}
 		}
-		free = args
 	}
-	if err := p.expect(":-"); err != nil {
+	if err := c.Expect(":-"); err != nil {
 		return nil, err
 	}
-	var atoms []instance.Atom
-	for {
-		a, err := p.parseAtom()
-		if err != nil {
-			return nil, err
-		}
-		atoms = append(atoms, a)
-		p.skipSpace()
-		if p.peek() != ',' {
-			break
-		}
-		p.pos++
+	atoms, err := c.Atoms()
+	if err != nil {
+		return nil, err
 	}
-	p.skipSpace()
-	if p.peek() == '.' {
-		p.pos++
-	}
+	c.Accept('.')
 	q := &CQ{Name: name, Free: free, Atoms: atoms}
 	if err := q.Validate(); err != nil {
 		return nil, err

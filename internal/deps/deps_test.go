@@ -6,6 +6,7 @@ import (
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
+	"semacyclic/internal/testutil"
 )
 
 func TestParseTGDBasics(t *testing.T) {
@@ -22,6 +23,19 @@ func TestParseTGDBasics(t *testing.T) {
 	}
 	if got := tgd.FrontierVars(); len(got) != 2 {
 		t.Errorf("frontier = %v", got)
+	}
+}
+
+// TestAllocsParse guards the shared rule cursor on a tgd line: the
+// bound is the count of the hand-written parser it replaced (measured
+// at 30).
+func TestAllocsParse(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	const src = "Interest(x,z), Class(y,z) -> Owns(x,y)."
+	if allocs := testing.AllocsPerRun(200, func() { _, _ = Parse(src) }); allocs > 39 {
+		t.Errorf("Parse(%q) allocates %v, want at most 39", src, allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"strings"
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/schema"
@@ -78,7 +79,13 @@ func (e *EGD) RenameApart() *EGD {
 
 // String renders the egd in the parser's syntax.
 func (e *EGD) String() string {
-	return fmt.Sprintf("%s -> %s = %s", renderAtoms(e.Body), e.X.Name, e.Y.Name)
+	var b strings.Builder
+	instance.WriteRuleAtoms(&b, e.Body)
+	b.WriteString(" -> ")
+	b.WriteString(e.X.Name)
+	b.WriteString(" = ")
+	b.WriteString(e.Y.Name)
+	return b.String()
 }
 
 // FD is a functional dependency R : From → To over a predicate of the

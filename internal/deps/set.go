@@ -3,8 +3,6 @@ package deps
 import (
 	"fmt"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/scan"
@@ -127,6 +125,10 @@ func (s *Set) String() string {
 //	R(x,y), R(x,z) -> y = z.
 //
 // Head variables absent from the body are existentially quantified.
+// Arguments read as in queries (cq.Parse): identifiers are variables,
+// and numbers and quoted strings are constants in the quoted-constant
+// syntax databases use too (scan.Quoted: \' and \\ are the only
+// escapes).
 func Parse(input string) (*Set, error) {
 	out := &Set{}
 	for i, line := range strings.Split(input, "\n") {
@@ -157,16 +159,16 @@ func parseLine(out *Set, line string) error {
 	if err := scan.CheckUTF8(line); err != nil {
 		return fmt.Errorf("deps: %w", err)
 	}
-	p := &depParser{src: line}
-	body, err := p.atomList()
+	c := instance.NewRuleCursor("deps", line)
+	body, err := c.Atoms()
 	if err != nil {
 		return err
 	}
-	if err := p.expect("->"); err != nil {
+	if err := c.Expect("->"); err != nil {
 		return err
 	}
 	// Try the egd form first: ident '=' ident with nothing else.
-	if x, y, ok := p.tryEquality(); ok {
+	if x, y, ok := tryEquality(&c); ok {
 		e, err := NewEGD(body, x, y)
 		if err != nil {
 			return err
@@ -174,17 +176,13 @@ func parseLine(out *Set, line string) error {
 		out.EGDs = append(out.EGDs, e)
 		return nil
 	}
-	head, err := p.atomList()
+	head, err := c.Atoms()
 	if err != nil {
 		return err
 	}
-	p.skipSpace()
-	if p.peek() == '.' {
-		p.pos++
-	}
-	p.skipSpace()
-	if !p.eof() {
-		return p.errf("trailing input")
+	c.Accept('.')
+	if !c.Done() {
+		return c.Errf("trailing input")
 	}
 	t, err := NewTGD(body, head)
 	if err != nil {
@@ -194,158 +192,20 @@ func parseLine(out *Set, line string) error {
 	return nil
 }
 
-type depParser struct {
-	src string
-	pos int
-}
-
-func (p *depParser) errf(format string, args ...any) error {
-	return fmt.Errorf("deps: parse error at offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func (p *depParser) eof() bool { return p.pos >= len(p.src) }
-
-func (p *depParser) peek() byte {
-	if p.eof() {
-		return 0
-	}
-	return p.src[p.pos]
-}
-
-// skipSpace and ident are rune-aware (via internal/scan): byte-wise
-// unicode checks used to split multi-byte UTF-8 identifiers mid-rune.
-func (p *depParser) skipSpace() {
-	p.pos = scan.SkipSpace(p.src, p.pos)
-}
-
-func (p *depParser) expect(tok string) error {
-	p.skipSpace()
-	if !strings.HasPrefix(p.src[p.pos:], tok) {
-		return p.errf("expected %q", tok)
-	}
-	p.pos += len(tok)
-	return nil
-}
-
-func (p *depParser) ident() (string, error) {
-	p.skipSpace()
-	id, end, ok := scan.Ident(p.src, p.pos)
-	if !ok {
-		return "", p.errf("expected identifier")
-	}
-	p.pos = end
-	return id, nil
-}
-
-// peekRune decodes the rune at the cursor (0 at EOF).
-func (p *depParser) peekRune() rune {
-	if p.eof() {
-		return 0
-	}
-	r, _ := utf8.DecodeRuneInString(p.src[p.pos:])
-	return r
-}
-
-func (p *depParser) parseTerm() (term.Term, error) {
-	p.skipSpace()
-	switch {
-	case p.peek() == '\'':
-		p.pos++
-		start := p.pos
-		for !p.eof() && p.peek() != '\'' {
-			p.pos++
-		}
-		if p.eof() {
-			return term.Term{}, p.errf("unterminated constant literal")
-		}
-		name := p.src[start:p.pos]
-		p.pos++
-		return term.Const(name), nil
-	case unicode.IsDigit(p.peekRune()):
-		lit, end, _ := scan.Digits(p.src, p.pos)
-		p.pos = end
-		return term.Const(lit), nil
-	default:
-		name, err := p.ident()
-		if err != nil {
-			return term.Term{}, err
-		}
-		return term.Var(name), nil
-	}
-}
-
-func (p *depParser) atom() (instance.Atom, error) {
-	pred, err := p.ident()
-	if err != nil {
-		return instance.Atom{}, err
-	}
-	if err := p.expect("("); err != nil {
-		return instance.Atom{}, err
-	}
-	var args []term.Term
-	p.skipSpace()
-	if p.peek() != ')' {
-		for {
-			t, err := p.parseTerm()
-			if err != nil {
-				return instance.Atom{}, err
-			}
-			args = append(args, t)
-			p.skipSpace()
-			if p.peek() != ',' {
-				break
-			}
-			p.pos++
-		}
-	}
-	if err := p.expect(")"); err != nil {
-		return instance.Atom{}, err
-	}
-	return instance.NewAtom(pred, args...), nil
-}
-
-func (p *depParser) atomList() ([]instance.Atom, error) {
-	var out []instance.Atom
-	for {
-		a, err := p.atom()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-		p.skipSpace()
-		if p.peek() != ',' {
-			return out, nil
-		}
-		p.pos++
-	}
-}
-
 // tryEquality attempts to read "x = y [.]" to end of input; on failure
 // the position is restored.
-func (p *depParser) tryEquality() (term.Term, term.Term, bool) {
-	save := p.pos
-	fail := func() (term.Term, term.Term, bool) {
-		p.pos = save
-		return term.Term{}, term.Term{}, false
+func tryEquality(c *instance.RuleCursor) (term.Term, term.Term, bool) {
+	save := c.Pos
+	x, err := c.Ident()
+	if err == nil && c.Accept('=') {
+		var y string
+		if y, err = c.Ident(); err == nil {
+			c.Accept('.')
+			if c.Done() {
+				return term.Var(x), term.Var(y), true
+			}
+		}
 	}
-	x, err := p.ident()
-	if err != nil {
-		return fail()
-	}
-	if err := p.expect("="); err != nil {
-		return fail()
-	}
-	y, err := p.ident()
-	if err != nil {
-		return fail()
-	}
-	p.skipSpace()
-	if p.peek() == '.' {
-		p.pos++
-	}
-	p.skipSpace()
-	if !p.eof() {
-		return fail()
-	}
-	return term.Var(x), term.Var(y), true
+	c.Pos = save
+	return term.Term{}, term.Term{}, false
 }

@@ -169,37 +169,10 @@ func varSet(atoms []instance.Atom) map[term.Term]bool {
 
 // String renders the tgd in the parser's syntax.
 func (t *TGD) String() string {
-	return renderAtoms(t.Body) + " -> " + renderAtoms(t.Head)
-}
-
-func renderAtoms(atoms []instance.Atom) string {
-	parts := make([]string, len(atoms))
-	for i, a := range atoms {
-		parts[i] = renderAtom(a)
-	}
-	return strings.Join(parts, ", ")
-}
-
-func renderAtom(a instance.Atom) string {
 	var b strings.Builder
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
-	for i, t := range a.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		switch {
-		case t.IsVar():
-			b.WriteString(t.Name)
-		case t.IsConst():
-			b.WriteByte('\'')
-			b.WriteString(t.Name)
-			b.WriteByte('\'')
-		default:
-			b.WriteString(t.String())
-		}
-	}
-	b.WriteByte(')')
+	instance.WriteRuleAtoms(&b, t.Body)
+	b.WriteString(" -> ")
+	instance.WriteRuleAtoms(&b, t.Head)
 	return b.String()
 }
 

@@ -5,6 +5,7 @@
 package hom
 
 import (
+	"errors"
 	"slices"
 	"sync"
 
@@ -295,6 +296,10 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 	return found
 }
 
+// ErrCancelled reports that EvaluateCancel stopped because its cancel
+// channel closed.
+var ErrCancelled = errors.New("hom: evaluation cancelled")
+
 // Evaluate computes q(I): the set of answer tuples, each a tuple over
 // the terms of I, deduplicated, in canonical order (term.CompareTuples).
 //
@@ -305,12 +310,28 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 // never influence the output order: the answers are sorted once by
 // term.CompareTuples, which builds no key.
 func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
+	ans, _ := EvaluateCancel(q, target, nil) // a nil channel never fires
+	return ans
+}
+
+// EvaluateCancel is Evaluate that stops with ErrCancelled once cancel
+// is closed; a nil cancel never fires. It polls once per enumerated
+// homomorphism, so on answer-dense databases latency is tight, while a
+// long fruitless backtrack between answers is not interruptible.
+func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
 	PrepareTarget(target)
 	local := symtab.New()
 	seen := make(map[string]bool)
 	var answers [][]term.Term
 	var idbuf []byte
+	aborted := false
 	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
+		select {
+		case <-cancel:
+			aborted = true
+			return false
+		default:
+		}
 		idbuf = idbuf[:0]
 		for _, x := range q.Free {
 			idbuf = symtab.AppendID(idbuf, local.Intern(s.Resolve(x)))
@@ -321,8 +342,11 @@ func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
 		}
 		return true
 	})
+	if aborted {
+		return nil, ErrCancelled
+	}
 	slices.SortFunc(answers, term.CompareTuples)
-	return answers
+	return answers, nil
 }
 
 // EvaluateBool reports whether the Boolean query holds (for non-Boolean

@@ -306,49 +306,9 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 	delRow := make([]bool, oldRows)
 	nDel := 0
 	for _, a := range del {
-		if old == nil || oldRows == 0 {
-			break
-		}
-		if ar == 0 {
-			// A present 0-ary atom is the relation's single row.
-			if !delRow[0] {
-				delRow[0] = true
-				nDel++
-			}
-			continue
-		}
-		ids := make([]symtab.ID, ar)
-		ok := true
-		for i, t := range a.Args {
-			id, hit := tab.Lookup(t)
-			if !hit {
-				ok = false // term never interned: the atom is not in old
-				break
-			}
-			ids[i] = id
-		}
-		if !ok {
-			continue
-		}
-		lo, hi := old.Range(0, ids[0])
-		for k := lo; k < hi; k++ {
-			r := old.RowAt(0, k)
-			if delRow[r] {
-				continue
-			}
-			row := old.Row(r)
-			match := true
-			for i := 1; i < ar; i++ {
-				if row[i] != ids[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				delRow[r] = true
-				nDel++
-				break // set semantics: at most one row per atom
-			}
+		if r, ok := old.Find(tab, a.Args); ok && !delRow[r] {
+			delRow[r] = true
+			nDel++
 		}
 	}
 

@@ -373,7 +373,7 @@ func (ins *Instance) Dump() (string, error) {
 			if bareSafe(t.Name) {
 				b.WriteString(t.Name)
 			} else {
-				writeQuoted(&b, t.Name)
+				scan.WriteQuoted(&b, t.Name)
 			}
 		}
 		b.WriteString(").\n")
@@ -394,20 +394,6 @@ func bareSafe(name string) bool {
 		}
 	}
 	return true
-}
-
-// writeQuoted emits 'name' with backslash escapes for quotes and
-// backslashes — the exact escapes parseConstant undoes.
-func writeQuoted(b *strings.Builder, name string) {
-	b.WriteByte('\'')
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c == '\'' || c == '\\' {
-			b.WriteByte('\\')
-		}
-		b.WriteByte(c)
-	}
-	b.WriteByte('\'')
 }
 
 // String renders the instance as a sorted set of atoms.

@@ -1,9 +1,11 @@
 package instance
 
 import (
+	"slices"
 	"sort"
 
 	"semacyclic/internal/symtab"
+	"semacyclic/internal/term"
 )
 
 // InternedRelation is the columnar, integer-coded image of one
@@ -67,6 +69,36 @@ func (r *InternedRelation) Range(pos int, id symtab.ID) (lo, hi int) {
 // RowAt maps an index of position pos's sorted run (as returned by
 // Range) back to a row number.
 func (r *InternedRelation) RowAt(pos, k int) int { return int(r.perm[pos][k]) }
+
+// Find returns the row holding the ground tuple args, with its terms
+// looked up in tab, by a walk of the position-0 sorted run; a relation
+// of arity 0 holds the empty tuple as its only row. A nil relation, an
+// arity mismatch or a term tab never interned proves absence. A
+// relation holds each tuple at most once, so the row is unique.
+func (r *InternedRelation) Find(tab *symtab.Table, args []term.Term) (row int, ok bool) {
+	if r == nil || r.Arity != len(args) || r.Rows() == 0 {
+		return 0, false
+	}
+	if r.Arity == 0 {
+		return 0, true
+	}
+	ids := make([]symtab.ID, len(args))
+	for i, t := range args {
+		id, hit := tab.Lookup(t)
+		if !hit {
+			return 0, false
+		}
+		ids[i] = id
+	}
+	lo, hi := r.Range(0, ids[0])
+	for k := lo; k < hi; k++ {
+		row = r.RowAt(0, k)
+		if slices.Equal(r.Row(row)[1:], ids[1:]) {
+			return row, true
+		}
+	}
+	return 0, false
+}
 
 // InternedView is the integer-coded index of one instance snapshot: an
 // interner covering every term in the instance plus one columnar

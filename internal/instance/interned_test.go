@@ -107,6 +107,42 @@ func TestInternedCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestInternedFind: the one ground-tuple lookup ApplyDelta's delete
+// search and the delta evaluator's membership test share finds every
+// row, and a miss on any term, the arity, or an absent predicate
+// proves absence; a nullary relation holds its one row.
+func TestInternedFind(t *testing.T) {
+	ins := internedFixture(t)
+	if err := ins.Add(NewAtom("T")); err != nil {
+		t.Fatal(err)
+	}
+	v := ins.Interned()
+	for _, pred := range []string{"E", "P", "T"} {
+		rel := v.Relation(pred)
+		for i, a := range rel.Atoms {
+			if row, ok := rel.Find(v.Table, a.Args); !ok || row != i {
+				t.Errorf("Find(%s) = %d, %v; want row %d", a, row, ok, i)
+			}
+		}
+	}
+	c := term.Const
+	for _, miss := range []struct {
+		pred string
+		args []term.Term
+	}{
+		{"E", []term.Term{c("b"), c("a")}},
+		{"E", []term.Term{c("a"), c("z")}},
+		{"E", []term.Term{c("a")}},
+		{"P", []term.Term{c("b")}},
+		{"Q", []term.Term{c("a")}},
+		{"Q", nil},
+	} {
+		if _, ok := v.Relation(miss.pred).Find(v.Table, miss.args); ok {
+			t.Errorf("Find(%s%v) found a row", miss.pred, miss.args)
+		}
+	}
+}
+
 func TestAllocsInternedRangeProbe(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")

@@ -2,7 +2,6 @@ package instance
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -25,8 +24,12 @@ import (
 //
 // Quoting lets a constant carry any character — periods, commas,
 // parentheses, quotes (escaped \'), backslashes (escaped \\), spaces,
-// even newlines — and ” is the empty constant. Predicate names must
-// be identifiers, matching what the cq/deps parsers can reference.
+// even newlines — and two adjacent quotes are the empty constant. The
+// quoted form is the one constant syntax queries and dependencies
+// share (scan.Quoted), so every constant of a dumped database can be
+// named in a rule.
+// Predicate names must be identifiers, matching what the cq/deps
+// parsers can reference.
 // Input must be valid UTF-8. The scanner is quote-aware end to end:
 // the historical implementation split the input on every '.', which
 // broke any constant containing a period (R('v1.2').) and silently
@@ -102,28 +105,14 @@ func ParseAtoms(input string) ([]Atom, error) {
 }
 
 // parseConstant reads one argument starting exactly at pos: a quoted
-// constant with \' and \\ escapes, or a bare run of delimiter-free
-// runes.
+// constant (scan.Quoted), or a bare run of delimiter-free runes.
 func parseConstant(input string, pos int) (name string, end int, err error) {
 	if pos < len(input) && input[pos] == '\'' {
-		var b strings.Builder
-		i := pos + 1
-		for i < len(input) {
-			switch input[i] {
-			case '\'':
-				return b.String(), i + 1, nil
-			case '\\':
-				if i+1 >= len(input) || (input[i+1] != '\\' && input[i+1] != '\'') {
-					return "", pos, fmt.Errorf(`instance: offset %d: bad escape in quoted constant (only \\ and \' are defined)`, i)
-				}
-				b.WriteByte(input[i+1])
-				i += 2
-			default:
-				b.WriteByte(input[i])
-				i++
-			}
+		name, end, err := scan.Quoted(input, pos)
+		if err != nil {
+			return "", pos, fmt.Errorf("instance: offset %d: %w", end, err)
 		}
-		return "", pos, fmt.Errorf("instance: offset %d: unterminated quoted constant", pos)
+		return name, end, nil
 	}
 	start := pos
 	for pos < len(input) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semacyclic/internal/term"
+	"semacyclic/internal/testutil"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -45,6 +46,20 @@ func TestParseDottedAndEscapedConstants(t *testing.T) {
 		}
 		if !db.Has(NewAtom("R", term.Const(want))) {
 			t.Errorf("Parse(%q) missing constant %q: %s", input, want, db)
+		}
+	}
+}
+
+// TestAllocsParseAtoms: a quoted constant without escapes is sliced
+// from the input, so quoting costs nothing over bare constants (the
+// copying reader took 16 here).
+func TestAllocsParseAtoms(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	for _, src := range []string{"E(c1,c2). E(c2,c3). P(c3).", "E('c1','c2'). E('c2','c3'). P('c3')."} {
+		if allocs := testing.AllocsPerRun(200, func() { _, _ = ParseAtoms(src) }); allocs > 11 {
+			t.Errorf("ParseAtoms(%q) allocates %v, want at most 11", src, allocs)
 		}
 	}
 }

@@ -22,8 +22,9 @@ type EvalStats struct {
 	// Answers is the size of the answer set. DETERMINISTIC.
 	Answers int `json:"answers" sem:"det"`
 	// RowsScanned counts database atoms read while loading join-tree
-	// leaves (or game/generic candidates): every atom fetched from a
-	// per-predicate or per-position list. DETERMINISTIC.
+	// leaves: every atom fetched from a per-predicate or per-position
+	// list. The game and generic methods do not count their candidates
+	// and report 0 (ROADMAP item 1, step a). DETERMINISTIC.
 	RowsScanned int64 `json:"rows_scanned" sem:"det"`
 	// IndexLookups counts ByPos probes issued for bound (constant)
 	// argument positions. DETERMINISTIC.

@@ -1,5 +1,6 @@
 // Package scan holds the rune-aware lexical helpers shared by the
-// three text parsers (internal/cq, internal/deps, internal/instance).
+// three text parsers (internal/cq, internal/deps, internal/instance),
+// and the one quoted-constant syntax all three read and write.
 //
 // The parsers historically scanned bytes and called unicode.IsLetter /
 // unicode.IsSpace on single bytes cast to rune, which splits multi-byte
@@ -17,7 +18,9 @@
 package scan
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -106,4 +109,57 @@ func Digits(s string, pos int) (lit string, end int, ok bool) {
 func IsIdent(s string) bool {
 	id, end, ok := Ident(s, 0)
 	return ok && end == len(s) && id == s
+}
+
+var (
+	errUnterminatedQuote = errors.New("unterminated quoted constant")
+	errBadEscape         = errors.New(`bad escape in quoted constant (only \\ and \' are defined)`)
+)
+
+// Quoted reads the quoted constant that starts exactly at pos, where
+// s holds a single quote. Queries, dependencies and databases share
+// this one syntax: any runes between single quotes, with \' and \\ as
+// the only escapes; two adjacent quotes are the empty constant. It
+// returns the constant's name and the offset past the closing quote.
+// A name without escapes is a slice of s; only an escape makes Quoted
+// copy. On error, end is the offset the error refers to: the opening
+// quote of an unterminated constant, or the backslash of a bad escape.
+func Quoted(s string, pos int) (name string, end int, err error) {
+	var esc []byte // the name decoded so far, once it holds an escape
+	start := pos + 1
+	for i := start; i < len(s); i++ {
+		switch s[i] {
+		case '\'':
+			if esc == nil {
+				return s[start:i], i + 1, nil
+			}
+			return string(append(esc, s[start:i]...)), i + 1, nil
+		case '\\':
+			if i+1 == len(s) || (s[i+1] != '\'' && s[i+1] != '\\') {
+				return "", i, errBadEscape
+			}
+			esc = append(append(esc, s[start:i]...), s[i+1])
+			i++
+			start = i + 1
+		}
+	}
+	return "", pos, errUnterminatedQuote
+}
+
+// WriteQuoted writes name as a quoted constant, escaping every ' and \
+// — the exact inverse of Quoted.
+func WriteQuoted(b *strings.Builder, name string) {
+	b.WriteByte('\'')
+	for {
+		i := strings.IndexAny(name, `'\`)
+		if i < 0 {
+			break
+		}
+		b.WriteString(name[:i])
+		b.WriteByte('\\')
+		b.WriteByte(name[i])
+		name = name[i+1:]
+	}
+	b.WriteString(name)
+	b.WriteByte('\'')
 }

@@ -78,3 +78,43 @@ func TestIsIdent(t *testing.T) {
 		}
 	}
 }
+
+// TestQuoted pins the one quoted-constant syntax: \' and \\ are the
+// only escapes, an escape-free name is a slice of the input, errors
+// point at the opening quote or the bad backslash, and WriteQuoted is
+// Quoted's exact inverse.
+func TestQuoted(t *testing.T) {
+	for _, tc := range []struct{ in, name, rest string }{
+		{`'abc' x`, "abc", " x"},
+		{`''`, "", ""},
+		{`'it\'s'`, "it's", ""},
+		{`'back\\slash',`, `back\slash`, ","},
+		{`'\\\''`, `\'`, ""},
+		{"'日本 .,()'", "日本 .,()", ""},
+	} {
+		name, end, err := Quoted(tc.in, 0)
+		if err != nil || name != tc.name || tc.in[end:] != tc.rest {
+			t.Errorf("Quoted(%q) = %q, rest %q, %v; want %q, rest %q", tc.in, name, tc.in[end:], err, tc.name, tc.rest)
+		}
+		var b strings.Builder
+		WriteQuoted(&b, name)
+		if back, end, err := Quoted(b.String(), 0); err != nil || back != name || end != b.Len() {
+			t.Errorf("Quoted(WriteQuoted(%q)) = %q, %d, %v", name, back, end, err)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		at   int
+		want string
+	}{
+		{`x 'abc`, 2, "unterminated quoted constant"},
+		{`x 'it\'s`, 2, "unterminated quoted constant"},
+		{`x 'a\b'`, 4, "bad escape in quoted constant"},
+		{`x 'a\`, 4, "bad escape in quoted constant"},
+	} {
+		_, end, err := Quoted(tc.in, 2)
+		if err == nil || end != tc.at || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Quoted(%q) error at %d: %v; want %q at %d", tc.in, end, err, tc.want, tc.at)
+		}
+	}
+}

@@ -201,6 +201,32 @@ func TestEvaluateDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestEvaluateQuotedConstants: a query names a loaded constant holding
+// a backslash or a quote with the instance's own quoting, and finds
+// its row.
+func TestEvaluateQuotedConstants(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	if r, body := post(t, ts, "/instances", InstanceRequest{Name: "db", Atoms: `R(u,'a\\b'). R(v,'it\'s').`}); r.StatusCode != http.StatusCreated {
+		t.Fatalf("load: %d %s", r.StatusCode, body)
+	}
+	for _, tc := range []struct{ query, want string }{
+		{`q(x) :- R(x,'a\\b').`, "[[u]]"},
+		{`q(x) :- R(x,'it\'s').`, "[[v]]"},
+	} {
+		r, body := post(t, ts, "/evaluate", EvaluateRequest{Query: tc.query, Instance: "db"})
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.query, r.StatusCode, body)
+		}
+		var resp EvaluateResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(resp.Answers); got != tc.want {
+			t.Errorf("%s answers %s, want %s", tc.query, got, tc.want)
+		}
+	}
+}
+
 func TestEvaluateErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	if r, body := post(t, ts, "/instances", InstanceRequest{Name: "db", Atoms: testAtoms}); r.StatusCode != http.StatusCreated {

@@ -219,7 +219,7 @@ func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.De
 		}
 	}
 	for _, o := range ops {
-		was := viewHas(old, o.a)
+		_, was := old.Relation(o.a.Pred).Find(old.Table, o.a.Args)
 		switch {
 		case o.ins && !was:
 			netIns = append(netIns, o.a)
@@ -228,42 +228,6 @@ func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.De
 		}
 	}
 	return netIns, netDel
-}
-
-// viewHas reports whether the view contains the atom, by interned
-// lookup against the position-0 sorted run (a Lookup miss on any term
-// proves absence).
-func viewHas(iv *instance.InternedView, a instance.Atom) bool {
-	rel := iv.Relation(a.Pred)
-	if rel == nil || rel.Arity != len(a.Args) {
-		return false
-	}
-	if rel.Arity == 0 {
-		return rel.Rows() > 0
-	}
-	ids := make([]symtab.ID, len(a.Args))
-	for i, t := range a.Args {
-		id, ok := iv.Table.Lookup(t)
-		if !ok {
-			return false
-		}
-		ids[i] = id
-	}
-	lo, hi := rel.Range(0, ids[0])
-	for k := lo; k < hi; k++ {
-		row := rel.Row(rel.RowAt(0, k))
-		match := true
-		for i := 1; i < rel.Arity; i++ {
-			if row[i] != ids[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
 }
 
 // repairTree applies the semi-naive delta rule to one insert-only
@@ -330,8 +294,8 @@ func deltaLeaf(n *cnode, atoms []instance.Atom, iv *instance.InternedView, const
 }
 
 // matchRow verifies one interned tuple against the node's compiled
-// pattern, writing the flexible-term columns into vals — loadLeaf's
-// verification loop on an explicit row.
+// pattern, writing the flexible-term columns into vals: loadLeaf's
+// per-row check, and the delta loaders'.
 func matchRow(n *cnode, row []symtab.ID, constID []symtab.ID, constOK []bool, vals []symtab.ID) bool {
 	for pos := 0; pos < n.arity; pos++ {
 		id := row[pos]

@@ -550,32 +550,10 @@ func loadLeaf(n *cnode, iv *instance.InternedView, constID []symtab.ID, constOK 
 		if usePerm {
 			ridx = rel.RowAt(selPos, selLo+k)
 		}
-		row := rel.Row(ridx)
-		ok := true
-		for pos := 0; pos < n.arity; pos++ {
-			id := row[pos]
-			if ci := n.argConst[pos]; ci >= 0 {
-				if !constOK[ci] || id != constID[ci] {
-					ok = false
-					break
-				}
-				continue
-			}
-			col := n.argVar[pos]
-			if n.argFirst[pos] {
-				vals[col] = id
-				continue
-			}
-			if vals[col] != id {
-				ok = false
-				break
-			}
+		if matchRow(n, rel.Row(ridx), constID, constOK, vals) {
+			out.ids = append(out.ids, vals...)
+			out.n++
 		}
-		if !ok {
-			continue
-		}
-		out.ids = append(out.ids, vals...)
-		out.n++
 	}
 	return out, nil
 }

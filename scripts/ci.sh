@@ -62,8 +62,11 @@ echo "== allocation guards (no race: counts must be exact) =="
 # nothing. The candidate kernels are copy-free: hom.Core freezes once
 # per round rather than cloning per victim, DedupAtoms copies into one
 # slab, and IsAcyclic builds no forest, keys or per-atom slices. The
-# guards skip themselves under -race, so run them once without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/
+# query, dependency and database parsers slice escape-free quoted
+# constants from their input, and the rule parsers reuse one argument
+# buffer per parse. The guards skip themselves under -race, so run
+# them once without it.
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/
 
 echo "== reference gate =="
 # The allocation-light kernels against the implementations they
