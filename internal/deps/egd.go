@@ -15,9 +15,15 @@ type EGD struct {
 	X, Y term.Term // the equated body variables
 }
 
-// NewEGD builds and validates an egd.
+// NewEGD builds and validates an egd over a copy of body.
 func NewEGD(body []instance.Atom, x, y term.Term) (*EGD, error) {
-	e := &EGD{Body: cloneAtoms(body), X: x, Y: y}
+	return newEGD(cloneAtoms(body), x, y)
+}
+
+// newEGD validates an egd over body, which it keeps: the parser hands
+// over atoms nothing else holds.
+func newEGD(body []instance.Atom, x, y term.Term) (*EGD, error) {
+	e := &EGD{Body: body, X: x, Y: y}
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
@@ -39,19 +45,8 @@ func (e *EGD) Validate() error {
 	if len(e.Body) == 0 {
 		return fmt.Errorf("deps: egd with empty body")
 	}
-	sch := schema.New()
-	for _, a := range e.Body {
-		if err := sch.Add(a.Pred, len(a.Args)); err != nil {
-			return fmt.Errorf("deps: %w", err)
-		}
-		for _, tm := range a.Args {
-			if tm.IsNull() {
-				return fmt.Errorf("deps: egd atom %s mentions a null", a)
-			}
-			if term.IsFrozen(tm) {
-				return fmt.Errorf("deps: egd atom %s mentions constant %q in the reserved frozen namespace", a, tm.Name)
-			}
-		}
+	if err := validateAtoms(schema.New(), "egd", e.Body); err != nil {
+		return err
 	}
 	if !e.X.IsVar() || !e.Y.IsVar() {
 		return fmt.Errorf("deps: egd equates non-variables %s = %s", e.X, e.Y)

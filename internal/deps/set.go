@@ -73,7 +73,12 @@ func (s *Set) Schema() *schema.Schema {
 
 // Validate re-checks every dependency and cross-dependency arity
 // consistency.
-func (s *Set) Validate() error {
+func (s *Set) Validate() error { return s.validate(true) }
+
+// validate checks arity consistency across the dependencies and, with
+// each, every dependency on its own as it reaches it. Parse checks
+// arities only: each dependency was validated as it was built.
+func (s *Set) validate(each bool) error {
 	sch := schema.New()
 	check := func(atoms []instance.Atom) error {
 		for _, a := range atoms {
@@ -84,8 +89,10 @@ func (s *Set) Validate() error {
 		return nil
 	}
 	for _, t := range s.TGDs {
-		if err := t.Validate(); err != nil {
-			return err
+		if each {
+			if err := t.Validate(); err != nil {
+				return err
+			}
 		}
 		if err := check(t.Body); err != nil {
 			return fmt.Errorf("deps: %w", err)
@@ -95,8 +102,10 @@ func (s *Set) Validate() error {
 		}
 	}
 	for _, e := range s.EGDs {
-		if err := e.Validate(); err != nil {
-			return err
+		if each {
+			if err := e.Validate(); err != nil {
+				return err
+			}
 		}
 		if err := check(e.Body); err != nil {
 			return fmt.Errorf("deps: %w", err)
@@ -140,7 +149,7 @@ func Parse(input string) (*Set, error) {
 			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
 	}
-	if err := out.Validate(); err != nil {
+	if err := out.validate(false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -169,7 +178,7 @@ func parseLine(out *Set, line string) error {
 	}
 	// Try the egd form first: ident '=' ident with nothing else.
 	if x, y, ok := tryEquality(&c); ok {
-		e, err := NewEGD(body, x, y)
+		e, err := newEGD(body, x, y)
 		if err != nil {
 			return err
 		}
@@ -184,7 +193,7 @@ func parseLine(out *Set, line string) error {
 	if !c.Done() {
 		return c.Errf("trailing input")
 	}
-	t, err := NewTGD(body, head)
+	t, err := newTGD(body, head)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,15 @@ type TGD struct {
 	Head []instance.Atom
 }
 
-// NewTGD builds and validates a tgd.
+// NewTGD builds and validates a tgd over copies of body and head.
 func NewTGD(body, head []instance.Atom) (*TGD, error) {
-	t := &TGD{Body: cloneAtoms(body), Head: cloneAtoms(head)}
+	return newTGD(cloneAtoms(body), cloneAtoms(head))
+}
+
+// newTGD validates a tgd over body and head, which it keeps: the parser
+// hands over atoms nothing else holds.
+func newTGD(body, head []instance.Atom) (*TGD, error) {
+	t := &TGD{Body: body, Head: head}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -61,16 +67,26 @@ func (t *TGD) Validate() error {
 		return fmt.Errorf("deps: tgd with empty head")
 	}
 	sch := schema.New()
-	for _, a := range append(append([]instance.Atom(nil), t.Body...), t.Head...) {
+	if err := validateAtoms(sch, "tgd", t.Body); err != nil {
+		return err
+	}
+	return validateAtoms(sch, "tgd", t.Head)
+}
+
+// validateAtoms checks the atoms of one kind of dependency: arities
+// consistent with sch, which it grows, no nulls and no constants in
+// the reserved frozen namespace.
+func validateAtoms(sch *schema.Schema, kind string, atoms []instance.Atom) error {
+	for _, a := range atoms {
 		if err := sch.Add(a.Pred, len(a.Args)); err != nil {
 			return fmt.Errorf("deps: %w", err)
 		}
 		for _, tm := range a.Args {
 			if tm.IsNull() {
-				return fmt.Errorf("deps: tgd atom %s mentions a null", a)
+				return fmt.Errorf("deps: %s atom %s mentions a null", kind, a)
 			}
 			if term.IsFrozen(tm) {
-				return fmt.Errorf("deps: tgd atom %s mentions constant %q in the reserved frozen namespace", a, tm.Name)
+				return fmt.Errorf("deps: %s atom %s mentions constant %q in the reserved frozen namespace", kind, a, tm.Name)
 			}
 		}
 	}

@@ -59,31 +59,32 @@ func BenchmarkContainment(b *testing.B) {
 	}
 }
 
-// TestAllocsCandidateProbe is the regression guard for the interned
-// candidate-check path: selecting the most selective candidate set for
-// an atom (the per-node inner operation of Enumerate) must not allocate
-// — one symbol lookup plus one binary search per pinned position, a
-// by-value candSet out. The ci.sh `-run 'TestAllocs'` gate runs this
-// without -race on every push.
+// TestAllocsCandidateProbe is the regression guard for the candidate
+// probe: selecting the most selective candidate set for an atom (the
+// per-node inner operation of Enumerate) must not allocate — one
+// ByPred and one ByPos map probe per pinned position, a by-value
+// candSet out — also with an atom read as removed (Core's retraction
+// search). The ci.sh `-run 'Allocs'` gate runs this without -race on
+// every push.
 func TestAllocsCandidateProbe(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	db := benchDB(2000, 200)
-	if db.Interned() == nil {
-		t.Fatal("no interned view")
-	}
 	x, y := term.Var("x"), term.Var("y")
 	a := instance.NewAtom("E", x, y)
 	sub := term.NewSubst()
 	sub[x] = term.Const("c7")
+	removed := db.ByPos("E", 0, term.Const("c7"))[0]
 	var sink int
 	allocs := testing.AllocsPerRun(1000, func() {
-		cs := pickCandidates(db, a, sub)
+		cs := candidates(db, a, sub, instance.Atom{})
 		sink += cs.n
+		cs = candidates(db, a, sub, removed)
+		sink += cs.n + cs.hole
 	})
 	if allocs != 0 {
-		t.Fatalf("pickCandidates allocates %v per op, want 0", allocs)
+		t.Fatalf("candidates allocates %v per op, want 0", allocs)
 	}
 	if sink == 0 {
 		t.Fatal("probe matched nothing; fixture too sparse to mean anything")
@@ -119,7 +120,6 @@ func TestAllocsEnumerateBacktrack(t *testing.T) {
 	}
 	measure := func(size int) (allocs float64, matches int) {
 		db := benchDB(size, size/10)
-		PrepareTarget(db)
 		allocs = testing.AllocsPerRun(20, func() {
 			matches = 0
 			Enumerate(pattern, db, nil, func(term.Subst) bool {

@@ -29,10 +29,9 @@ type enumerator struct {
 	used   []bool             // orderAtoms: atoms already placed
 	seen   map[term.Term]bool // orderAtoms: bound terms and placed variables
 	target *instance.Instance
-	// without, when hasWithout, is a target atom the enumeration treats
-	// as removed (Core's retraction search; see candidatesWithout).
-	without    instance.Atom
-	hasWithout bool
+	// without is a target atom the enumeration treats as removed
+	// (Core's retraction search; see candidates), or the zero Atom.
+	without instance.Atom
 	// terms bounds how many entries sub and seen can hold: init's
 	// bindings plus the pattern's argument positions.
 	terms int
@@ -89,7 +88,7 @@ func (e *enumerator) release() {
 	clear(e.seen)
 	clear(e.order)
 	e.order, e.undo, e.target, e.backtracks = e.order[:0], e.undo[:0], nil, 0
-	e.without, e.hasWithout = instance.Atom{}, false
+	e.without = instance.Atom{}
 	enumPool.Put(e)
 }
 
@@ -151,12 +150,7 @@ func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
 		return yield != nil && yield(e.sub)
 	}
 	a := e.order[i]
-	var cs candSet
-	if e.hasWithout {
-		cs = candidatesWithout(e.target, a, e.sub, e.without)
-	} else {
-		cs = pickCandidates(e.target, a, e.sub)
-	}
+	cs := candidates(e.target, a, e.sub, e.without)
 	for k := 0; k < cs.n; k++ {
 		cand := cs.at(k)
 		// One undo stack serves the whole enumeration: each level marks
@@ -181,45 +175,33 @@ func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
 	return true
 }
 
+// candSet is one pattern atom's candidates: the first n atoms of list,
+// except that the atom at index hole, an atom read as removed, reads
+// as the list's last atom (see candidates); hole is -1 for none.
+type candSet struct {
+	list []instance.Atom
+	n    int
+	hole int
+}
+
+func (c *candSet) at(k int) instance.Atom {
+	if k == c.hole {
+		return c.list[len(c.list)-1]
+	}
+	return c.list[k]
+}
+
 // candidates returns the target atoms that could match pattern a under
-// the current substitution, using the most selective available index.
-func candidates(target *instance.Instance, a instance.Atom, sub term.Subst) []instance.Atom {
-	best := target.ByPred(a.Pred)
-	for i, t := range a.Args {
-		img, ok := pinned(t, sub)
-		if !ok {
-			continue
-		}
-		if list := target.ByPos(a.Pred, i, img); len(list) < len(best) {
-			best = list
-		}
-	}
-	return best
-}
-
-// pinned returns the value pattern term t is fixed to under sub, or
-// false while t can still be bound: an unbound variable, or a pattern
-// null sub does not bind (bindable, not a fixed value).
-func pinned(t term.Term, sub term.Subst) (term.Term, bool) {
-	img := sub.Apply(t)
-	if img.IsVar() {
-		return img, false
-	}
-	if img.IsNull() {
-		if _, bound := sub[t]; !bound {
-			return img, false
-		}
-	}
-	return img, true
-}
-
-// candidatesWithout is candidates on target with atom x removed, read
-// as Instance.Remove would leave the index lists: the list's last atom
-// fills x's slot and the list is one shorter. Lengths are compared
-// after the removal, so the list that wins is the one candidates picks
-// on the removed instance, and its atoms come in the same order. x
-// must be an atom of target. The interned view is never consulted.
-func candidatesWithout(target *instance.Instance, a instance.Atom, sub term.Subst, x instance.Atom) candSet {
+// the current substitution: the shortest of the target's ByPred list
+// and its ByPos lists at pinned positions, the earliest on a tie
+// (ByPred first).
+//
+// Unless x is the zero Atom, x is an atom of target read as removed, as
+// Instance.Remove would leave the lists: the list's last atom fills x's
+// slot and the list is one shorter. Lengths are compared after the
+// removal, so the list that wins is the one picked on the removed
+// instance, and its atoms come in the same order.
+func candidates(target *instance.Instance, a instance.Atom, sub term.Subst, x instance.Atom) candSet {
 	best := target.ByPred(a.Pred)
 	bestN := len(best)
 	inPred := x.Pred == a.Pred && len(x.Args) == len(a.Args)
@@ -252,6 +234,22 @@ func candidatesWithout(target *instance.Instance, a instance.Atom, sub term.Subs
 	return candSet{list: best, n: bestN, hole: hole}
 }
 
+// pinned returns the value pattern term t is fixed to under sub, or
+// false while t can still be bound: an unbound variable, or a pattern
+// null sub does not bind (bindable, not a fixed value).
+func pinned(t term.Term, sub term.Subst) (term.Term, bool) {
+	img := sub.Apply(t)
+	if img.IsVar() {
+		return img, false
+	}
+	if img.IsNull() {
+		if _, bound := sub[t]; !bound {
+			return img, false
+		}
+	}
+	return img, true
+}
+
 // Enumerate calls yield for every homomorphism from the pattern atoms
 // into target that extends init (init itself is never mutated). The
 // pattern may mention variables, constants and nulls; variables and
@@ -269,10 +267,10 @@ func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Sub
 
 // enumerateWithout is Enumerate into target with its atom x treated as
 // removed, in the order Enumerate would take on a clone of target from
-// which x was removed. It reads target's map indexes only.
+// which x was removed.
 func enumerateWithout(pattern []instance.Atom, target *instance.Instance, init term.Subst, x instance.Atom, yield func(term.Subst) bool) {
 	e := newEnumerator(pattern, target, init)
-	e.without, e.hasWithout = x, true
+	e.without = x
 	e.rec(0, yield)
 	e.release()
 }
@@ -319,7 +317,6 @@ func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
 // homomorphism, so on answer-dense databases latency is tight, while a
 // long fruitless backtrack between answers is not interruptible.
 func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
-	PrepareTarget(target)
 	local := symtab.New()
 	seen := make(map[string]bool)
 	var answers [][]term.Term
@@ -352,7 +349,6 @@ func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{})
 // EvaluateBool reports whether the Boolean query holds (for non-Boolean
 // queries: whether the answer set is nonempty).
 func EvaluateBool(q *cq.CQ, target *instance.Instance) bool {
-	PrepareTarget(target)
 	return Exists(q.Atoms, target, nil)
 }
 

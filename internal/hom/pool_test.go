@@ -149,7 +149,6 @@ func homWorkload(target *instance.Instance, seed int64) string {
 // `go test -race -count=10 ./internal/hom/`.
 func TestPooledEnumeratorConcurrent(t *testing.T) {
 	targets := []*instance.Instance{benchDB(60, 12), benchDB(120, 12), benchDB(200, 12)}
-	PrepareTarget(targets[2]) // one target on the interned candidate path
 	const workers = 8
 	want := make([]string, workers)
 	for w := range want {

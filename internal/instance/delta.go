@@ -25,6 +25,10 @@ import (
 // errors.Is.
 var ErrArityClash = errors.New("instance: arity clash")
 
+// ErrStaleOverlay is returned by Overlay.Commit when the base has been
+// mutated since the overlay captured it.
+var ErrStaleOverlay = errors.New("instance: overlay base changed since capture")
+
 // Delta is one effective (net) mutation batch: the atoms a successful
 // ApplyDelta actually inserted and actually deleted, after dropping
 // duplicates, already-present inserts, absent deletes and
@@ -87,20 +91,39 @@ func (ins *Instance) Epoch() uint64 { return ins.epoch }
 // so incremental evaluators holding reducer state from an earlier
 // epoch can catch up via DeltaSince instead of recomputing.
 //
+// ApplyDelta is NewOverlay followed by Commit; callers that must
+// inspect the net batch before applying it (semacycd's size limit)
+// make the two calls themselves.
+//
 // Like every Instance mutation, ApplyDelta is not safe for concurrent
 // use with other mutations or readers of the live maps; callers
 // serialize (the semacycd registry holds a per-entry write lock).
 func (ins *Instance) ApplyDelta(inserts, deletes []Atom) (DeltaResult, error) {
-	effIns, effDel, err := ins.netDelta(inserts, deletes)
+	ov, err := ins.NewOverlay(inserts, deletes)
 	if err != nil {
 		return DeltaResult{}, err
 	}
+	return ov.Commit()
+}
+
+// Commit applies the overlay's net batch to the base as one ApplyDelta
+// batch: the epoch advances by one, the batch is journalled and a
+// cached interned view of the base is repaired. A stale overlay
+// refuses with ErrStaleOverlay and changes nothing. Committing moves
+// the base's epoch, so an overlay commits at most once. Commit is a
+// mutation of the base, serialized like ApplyDelta.
+func (o *Overlay) Commit() (DeltaResult, error) {
+	if o.Stale() {
+		return DeltaResult{}, ErrStaleOverlay
+	}
+	ins, effIns, effDel := o.base, o.inserts, o.deletes
 	for _, a := range effDel {
 		ins.removeIndexed(a.Key(), a)
 	}
 	for _, a := range effIns {
 		if err := ins.sch.Add(a.Pred, len(a.Args)); err != nil {
-			// Unreachable: netDelta validated arities against the schema.
+			// Unreachable: netDelta validated arities against the schema
+			// at the overlay's epoch, which is still the base's.
 			return DeltaResult{}, fmt.Errorf("%w: %w", ErrArityClash, err)
 		}
 		ins.addIndexed(a.Key(), a)
@@ -277,6 +300,8 @@ func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *Inter
 		pd := byPred[p]
 		if r := patchRelation(old.rels[p], pd.ins, pd.del, tab); r != nil {
 			rels[p] = r
+		} else {
+			delete(rels, p)
 		}
 	}
 	return &InternedView{Table: tab, rels: rels}
@@ -287,7 +312,8 @@ func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *Inter
 // compaction, so the filtered old per-position runs stay sorted and can
 // be merged with the sorted runs of the appended inserts instead of
 // re-sorting the whole relation). tab must already intern every term of
-// ins. Returns nil when there is nothing to change.
+// ins. Returns nil when the relation ends empty, as a view built from
+// scratch holds no relation for an absent predicate.
 func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *InternedRelation {
 	if old == nil && len(ins) == 0 {
 		return nil // deletes against an absent relation: nothing to do
@@ -314,10 +340,13 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 
 	nOld := oldRows - nDel
 	n := nOld + len(ins)
+	if n == 0 {
+		return nil
+	}
 	out := &InternedRelation{
 		Arity: ar,
-		Atoms: make([]Atom, 0, n),
 		IDs:   make([]symtab.ID, 0, n*ar),
+		rows:  n,
 	}
 	rowMap := make([]int32, oldRows) // old row → new row, -1 when deleted
 	next := int32(0)
@@ -328,11 +357,9 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 		}
 		rowMap[r] = next
 		next++
-		out.Atoms = append(out.Atoms, old.Atoms[r])
 		out.IDs = append(out.IDs, old.Row(r)...)
 	}
 	for _, a := range ins {
-		out.Atoms = append(out.Atoms, a)
 		for _, t := range a.Args {
 			id, ok := tab.Lookup(t)
 			if !ok {

@@ -135,47 +135,97 @@ func TestDeltaSinceBridgesEpochs(t *testing.T) {
 	}
 }
 
+// sameView checks a patched view against one built from scratch over
+// atoms: every predicate present in the same views, with the same row
+// count, and every rebuilt atom found by Find in a row that decodes
+// back to it. Row numbers may differ: repairs keep surviving rows in
+// order where ByPred refills a removed atom's slot.
+func sameView(t *testing.T, step string, got *InternedView, atoms []Atom) {
+	t.Helper()
+	rebuilt, err := FromAtoms(atoms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rebuilt.Interned()
+	for _, pred := range []string{"E", "P", "T"} {
+		gr, wr := got.Relation(pred), want.Relation(pred)
+		if (gr == nil) != (wr == nil) {
+			t.Fatalf("%s: pred %s: patched present=%v rebuilt present=%v", step, pred, gr != nil, wr != nil)
+		}
+		if gr == nil {
+			if _, ok := gr.Find(got.Table, nil); ok {
+				t.Errorf("%s: Find on absent %s found a row", step, pred)
+			}
+			continue
+		}
+		if gr.Rows() != wr.Rows() {
+			t.Errorf("%s: pred %s: patched %d rows, rebuilt %d", step, pred, gr.Rows(), wr.Rows())
+		}
+		for _, a := range rebuilt.ByPred(pred) {
+			row, ok := gr.Find(got.Table, a.Args)
+			if !ok {
+				t.Errorf("%s: Find(%s) missed in the patched view", step, a)
+				continue
+			}
+			for j, id := range gr.Row(row) {
+				if got.Table.Term(id) != a.Args[j] {
+					t.Errorf("%s: Find(%s) = row %d, which decodes %v at %d", step, a, row, got.Table.Term(id), j)
+				}
+			}
+		}
+	}
+}
+
 func TestApplyDeltaMaintainsInternedView(t *testing.T) {
 	db := mustDB(t, "E(a,b). E(b,c). P(a).")
 	v0 := db.Interned()
-	if db.InternedCached() != v0 {
+	if db.interned.Load() != v0 {
 		t.Fatal("view not cached after Interned()")
 	}
 
-	if _, err := db.ApplyDelta(mustAtoms(t, "E(c,d). P(d)."), mustAtoms(t, "E(a,b).")); err != nil {
+	if _, err := db.ApplyDelta(mustAtoms(t, "E(c,d). P(d). T()."), mustAtoms(t, "E(a,b).")); err != nil {
 		t.Fatal(err)
 	}
-	v1 := db.InternedCached()
+	v1 := db.interned.Load()
 	if v1 == nil {
 		t.Fatal("ApplyDelta invalidated the cached view; want incremental repair")
 	}
 	if v1 == v0 {
 		t.Fatal("ApplyDelta left the stale view in place")
 	}
-
 	// The repaired view must be indistinguishable from one built from
-	// scratch over the patched atom set.
-	rebuilt, err := FromAtoms(db.Atoms()...)
-	if err != nil {
+	// scratch over the patched atom set, the nullary T() included: one
+	// row and an empty id matrix.
+	sameView(t, "insert T()", v1, db.Atoms())
+
+	// Deleting T() drops the relation, through an overlay's detached
+	// patch and through ApplyDelta; an overlay re-inserting it over a
+	// base without it brings it back.
+	overlaid := func(step string, ins, del []Atom) {
+		t.Helper()
+		ov, err := db.NewOverlay(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := ov.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameView(t, step, ov.Interned(), mat.Atoms())
+	}
+	overlaid("overlay delete T()", nil, mustAtoms(t, "T()."))
+	if _, err := db.ApplyDelta(nil, mustAtoms(t, "T().")); err != nil {
 		t.Fatal(err)
 	}
-	vr := rebuilt.Interned()
-	for _, pred := range []string{"E", "P"} {
-		pc, rc := v1.Relation(pred), vr.Relation(pred)
-		if (pc == nil) != (rc == nil) {
-			t.Fatalf("pred %s: patched present=%v rebuilt present=%v", pred, pc != nil, rc != nil)
-		}
-		if pc.Rows() != rc.Rows() {
-			t.Errorf("pred %s: patched %d rows, rebuilt %d", pred, pc.Rows(), rc.Rows())
-		}
-	}
+	sameView(t, "delete T()", db.interned.Load(), db.Atoms())
+	overlaid("overlay insert T()", mustAtoms(t, "T()."), nil)
 
 	// Bare mutations take the slow path: the view is dropped, not
 	// patched.
 	if !db.Remove(NewAtom("P", term.Const("a"))) {
 		t.Fatal("Remove(P(a)) found nothing to remove")
 	}
-	if db.InternedCached() != nil {
+	if db.interned.Load() != nil {
 		t.Error("bare Remove should invalidate the cached view")
 	}
 }
@@ -221,5 +271,56 @@ func TestOverlayWhatIf(t *testing.T) {
 
 	if _, err := db.NewOverlay(mustAtoms(t, "E(only_one)."), nil); !errors.Is(err, ErrArityClash) {
 		t.Errorf("overlay arity clash: err = %v, want ErrArityClash", err)
+	}
+}
+
+// TestOverlayCommit: committing an overlay is ApplyDelta of the same
+// batch — same atoms, epoch, counts and journal entry — and a stale
+// overlay, a committed one included, refuses and changes nothing.
+func TestOverlayCommit(t *testing.T) {
+	ins, del := mustAtoms(t, "E(c,d). E(a,b). E(c,d)."), mustAtoms(t, "E(b,c). E(x,x).")
+	db := mustDB(t, "E(a,b). E(b,c).")
+	db.Interned()
+	ov, err := db.NewOverlay(ins, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ov.Commit()
+	if err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	applied := mustDB(t, "E(a,b). E(b,c).")
+	applied.Interned()
+	want, err := applied.ApplyDelta(ins, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !db.Equal(applied) {
+		t.Fatalf("Commit = %+v over %v, ApplyDelta = %+v over %v", got, db.Atoms(), want, applied.Atoms())
+	}
+	gd, gok := db.DeltaSince(got.Epoch - 1)
+	wd, wok := applied.DeltaSince(want.Epoch - 1)
+	if !gok || !wok || len(gd) != 1 || len(wd) != 1 ||
+		len(gd[0].Inserts) != len(wd[0].Inserts) || len(gd[0].Deletes) != len(wd[0].Deletes) {
+		t.Fatalf("journal after Commit %v, after ApplyDelta %v", gd, wd)
+	}
+	sameView(t, "commit", db.interned.Load(), applied.Atoms())
+
+	if _, err := ov.Commit(); !errors.Is(err, ErrStaleOverlay) {
+		t.Fatalf("second Commit: err = %v, want ErrStaleOverlay", err)
+	}
+	ov, err = db.NewOverlay(mustAtoms(t, "E(y,z)."), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ApplyDelta(mustAtoms(t, "E(p,q)."), nil); err != nil {
+		t.Fatal(err)
+	}
+	epoch, n := db.Epoch(), db.Len()
+	if _, err := ov.Commit(); !errors.Is(err, ErrStaleOverlay) {
+		t.Fatalf("stale Commit: err = %v, want ErrStaleOverlay", err)
+	}
+	if db.Epoch() != epoch || db.Len() != n || db.Has(NewAtom("E", term.Const("y"), term.Const("z"))) {
+		t.Fatal("a refused Commit changed the base")
 	}
 }

@@ -13,24 +13,24 @@ import (
 // plus, per argument position, a sorted run — a permutation of the row
 // indices ordered by (id at that position, row index) — so that "all
 // rows whose position p equals id" is one binary search returning a
-// contiguous range, in the exact order the ByPos list would have
-// yielded them.
+// contiguous range in row order. A relation holds ids only: terms
+// resolve through the view's Table.
 type InternedRelation struct {
 	// Arity is the relation's argument count (row width).
 	Arity int
-	// Atoms holds the relation's atoms; row i of IDs encodes Atoms[i].
-	// The order is the ByPred insertion order at build time (a private
-	// copy: later Instance mutations cannot corrupt it).
-	Atoms []Atom
 	// IDs is the row-major tuple matrix: row i occupies
-	// IDs[i*Arity : (i+1)*Arity].
+	// IDs[i*Arity : (i+1)*Arity]. A view built from scratch holds the
+	// rows in ByPred order; ApplyDelta's repair keeps surviving rows in
+	// order and appends the inserted ones.
 	IDs []symtab.ID
 
+	rows int       // tuple count; IDs alone cannot tell it at arity 0
 	perm [][]int32 // perm[pos]: row indices sorted by (IDs[row*Arity+pos], row)
 }
 
-// Rows returns the number of tuples.
-func (r *InternedRelation) Rows() int { return len(r.Atoms) }
+// Rows returns the number of tuples: at arity 0, one when the relation
+// holds the empty tuple.
+func (r *InternedRelation) Rows() int { return r.rows }
 
 // Row returns the interned tuple of row i. The slice aliases the
 // relation's matrix; callers must not mutate it.
@@ -136,12 +136,6 @@ func (ins *Instance) Interned() *InternedView {
 	return v
 }
 
-// InternedCached returns the cached view if one is already built, nil
-// otherwise. Callers probing churning instances (the chase's growing
-// result, search states) use this to avoid rebuilding the view after
-// every mutation; evaluation entry points force the build via Interned.
-func (ins *Instance) InternedCached() *InternedView { return ins.interned.Load() }
-
 // invalidateInterned drops the cached view; called by every mutation.
 func (ins *Instance) invalidateInterned() { ins.interned.Store(nil) }
 
@@ -156,18 +150,16 @@ func buildInterned(ins *Instance) *InternedView {
 	for _, p := range preds {
 		src := ins.byPred[p]
 		ar := len(src[0].Args)
-		atoms := make([]Atom, len(src))
-		copy(atoms, src)
-		ids := make([]symtab.ID, 0, ar*len(atoms))
-		for _, a := range atoms {
+		ids := make([]symtab.ID, 0, ar*len(src))
+		for _, a := range src {
 			for _, t := range a.Args {
 				ids = append(ids, tab.Intern(t))
 			}
 		}
-		r := &InternedRelation{Arity: ar, Atoms: atoms, IDs: ids}
+		r := &InternedRelation{Arity: ar, IDs: ids, rows: len(src)}
 		r.perm = make([][]int32, ar)
 		for pos := 0; pos < ar; pos++ {
-			pm := make([]int32, len(atoms))
+			pm := make([]int32, len(src))
 			for i := range pm {
 				pm[i] = int32(i)
 			}

@@ -32,12 +32,13 @@ func TestInternedViewRoundTrip(t *testing.T) {
 	if rel == nil || rel.Arity != 2 || rel.Rows() != 3 {
 		t.Fatalf("Relation(E) = %+v", rel)
 	}
-	// Every row decodes back to its atom.
+	// Every row decodes back to its atom, in ByPred order.
+	atoms := ins.ByPred("E")
 	for i := 0; i < rel.Rows(); i++ {
 		row := rel.Row(i)
 		for j, id := range row {
-			if v.Table.Term(id) != rel.Atoms[i].Args[j] {
-				t.Fatalf("row %d col %d: %v != %v", i, j, v.Table.Term(id), rel.Atoms[i].Args[j])
+			if v.Table.Term(id) != atoms[i].Args[j] {
+				t.Fatalf("row %d col %d: %v != %v", i, j, v.Table.Term(id), atoms[i].Args[j])
 			}
 		}
 	}
@@ -57,7 +58,7 @@ func TestInternedRangeMatchesByPos(t *testing.T) {
 			if id, ok := v.Table.Lookup(c); ok {
 				lo, hi := rel.Range(pos, id)
 				for k := lo; k < hi; k++ {
-					got = append(got, rel.Atoms[rel.RowAt(pos, k)])
+					got = append(got, ins.ByPred("E")[rel.RowAt(pos, k)])
 				}
 			}
 			if len(got) != len(want) {
@@ -74,11 +75,11 @@ func TestInternedRangeMatchesByPos(t *testing.T) {
 
 func TestInternedCacheInvalidation(t *testing.T) {
 	ins := internedFixture(t)
-	if ins.InternedCached() != nil {
+	if ins.interned.Load() != nil {
 		t.Fatal("cache populated before first Interned call")
 	}
 	v1 := ins.Interned()
-	if ins.InternedCached() != v1 {
+	if ins.interned.Load() != v1 {
 		t.Fatal("cache not populated")
 	}
 	if ins.Interned() != v1 {
@@ -87,7 +88,7 @@ func TestInternedCacheInvalidation(t *testing.T) {
 	if err := ins.Add(NewAtom("E", term.Const("c"), term.Const("a"))); err != nil {
 		t.Fatal(err)
 	}
-	if ins.InternedCached() != nil {
+	if ins.interned.Load() != nil {
 		t.Fatal("Add did not invalidate cache")
 	}
 	v2 := ins.Interned()
@@ -95,13 +96,13 @@ func TestInternedCacheInvalidation(t *testing.T) {
 		t.Fatalf("rebuilt view has %d rows, want 4", v2.Relation("E").Rows())
 	}
 	ins.Remove(NewAtom("P", term.Const("a")))
-	if ins.InternedCached() != nil {
+	if ins.interned.Load() != nil {
 		t.Fatal("Remove did not invalidate cache")
 	}
 	if ins.Interned().Relation("P") != nil {
 		t.Fatal("removed predicate still has a relation")
 	}
-	// The old view must be unaffected by the mutations (private copies).
+	// The old view must be unaffected by the mutations.
 	if v1.Relation("E").Rows() != 3 || v1.Relation("P") == nil {
 		t.Fatal("stale view corrupted by mutation")
 	}
@@ -119,7 +120,7 @@ func TestInternedFind(t *testing.T) {
 	v := ins.Interned()
 	for _, pred := range []string{"E", "P", "T"} {
 		rel := v.Relation(pred)
-		for i, a := range rel.Atoms {
+		for i, a := range ins.ByPred(pred) {
 			if row, ok := rel.Find(v.Table, a.Args); !ok || row != i {
 				t.Errorf("Find(%s) = %d, %v; want row %d", a, row, ok, i)
 			}

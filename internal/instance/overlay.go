@@ -49,7 +49,8 @@ func (o *Overlay) Base() *Instance { return o.base }
 func (o *Overlay) BaseEpoch() uint64 { return o.baseEpoch }
 
 // Stale reports whether the base has been mutated since capture; a
-// stale overlay's Len, Interned and Materialize are unspecified.
+// stale overlay's Len, Interned and Materialize are unspecified, and
+// Commit refuses it.
 func (o *Overlay) Stale() bool { return o.base.Epoch() != o.baseEpoch }
 
 // Inserts returns the effective inserted atoms; shared, do not mutate.

@@ -8,7 +8,8 @@ import (
 )
 
 // EpochThread polices the delta-maintenance contract of
-// instance.Instance.ApplyDelta: the returned DeltaResult carries the
+// instance.Instance.ApplyDelta and instance.Overlay.Commit, the two
+// calls that apply a batch: the returned DeltaResult carries the
 // post-batch epoch, and every non-test caller must bind it — the epoch
 // is how downstream consumers (the reducer-state cache, the PATCH
 // response, DeltaSince) correlate retained state with instance
@@ -19,7 +20,7 @@ import (
 // annotate with //semalint:allow epochthread(reason).
 var EpochThread = &Analyzer{
 	Name: "epochthread",
-	Doc: "require non-test callers of instance.ApplyDelta to bind the returned " +
+	Doc: "require non-test callers of instance.ApplyDelta and Overlay.Commit to bind the returned " +
 		"DeltaResult (the epoch thread), so retained incremental state can always " +
 		"be correlated with the instance version that invalidated it",
 	Run: runEpochThread,
@@ -38,35 +39,41 @@ func runEpochThread(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:
-				if call, ok := stmt.X.(*ast.CallExpr); ok && isApplyDeltaCall(p, call) {
-					p.Reportf(call.Pos(),
-						"ApplyDelta result discarded: bind the DeltaResult and thread its "+
-							"epoch (or annotate //semalint:allow epochthread(reason))")
+				if call, ok := stmt.X.(*ast.CallExpr); ok {
+					if name, ok := deltaCall(p, call); ok {
+						p.Reportf(call.Pos(),
+							"%s result discarded: bind the DeltaResult and thread its "+
+								"epoch (or annotate //semalint:allow epochthread(reason))", name)
+					}
 				}
 			case *ast.GoStmt:
-				if isApplyDeltaCall(p, stmt.Call) {
+				if name, ok := deltaCall(p, stmt.Call); ok {
 					p.Reportf(stmt.Call.Pos(),
-						"ApplyDelta in a go statement discards the DeltaResult: thread the "+
-							"epoch from a binding call site instead")
+						"%s in a go statement discards the DeltaResult: thread the "+
+							"epoch from a binding call site instead", name)
 				}
 			case *ast.DeferStmt:
-				if isApplyDeltaCall(p, stmt.Call) {
+				if name, ok := deltaCall(p, stmt.Call); ok {
 					p.Reportf(stmt.Call.Pos(),
-						"ApplyDelta in a defer statement discards the DeltaResult: thread "+
-							"the epoch from a binding call site instead")
+						"%s in a defer statement discards the DeltaResult: thread "+
+							"the epoch from a binding call site instead", name)
 				}
 			case *ast.AssignStmt:
 				if len(stmt.Rhs) != 1 {
 					return true
 				}
 				call, ok := stmt.Rhs[0].(*ast.CallExpr)
-				if !ok || !isApplyDeltaCall(p, call) {
+				if !ok {
+					return true
+				}
+				name, ok := deltaCall(p, call)
+				if !ok {
 					return true
 				}
 				if id, ok := stmt.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
 					p.Reportf(call.Pos(),
-						"ApplyDelta DeltaResult assigned to blank: bind it and thread its "+
-							"epoch (or annotate //semalint:allow epochthread(reason))")
+						"%s DeltaResult assigned to blank: bind it and thread its "+
+							"epoch (or annotate //semalint:allow epochthread(reason))", name)
 				}
 			}
 			return true
@@ -74,16 +81,25 @@ func runEpochThread(p *Pass) {
 	}
 }
 
-// isApplyDeltaCall reports whether the call is
-// (*instance.Instance).ApplyDelta.
-func isApplyDeltaCall(p *Pass, call *ast.CallExpr) bool {
+// deltaCall reports whether the call is (*instance.Instance).ApplyDelta
+// or (*instance.Overlay).Commit, and returns the method name.
+func deltaCall(p *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ApplyDelta" {
-		return false
+	if !ok {
+		return "", false
+	}
+	var recv string
+	switch sel.Sel.Name {
+	case "ApplyDelta":
+		recv = "Instance"
+	case "Commit":
+		recv = "Overlay"
+	default:
+		return "", false
 	}
 	tv, ok := p.Pkg.Info.Types[sel.X]
 	if !ok || tv.Type == nil {
-		return false
+		return "", false
 	}
 	typ := tv.Type
 	if ptr, ok := typ.Underlying().(*types.Pointer); ok {
@@ -91,11 +107,11 @@ func isApplyDeltaCall(p *Pass, call *ast.CallExpr) bool {
 	}
 	named, ok := typ.(*types.Named)
 	if !ok {
-		return false
+		return "", false
 	}
 	obj := named.Obj()
 	if obj == nil || obj.Pkg() == nil {
-		return false
+		return "", false
 	}
-	return obj.Name() == "Instance" && path.Base(obj.Pkg().Path()) == "instance"
+	return sel.Sel.Name, obj.Name() == recv && path.Base(obj.Pkg().Path()) == "instance"
 }

@@ -1,6 +1,6 @@
 // Package srv is an epochthread fixture: every non-test caller of
-// instance.ApplyDelta must bind the returned DeltaResult so the epoch
-// thread survives.
+// instance.ApplyDelta or Overlay.Commit must bind the returned
+// DeltaResult so the epoch thread survives.
 package srv
 
 import (
@@ -26,6 +26,22 @@ func asyncMutation(db *instance.Instance, ins []instance.Atom) {
 	defer db.ApplyDelta(nil, ins) // want "ApplyDelta in a defer statement"
 }
 
+// overlayCommit applies a batch through an overlay: Commit returns the
+// same DeltaResult, under the same contract.
+func overlayCommit(db *instance.Instance, ins []instance.Atom) (uint64, error) {
+	ov, err := db.NewOverlay(ins, nil)
+	if err != nil {
+		return 0, err
+	}
+	ov.Commit()          // want "Commit result discarded"
+	_, err = ov.Commit() // want "Commit DeltaResult assigned to blank"
+	if err != nil {
+		return 0, err
+	}
+	res, err := ov.Commit()
+	return res.Epoch, err
+}
+
 // threaded is the sanctioned shape: the result is bound and its epoch
 // flows onward.
 func threaded(db *instance.Instance, ins, del []instance.Atom) (uint64, error) {
@@ -48,6 +64,9 @@ type fake struct{}
 
 func (fake) ApplyDelta(a, b int) int { return a + b }
 
+func (fake) Commit() int { return 0 }
+
 func sameNameOtherType(f fake) {
 	f.ApplyDelta(1, 2)
+	f.Commit()
 }

@@ -69,22 +69,28 @@ func (s *Server) servePatch(w http.ResponseWriter, r *http.Request) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Exact post-batch size precheck: net arithmetic on the current
-	// atom set, so an oversized patch rejects without applying anything.
-	if max := s.instances.maxAtoms; max > 0 {
-		if after := patchedLen(e.db, ins, del); after > max {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("patch grows instance to %d atoms, limit %d", after, max))
-			return
-		}
-	}
-	res, err := e.db.ApplyDelta(ins, del)
+	// The overlay holds the validated net batch, and its Len is the
+	// exact post-batch size, so an oversized patch rejects without
+	// applying anything.
+	ov, err := e.db.NewOverlay(ins, del)
 	if err != nil {
 		if errors.Is(err, instance.ErrArityClash) {
 			writeError(w, http.StatusConflict, err.Error())
 			return
 		}
 		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if max := s.instances.maxAtoms; max > 0 && ov.Len() > max {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("patch grows instance to %d atoms, limit %d", ov.Len(), max))
+		return
+	}
+	res, err := ov.Commit()
+	if err != nil {
+		// Unreachable: the write lock keeps the base at the overlay's
+		// epoch.
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	e.preds, e.counts = e.db.Predicates()
@@ -99,38 +105,4 @@ func (s *Server) servePatch(w http.ResponseWriter, r *http.Request) {
 		Deleted:  res.Deleted,
 		Atoms:    e.db.Len(),
 	})
-}
-
-// patchedLen computes the exact instance size after the net batch:
-// distinct present deletes not re-inserted leave, distinct absent
-// inserts arrive.
-func patchedLen(db *instance.Instance, ins, del []instance.Atom) int {
-	n := db.Len()
-	insKeys := make(map[string]bool, len(ins))
-	for _, a := range ins {
-		insKeys[a.Key()] = true
-	}
-	seenDel := make(map[string]bool, len(del))
-	for _, a := range del {
-		k := a.Key()
-		if seenDel[k] {
-			continue
-		}
-		seenDel[k] = true
-		if db.Has(a) && !insKeys[k] {
-			n--
-		}
-	}
-	seenIns := make(map[string]bool, len(ins))
-	for _, a := range ins {
-		k := a.Key()
-		if seenIns[k] {
-			continue
-		}
-		seenIns[k] = true
-		if !db.Has(a) {
-			n++
-		}
-	}
-	return n
 }

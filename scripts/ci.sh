@@ -51,8 +51,9 @@ echo "== bench module (vet, race tests, semalint) =="
 (cd bench && go vet ./... && go test -race -count=1 ./... && go run semacyclic/cmd/semalint ./...)
 
 echo "== allocation guards (no race: counts must be exact) =="
-# The interned hot path promises 0 allocs/op on its probe operations
-# (candidate pre-filter, semijoin membership, index range), the answer
+# The probe operations promise 0 allocs/op: hom's candidate probe over
+# the ByPred/ByPos map index, and the interned view's semijoin
+# membership and index range in yannakakis and instance. The answer
 # boundary promises allocations that do not grow with the number of
 # matches or answers (hom undo stack, yannakakis answer slab) and none
 # at all for answers already in canonical order (core), the decision
@@ -63,9 +64,9 @@ echo "== allocation guards (no race: counts must be exact) =="
 # per round rather than cloning per victim, DedupAtoms copies into one
 # slab, and IsAcyclic builds no forest, keys or per-atom slices. The
 # query, dependency and database parsers slice escape-free quoted
-# constants from their input, and the rule parsers reuse one argument
-# buffer per parse. The guards skip themselves under -race, so run
-# them once without it.
+# constants from their input, the rule parsers reuse one argument
+# buffer per parse, and deps.Parse validates each dependency once. The
+# guards skip themselves under -race, so run them once without it.
 go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/
 
 echo "== reference gate =="

@@ -215,6 +215,10 @@ func ParseAtoms(input string) ([]Atom, error) { return instance.ParseAtoms(input
 // instance schema or another batch atom; match with errors.Is.
 var ErrArityClash = instance.ErrArityClash
 
+// ErrStaleOverlay is returned by Overlay.Commit when the overlay's base
+// instance was mutated after the overlay captured it.
+var ErrStaleOverlay = instance.ErrStaleOverlay
+
 // FormatDatabase renders a database in the ground-atom syntax that
 // ParseDatabase reads back (one "R(a,b)." statement per line). It
 // fails on instances holding nulls or syntax-delimiter constants.
