@@ -9,6 +9,8 @@ package chase
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 
 	"semacyclic/internal/cq"
@@ -94,8 +96,6 @@ type Result struct {
 	// substitution from replaced terms to their replacements (fully
 	// resolved).
 	Merges term.Subst
-	// Depth maps each atom key to its derivation depth.
-	Depth map[string]int
 	// Trace lists the chase steps in order when Options.Trace was set.
 	Trace []Step
 	// Stats holds the always-on run counters (rounds, triggers, nulls,
@@ -104,6 +104,24 @@ type Result struct {
 	// equals the number of tgd entries and Merges the number of merge
 	// entries in the trace.
 	Stats obs.ChaseStats
+
+	// depth is each atom's derivation depth, indexed by its slot in
+	// Instance (see DepthOf).
+	depth []int32
+}
+
+// DepthOf returns the derivation depth of atom a in the chased
+// instance: 0 for an atom of the input, one more than the deepest body
+// atom of the trigger that derived it otherwise, and the minimum over
+// the atoms an egd merge collapsed onto it. ok is false when the
+// instance does not hold a. The answer is defined while Instance is
+// unmodified.
+func (r *Result) DepthOf(a instance.Atom) (depth int, ok bool) {
+	s := r.Instance.SlotOf(a.Pred, a.Args)
+	if s < 0 {
+		return 0, false
+	}
+	return int(r.depth[s]), true
 }
 
 // Run chases db with the dependency set under the given options. The
@@ -121,15 +139,10 @@ func run(inst *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
 		set:     set,
 		opt:     opt,
 		merges:  term.NewSubst(),
-		depth:   make(map[string]int),
-		vars:    make([]tgdVars, len(set.TGDs)),
 		scratch: term.NewSubst(),
 	}
-	for i, t := range set.TGDs {
-		st.vars[i] = tgdVars{frontier: t.FrontierVars(), body: t.BodyVars(), existential: t.ExistentialVars()}
-	}
 	for _, a := range st.inst.AtomsUnordered() {
-		st.depth[a.Key()] = 0
+		st.lowerDepth(st.inst.SlotOf(a.Pred, a.Args), 0)
 	}
 	if err := st.run(); err != nil {
 		return nil, err
@@ -146,9 +159,9 @@ func run(inst *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
 		Complete: st.complete,
 		Steps:    st.steps,
 		Merges:   st.merges,
-		Depth:    st.depth,
 		Trace:    st.trace,
 		Stats:    st.stats,
+		depth:    st.depth,
 	}, nil
 }
 
@@ -177,24 +190,51 @@ type state struct {
 	steps    int
 	complete bool
 	merges   term.Subst
-	depth    map[string]int
-	trace    []Step
-	stats    obs.ChaseStats
+	// depth is the derivation depth per instance slot. Every free
+	// slot below len(depth) holds unsetDepth, so an atom that takes a
+	// slot finds no stale depth there (see lowerDepth and replace).
+	depth []int32
+	trace []Step
+	stats obs.ChaseStats
 	// fired remembers body-homomorphism fingerprints for the oblivious
 	// chase so each trigger fires at most once; fpBuf builds them.
 	fired map[string]bool
 	fpBuf []byte
-	// vars holds each tgd's variable lists, computed once per run.
-	vars []tgdVars
 	// scratch is the one substitution the single-writer firing loop
 	// binds a trigger's frontier (and then its nulls) into.
 	scratch term.Subst
+	// triggers, slab and args are reused across collections and
+	// firings: a tgd's triggers are all consumed before the next
+	// collection starts.
+	triggers []trigger
+	slab     []term.Term
+	args     []term.Term
 }
 
-// tgdVars are a tgd's frontier, body and existential variables, each
-// in first-occurrence order.
-type tgdVars struct {
-	frontier, body, existential []term.Term
+// unsetDepth marks a slot without a depth. It exceeds every real
+// depth, so one minimum serves a new atom and a merged one alike.
+const unsetDepth = math.MaxInt32
+
+// lowerDepth lowers the depth of the atom in slot sl to d: sets it, for
+// an atom that just took a free slot or one past the table.
+func (s *state) lowerDepth(sl int32, d int32) {
+	if n := len(s.depth); int(sl) >= n {
+		s.depth = append(s.depth, make([]int32, int(sl)+1-n)...)
+		for i := range s.depth[n:] {
+			s.depth[n+i] = unsetDepth
+		}
+	}
+	s.depth[sl] = min(s.depth[sl], d)
+}
+
+// applyArgs resolves the arguments of a under sub into the reused
+// argument buffer; the result is valid until the next call.
+func (s *state) applyArgs(a instance.Atom, sub term.Subst) []term.Term {
+	s.args = s.args[:0]
+	for _, t := range a.Args {
+		s.args = append(s.args, sub.Resolve(t))
+	}
+	return s.args
 }
 
 // cancelled polls the cancel channel without blocking (a nil channel
@@ -290,34 +330,33 @@ type trigger struct {
 
 // collectTriggers snapshots the homomorphisms from tgd ti's body into
 // the current instance, keeping the frontier images and body-image
-// depth. It only reads the instance, the depth map and the tgd's
-// variable lists.
+// depth. It only reads the instance, the depth table and the tgd's
+// variable lists. The returned triggers live in the state's buffers
+// until the next collection.
 func (s *state) collectTriggers(ti int) []trigger {
-	t, tv := s.set.TGDs[ti], &s.vars[ti]
-	var out []trigger
-	var slab []term.Term
-	var keyBuf []byte
+	t := s.set.TGDs[ti]
+	frontier, body := t.FrontierVars(), t.BodyVars()
+	s.triggers, s.slab = s.triggers[:0], s.slab[:0]
 	hom.Enumerate(t.Body, s.inst, nil, func(h term.Subst) bool {
 		// Stop collecting on cancellation: the partial trigger list is
 		// never fired, because tgdPass polls before every firing.
-		if len(out)%64 == 63 && s.cancelled() {
+		if len(s.triggers)%64 == 63 && s.cancelled() {
 			return false
 		}
 		var trig trigger
-		slab, trig.frontier = appendImages(slab, h, tv.frontier)
+		s.slab, trig.frontier = appendImages(s.slab, h, frontier)
 		if s.opt.Oblivious {
-			slab, trig.body = appendImages(slab, h, tv.body)
+			s.slab, trig.body = appendImages(s.slab, h, body)
 		}
 		for _, b := range t.Body {
-			keyBuf = b.AppendKeyApplied(keyBuf[:0], h)
-			if dep, ok := s.depth[string(keyBuf)]; ok && dep > trig.depth {
+			if dep := int(s.depth[s.inst.SlotOf(b.Pred, s.applyArgs(b, h))]); dep > trig.depth {
 				trig.depth = dep
 			}
 		}
-		out = append(out, trig)
+		s.triggers = append(s.triggers, trig)
 		return true
 	})
-	return out
+	return s.triggers
 }
 
 // appendImages appends the images of vars under h to slab and returns
@@ -335,7 +374,7 @@ func appendImages(slab []term.Term, h term.Subst, vars []term.Term) ([]term.Term
 // scratch substitution, dropping whatever the previous trigger bound.
 func (s *state) bindFrontier(ti int, images []term.Term) term.Subst {
 	clear(s.scratch)
-	for i, v := range s.vars[ti].frontier {
+	for i, v := range s.set.TGDs[ti].FrontierVars() {
 		s.scratch[v] = images[i]
 	}
 	return s.scratch
@@ -352,7 +391,7 @@ func (s *state) headSatisfied(ti int, frontier []term.Term) bool {
 func (s *state) fire(ti int, frontier []term.Term, depth int) {
 	t := s.set.TGDs[ti]
 	sub := s.bindFrontier(ti, frontier)
-	for _, z := range s.vars[ti].existential {
+	for _, z := range t.ExistentialVars() {
 		sub[z] = term.FreshNull()
 		s.stats.NullsCreated++
 	}
@@ -361,15 +400,15 @@ func (s *state) fire(ti int, frontier []term.Term, depth int) {
 		step = &Step{TGD: ti}
 	}
 	for _, h := range t.Head {
-		a := h.Apply(sub)
-		added, err := s.inst.AddReport(a)
+		a := instance.Atom{Pred: h.Pred, Args: s.applyArgs(h, sub)}
+		sl, added, err := s.inst.AddSlot(a)
 		if err != nil {
 			panic(fmt.Sprintf("chase: internal error adding %s: %v", a, err))
 		}
 		if added {
-			s.depth[a.Key()] = depth
+			s.lowerDepth(sl, int32(depth))
 			if step != nil {
-				step.Added = append(step.Added, a)
+				step.Added = append(step.Added, a.Clone())
 			}
 		}
 	}
@@ -454,36 +493,31 @@ func (s *state) replace(old, new term.Term) {
 	if s.opt.Trace {
 		s.trace = append(s.trace, Step{TGD: -1, Merged: [2]term.Term{old, new}})
 	}
-	// Atoms mentioning old will be rewritten; carry depths over,
-	// keeping the minimum on collision.
-	var affected []instance.Atom
-	for _, a := range s.inst.AtomsUnordered() {
-		for _, t := range a.Args {
-			if t == old {
-				affected = append(affected, a)
-				break
-			}
-		}
+	// Atoms mentioning old will be rewritten; carry depths over by
+	// slot, keeping the minimum on collision. ReplaceTerm frees their
+	// slots, so they are unset first.
+	type moved struct {
+		atom  instance.Atom
+		depth int32
 	}
-	oldDepths := make(map[string]int, len(affected))
-	for _, a := range affected {
-		oldDepths[a.Key()] = s.depth[a.Key()]
-		delete(s.depth, a.Key())
+	var affected []moved
+	for _, a := range s.inst.AtomsUnordered() {
+		if slices.Contains(a.Args, old) {
+			sl := s.inst.SlotOf(a.Pred, a.Args)
+			affected = append(affected, moved{a, s.depth[sl]})
+			s.depth[sl] = unsetDepth
+		}
 	}
 	s.inst.ReplaceTerm(old, new)
-	for _, a := range affected {
-		na := a.Clone()
-		for i := range na.Args {
-			if na.Args[i] == old {
-				na.Args[i] = new
+	for _, m := range affected {
+		s.args = s.args[:0]
+		for _, t := range m.atom.Args {
+			if t == old {
+				t = new
 			}
+			s.args = append(s.args, t)
 		}
-		k := na.Key()
-		d, had := s.depth[k]
-		od := oldDepths[a.Key()]
-		if !had || od < d {
-			s.depth[k] = od
-		}
+		s.lowerDepth(s.inst.SlotOf(m.atom.Pred, s.args), m.depth)
 	}
 	// Update the merge substitution: old ↦ new, and re-point anything
 	// that previously mapped to old. Iterate the domain in canonical

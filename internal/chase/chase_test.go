@@ -84,9 +84,9 @@ func TestInfiniteChaseTruncatedByDepth(t *testing.T) {
 	if res.Instance.Len() != 6 { // initial + 5 levels
 		t.Errorf("chase size = %d, want 6", res.Instance.Len())
 	}
-	for _, d := range res.Depth {
-		if d > 5 {
-			t.Errorf("depth %d exceeds budget", d)
+	for _, a := range res.Instance.Atoms() {
+		if d, ok := res.DepthOf(a); !ok || d > 5 {
+			t.Errorf("depth(%s) = %d, %v: exceeds budget", a, d, ok)
 		}
 	}
 }
@@ -315,10 +315,9 @@ func TestNonRecursiveChaseDepthMatchesStratification(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDepth := map[string]int{"A": 0, "B": 1, "C": 2, "D": 3}
-	for key, d := range res.Depth {
-		pred := key[:strings.IndexByte(key, 0)]
-		if wantDepth[pred] != d {
-			t.Errorf("depth(%s) = %d, want %d", pred, d, wantDepth[pred])
+	for _, a := range res.Instance.Atoms() {
+		if d, ok := res.DepthOf(a); !ok || wantDepth[a.Pred] != d {
+			t.Errorf("depth(%s) = %d, %v, want %d", a, d, ok, wantDepth[a.Pred])
 		}
 	}
 }
@@ -353,5 +352,37 @@ func TestQueryMapOrderDeterministic(t *testing.T) {
 		if got := render(); got != want {
 			t.Fatalf("run %d: %s\nfirst run: %s", i, got, want)
 		}
+	}
+}
+
+// TestDepthCarriedAcrossMerges: an egd merge rewrites atoms by slot and
+// keeps their derivation depths. A rewritten atom that collapses onto
+// an existing one keeps the smaller depth; one that lands alone keeps
+// its own.
+func TestDepthCarriedAcrossMerges(t *testing.T) {
+	set := deps.MustParse("A(x) -> E(x,z), H(z).\nE(x,y), E(x,z) -> y = z.")
+	c := term.Const
+	db := instance.MustFromAtoms(instance.NewAtom("A", c("a")), instance.NewAtom("E", c("a"), c("b")))
+	res, err := Run(db, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		atom  instance.Atom
+		depth int
+	}{
+		{instance.NewAtom("A", c("a")), 0},
+		{instance.NewAtom("E", c("a"), c("b")), 0}, // E(a,⊥) at depth 1 collapsed onto it
+		{instance.NewAtom("H", c("b")), 1},         // H(⊥) at depth 1, rewritten
+	} {
+		if d, ok := res.DepthOf(tc.atom); !ok || d != tc.depth {
+			t.Errorf("DepthOf(%s) = %d, %v, want %d", tc.atom, d, ok, tc.depth)
+		}
+	}
+	if res.Instance.Len() != 3 {
+		t.Errorf("chase = %s, want A(a), E(a,b), H(b)", res.Instance)
+	}
+	if _, ok := res.DepthOf(instance.NewAtom("H", c("a"))); ok {
+		t.Error("DepthOf reports an absent atom")
 	}
 }

@@ -199,8 +199,13 @@ func (q *CQ) Freeze() (*instance.Instance, []term.Term) {
 		s[v] = FrozenConst(v)
 	}
 	db := instance.New()
+	var args []term.Term // Add copies the atom, so one buffer serves all
 	for _, a := range q.Atoms {
-		if err := db.Add(a.Apply(s)); err != nil {
+		args = args[:0]
+		for _, t := range a.Args {
+			args = append(args, s.Resolve(t))
+		}
+		if err := db.Add(instance.Atom{Pred: a.Pred, Args: args}); err != nil {
 			panic(err) // frozen atoms are ground
 		}
 	}

@@ -22,6 +22,10 @@ import (
 type TGD struct {
 	Body []instance.Atom
 	Head []instance.Atom
+
+	// The variable lists, built once by newTGD and RenameApart and
+	// handed out shared; Body and Head must not change afterwards.
+	bodyVars, headVars, frontier, existential []term.Term
 }
 
 // NewTGD builds and validates a tgd over copies of body and head.
@@ -36,7 +40,44 @@ func newTGD(body, head []instance.Atom) (*TGD, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	t.setVars()
 	return t, nil
+}
+
+// setVars builds the variable lists in one slab. Each list is a capped
+// window of it, so a caller appending to one copies it instead of
+// writing into the next.
+func (t *TGD) setVars() {
+	n := 0
+	for _, a := range t.Body {
+		n += len(a.Args)
+	}
+	for _, a := range t.Head {
+		n += len(a.Args)
+	}
+	slab := make([]term.Term, 0, 2*n) // frontier ⊆ body vars, existential ⊆ head vars
+	start := 0
+	cut := func() []term.Term {
+		w := slab[start:len(slab):len(slab)]
+		start = len(slab)
+		return w
+	}
+	slab = appendVars(slab, t.Body)
+	t.bodyVars = cut()
+	slab = appendVars(slab, t.Head)
+	t.headVars = cut()
+	for _, v := range t.bodyVars {
+		if mentions(t.Head, v) {
+			slab = append(slab, v)
+		}
+	}
+	t.frontier = cut()
+	for _, v := range t.headVars {
+		if !mentions(t.Body, v) {
+			slab = append(slab, v)
+		}
+	}
+	t.existential = cut()
 }
 
 // MustTGD is NewTGD that panics on error.
@@ -93,37 +134,23 @@ func validateAtoms(sch *schema.Schema, kind string, atoms []instance.Atom) error
 	return nil
 }
 
-// BodyVars returns the distinct body variables in first-occurrence order.
-func (t *TGD) BodyVars() []term.Term { return varsOf(t.Body) }
+// BodyVars returns the distinct body variables in first-occurrence
+// order. The slice is shared; callers must not mutate it.
+func (t *TGD) BodyVars() []term.Term { return t.bodyVars }
 
-// HeadVars returns the distinct head variables in first-occurrence order.
-func (t *TGD) HeadVars() []term.Term { return varsOf(t.Head) }
+// HeadVars returns the distinct head variables in first-occurrence
+// order. The slice is shared; callers must not mutate it.
+func (t *TGD) HeadVars() []term.Term { return t.headVars }
 
 // FrontierVars returns the body variables that also occur in the head
-// (the exported x̄ of the tgd).
-func (t *TGD) FrontierVars() []term.Term {
-	out := t.BodyVars()
-	frontier := out[:0]
-	for _, v := range out {
-		if mentions(t.Head, v) {
-			frontier = append(frontier, v)
-		}
-	}
-	return frontier
-}
+// (the exported x̄ of the tgd), in first-occurrence order. The slice is
+// shared; callers must not mutate it.
+func (t *TGD) FrontierVars() []term.Term { return t.frontier }
 
 // ExistentialVars returns the head variables not occurring in the body
-// (the z̄ of the tgd).
-func (t *TGD) ExistentialVars() []term.Term {
-	out := t.HeadVars()
-	existential := out[:0]
-	for _, v := range out {
-		if !mentions(t.Body, v) {
-			existential = append(existential, v)
-		}
-	}
-	return existential
-}
+// (the z̄ of the tgd), in first-occurrence order. The slice is shared;
+// callers must not mutate it.
+func (t *TGD) ExistentialVars() []term.Term { return t.existential }
 
 // RenameApart returns a copy of the tgd whose variables are fresh,
 // needed whenever a tgd is matched against a query sharing names.
@@ -135,7 +162,9 @@ func (t *TGD) RenameApart() *TGD {
 	for _, v := range t.ExistentialVars() {
 		s[v] = term.FreshVar()
 	}
-	return &TGD{Body: applyAtoms(t.Body, s), Head: applyAtoms(t.Head, s)}
+	r := &TGD{Body: applyAtoms(t.Body, s), Head: applyAtoms(t.Head, s)}
+	r.setVars()
+	return r
 }
 
 func applyAtoms(atoms []instance.Atom, s term.Subst) []instance.Atom {
@@ -147,13 +176,17 @@ func applyAtoms(atoms []instance.Atom, s term.Subst) []instance.Atom {
 }
 
 // varsOf returns the distinct variables of the atoms in first-occurrence
-// order. Dependencies are small, so a linear scan of the output
-// replaces a set.
-func varsOf(atoms []instance.Atom) []term.Term {
-	var out []term.Term
+// order.
+func varsOf(atoms []instance.Atom) []term.Term { return appendVars(nil, atoms) }
+
+// appendVars appends the distinct variables of the atoms to out in
+// first-occurrence order. Dependencies are small, so a linear scan of
+// the appended part replaces a set.
+func appendVars(out []term.Term, atoms []instance.Atom) []term.Term {
+	start := len(out)
 	for _, a := range atoms {
 		for _, tm := range a.Args {
-			if tm.IsVar() && !slices.Contains(out, tm) {
+			if tm.IsVar() && !slices.Contains(out[start:], tm) {
 				out = append(out, tm)
 			}
 		}

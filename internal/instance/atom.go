@@ -73,18 +73,6 @@ func (a Atom) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// AppendKeyApplied appends the canonical key of a.Apply(s) to buf
-// without materializing the substituted atom: the key of the atom whose
-// arguments are the (chain-resolved) images of a's arguments under s.
-func (a Atom) AppendKeyApplied(buf []byte, s term.Subst) []byte {
-	buf = appendKeyName(buf, a.Pred)
-	for _, t := range a.Args {
-		img := s.Resolve(t)
-		buf = appendKeyName(append(buf, 0, byte(img.K)), img.Name)
-	}
-	return buf
-}
-
 // Equal reports structural equality.
 func (a Atom) Equal(b Atom) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {

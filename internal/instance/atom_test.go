@@ -69,9 +69,6 @@ func TestAtomKeyInjectiveWithNUL(t *testing.T) {
 	if got, want := plain.Key(), "R\x00\x00a\x00\x01n1\x00\x00\xff"; got != want {
 		t.Errorf("NUL-free key %q, want %q", got, want)
 	}
-	if got := string(b.AppendKeyApplied(nil, nil)); got != b.Key() {
-		t.Errorf("AppendKeyApplied %q, Key %q", got, b.Key())
-	}
 }
 
 func TestAtomEqual(t *testing.T) {

@@ -118,7 +118,8 @@ func (o *Overlay) Commit() (DeltaResult, error) {
 	}
 	ins, effIns, effDel := o.base, o.inserts, o.deletes
 	for _, a := range effDel {
-		ins.removeIndexed(a.Key(), a)
+		h := hashAtom(a.Pred, a.Args)
+		ins.removeIndexed(h, ins.atoms.find(h, a.Pred, a.Args))
 	}
 	for _, a := range effIns {
 		if err := ins.sch.Add(a.Pred, len(a.Args)); err != nil {
@@ -126,7 +127,7 @@ func (o *Overlay) Commit() (DeltaResult, error) {
 			// at the overlay's epoch, which is still the base's.
 			return DeltaResult{}, fmt.Errorf("%w: %w", ErrArityClash, err)
 		}
-		ins.addIndexed(a.Key(), a)
+		ins.addIndexed(hashAtom(a.Pred, a.Args), a)
 	}
 	ins.epoch++
 	ins.journal = append(ins.journal, journalEntry{epoch: ins.epoch, d: Delta{Inserts: effIns, Deletes: effDel}})
@@ -213,34 +214,33 @@ func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, e
 		}
 	}
 
-	insKeys := make(map[string]bool, len(inserts))
-	for _, a := range inserts {
-		insKeys[a.Key()] = true
-	}
-	seenDel := make(map[string]bool, len(deletes))
-	for _, a := range deletes {
-		k := a.Key()
-		if seenDel[k] {
-			continue
-		}
-		seenDel[k] = true
-		stored, present := ins.atoms[k]
-		if present && !insKeys[k] {
-			effDel = append(effDel, stored)
+	// Dedup both lists in first-occurrence order: the journal and the
+	// repaired view keep the batch order.
+	insSet, delSet := dedupAtoms(inserts), dedupAtoms(deletes)
+	for _, a := range delSet.slots {
+		h := hashAtom(a.Pred, a.Args)
+		if s := ins.atoms.find(h, a.Pred, a.Args); s >= 0 && insSet.find(h, a.Pred, a.Args) < 0 {
+			effDel = append(effDel, ins.atoms.slots[s])
 		}
 	}
-	seenIns := make(map[string]bool, len(inserts))
-	for _, a := range inserts {
-		k := a.Key()
-		if seenIns[k] {
-			continue
-		}
-		seenIns[k] = true
-		if _, present := ins.atoms[k]; !present {
+	for _, a := range insSet.slots {
+		if ins.SlotOf(a.Pred, a.Args) < 0 {
 			effIns = append(effIns, a.Clone())
 		}
 	}
 	return effIns, effDel, nil
+}
+
+// dedupAtoms returns the distinct atoms of the batch as a set whose
+// slots hold them in first-occurrence order.
+func dedupAtoms(atoms []Atom) atomSet {
+	set := newAtomSet(len(atoms))
+	for _, a := range atoms {
+		if h := hashAtom(a.Pred, a.Args); set.find(h, a.Pred, a.Args) < 0 {
+			set.insert(h, a)
+		}
+	}
+	return set
 }
 
 // patchView builds the successor of old after applying the effective

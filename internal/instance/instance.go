@@ -29,11 +29,22 @@ type posKey struct {
 //
 // both maintained incrementally on Add/Remove. The zero value is not
 // usable; call New.
+//
+// A stored atom of arity at most two is one allocation (see store): a
+// list that holds a single atom is that atom's own one-atom view, and
+// only a list that grows past one atom gets a slice of its own. Removal
+// swaps the last atom of each list into the vacated position, which
+// where records, so it costs O(arity) list work.
 type Instance struct {
-	atoms  map[string]Atom   `sem:"guardedby(owner)"` // canonical key → atom
-	byPred map[string][]Atom `sem:"guardedby(owner)"` // predicate → atoms (order of insertion, compacted on removal)
+	atoms  atomSet           `sem:"guardedby(owner)"`
+	byPred map[string][]Atom `sem:"guardedby(owner)"` // predicate → atoms (order of insertion, swap-with-last on removal)
 	byPos  map[posKey][]Atom `sem:"guardedby(owner)"`
-	sch    *schema.Schema    `sem:"guardedby(owner)"` // lazily grown signature of the instance
+	// where holds, per slot, the atom's index in its ByPred list and
+	// then in each of its ByPos lists: stride entries per slot, stride
+	// one more than the widest arity stored so far.
+	where  []int32        `sem:"guardedby(owner)"`
+	stride int            `sem:"guardedby(owner)"`
+	sch    *schema.Schema `sem:"guardedby(owner)"` // lazily grown signature of the instance
 
 	// interned caches the columnar integer-coded view (see interned.go);
 	// dropped on every bare mutation, rebuilt lazily by Interned.
@@ -51,11 +62,17 @@ type Instance struct {
 }
 
 // New returns an empty instance.
-func New() *Instance {
+func New() *Instance { return newInstance(0, 0) }
+
+// newInstance returns an empty instance with room for n atoms of arity
+// below width, so that loading them grows no table.
+func newInstance(n, width int) *Instance {
 	return &Instance{
-		atoms:  make(map[string]Atom),
+		atoms:  newAtomSet(n),
 		byPred: make(map[string][]Atom),
 		byPos:  make(map[posKey][]Atom),
+		where:  make([]int32, 0, n*width),
+		stride: width,
 		sch:    schema.New(),
 	}
 }
@@ -63,7 +80,11 @@ func New() *Instance {
 // FromAtoms builds an instance containing the given atoms. Variables in
 // any atom are rejected: instances range over C ∪ N only.
 func FromAtoms(atoms ...Atom) (*Instance, error) {
-	ins := New()
+	width := 0
+	for _, a := range atoms {
+		width = max(width, len(a.Args)+1)
+	}
+	ins := newInstance(len(atoms), width)
 	for _, a := range atoms {
 		if err := ins.Add(a); err != nil {
 			return nil, err
@@ -86,64 +107,141 @@ func MustFromAtoms(atoms ...Atom) *Instance {
 // Adding an existing atom is a no-op. It reports whether the atom was
 // newly inserted.
 func (ins *Instance) Add(a Atom) error {
-	_, err := ins.AddReport(a)
+	_, _, err := ins.AddSlot(a)
 	return err
 }
 
 // AddReport is Add returning also whether the atom was new.
 func (ins *Instance) AddReport(a Atom) (added bool, err error) {
-	if a.HasVars() {
-		return false, fmt.Errorf("instance: atom %s contains a variable", a)
-	}
-	if err := ins.sch.Add(a.Pred, len(a.Args)); err != nil {
-		return false, err
-	}
-	k := a.Key()
-	if _, ok := ins.atoms[k]; ok {
-		return false, nil
-	}
-	ins.addIndexed(k, a.Clone())
-	ins.noteBareMutation()
-	return true, nil
+	_, added, err = ins.AddSlot(a)
+	return added, err
 }
 
-// addIndexed inserts the already-validated, already-cloned atom into
-// the atom map and both indexes. It does not touch the epoch, journal
-// or interned view — callers decide between bare-mutation and delta
-// bookkeeping.
-func (ins *Instance) addIndexed(k string, a Atom) {
-	ins.atoms[k] = a
-	ins.byPred[a.Pred] = append(ins.byPred[a.Pred], a)
+// AddSlot is Add returning also the atom's slot and whether the atom
+// was new. The instance stores a copy of a, so callers may reuse a's
+// argument buffer. A slot is a handle for side tables keyed by atom
+// (the chase's derivation depths): it stays the atom's until the atom
+// is removed, after which a later atom may take it. Slots are a
+// function of the operation history but never reach answers or
+// fingerprints.
+func (ins *Instance) AddSlot(a Atom) (slot int32, added bool, err error) {
+	if a.HasVars() {
+		return -1, false, fmt.Errorf("instance: atom %s contains a variable", a)
+	}
+	if err := ins.sch.Add(a.Pred, len(a.Args)); err != nil {
+		return -1, false, err
+	}
+	h := hashAtom(a.Pred, a.Args)
+	if s := ins.atoms.find(h, a.Pred, a.Args); s >= 0 {
+		return s, false, nil
+	}
+	s := ins.addIndexed(h, a)
+	ins.noteBareMutation()
+	return s, true, nil
+}
+
+// SlotOf returns the slot of the atom pred(args), or -1 when the
+// instance does not hold it.
+func (ins *Instance) SlotOf(pred string, args []term.Term) int32 {
+	return ins.atoms.find(hashAtom(pred, args), pred, args)
+}
+
+// addIndexed stores a copy of the already-validated, absent atom a,
+// whose hash is h, in the atom set and both indexes, and returns its
+// slot. It does not touch the epoch, journal or interned view —
+// callers decide between bare-mutation and delta bookkeeping.
+func (ins *Instance) addIndexed(h uint64, a Atom) int32 {
+	a, view := store(a)
+	s := ins.atoms.insert(h, a)
+	w := ins.whereOf(s, len(a.Args))
+	w[0] = int32(len(ins.byPred[a.Pred]))
+	ins.byPred[a.Pred] = appendList(ins.byPred[a.Pred], view)
 	for i, t := range a.Args {
 		pk := posKey{a.Pred, i, t}
-		ins.byPos[pk] = append(ins.byPos[pk], a)
+		w[1+i] = int32(len(ins.byPos[pk]))
+		ins.byPos[pk] = appendList(ins.byPos[pk], view)
 	}
+	return s
+}
+
+// appendList appends the atom of the one-atom view to list. An empty
+// list becomes the view itself; it is never appended into, so no list
+// writes into another atom's cell.
+func appendList(list, view []Atom) []Atom {
+	if len(list) == 0 {
+		return view
+	}
+	return append(list, view[0])
+}
+
+// whereOf returns slot s's entries in where, first widening the stride
+// for an atom wider than any before and growing the table for a new
+// slot.
+func (ins *Instance) whereOf(s int32, arity int) []int32 {
+	if arity >= ins.stride {
+		old, oldStride := ins.where, ins.stride
+		ins.stride = arity + 1
+		ins.where = make([]int32, len(ins.atoms.slots)*ins.stride)
+		for i := 0; oldStride > 0 && i < len(old)/oldStride; i++ {
+			copy(ins.where[i*ins.stride:], old[i*oldStride:(i+1)*oldStride])
+		}
+	}
+	if n := len(ins.atoms.slots) * ins.stride; len(ins.where) < n {
+		ins.where = append(ins.where, make([]int32, n-len(ins.where))...)
+	}
+	return ins.where[int(s)*ins.stride : int(s+1)*ins.stride]
 }
 
 // Remove deletes the atom if present, reporting whether it was there.
 func (ins *Instance) Remove(a Atom) bool {
-	k := a.Key()
-	stored, ok := ins.atoms[k]
-	if !ok {
+	h := hashAtom(a.Pred, a.Args)
+	s := ins.atoms.find(h, a.Pred, a.Args)
+	if s < 0 {
 		return false
 	}
-	ins.removeIndexed(k, stored)
+	ins.removeIndexed(h, s)
 	ins.noteBareMutation()
 	return true
 }
 
-// removeIndexed is the index-maintenance half of Remove; the same
-// epoch/journal/view caveat as addIndexed applies.
-func (ins *Instance) removeIndexed(k string, stored Atom) {
-	delete(ins.atoms, k)
-	ins.byPred[stored.Pred] = dropAtom(ins.byPred[stored.Pred], stored)
-	for i, t := range stored.Args {
-		pk := posKey{stored.Pred, i, t}
-		ins.byPos[pk] = dropAtom(ins.byPos[pk], stored)
-		if len(ins.byPos[pk]) == 0 {
+// removeIndexed is the index-maintenance half of Remove for the atom in
+// slot s, whose hash is h; the same epoch/journal/view caveat as
+// addIndexed applies.
+func (ins *Instance) removeIndexed(h uint64, s int32) {
+	a := ins.atoms.slots[s]
+	w := ins.where[int(s)*ins.stride:]
+	if list := ins.unlink(ins.byPred[a.Pred], w[0], 0); len(list) > 0 {
+		ins.byPred[a.Pred] = list
+	} else {
+		delete(ins.byPred, a.Pred)
+	}
+	for i, t := range a.Args {
+		pk := posKey{a.Pred, i, t}
+		if list := ins.unlink(ins.byPos[pk], w[1+i], 1+i); len(list) > 0 {
+			ins.byPos[pk] = list
+		} else {
 			delete(ins.byPos, pk)
 		}
 	}
+	ins.atoms.remove(h, s)
+}
+
+// unlink removes list[i] by moving the list's last atom into its place,
+// recording the moved atom's new index as its k-th where entry. A list
+// of two or more atoms is the instance's own slice, so clearing the
+// vacated element is safe; a one-atom list may be a shared view, and
+// removing its atom writes nothing.
+func (ins *Instance) unlink(list []Atom, i int32, k int) []Atom {
+	last := int32(len(list) - 1)
+	if i != last {
+		m := list[last]
+		list[i] = m
+		ins.where[int(ins.SlotOf(m.Pred, m.Args))*ins.stride+k] = i
+	}
+	if last > 0 {
+		list[last] = Atom{}
+	}
+	return list[:last]
 }
 
 // noteBareMutation records a single-atom Add/Remove: the epoch moves,
@@ -156,26 +254,11 @@ func (ins *Instance) noteBareMutation() {
 	ins.invalidateInterned()
 }
 
-// dropAtom removes a from the list by structural equality, avoiding the
-// per-element Key allocations the removal path used to pay.
-func dropAtom(list []Atom, a Atom) []Atom {
-	for i := range list {
-		if list[i].Equal(a) {
-			list[i] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
-}
-
 // Has reports membership.
-func (ins *Instance) Has(a Atom) bool {
-	_, ok := ins.atoms[a.Key()]
-	return ok
-}
+func (ins *Instance) Has(a Atom) bool { return ins.SlotOf(a.Pred, a.Args) >= 0 }
 
 // Len returns the number of atoms.
-func (ins *Instance) Len() int { return len(ins.atoms) }
+func (ins *Instance) Len() int { return ins.atoms.live }
 
 // Schema returns the signature grown from the atoms added so far. The
 // returned schema is live; callers must not mutate it.
@@ -183,20 +266,19 @@ func (ins *Instance) Schema() *schema.Schema { return ins.sch }
 
 // Atoms returns all atoms in canonical order.
 func (ins *Instance) Atoms() []Atom {
-	out := make([]Atom, 0, len(ins.atoms))
-	for _, a := range ins.atoms {
-		out = append(out, a)
-	}
+	out := ins.AtomsUnordered()
 	SortAtoms(out)
 	return out
 }
 
-// AtomsUnordered returns all atoms in arbitrary order, avoiding the
-// sort cost of Atoms for hot paths.
+// AtomsUnordered returns all atoms in slot order, avoiding the sort
+// cost of Atoms for hot paths.
 func (ins *Instance) AtomsUnordered() []Atom {
-	out := make([]Atom, 0, len(ins.atoms))
-	for _, a := range ins.atoms {
-		out = append(out, a)
+	out := make([]Atom, 0, ins.atoms.live)
+	for i, a := range ins.atoms.slots {
+		if ins.atoms.isLive(i) {
+			out = append(out, a)
+		}
 	}
 	return out
 }
@@ -215,9 +297,11 @@ func (ins *Instance) ByPos(pred string, pos int, t term.Term) []Atom {
 // canonical order.
 func (ins *Instance) Terms() []term.Term {
 	seen := make(map[term.Term]bool)
-	for _, a := range ins.atoms {
-		for _, t := range a.Args {
-			seen[t] = true
+	for i, a := range ins.atoms.slots {
+		if ins.atoms.isLive(i) {
+			for _, t := range a.Args {
+				seen[t] = true
+			}
 		}
 	}
 	out := make([]term.Term, 0, len(seen))
@@ -241,43 +325,52 @@ func (ins *Instance) Nulls() []term.Term {
 	return out
 }
 
-// Clone returns an independent copy. The atom map and every ByPred and
+// Clone returns an independent copy. The atom set and every ByPred and
 // ByPos list are copied in their current order, so the clone hands out
 // candidates exactly as ins does and index order stays a function of
-// the operation history. The stored atoms are shared: nothing writes a
-// stored atom's Args. Like an instance filled by Add, the clone is at
-// epoch Len() with an empty journal and no interned view.
+// the operation history. The stored atoms are shared, and so are the
+// one-atom lists, which neither instance ever writes (see unlink). Like
+// an instance filled by Add, the clone is at epoch Len() with an empty
+// journal and no interned view.
 func (ins *Instance) Clone() *Instance {
 	out := &Instance{
-		atoms:  make(map[string]Atom, len(ins.atoms)),
+		atoms:  ins.atoms.clone(),
 		byPred: make(map[string][]Atom, len(ins.byPred)),
 		byPos:  make(map[posKey][]Atom, len(ins.byPos)),
+		where:  slices.Clone(ins.where),
+		stride: ins.stride,
 		sch:    schema.New(),
-		epoch:  uint64(len(ins.atoms)),
-	}
-	for k, a := range ins.atoms {
-		out.atoms[k] = a
+		epoch:  uint64(ins.atoms.live),
 	}
 	for _, p := range ins.predNames() {
 		list := ins.byPred[p]
-		out.byPred[p] = slices.Clone(list)
+		out.byPred[p] = cloneList(list)
 		if err := out.sch.Add(p, len(list[0].Args)); err != nil {
 			panic(err) // cannot happen: one arity per predicate
 		}
 	}
 	for pk, list := range ins.byPos {
-		out.byPos[pk] = slices.Clone(list)
+		out.byPos[pk] = cloneList(list)
 	}
 	return out
 }
 
-// predNames returns the predicates holding atoms, in sorted order.
+// cloneList copies an index list for Clone. A list of capacity one is
+// shared: appending to it reallocates, and removing its atom writes
+// nothing.
+func cloneList(list []Atom) []Atom {
+	if cap(list) == 1 {
+		return list
+	}
+	return slices.Clone(list)
+}
+
+// predNames returns the predicates holding atoms, in sorted order; a
+// list that empties leaves the index.
 func (ins *Instance) predNames() []string {
 	names := make([]string, 0, len(ins.byPred))
-	for p, atoms := range ins.byPred {
-		if len(atoms) > 0 {
-			names = append(names, p)
-		}
+	for p := range ins.byPred {
+		names = append(names, p)
 	}
 	sort.Strings(names)
 	return names
@@ -336,8 +429,8 @@ func (ins *Instance) Equal(other *Instance) bool {
 	if ins.Len() != other.Len() {
 		return false
 	}
-	for k := range ins.atoms {
-		if _, ok := other.atoms[k]; !ok {
+	for i, a := range ins.atoms.slots {
+		if ins.atoms.isLive(i) && !other.Has(a) {
 			return false
 		}
 	}

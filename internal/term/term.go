@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -210,14 +211,17 @@ var freshCounter atomic.Uint64
 
 // FreshNull returns a labelled null guaranteed distinct from every
 // previously created fresh null in this process.
-func FreshNull() Term {
-	return Term{K: Null, Name: fmt.Sprintf("n%d", freshCounter.Add(1))}
-}
+func FreshNull() Term { return Term{K: Null, Name: freshName('n')} }
 
 // FreshVar returns a variable guaranteed distinct from every previously
 // created fresh variable in this process.
-func FreshVar() Term {
-	return Term{K: Variable, Name: fmt.Sprintf("v%d", freshCounter.Add(1))}
+func FreshVar() Term { return Term{K: Variable, Name: freshName('v')} }
+
+// freshName returns prefix followed by the next counter value in
+// decimal, in one allocation.
+func freshName(prefix byte) string {
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], prefix), freshCounter.Add(1), 10))
 }
 
 // ResetFreshCounter restarts the fresh-name counter. It exists only so

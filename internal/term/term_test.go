@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"semacyclic/internal/testutil"
 )
 
 func TestKindString(t *testing.T) {
@@ -412,5 +414,23 @@ func TestComposeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocsFreshNull: a fresh name is built in a stack buffer and
+// converted once. fmt.Sprintf took two allocations per call once the
+// counter passed 255, where boxing the counter starts to allocate.
+func TestAllocsFreshNull(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	for i := 0; i < 1000; i++ {
+		FreshNull()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { FreshNull() }); allocs > 1 {
+		t.Errorf("FreshNull allocates %v per call, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { FreshVar() }); allocs > 1 {
+		t.Errorf("FreshVar allocates %v per call, want at most 1", allocs)
 	}
 }
