@@ -2,15 +2,15 @@
 // long-lived HTTP/JSON service: POST /decide, /decide/batch and
 // /approximate for decisions; POST/GET/DELETE /instances to manage
 // named databases (indexed at load time), PATCH /instances/{name} to
-// mutate them atomically (one delta batch = one epoch, journalled for
-// incremental re-evaluation), and POST /evaluate to run queries
-// against them with a cached evaluation plan — incrementally repairing
-// retained reducer state across patches, or over a copy-on-write
-// "overlay" for what-if deltas that never touch the stored instance.
-// All endpoints share the decision cache, per-request deadlines,
-// bounded worker-pool backpressure (429 + Retry-After), and graceful
-// drain on SIGTERM/SIGINT. See internal/server, docs/API.md,
-// docs/DELTAS.md and the README quick-start.
+// mutate them atomically (one delta batch = one epoch), and POST
+// /evaluate to run queries against them with a cached evaluation
+// plan — incrementally repairing retained reducer state across
+// patches, or over a copy-on-write "overlay" for what-if deltas that
+// never touch the stored instance. All endpoints share the decision
+// cache, per-request deadlines, bounded worker-pool backpressure (429 +
+// Retry-After), and graceful drain on SIGTERM/SIGINT. See
+// internal/server, docs/API.md, docs/DELTAS.md and the README
+// quick-start.
 package main
 
 import (

@@ -194,8 +194,8 @@ func ExampleEvaluate() {
 // ApplyDelta mutates an instance atomically under set semantics: the
 // whole batch is validated first, duplicates and no-ops collapse, and
 // the epoch advances by exactly one however large the batch is —
-// incremental evaluators holding reducer state catch up from the
-// journal instead of recomputing.
+// incremental evaluators holding reducer state catch up from the rows
+// the batch appended to the instance's view instead of recomputing.
 func ExampleInstance_ApplyDelta() {
 	db, err := semacyclic.ParseDatabase("E(a,b). E(b,c). E(c,d).")
 	if err != nil {

@@ -1,8 +1,8 @@
 // What-if analysis with overlays, then committing the chosen delta:
 // evaluate a plan over hypothetical variants of a database without
 // copying it, pick a variant, apply it atomically with ApplyDelta and
-// let the retained reducer state catch up from the journal instead of
-// re-evaluating from scratch.
+// let the retained reducer state catch up from the rows the batch
+// appended instead of re-evaluating from scratch.
 //
 //	go run ./examples/whatif
 package main
@@ -80,7 +80,7 @@ func main() {
 
 	// Commit the winning candidate for real. ApplyDelta validates the
 	// whole batch first (arity clashes reject it atomically), advances
-	// the epoch by one and journals the effective delta.
+	// the epoch by one and repairs the instance's view in place.
 	chosen := candidates[best]
 	ins, _ := semacyclic.ParseAtoms(chosen.insert)
 	del, _ := semacyclic.ParseAtoms(chosen.delete)
@@ -92,8 +92,9 @@ func main() {
 		chosen.name, res.Inserted, res.Deleted, res.Epoch)
 
 	// Incremental re-evaluation: the first run seeds reducer state, the
-	// second repairs it from the delta journal. Answers are identical
-	// to a from-scratch Execute — only the work differs.
+	// second repairs it from the rows the batch appended to the view.
+	// Answers are identical to a from-scratch Execute — only the work
+	// differs.
 	answers, _, state, err := plan.ExecuteIncremental(db, nil, semacyclic.EvalOptions{})
 	if err != nil {
 		log.Fatal(err)

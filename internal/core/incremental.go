@@ -19,14 +19,15 @@ import (
 // ReducerState carries one plan's retained evaluation state for one
 // instance across epochs: the epoch it was computed at plus the
 // per-tree semijoin-reducer projections of the Yannakakis evaluator.
-// It is immutable, safe to share, and only meaningful for the
-// (plan, instance) pair that produced it — ExecuteIncremental detects
-// mismatches (journal gaps, view-lineage breaks) and falls back to a
-// full evaluation, so a stale or misrouted state costs time, never
-// correctness.
+// It is immutable, safe to share, and only pays off for the (plan,
+// instance) pair that produced it — ExecuteIncremental recomputes every
+// join tree whose relations changed other than by appending rows (a
+// delete, a view rebuilt after a bare mutation, another instance's
+// view), so a stale or misrouted state costs time, never correctness.
 type ReducerState struct {
-	// Epoch is the instance epoch the state was computed at; the next
-	// run bridges from here via instance.DeltaSince.
+	// Epoch is the instance epoch the state was computed at. It is
+	// informational: the next run reads what changed from the
+	// instance's interned view, not from the epoch.
 	Epoch uint64
 
 	inner *yannakakis.ReducerState
@@ -39,15 +40,15 @@ type ReducerState struct {
 func (p *Plan) Incremental() bool { return p.Method == MethodYannakakis && p.compiled != nil }
 
 // ExecuteIncremental is Execute threading reducer state: pass the
-// state returned by the previous run (nil on the first) and the
-// evaluation repairs it from the instance's delta journal instead of
-// recomputing, whenever the journal bridges the epochs and the plan is
-// Incremental. Answers and their canonical order are identical to
-// Execute's on the current instance in every case; EvalStats
-// additionally reports the delta consumed and the per-tree
-// reuse/repair/recompute split. The returned slice is the caller's
-// own, but its tuples are shared with the returned state (and, on a
-// reuse, with prev): treat them as read-only.
+// state returned by the previous run (nil on the first) and, when the
+// plan is Incremental, the evaluation reuses each join tree whose
+// relations did not change and repairs each whose relations only
+// appended rows, recomputing the rest. Answers and their canonical
+// order are identical to Execute's on the current instance in every
+// case; EvalStats additionally reports the rows gained and lost and
+// the per-tree reuse/repair/recompute split. The returned slice is the
+// caller's own, but its tuples are shared with the returned state (and,
+// on a reuse, with prev): treat them as read-only.
 func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eopt EvalOptions) ([][]term.Term, *obs.EvalStats, *ReducerState, error) {
 	if !p.Incremental() {
 		ans, st, err := p.Execute(db, eopt)
@@ -69,16 +70,7 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 	)
 	switch {
 	case prev != nil && prev.inner != nil:
-		if deltas, ok := db.DeltaSince(prev.Epoch); ok {
-			ans, inner, err = p.compiled.ExecuteDelta(prev.inner, db, deltas, yopt)
-		} else {
-			// The journal cannot bridge prev's epoch (bare mutation,
-			// aged-out batches, or a different instance): full run.
-			ans, inner, err = p.compiled.ExecuteState(db, yopt)
-			if err == nil {
-				st.TreesRecomputed = int64(p.compiled.NumTrees())
-			}
-		}
+		ans, inner, err = p.compiled.ExecuteDelta(prev.inner, db, yopt)
 	default:
 		// Cold start: a plain full run that retains state for next time.
 		ans, inner, err = p.compiled.ExecuteState(db, yopt)

@@ -88,7 +88,7 @@ func TestExecuteIncrementalMatchesExecute(t *testing.T) {
 			state = next
 		}
 
-		// A bare mutation truncates the journal: the next incremental run
+		// A bare mutation rebuilds the view: the next incremental run
 		// must fall back to a full recompute and still be correct.
 		db.Add(instance.NewAtom("E", term.Const("zz1"), term.Const("zz2")))
 		ans, st, state, err = p.ExecuteIncremental(db, state, EvalOptions{})

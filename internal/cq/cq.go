@@ -198,7 +198,11 @@ func (q *CQ) Freeze() (*instance.Instance, []term.Term) {
 	for _, v := range q.Vars() {
 		s[v] = FrozenConst(v)
 	}
-	db := instance.New()
+	arity := 0
+	for _, a := range q.Atoms {
+		arity = max(arity, len(a.Args))
+	}
+	db := instance.NewSized(len(q.Atoms), arity)
 	var args []term.Term // Add copies the atom, so one buffer serves all
 	for _, a := range q.Atoms {
 		args = args[:0]

@@ -204,6 +204,31 @@ func TestAllocsParse(t *testing.T) {
 	}
 }
 
+// TestAllocsFreeze guards the frozen instance's sizing: Freeze knows
+// its atom count and widest arity, so the instance it fills grows no
+// slot, chain or position table. Grown from empty, the three queries
+// took 31, 47 and 42 allocations.
+func TestAllocsFreeze(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	for _, tc := range []struct {
+		src string
+		max float64
+	}{
+		{"q :- E(x,y), E(y,z), E(z,x).", 27},
+		{"q(x1) :- E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x5), E(x5,x6), E(x6,x7).", 40},
+		{"q(x) :- R(x,y,z), S(y,z,w,v), R(w,v,x), T(x,y).", 38},
+	} {
+		q := MustParse(tc.src)
+		allocs := testing.AllocsPerRun(200, func() { _, _ = q.Freeze() })
+		t.Logf("Freeze(%q): %v allocs", tc.src, allocs)
+		if allocs > tc.max {
+			t.Errorf("Freeze(%q) allocates %v, want at most %v", tc.src, allocs, tc.max)
+		}
+	}
+}
+
 func TestParseBooleanAndNumbers(t *testing.T) {
 	q := MustParse("q :- R(x,42).")
 	if !q.IsBoolean() {

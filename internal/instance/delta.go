@@ -10,13 +10,15 @@ import (
 
 // This file is the incremental-mutation layer: ApplyDelta applies an
 // atomic batch of inserts and deletes, advancing a per-instance epoch,
-// journalling the batch so incremental evaluators can catch up from an
-// older epoch, and *repairing* the cached columnar InternedView instead
-// of invalidating it — only the touched per-predicate relations are
+// and *repairs* the cached columnar InternedView instead of
+// invalidating it — only the touched per-predicate relations are
 // rebuilt, untouched ones are shared by pointer with the previous view,
 // and the symbol table is shared outright when the batch introduces no
-// new terms (or extended via a lineage-preserving symtab.Clone when it
-// does, so ids minted by the old view stay valid in the new one).
+// new terms (or extended on a symtab.Clone when it does, so ids minted
+// by the old view stay valid in the new one). A repaired relation
+// keeps its predecessor's family and counts the rows it removed, so an
+// incremental evaluator tells what changed since an older view from
+// the views alone (InternedRelation.Appended).
 
 // ErrArityClash is wrapped by ApplyDelta (and NewOverlay) when a batch
 // atom uses a predicate with an arity conflicting with the instance
@@ -28,16 +30,6 @@ var ErrArityClash = errors.New("instance: arity clash")
 // ErrStaleOverlay is returned by Overlay.Commit when the base has been
 // mutated since the overlay captured it.
 var ErrStaleOverlay = errors.New("instance: overlay base changed since capture")
-
-// Delta is one effective (net) mutation batch: the atoms a successful
-// ApplyDelta actually inserted and actually deleted, after dropping
-// duplicates, already-present inserts, absent deletes and
-// delete-then-reinsert pairs. Atom slices are private copies owned by
-// the journal; readers must not mutate them.
-type Delta struct {
-	Inserts []Atom
-	Deletes []Atom
-}
 
 // DeltaResult reports one applied batch: the epoch the instance
 // advanced to and the effective insert/delete counts. Callers must
@@ -52,22 +44,6 @@ type DeltaResult struct {
 	Inserted int
 	Deleted  int
 }
-
-// journalEntry is one journalled batch; epoch is the instance epoch
-// *after* the batch applied.
-type journalEntry struct {
-	epoch uint64
-	d     Delta
-}
-
-// Journal bounds: at most this many batches and this many total atoms
-// are retained. Beyond either, the oldest entries are dropped and
-// DeltaSince calls reaching past the horizon report !ok (incremental
-// callers then fall back to a full recompute).
-const (
-	maxJournalBatches = 256
-	maxJournalAtoms   = 1 << 16
-)
 
 // Epoch returns the instance's mutation epoch: 0 for a fresh instance,
 // +1 per atom-set-changing Add/Remove, +1 per ApplyDelta batch
@@ -87,9 +63,9 @@ func (ins *Instance) Epoch() uint64 { return ins.epoch }
 // epoch and the effective counts.
 //
 // Unlike Add/Remove, ApplyDelta repairs a cached interned view
-// incrementally and appends the effective batch to the delta journal,
-// so incremental evaluators holding reducer state from an earlier
-// epoch can catch up via DeltaSince instead of recomputing.
+// incrementally, so incremental evaluators holding reducer state from
+// an earlier view can repair it from the rows the batch appended
+// instead of recomputing.
 //
 // ApplyDelta is NewOverlay followed by Commit; callers that must
 // inspect the net batch before applying it (semacycd's size limit)
@@ -107,8 +83,8 @@ func (ins *Instance) ApplyDelta(inserts, deletes []Atom) (DeltaResult, error) {
 }
 
 // Commit applies the overlay's net batch to the base as one ApplyDelta
-// batch: the epoch advances by one, the batch is journalled and a
-// cached interned view of the base is repaired. A stale overlay
+// batch: the epoch advances by one and a cached interned view of the
+// base is repaired. A stale overlay
 // refuses with ErrStaleOverlay and changes nothing. Committing moves
 // the base's epoch, so an overlay commits at most once. Commit is a
 // mutation of the base, serialized like ApplyDelta.
@@ -130,55 +106,10 @@ func (o *Overlay) Commit() (DeltaResult, error) {
 		ins.addIndexed(hashAtom(a.Pred, a.Args), a)
 	}
 	ins.epoch++
-	ins.journal = append(ins.journal, journalEntry{epoch: ins.epoch, d: Delta{Inserts: effIns, Deletes: effDel}})
-	ins.journalAtoms += len(effIns) + len(effDel)
-	ins.trimJournal()
 	if old := ins.interned.Load(); old != nil && len(effIns)+len(effDel) > 0 {
 		ins.interned.Store(patchView(old, effIns, effDel, false))
 	}
 	return DeltaResult{Epoch: ins.epoch, Inserted: len(effIns), Deleted: len(effDel)}, nil
-}
-
-// DeltaSince returns the journalled batches that move an instance
-// snapshot at the given epoch to the current one, oldest first (empty
-// when epoch is current). ok is false when the journal cannot bridge
-// the gap — the epoch is from the future, a bare Add/Remove truncated
-// the journal, or the batches aged out — and the caller must treat the
-// instance as arbitrarily changed (full recompute).
-func (ins *Instance) DeltaSince(epoch uint64) ([]Delta, bool) {
-	if epoch == ins.epoch {
-		return nil, true
-	}
-	if epoch > ins.epoch || len(ins.journal) == 0 {
-		return nil, false
-	}
-	first := ins.journal[0].epoch
-	if epoch+1 < first {
-		return nil, false // aged out or truncated before the requested epoch
-	}
-	idx := int(epoch + 1 - first)
-	if idx >= len(ins.journal) {
-		return nil, false
-	}
-	out := make([]Delta, 0, len(ins.journal)-idx)
-	for _, e := range ins.journal[idx:] {
-		out = append(out, e.d)
-	}
-	return out, true
-}
-
-// trimJournal drops the oldest entries past the batch/atom bounds.
-func (ins *Instance) trimJournal() {
-	drop := 0
-	for drop < len(ins.journal) &&
-		(len(ins.journal)-drop > maxJournalBatches || ins.journalAtoms > maxJournalAtoms) {
-		e := ins.journal[drop]
-		ins.journalAtoms -= len(e.d.Inserts) + len(e.d.Deletes)
-		drop++
-	}
-	if drop > 0 {
-		ins.journal = append([]journalEntry(nil), ins.journal[drop:]...)
-	}
 }
 
 // netDelta validates a batch and computes its effective insert/delete
@@ -214,8 +145,8 @@ func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, e
 		}
 	}
 
-	// Dedup both lists in first-occurrence order: the journal and the
-	// repaired view keep the batch order.
+	// Dedup both lists in first-occurrence order: the repaired view
+	// keeps the batch order.
 	insSet, delSet := dedupAtoms(inserts), dedupAtoms(deletes)
 	for _, a := range delSet.slots {
 		h := hashAtom(a.Pred, a.Args)
@@ -247,9 +178,11 @@ func dedupAtoms(atoms []Atom) atomSet {
 // batch: untouched relations are shared by pointer, touched ones are
 // rebuilt by order-preserving compaction plus appended inserts, and
 // the symbol table is shared when the batch adds no new terms (else
-// extended on a Clone — CloneDetached when detached, for overlay views
-// that must not join the base's lineage). Pure: old is not modified,
-// so readers holding it stay consistent.
+// extended on a Clone). A touched relation inherits its predecessor's
+// family, except in a detached patch — an overlay's, whose
+// hypothetical relations must never pass for an ancestor of a later
+// base repair — which mints a fresh family for each. Pure: old is not
+// modified, so readers holding it stay consistent.
 func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *InternedView {
 	type predDelta struct {
 		ins, del []Atom
@@ -280,11 +213,7 @@ func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *Inter
 		for _, t := range a.Args {
 			if _, ok := tab.Lookup(t); !ok {
 				if !cloned {
-					if detached {
-						tab = old.Table.CloneDetached()
-					} else {
-						tab = old.Table.Clone()
-					}
+					tab = old.Table.Clone()
 					cloned = true
 				}
 				tab.Intern(t)
@@ -298,7 +227,7 @@ func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *Inter
 	}
 	for _, p := range order {
 		pd := byPred[p]
-		if r := patchRelation(old.rels[p], pd.ins, pd.del, tab); r != nil {
+		if r := patchRelation(old.rels[p], pd.ins, pd.del, tab, detached); r != nil {
 			rels[p] = r
 		} else {
 			delete(rels, p)
@@ -312,9 +241,11 @@ func patchView(old *InternedView, inserts, deletes []Atom, detached bool) *Inter
 // compaction, so the filtered old per-position runs stay sorted and can
 // be merged with the sorted runs of the appended inserts instead of
 // re-sorting the whole relation). tab must already intern every term of
-// ins. Returns nil when the relation ends empty, as a view built from
-// scratch holds no relation for an absent predicate.
-func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *InternedRelation {
+// ins. The result continues old's family and adds the removed rows to
+// its deleted count, unless detached or old is nil: then it starts a
+// family of its own. Returns nil when the relation ends empty, as a
+// view built from scratch holds no relation for an absent predicate.
+func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table, detached bool) *InternedRelation {
 	if old == nil && len(ins) == 0 {
 		return nil // deletes against an absent relation: nothing to do
 	}
@@ -347,6 +278,11 @@ func patchRelation(old *InternedRelation, ins, del []Atom, tab *symtab.Table) *I
 		Arity: ar,
 		IDs:   make([]symtab.ID, 0, n*ar),
 		rows:  n,
+	}
+	if old != nil && !detached {
+		out.family, out.deleted = old.family, old.deleted+nDel
+	} else {
+		out.family = newFamily()
 	}
 	rowMap := make([]int32, oldRows) // old row → new row, -1 when deleted
 	next := int32(0)

@@ -92,49 +92,6 @@ func TestApplyDeltaAtomicValidation(t *testing.T) {
 	}
 }
 
-func TestDeltaSinceBridgesEpochs(t *testing.T) {
-	db := mustDB(t, "E(a,b).")
-	e0 := db.Epoch()
-	if _, err := db.ApplyDelta(mustAtoms(t, "E(b,c)."), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ApplyDelta(mustAtoms(t, "E(c,d)."), mustAtoms(t, "E(a,b).")); err != nil {
-		t.Fatal(err)
-	}
-
-	deltas, ok := db.DeltaSince(e0)
-	if !ok || len(deltas) != 2 {
-		t.Fatalf("DeltaSince(%d) = %d batches, ok=%v; want 2 batches", e0, len(deltas), ok)
-	}
-	// Replaying the journal onto a snapshot must land exactly on the
-	// current atom set.
-	snap := mustDB(t, "E(a,b).")
-	for _, d := range deltas {
-		if _, err := snap.ApplyDelta(d.Inserts, d.Deletes); err != nil {
-			t.Fatalf("replaying journal: %v", err)
-		}
-	}
-	if !snap.Equal(db) {
-		t.Errorf("journal replay diverged: %v vs %v", snap.Atoms(), db.Atoms())
-	}
-
-	if _, ok := db.DeltaSince(db.Epoch()); !ok {
-		t.Error("DeltaSince(current) should be ok with an empty bridge")
-	}
-	if _, ok := db.DeltaSince(db.Epoch() + 1); ok {
-		t.Error("DeltaSince(future epoch) should not bridge")
-	}
-
-	// A bare single-atom mutation truncates the journal: retained
-	// states from before it must fall back to full recomputation.
-	if err := db.Add(NewAtom("E", term.Const("x"), term.Const("y"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.DeltaSince(e0); ok {
-		t.Error("DeltaSince should refuse to bridge across a bare Add")
-	}
-}
-
 // sameView checks a patched view against one built from scratch over
 // atoms: every predicate present in the same views, with the same row
 // count, and every rebuilt atom found by Find in a row that decodes
@@ -275,8 +232,8 @@ func TestOverlayWhatIf(t *testing.T) {
 }
 
 // TestOverlayCommit: committing an overlay is ApplyDelta of the same
-// batch — same atoms, epoch, counts and journal entry — and a stale
-// overlay, a committed one included, refuses and changes nothing.
+// batch — same atoms, epoch and counts — and a stale overlay, a
+// committed one included, refuses and changes nothing.
 func TestOverlayCommit(t *testing.T) {
 	ins, del := mustAtoms(t, "E(c,d). E(a,b). E(c,d)."), mustAtoms(t, "E(b,c). E(x,x).")
 	db := mustDB(t, "E(a,b). E(b,c).")
@@ -298,12 +255,6 @@ func TestOverlayCommit(t *testing.T) {
 	if got != want || !db.Equal(applied) {
 		t.Fatalf("Commit = %+v over %v, ApplyDelta = %+v over %v", got, db.Atoms(), want, applied.Atoms())
 	}
-	gd, gok := db.DeltaSince(got.Epoch - 1)
-	wd, wok := applied.DeltaSince(want.Epoch - 1)
-	if !gok || !wok || len(gd) != 1 || len(wd) != 1 ||
-		len(gd[0].Inserts) != len(wd[0].Inserts) || len(gd[0].Deletes) != len(wd[0].Deletes) {
-		t.Fatalf("journal after Commit %v, after ApplyDelta %v", gd, wd)
-	}
 	sameView(t, "commit", db.interned.Load(), applied.Atoms())
 
 	if _, err := ov.Commit(); !errors.Is(err, ErrStaleOverlay) {
@@ -323,4 +274,102 @@ func TestOverlayCommit(t *testing.T) {
 	if db.Epoch() != epoch || db.Len() != n || db.Has(NewAtom("E", term.Const("y"), term.Const("z"))) {
 		t.Fatal("a refused Commit changed the base")
 	}
+}
+
+// TestDeltaRelationFamilies checks the rule incremental evaluation
+// reads a change by: a relation repaired by insert-only batches holds
+// its predecessor's rows as a prefix, with ids that decode to the same
+// terms, and every other history — a delete, a rebuild after a bare
+// mutation, an overlay's patch, a relation emptied and re-created —
+// breaks the prefix.
+func TestDeltaRelationFamilies(t *testing.T) {
+	db := mustDB(t, "E(a,b). E(b,c). P(a).")
+	apply := func(ins, del string) *InternedView {
+		t.Helper()
+		if _, err := db.ApplyDelta(mustAtoms(t, ins), mustAtoms(t, del)); err != nil {
+			t.Fatal(err)
+		}
+		return db.Interned()
+	}
+	appended := func(step string, r, old *InternedRelation, wantN int, wantOK bool) {
+		t.Helper()
+		if n, ok := r.Appended(old); n != wantN || ok != wantOK {
+			t.Errorf("%s: Appended = %d, %v; want %d, %v", step, n, ok, wantN, wantOK)
+		}
+	}
+	changes := func(step string, r, old *InternedRelation, wantGained, wantLost int) {
+		t.Helper()
+		if g, l := r.Changes(old); g != wantGained || l != wantLost {
+			t.Errorf("%s: Changes = +%d −%d; want +%d −%d", step, g, l, wantGained, wantLost)
+		}
+	}
+
+	v0 := db.Interned()
+	e0, p0 := v0.Relation("E"), v0.Relation("P")
+	v1 := apply("E(c,d). E(d,a).", "")
+	e1 := v1.Relation("E")
+	if v1.Relation("P") != p0 {
+		t.Fatal("the insert-only batch did not share the untouched P")
+	}
+	appended("insert", e1, e0, 2, true)
+	changes("insert", e1, e0, 2, 0)
+	for r := 0; r < e0.Rows(); r++ {
+		for j, id := range e1.Row(r) {
+			if got, want := v1.Table.Term(id), v0.Table.Term(e0.Row(r)[j]); got != want {
+				t.Errorf("insert: prefix row %d col %d decodes %v, was %v", r, j, got, want)
+			}
+		}
+	}
+	appended("same relation", e1, e1, 4, true)
+	changes("same relation", e1, e1, 0, 0)
+	appended("nil old", e1, nil, 0, true)
+	changes("nil old", e1, nil, 4, 0)
+
+	// A delete breaks the prefix against every older relation of the
+	// family; the counts still add up per batch.
+	e2 := apply("E(e,e).", "E(a,b).").Relation("E")
+	appended("delete", e2, e1, 0, false)
+	appended("delete, two batches", e2, e0, 0, false)
+	changes("delete", e2, e1, 1, 1)
+	changes("delete, two batches", e2, e0, 3, 1)
+	e3 := apply("E(f,f).", "").Relation("E")
+	appended("insert after delete", e3, e2, 4, true)
+
+	// An overlay's touched relation starts its own family, so the base
+	// repair that commits the very same atom is not its successor.
+	ov, err := db.NewOverlay(mustAtoms(t, "E(x,y)."), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oe := ov.Interned().Relation("E")
+	appended("overlay over base", oe, e3, 0, false)
+	changes("overlay over base", oe, e3, 0, 0)
+	e4 := apply("E(x,y).", "").Relation("E")
+	appended("base repair after overlay", e4, oe, 0, false)
+	appended("base repair after overlay, base", e4, e3, 5, true)
+
+	// A bare Add rebuilds the view: its relations are unrelated to the
+	// old ones, the untouched P included.
+	if err := db.Add(NewAtom("P", term.Const("b"))); err != nil {
+		t.Fatal(err)
+	}
+	v5 := db.Interned()
+	e5, p5 := v5.Relation("E"), v5.Relation("P")
+	appended("rebuilt", e5, e4, 0, false)
+	changes("rebuilt", e5, e4, 0, 0)
+	appended("rebuilt, untouched", p5, p0, 0, false)
+
+	// Emptied and re-created: the gone relation holds no prefix, and
+	// the new one starts a family of its own.
+	var none *InternedRelation
+	if none = apply("", "P(a). P(b).").Relation("P"); none != nil {
+		t.Fatal("deleting every P atom left a relation")
+	}
+	appended("emptied", none, p5, 0, false)
+	changes("emptied", none, p5, 0, 2)
+	appended("absent", none, none, 0, true)
+	p7 := apply("P(a).", "").Relation("P")
+	appended("re-created", p7, p5, 0, false)
+	appended("re-created over absent", p7, none, 0, true)
+	changes("re-created over absent", p7, none, 1, 0)
 }

@@ -52,27 +52,22 @@ type Instance struct {
 	interned atomic.Pointer[InternedView]
 
 	// epoch counts mutations: every Add/Remove that changes the atom
-	// set bumps it by one, every ApplyDelta batch by one. journal keeps
-	// the recent ApplyDelta batches (see delta.go) so incremental
-	// evaluators can catch up from an older epoch; bare mutations
-	// truncate it, forcing those evaluators to recompute.
-	epoch        uint64         `sem:"guardedby(owner)"`
-	journal      []journalEntry `sem:"guardedby(owner)"`
-	journalAtoms int            `sem:"guardedby(owner)"`
+	// set bumps it by one, every ApplyDelta batch by one.
+	epoch uint64 `sem:"guardedby(owner)"`
 }
 
 // New returns an empty instance.
-func New() *Instance { return newInstance(0, 0) }
+func New() *Instance { return NewSized(0, 0) }
 
-// newInstance returns an empty instance with room for n atoms of arity
-// below width, so that loading them grows no table.
-func newInstance(n, width int) *Instance {
+// NewSized returns an empty instance with room for n atoms of arity at
+// most arity, so that loading them grows no table.
+func NewSized(n, arity int) *Instance {
 	return &Instance{
 		atoms:  newAtomSet(n),
 		byPred: make(map[string][]Atom),
 		byPos:  make(map[posKey][]Atom),
-		where:  make([]int32, 0, n*width),
-		stride: width,
+		where:  make([]int32, 0, n*(arity+1)),
+		stride: arity + 1,
 		sch:    schema.New(),
 	}
 }
@@ -80,11 +75,11 @@ func newInstance(n, width int) *Instance {
 // FromAtoms builds an instance containing the given atoms. Variables in
 // any atom are rejected: instances range over C ∪ N only.
 func FromAtoms(atoms ...Atom) (*Instance, error) {
-	width := 0
+	arity := 0
 	for _, a := range atoms {
-		width = max(width, len(a.Args)+1)
+		arity = max(arity, len(a.Args))
 	}
-	ins := newInstance(len(atoms), width)
+	ins := NewSized(len(atoms), arity)
 	for _, a := range atoms {
 		if err := ins.Add(a); err != nil {
 			return nil, err
@@ -148,7 +143,7 @@ func (ins *Instance) SlotOf(pred string, args []term.Term) int32 {
 
 // addIndexed stores a copy of the already-validated, absent atom a,
 // whose hash is h, in the atom set and both indexes, and returns its
-// slot. It does not touch the epoch, journal or interned view —
+// slot. It does not touch the epoch or the interned view —
 // callers decide between bare-mutation and delta bookkeeping.
 func (ins *Instance) addIndexed(h uint64, a Atom) int32 {
 	a, view := store(a)
@@ -205,7 +200,7 @@ func (ins *Instance) Remove(a Atom) bool {
 }
 
 // removeIndexed is the index-maintenance half of Remove for the atom in
-// slot s, whose hash is h; the same epoch/journal/view caveat as
+// slot s, whose hash is h; the same epoch/view caveat as
 // addIndexed applies.
 func (ins *Instance) removeIndexed(h uint64, s int32) {
 	a := ins.atoms.slots[s]
@@ -244,13 +239,11 @@ func (ins *Instance) unlink(list []Atom, i int32, k int) []Atom {
 	return list[:last]
 }
 
-// noteBareMutation records a single-atom Add/Remove: the epoch moves,
-// the delta journal is truncated (there is no batch to journal), and
-// the cached interned view is dropped for a lazy full rebuild.
+// noteBareMutation records a single-atom Add/Remove: the epoch moves
+// and the cached interned view is dropped for a lazy full rebuild,
+// whose relations start families of their own.
 func (ins *Instance) noteBareMutation() {
 	ins.epoch++
-	ins.journal = nil
-	ins.journalAtoms = 0
 	ins.invalidateInterned()
 }
 
@@ -330,8 +323,8 @@ func (ins *Instance) Nulls() []term.Term {
 // candidates exactly as ins does and index order stays a function of
 // the operation history. The stored atoms are shared, and so are the
 // one-atom lists, which neither instance ever writes (see unlink). Like
-// an instance filled by Add, the clone is at epoch Len() with an empty
-// journal and no interned view.
+// an instance filled by Add, the clone is at epoch Len() with no
+// interned view.
 func (ins *Instance) Clone() *Instance {
 	out := &Instance{
 		atoms:  ins.atoms.clone(),

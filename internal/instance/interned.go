@@ -3,6 +3,7 @@ package instance
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
@@ -26,11 +27,65 @@ type InternedRelation struct {
 
 	rows int       // tuple count; IDs alone cannot tell it at arity 0
 	perm [][]int32 // perm[pos]: row indices sorted by (IDs[row*Arity+pos], row)
+
+	// family names the chain of repairs the relation belongs to: a
+	// relation built from atoms starts one, and ApplyDelta's repair of
+	// the instance's own view continues it. deleted counts the rows the
+	// family's repairs removed. A relation of the same family and
+	// deleted count as an older one holds the older one's rows as a
+	// prefix, with the same ids meaning the same terms: repairs keep
+	// rows in place, append after them, and extend a Clone of the
+	// predecessor's table.
+	family  uint64
+	deleted int
 }
+
+// families mints relation families. A counter, not a pointer to a
+// zero-size value: Go may give every zero-size allocation one address.
+var families atomic.Uint64
+
+func newFamily() uint64 { return families.Add(1) }
 
 // Rows returns the number of tuples: at arity 0, one when the relation
 // holds the empty tuple.
 func (r *InternedRelation) Rows() int { return r.rows }
+
+// Appended reports whether r holds old, an earlier relation of the
+// same predicate, as a prefix: r is old, or a repair of old's family
+// that removed no row since old. n is old's row count, so r's rows
+// [n, Rows()) are the ones appended since old; a nil old is the empty
+// prefix. A nil r holds no prefix of a non-nil old, and relations of
+// different families (a rebuilt view's, an overlay's) are unrelated.
+func (r *InternedRelation) Appended(old *InternedRelation) (n int, ok bool) {
+	switch {
+	case old == nil:
+		return 0, true
+	case r == old:
+		return old.rows, true
+	case r != nil && r.family == old.family && r.deleted == old.deleted && r.rows >= old.rows:
+		return old.rows, true
+	}
+	return 0, false
+}
+
+// Changes returns the rows r gained and lost since old, an earlier
+// relation of the same predicate, counted per batch: exact within one
+// family, all of r's rows for a nil old, all of old's for a nil r, and
+// 0, 0 for unrelated relations, whose history is unknown.
+func (r *InternedRelation) Changes(old *InternedRelation) (gained, lost int) {
+	switch {
+	case r == old:
+		return 0, 0
+	case old == nil:
+		return r.rows, 0
+	case r == nil:
+		return 0, old.rows
+	case r.family != old.family:
+		return 0, 0
+	}
+	lost = r.deleted - old.deleted
+	return r.rows - old.rows + lost, lost
+}
 
 // Row returns the interned tuple of row i. The slice aliases the
 // relation's matrix; callers must not mutate it.
@@ -156,7 +211,7 @@ func buildInterned(ins *Instance) *InternedView {
 				ids = append(ids, tab.Intern(t))
 			}
 		}
-		r := &InternedRelation{Arity: ar, IDs: ids, rows: len(src)}
+		r := &InternedRelation{Arity: ar, IDs: ids, rows: len(src), family: newFamily()}
 		r.perm = make([][]int32, ar)
 		for pos := 0; pos < ar; pos++ {
 			pm := make([]int32, len(src))

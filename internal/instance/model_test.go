@@ -375,8 +375,8 @@ func applyDeltaPair(ins *Instance, batch []Atom) error {
 // TestAllocsApplyDelta guards the apply path's cost: it builds no
 // Atom.Key strings (the batch is netted through a hashed atom set and
 // presence is a slot lookup), and a stored atom is one cell. An insert
-// costs its private copy for the journal and its cell. Before that the
-// pair took 123 allocations (now 69).
+// costs the overlay's private copy and its cell. Before that the pair
+// took 123 allocations (now 68).
 func TestAllocsApplyDelta(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")

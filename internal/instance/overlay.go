@@ -16,9 +16,10 @@ import (
 // patchView repair ApplyDelta uses, so its cost is proportional to the
 // delta, not the base: untouched relations are shared with the base's
 // view by pointer and the symbol table is shared outright when the
-// delta introduces no new terms (else extended on a *detached* clone —
-// an overlay's table never joins the base's epoch lineage, so cached
-// reducer states can never mistake it for a successor of the base).
+// delta introduces no new terms (else extended on a clone). Every
+// relation the delta touches starts a family of its own, so a
+// hypothetical relation never passes for the ancestor of a later base
+// repair.
 type Overlay struct {
 	base      *Instance
 	baseEpoch uint64

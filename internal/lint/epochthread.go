@@ -11,8 +11,8 @@ import (
 // instance.Instance.ApplyDelta and instance.Overlay.Commit, the two
 // calls that apply a batch: the returned DeltaResult carries the
 // post-batch epoch, and every non-test caller must bind it — the epoch
-// is how downstream consumers (the reducer-state cache, the PATCH
-// response, DeltaSince) correlate retained state with instance
+// is how downstream consumers (the reducer-state cache, the PATCH and
+// /evaluate responses) correlate retained state with instance
 // versions. A call that discards the result (expression statement,
 // blank first assignee, go/defer statement) silently breaks that
 // thread: the mutation happens, but nothing can tell which state

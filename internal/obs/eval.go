@@ -47,16 +47,18 @@ type EvalStats struct {
 	// the cross-product across join trees; always 0 on a Boolean plan,
 	// which runs neither. DETERMINISTIC.
 	JoinRows int64 `json:"join_rows" sem:"det"`
-	// DeltaInserts / DeltaDeletes count the plan-relevant net delta
-	// atoms an incremental (ExecuteDelta) run consumed; 0 on full runs.
+	// DeltaInserts / DeltaDeletes count the rows the plan's relations
+	// gained and lost since the state an incremental (ExecuteDelta) run
+	// repaired, each predicate once and per batch, without netting
+	// across batches; a rebuilt relation counts 0. 0 on full runs.
 	// DETERMINISTIC.
 	DeltaInserts int64 `json:"delta_inserts,omitempty" sem:"det"`
 	DeltaDeletes int64 `json:"delta_deletes,omitempty" sem:"det"`
 	// TreesReused / TreesRepaired / TreesRecomputed classify what an
 	// incremental run did with each join tree of the plan: reused the
-	// cached reducer projection untouched, repaired it from an
-	// insert-only delta, or recomputed it (deletes, or no usable
-	// state). All 0 on plain full runs. DETERMINISTIC.
+	// cached reducer projection untouched, repaired it from the rows
+	// its relations appended, or recomputed it (any other change, or no
+	// usable state). All 0 on plain full runs. DETERMINISTIC.
 	TreesReused     int64 `json:"trees_reused,omitempty" sem:"det"`
 	TreesRepaired   int64 `json:"trees_repaired,omitempty" sem:"det"`
 	TreesRecomputed int64 `json:"trees_recomputed,omitempty" sem:"det"`

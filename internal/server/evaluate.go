@@ -96,9 +96,10 @@ func planKey(u *decideUnit, method string) string {
 
 // reducerKey derives the reducer-state cache key: one retained state
 // per (plan, instance name). A reloaded instance under the same name
-// leaves a stale state behind; the epoch-journal and view-lineage
-// checks inside ExecuteIncremental detect it and recompute, so a stale
-// entry costs time, never correctness.
+// leaves a stale state behind, whatever epoch the new instance
+// reaches: its view's relations share no family with the state's, so
+// ExecuteIncremental recomputes, and a stale entry costs time, never
+// correctness (TestEvaluateReducerAfterReload).
 func reducerKey(pk, instanceName string) string {
 	return pk + "\x00i=" + instanceName
 }

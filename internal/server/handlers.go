@@ -272,41 +272,46 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (s *Server) serveDecide(w http.ResponseWriter, r *http.Request) {
-	var req DecideRequest
-	if !readJSON(w, r, &req) {
-		return
+// serveDecision returns the handler of a cached single-decision
+// endpoint: /decide and /approximate differ only in the kind that keys
+// their cache entries and in the compute function.
+func (s *Server) serveDecision(kind string, compute func(context.Context, *decideUnit) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req DecideRequest
+		if !readJSON(w, r, &req) {
+			return
+		}
+		obs.ServerRequests.Add(1)
+		u, err := parseUnit(&req, kind)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		rec := traceRec(r.Context())
+		if body, ok := s.decisions.Get(u.key); ok {
+			obs.ServerCacheHits.Add(1)
+			rec.Event("cache:decision:hit")
+			writeBody(w, body.([]byte), true)
+			return
+		}
+		rec.Event("cache:decision:miss")
+		ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
+		defer cancel()
+		var body []byte
+		var derr error
+		done, err := s.submit(func() { body, derr = compute(ctx, u) })
+		if err != nil {
+			s.reject(w, err)
+			return
+		}
+		<-done
+		if derr != nil {
+			writeComputeErr(w, derr)
+			return
+		}
+		s.decisions.Add(u.key, body)
+		writeBody(w, body, false)
 	}
-	obs.ServerRequests.Add(1)
-	u, err := parseUnit(&req, "decide")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rec := traceRec(r.Context())
-	if body, ok := s.decisions.Get(u.key); ok {
-		obs.ServerCacheHits.Add(1)
-		rec.Event("cache:decision:hit")
-		writeBody(w, body.([]byte), true)
-		return
-	}
-	rec.Event("cache:decision:miss")
-	ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
-	defer cancel()
-	var body []byte
-	var derr error
-	done, err := s.submit(func() { body, derr = s.computeDecide(ctx, u) })
-	if err != nil {
-		s.reject(w, err)
-		return
-	}
-	<-done
-	if derr != nil {
-		writeComputeErr(w, derr)
-		return
-	}
-	s.decisions.Add(u.key, body)
-	writeBody(w, body, false)
 }
 
 func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
@@ -383,43 +388,6 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 		obs.ServerCancelled.Add(1)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
-}
-
-func (s *Server) serveApproximate(w http.ResponseWriter, r *http.Request) {
-	var req DecideRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	obs.ServerRequests.Add(1)
-	u, err := parseUnit(&req, "approx")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rec := traceRec(r.Context())
-	if body, ok := s.decisions.Get(u.key); ok {
-		obs.ServerCacheHits.Add(1)
-		rec.Event("cache:decision:hit")
-		writeBody(w, body.([]byte), true)
-		return
-	}
-	rec.Event("cache:decision:miss")
-	ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
-	defer cancel()
-	var body []byte
-	var derr error
-	done, err := s.submit(func() { body, derr = s.computeApprox(ctx, u) })
-	if err != nil {
-		s.reject(w, err)
-		return
-	}
-	<-done
-	if derr != nil {
-		writeComputeErr(w, derr)
-		return
-	}
-	s.decisions.Add(u.key, body)
-	writeBody(w, body, false)
 }
 
 func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,9 @@ import (
 	"sort"
 	"testing"
 
+	"semacyclic/internal/cq"
+	"semacyclic/internal/hom"
+	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 )
 
@@ -246,6 +249,74 @@ func TestEvaluateReducerProgression(t *testing.T) {
 		`semacycd_delta_atoms_total{op="delete"}`,
 		`semacycd_epoch_churn_total`,
 	)
+}
+
+// TestEvaluateReducerAfterReload: the reducer state cached for a name
+// outlives a reload of that name. Once PATCHes carry the reloaded
+// instance past the state's epoch, the next evaluation must recompute,
+// not repair from another instance's view, and answer as a stateless
+// evaluation of the current atoms does.
+func TestEvaluateReducerAfterReload(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	query := "q(x,y) :- R(g1,x), S(x,y)."
+	load := func(atoms string, replace bool) {
+		t.Helper()
+		if r, body := post(t, ts, "/instances", InstanceRequest{Name: "db", Atoms: atoms, Replace: replace}); r.StatusCode != http.StatusCreated {
+			t.Fatalf("load: %d %s", r.StatusCode, body)
+		}
+	}
+	eval := func() EvaluateResponse {
+		t.Helper()
+		r, body := post(t, ts, "/evaluate", EvaluateRequest{Query: query, Instance: "db", Method: "yannakakis"})
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("evaluate: %d %s", r.StatusCode, body)
+		}
+		var resp EvaluateResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	load(testAtoms, false)
+	first := eval()
+	if first.Reducer != "cold" {
+		t.Fatalf("first evaluation: reducer = %q, want cold", first.Reducer)
+	}
+
+	atoms := "R(g1,d). R(g1,a). S(d,u). S(a,u)."
+	load(atoms, true)
+	var epoch uint64
+	for i := 0; epoch <= first.Epoch; i++ {
+		batch := fmt.Sprintf("S(d,v%d).", i)
+		r, body := patch(t, ts, "db", PatchRequest{Insert: batch})
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("patch: %d %s", r.StatusCode, body)
+		}
+		var pr PatchResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		epoch = pr.Epoch
+		atoms += " " + batch
+	}
+
+	got := eval()
+	if got.Reducer != "recomputed" || got.Epoch != epoch {
+		t.Fatalf("after reload: reducer = %q at epoch %d, want recomputed at %d", got.Reducer, got.Epoch, epoch)
+	}
+	db, err := instance.Parse(atoms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, tup := range hom.Evaluate(cq.MustParse(query), db) {
+		want = append(want, fmt.Sprint([]string{tup[0].Name, tup[1].Name}))
+	}
+	sort.Strings(want)
+	if fmt.Sprint(sortedAnswers(got.Answers)) != fmt.Sprint(want) {
+		t.Fatalf("after reload: answers = %v, want %v", sortedAnswers(got.Answers), want)
+	}
 }
 
 // An overlay evaluation answers as if the delta were applied and leaves

@@ -220,9 +220,9 @@ func New(cfg Config) *Server {
 		go s.worker()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /decide", s.instrument("/decide", s.serveDecide))
+	mux.HandleFunc("POST /decide", s.instrument("/decide", s.serveDecision("decide", s.computeDecide)))
 	mux.HandleFunc("POST /decide/batch", s.instrument("/decide/batch", s.serveBatch))
-	mux.HandleFunc("POST /approximate", s.instrument("/approximate", s.serveApproximate))
+	mux.HandleFunc("POST /approximate", s.instrument("/approximate", s.serveDecision("approx", s.computeApprox)))
 	mux.HandleFunc("POST /instances", s.instrument("/instances", s.serveInstanceLoad))
 	mux.HandleFunc("GET /instances", s.serveInstanceList)
 	mux.HandleFunc("DELETE /instances/{name}", s.serveInstanceDelete)

@@ -38,67 +38,25 @@ type ID uint32
 type Table struct {
 	ids   map[term.Term]ID `sem:"guardedby(owner)"`
 	terms []term.Term      `sem:"guardedby(owner)"`
-	ln    *lineageNode
-}
-
-// lineageNode records one step of a Clone chain. Nodes are tiny and
-// never hold table data, so keeping the chain alive costs a few words
-// per clone, not a map copy per ancestor.
-type lineageNode struct {
-	parent *lineageNode
-	depth  uint32
 }
 
 // New returns an empty table.
 func New() *Table {
-	return &Table{ids: make(map[term.Term]ID), ln: &lineageNode{}}
+	return &Table{ids: make(map[term.Term]ID)}
 }
 
-// Clone returns an independent copy of the table that remembers its
-// ancestry: the clone answers Extends(t) true, so incremental-view
-// repair can extend the copy with fresh symbols while readers holding
-// ids minted by t keep de-interning them to the same terms.
+// Clone returns an independent copy of the table, so that
+// incremental-view repair can extend the copy with fresh symbols while
+// readers holding ids minted by t keep de-interning them to the same
+// terms.
 func (t *Table) Clone() *Table {
-	return t.cloneWith(&lineageNode{parent: t.ln, depth: t.ln.depth + 1})
-}
-
-// CloneDetached is Clone without the ancestry link: the copy starts a
-// fresh lineage, so Extends never relates it to the original (or vice
-// versa). Overlay views use this — an overlay's table must never be
-// mistaken for a step of its base instance's epoch chain.
-func (t *Table) CloneDetached() *Table {
-	return t.cloneWith(&lineageNode{})
-}
-
-func (t *Table) cloneWith(ln *lineageNode) *Table {
 	ids := make(map[term.Term]ID, len(t.ids))
 	for k, v := range t.ids {
 		ids[k] = v
 	}
 	terms := make([]term.Term, len(t.terms))
 	copy(terms, t.terms)
-	return &Table{ids: ids, terms: terms, ln: ln}
-}
-
-// Extends reports whether t is old or a descendant of old along a
-// Clone chain. When true, every id valid in old is valid in t and
-// de-interns to the same term — the precondition that lets a cached
-// reducer state built against old's ids be repaired against t instead
-// of recomputed. Tables built independently (or via CloneDetached)
-// never extend each other.
-func (t *Table) Extends(old *Table) bool {
-	if t == old {
-		return true
-	}
-	if old == nil || old.ln == nil || t.ln == nil {
-		return false
-	}
-	for n := t.ln; n != nil && n.depth >= old.ln.depth; n = n.parent {
-		if n == old.ln {
-			return true
-		}
-	}
-	return false
+	return &Table{ids: ids, terms: terms}
 }
 
 // Intern returns the id of x, assigning the next dense id on first

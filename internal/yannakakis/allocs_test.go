@@ -2,11 +2,13 @@ package yannakakis
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/obs"
 	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 	"semacyclic/internal/testutil"
@@ -99,5 +101,86 @@ func TestAllocsMaterializeAnswers(t *testing.T) {
 	if big > small+64 {
 		t.Fatalf("Execute allocates %v for %d answers but %v for %d: allocations grow with answers",
 			small, nSmall, big, nBig)
+	}
+}
+
+// patchShapedInstance builds an instance of about size atoms in the
+// shape of bench/'s patch-eval: 25 C and 25 D anchors over distinct
+// nodes and, per node, one N fact and one E- and one F-successor. It
+// returns the instance and 20 absent E atoms to insert.
+func patchShapedInstance(size int) (*instance.Instance, []instance.Atom) {
+	r := rand.New(rand.NewSource(1))
+	nodes := (size - 50) / 3
+	node := func(i int) term.Term { return term.Const(fmt.Sprintf("c%d", i)) }
+	db := instance.New()
+	for k, i := range r.Perm(nodes)[:50] {
+		db.Add(instance.NewAtom([2]string{"C", "D"}[k%2], node(i)))
+	}
+	for i := 0; i < nodes; i++ {
+		db.Add(instance.NewAtom("N", node(i)))
+		db.Add(instance.NewAtom("E", node(i), node(r.Intn(nodes))))
+		db.Add(instance.NewAtom("F", node(i), node(r.Intn(nodes))))
+	}
+	var spares []instance.Atom
+	for len(spares) < 20 {
+		if a := instance.NewAtom("E", node(r.Intn(nodes)), node(r.Intn(nodes))); !db.Has(a) {
+			spares = append(spares, a)
+		}
+	}
+	return db, spares
+}
+
+// TestAllocsExecuteDelta guards the incremental evaluator's two cheap
+// paths on a 20,000-atom instance shaped like bench/'s patch-eval: a
+// run over an unchanged view reuses the state for one allocation, and
+// a repair after one 20-insert batch reads the appended rows straight
+// from the view, with no atom keys, copies or per-term lookups. Netting
+// a delta journal instead, the repair took 127 allocations.
+func TestAllocsExecuteDelta(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	db, spares := patchShapedInstance(20000)
+	q := cq.MustParse("q(x,z) :- C(x), E(x,y), E(y,z).")
+	forest, ok := hypergraph.GYO(q.Atoms)
+	if !ok {
+		t.Fatal("query should be acyclic")
+	}
+	c, err := Compile(q, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := c.ExecuteState(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st obs.EvalStats
+	measure := func() float64 {
+		return testing.AllocsPerRun(50, func() {
+			st = obs.EvalStats{}
+			if _, _, err = c.ExecuteDelta(state, db, Options{Stats: &st}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	reuse := measure()
+	if st.TreesReused != 1 {
+		t.Fatalf("unchanged view: want a reuse, got %s", st.Fingerprint())
+	}
+	if reuse > 1 {
+		t.Errorf("a reuse allocates %v, want at most 1", reuse)
+	}
+
+	if _, err := db.ApplyDelta(spares, nil); err != nil {
+		t.Fatal(err)
+	}
+	repair := measure()
+	if st.TreesRepaired != 1 || st.DeltaInserts != int64(len(spares)) {
+		t.Fatalf("20-insert batch: want a repair of 20 rows, got %s", st.Fingerprint())
+	}
+	t.Logf("reuse %v allocs, repair %v", reuse, repair)
+	if repair > 80 {
+		t.Errorf("a repair after a 20-insert batch allocates %v, want at most 80", repair)
 	}
 }

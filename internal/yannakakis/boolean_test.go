@@ -108,7 +108,6 @@ func TestBooleanPlanProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ExecuteState: %v", label, err)
 		}
-		epoch := db.Epoch()
 		for step := 0; step < 5; step++ {
 			label := fmt.Sprintf("trial %d step %d", trial, step)
 			nIns, nDel := 1+r.Intn(4), 0
@@ -116,16 +115,11 @@ func TestBooleanPlanProperty(t *testing.T) {
 				nIns, nDel = r.Intn(2), 1+r.Intn(3)
 			}
 			ins, del := gen.RandomDelta(r, db, nIns, nDel)
-			res, err := db.ApplyDelta(ins, del)
-			if err != nil {
+			if _, err := db.ApplyDelta(ins, del); err != nil {
 				t.Fatalf("%s: ApplyDelta: %v", label, err)
 			}
-			deltas, ok := db.DeltaSince(epoch)
-			if !ok {
-				t.Fatalf("%s: DeltaSince(%d) not bridgeable", label, epoch)
-			}
 			var dst obs.EvalStats
-			got, next, err := c.ExecuteDelta(state, db, deltas, Options{Stats: &dst})
+			got, next, err := c.ExecuteDelta(state, db, Options{Stats: &dst})
 			if err != nil {
 				t.Fatalf("%s: ExecuteDelta: %v", label, err)
 			}
@@ -149,7 +143,7 @@ func TestBooleanPlanProperty(t *testing.T) {
 			}
 			repaired += int(dst.TreesRepaired)
 			recomputed += int(dst.TreesRecomputed)
-			state, epoch = next, res.Epoch
+			state = next
 		}
 	}
 	t.Logf("holds=%d fails=%d forests=%d repaired=%d recomputed=%d", holds, fails, forests, repaired, recomputed)

@@ -9,33 +9,33 @@ import (
 )
 
 // This file is the incremental evaluator: ExecuteDelta repairs the
-// semijoin-reducer state of a previous run from an instance delta
-// instead of re-evaluating from scratch.
+// semijoin-reducer state of a previous run from what changed in the
+// instance's view since, instead of re-evaluating from scratch.
 //
 // The retained state is one reduced projection per join tree — exactly
 // the per-root relation the full evaluator feeds its final
 // cross-product (phase 3's projectRel(step.keep)). Those projections
-// are monotone in the database for insert-only deltas: inserting atoms
+// are monotone in the database for insert-only changes: inserting atoms
 // can only add rows, never invalidate old ones. So a tree whose
-// predicates saw only inserts is *repaired* by the classic semi-naive
-// delta rule — for each node k whose predicate gained atoms, evaluate
-// the tree with node k's leaf restricted to just the new atoms and
-// every other leaf restricted (via index probes) to rows that can join
-// the delta, then union the resulting projection rows into the cached
-// ones. Deletes break monotonicity, so a tree touched by a delete is
-// recomputed from the current view; untouched trees reuse their cached
-// projection outright. The final cross-product and answer
+// relations only appended rows is *repaired* by the classic semi-naive
+// delta rule — for each node k whose relation gained rows, evaluate the
+// tree with node k's leaf restricted to just the new rows and every
+// other leaf restricted (via index probes) to rows that can join the
+// delta, then union the resulting projection rows into the cached ones.
+// Deletes break monotonicity, so a tree whose relations changed in any
+// other way is recomputed from the current view; untouched trees reuse
+// their cached projection outright. The final cross-product and answer
 // materialization run over the (reused | repaired | recomputed)
 // projections exactly as in a full run, so answers are identical to
 // Execute's on the current instance — the differential tests enforce
 // it atom-for-atom and fingerprints stay deterministic.
 //
-// Id stability across epochs is what makes reuse sound: ApplyDelta
-// extends the view's symbol table via lineage-preserving clones, and
-// ExecuteDelta verifies iv.Table.Extends(prev.view.Table) before
-// trusting any cached id. A view from a different lineage (a rebuilt
-// view after a bare Add/Remove, an overlay's detached table) fails the
-// check and forces a full recompute.
+// What changed is read from the views alone: a relation that is the
+// state's is untouched, and one that holds the state's as a prefix
+// (instance.InternedRelation.Appended) appended rows whose ids, like
+// the prefix's, mean what they meant to the state. Any other relation
+// — a delete, a view rebuilt after a bare Add/Remove, another
+// instance's view — recomputes its trees.
 
 // ReducerState is the retained evaluation state of one (plan, instance
 // snapshot) pair: the view it ran over, the per-tree reduced
@@ -59,67 +59,69 @@ type ReducerState struct {
 func (s *ReducerState) Answers() [][]term.Term { return s.answers }
 
 // ExecuteDelta evaluates the compiled plan over db, repairing prev —
-// the state of an earlier run of the same plan — from the journalled
-// deltas that moved the instance from prev's epoch to the current one
-// (instance.DeltaSince, oldest first). Answers are exactly what
-// Execute would return on db today; the returned state replaces prev
-// for the next round. The answers are the returned state's own (on a
-// reuse, prev's too): callers must not mutate them.
+// the state of an earlier run of the same plan — from what changed in
+// db's interned view since prev's run. Answers are exactly what Execute
+// would return on db today; the returned state replaces prev for the
+// next round. The answers are the returned state's own (on a reuse,
+// prev's too): callers must not mutate them.
 //
-// Per join tree the run reuses the cached projection (no plan-relevant
-// change), repairs it (insert-only delta, semi-naive union), or
-// recomputes it (deletes, or no usable state); EvalStats reports the
-// split in TreesReused/TreesRepaired/TreesRecomputed and the
-// plan-relevant net delta in DeltaInserts/DeltaDeletes. When prev is
-// nil, incomplete, or from a different view lineage, the whole run
-// falls back to a full evaluation with TreesRecomputed = NumTrees.
-func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, deltas []instance.Delta, opt Options) ([][]term.Term, *ReducerState, error) {
+// Per join tree the run reuses the cached projection (no relation it
+// reads changed), repairs it (its relations only appended rows,
+// semi-naive union), or recomputes it (any other change); EvalStats
+// reports the split in TreesReused/TreesRepaired/TreesRecomputed and
+// the rows the plan's relations gained and lost in
+// DeltaInserts/DeltaDeletes. When prev is nil or incomplete the whole
+// run falls back to a full evaluation with TreesRecomputed = NumTrees.
+func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, opt Options) ([][]term.Term, *ReducerState, error) {
 	iv := db.Interned()
-	if prev == nil || prev.incomplete || prev.view == nil || !iv.Table.Extends(prev.view.Table) {
+	if prev == nil || prev.incomplete || prev.view == nil {
 		ans, state, err := c.executeView(iv, opt, true)
 		if err == nil && opt.Stats != nil {
 			opt.Stats.TreesRecomputed = int64(len(c.roots))
 		}
 		return ans, state, err
 	}
+	if c.untouched(prev.view, iv) {
+		// Nothing the plan reads changed: every tree's projection (and
+		// therefore the answer set) carries over verbatim.
+		if opt.Stats != nil {
+			opt.Stats.Method = "yannakakis"
+			opt.Stats.TreesReused = int64(len(c.roots))
+			opt.Stats.Answers = len(prev.answers)
+		}
+		return prev.answers, &ReducerState{view: iv, projs: prev.projs, answers: prev.answers}, nil
+	}
 
 	st := &ievalState{evalState: evalState{opt: opt}}
 	if st.opt.Stats != nil {
 		st.opt.Stats.Method = "yannakakis"
 	}
-
-	netIns, netDel := c.netPlanDelta(prev.view, deltas)
-	if st.opt.Stats != nil {
-		st.opt.Stats.DeltaInserts = int64(len(netIns))
-		st.opt.Stats.DeltaDeletes = int64(len(netDel))
-	}
-	if len(netIns) == 0 && len(netDel) == 0 {
-		// Nothing the plan reads changed: every tree's projection (and
-		// therefore the answer set) carries over verbatim.
-		if st.opt.Stats != nil {
-			st.opt.Stats.TreesReused = int64(len(c.roots))
-			st.opt.Stats.Answers = len(prev.answers)
-		}
-		return prev.answers, &ReducerState{view: iv, projs: prev.projs, answers: prev.answers}, nil
-	}
-
-	// Classify each tree: 0 untouched, 1 insert-only, 2 saw a delete.
+	// Classify each tree: 0 untouched, 1 appended rows only, 2 any
+	// other change. from[k] is the first row of node k's relation the
+	// state has not seen.
 	aff := make([]int, len(c.roots))
-	mark := func(atoms []instance.Atom, level int) {
-		for _, a := range atoms {
-			for _, ni := range c.predNode[a.Pred] {
-				if t := c.treeOf[ni]; aff[t] < level {
-					aff[t] = level
-				}
+	from := make([]int, len(c.nodes))
+	for _, p := range c.preds {
+		cur, old := iv.Relation(p.name), prev.view.Relation(p.name)
+		gained, lost := cur.Changes(old)
+		if st.opt.Stats != nil {
+			st.opt.Stats.DeltaInserts += int64(gained)
+			st.opt.Stats.DeltaDeletes += int64(lost)
+		}
+		n, ok := cur.Appended(old)
+		level := 0
+		switch {
+		case !ok:
+			level = 2
+		case cur != nil && n < cur.Rows():
+			level = 1
+		}
+		for _, k := range p.nodes {
+			from[k] = n
+			if t := c.treeOf[k]; aff[t] < level {
+				aff[t] = level
 			}
 		}
-	}
-	mark(netIns, 1)
-	mark(netDel, 2)
-
-	insByPred := make(map[string][]instance.Atom)
-	for _, a := range netIns {
-		insByPred[a.Pred] = append(insByPred[a.Pred], a)
 	}
 
 	constID, constOK := c.lookupConsts(iv)
@@ -132,7 +134,7 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 				st.opt.Stats.TreesReused++
 			}
 		case 1:
-			p, err := c.repairTree(ridx, prev.projs[ridx], insByPred, iv, constID, constOK, st)
+			p, err := c.repairTree(ridx, prev.projs[ridx], from, iv, constID, constOK, st)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -182,69 +184,32 @@ func (c *Compiled) ExecuteDelta(prev *ReducerState, db *instance.Instance, delta
 	return out, state, nil
 }
 
-// netPlanDelta folds a delta sequence into its net effect on the
-// predicates the plan reads, relative to the view the cached state was
-// computed over. Each atom's last journalled operation decides its
-// final presence; comparing that against presence in the old view
-// drops atoms that ended where they started (delete-then-reinsert
-// across batches, and vice versa). Returned slices are ordered by
-// first occurrence in the delta sequence — deterministic for a
-// deterministic sequence.
-func (c *Compiled) netPlanDelta(old *instance.InternedView, deltas []instance.Delta) (netIns, netDel []instance.Atom) {
-	type op struct {
-		a   instance.Atom
-		ins bool
-	}
-	var ops []op
-	index := make(map[string]int)
-	record := func(a instance.Atom, ins bool) {
-		if _, relevant := c.predNode[a.Pred]; !relevant {
-			return
-		}
-		k := a.Key()
-		if i, ok := index[k]; ok {
-			ops[i] = op{a: a, ins: ins}
-			return
-		}
-		index[k] = len(ops)
-		ops = append(ops, op{a: a, ins: ins})
-	}
-	for _, d := range deltas {
-		// Mirror ApplyDelta's batch order: deletes, then inserts.
-		for _, a := range d.Deletes {
-			record(a, false)
-		}
-		for _, a := range d.Inserts {
-			record(a, true)
+// untouched reports whether every relation the plan reads in cur is
+// the one it read in old.
+func (c *Compiled) untouched(old, cur *instance.InternedView) bool {
+	for _, p := range c.preds {
+		if cur.Relation(p.name) != old.Relation(p.name) {
+			return false
 		}
 	}
-	for _, o := range ops {
-		_, was := old.Relation(o.a.Pred).Find(old.Table, o.a.Args)
-		switch {
-		case o.ins && !was:
-			netIns = append(netIns, o.a)
-		case !o.ins && was:
-			netDel = append(netDel, o.a)
-		}
-	}
-	return netIns, netDel
+	return true
 }
 
-// repairTree applies the semi-naive delta rule to one insert-only
-// tree: for each node whose predicate gained atoms, evaluate the tree
-// with that node's leaf replaced by the delta rows (and the other
-// leaves index-restricted to the delta's join keys), then union the
-// projection rows it yields into the cached projection. Set semantics
-// make the overcounting of multi-node deltas harmless — the union
-// dedups.
-func (c *Compiled) repairTree(ridx int, oldProj irel, insByPred map[string][]instance.Atom, iv *instance.InternedView, constID []symtab.ID, constOK []bool, st *ievalState) (irel, error) {
+// repairTree applies the semi-naive delta rule to one tree whose
+// relations only appended rows: for each node whose relation gained
+// rows since from[k], evaluate the tree with that node's leaf replaced
+// by the new rows (and the other leaves index-restricted to the
+// delta's join keys), then union the projection rows it yields into
+// the cached projection. Set semantics make the overcounting of
+// multi-node deltas harmless — the union dedups.
+func (c *Compiled) repairTree(ridx int, oldProj irel, from []int, iv *instance.InternedView, constID []symtab.ID, constOK []bool, st *ievalState) (irel, error) {
 	acc := oldProj
 	for _, k := range c.treeNodes[ridx] {
-		atoms := insByPred[c.nodes[k].pred]
-		if len(atoms) == 0 {
+		rel := iv.Relation(c.nodes[k].pred)
+		if rel == nil || from[k] >= rel.Rows() {
 			continue
 		}
-		drel, err := deltaLeaf(&c.nodes[k], atoms, iv, constID, constOK, st)
+		drel, err := deltaLeaf(&c.nodes[k], rel, from[k], constID, constOK, st)
 		if err != nil {
 			return irel{}, err
 		}
@@ -260,35 +225,23 @@ func (c *Compiled) repairTree(ridx int, oldProj irel, insByPred map[string][]ins
 	return acc, nil
 }
 
-// deltaLeaf builds the in-flight relation of node k's pattern matched
-// against just the delta atoms — the ΔR leaf of one semi-naive term.
-func deltaLeaf(n *cnode, atoms []instance.Atom, iv *instance.InternedView, constID []symtab.ID, constOK []bool, st *ievalState) (irel, error) {
+// deltaLeaf builds the in-flight relation of node n's pattern matched
+// against rows [from, Rows()) of its relation, the rows appended since
+// the state's run — the ΔR leaf of one semi-naive term.
+func deltaLeaf(n *cnode, rel *instance.InternedRelation, from int, constID []symtab.ID, constOK []bool, st *ievalState) (irel, error) {
 	out := irel{w: n.w}
 	vals := make([]symtab.ID, n.w)
-	row := make([]symtab.ID, n.arity)
-	for _, a := range atoms {
+	for r := from; r < rel.Rows(); r++ {
 		if st.cancelled() {
 			return irel{}, ErrCancelled
 		}
-		if len(a.Args) != n.arity {
-			continue // defensive: arity clashes are rejected upstream
-		}
-		ok := true
-		for i, t := range a.Args {
-			id, hit := iv.Table.Lookup(t)
-			if !hit {
-				ok = false // term absent from the view: cannot match
-				break
-			}
-			row[i] = id
-		}
-		if ok && matchRow(n, row, constID, constOK, vals) {
+		if matchRow(n, rel.Row(r), constID, constOK, vals) {
 			out.ids = append(out.ids, vals...)
 			out.n++
 		}
 	}
 	if st.opt.Stats != nil {
-		st.opt.Stats.RowsScanned += int64(len(atoms))
+		st.opt.Stats.RowsScanned += int64(rel.Rows() - from)
 	}
 	return out, nil
 }
@@ -375,7 +328,8 @@ func (c *Compiled) deltaContribution(ridx, k int, drel irel, iv *instance.Intern
 }
 
 // recomputeTree fully re-evaluates one tree from the current view —
-// the fallback for trees whose predicates saw deletes.
+// the fallback for trees whose relations changed other than by
+// appending rows.
 func (c *Compiled) recomputeTree(ridx int, iv *instance.InternedView, constID []symtab.ID, constOK []bool, st *ievalState) (irel, error) {
 	rels := make([]irel, len(c.nodes))
 	for _, i := range c.treeNodes[ridx] {

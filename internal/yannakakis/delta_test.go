@@ -1,11 +1,11 @@
 package yannakakis
 
 // Differential tests for the incremental evaluator: ExecuteDelta over
-// a journalled delta sequence must agree answer-for-answer with a full
-// Execute on the current instance at every step, its deterministic
-// stats must fingerprint identically across independent replays of
-// the same sequence, and a shared ReducerState must be safe to repair
-// from concurrent goroutines (CI runs this file under -race).
+// a delta sequence must agree answer-for-answer with a full Execute on
+// the current instance at every step, its deterministic stats must
+// fingerprint identically across independent replays of the same
+// sequence, and a shared ReducerState must be safe to repair from
+// concurrent goroutines (CI runs this file under -race).
 
 import (
 	"fmt"
@@ -21,8 +21,7 @@ import (
 	"semacyclic/internal/term"
 )
 
-// applyScript replays a delta script (one batch per step) against db,
-// returning the journalled deltas and epochs after each batch.
+// deltaStep is one batch of a delta script.
 type deltaStep struct {
 	ins, del []instance.Atom
 }
@@ -59,7 +58,6 @@ func TestDifferentialDeltaVsFull(t *testing.T) {
 			t.Fatalf("trial %d: ExecuteState answers diverge from Execute", trial)
 		}
 
-		epoch := db.Epoch()
 		for step := 0; step < 6; step++ {
 			nIns := r.Intn(4)
 			nDel := 0
@@ -67,16 +65,11 @@ func TestDifferentialDeltaVsFull(t *testing.T) {
 				nDel = 1 + r.Intn(2)
 			}
 			ins, del := gen.RandomDelta(r, db, nIns, nDel)
-			res, err := db.ApplyDelta(ins, del)
-			if err != nil {
+			if _, err := db.ApplyDelta(ins, del); err != nil {
 				t.Fatalf("trial %d step %d: ApplyDelta: %v", trial, step, err)
 			}
-			deltas, ok := db.DeltaSince(epoch)
-			if !ok {
-				t.Fatalf("trial %d step %d: DeltaSince(%d) not bridgeable", trial, step, epoch)
-			}
 			var st obs.EvalStats
-			got, next, err := c.ExecuteDelta(state, db, deltas, Options{Stats: &st})
+			got, next, err := c.ExecuteDelta(state, db, Options{Stats: &st})
 			if err != nil {
 				t.Fatalf("trial %d step %d: ExecuteDelta: %v", trial, step, err)
 			}
@@ -99,9 +92,103 @@ func TestDifferentialDeltaVsFull(t *testing.T) {
 			repaired += st.TreesRepaired
 			recomputed += st.TreesRecomputed
 			state = next
-			epoch = res.Epoch
 		}
 	}
+	if reused == 0 || repaired == 0 || recomputed == 0 {
+		t.Fatalf("decision coverage incomplete: reused=%d repaired=%d recomputed=%d",
+			reused, repaired, recomputed)
+	}
+}
+
+// TestDifferentialDeltaStaleStates repairs states that lag one to four
+// batches behind the instance. A gap of two or more batches may insert
+// one fresh atom in its first batch and delete it in its last, which
+// leaves the atom set as the batches around it made it but the
+// relation's rows no longer a prefix; sometimes a bare Add rebuilds the
+// view. Answers must equal Execute's, both breaks must recompute every
+// tree (the plans read E alone), and reuse, repair and recompute must
+// all occur.
+func TestDifferentialDeltaStaleStates(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	var reused, repaired, recomputed int64
+	for trial := 0; trial < 60; trial++ {
+		q := randomEvalCQ(r)
+		forest, ok := hypergraph.GYO(q.Atoms)
+		if !ok {
+			t.Fatalf("trial %d: generated query %s is not acyclic", trial, q)
+		}
+		c, err := Compile(q, forest)
+		if err != nil {
+			t.Fatalf("trial %d: Compile: %v", trial, err)
+		}
+		db := gen.RandomGraphDB(r, 40+r.Intn(160), 2+r.Intn(10))
+		_, state, err := c.ExecuteState(db, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: ExecuteState: %v", trial, err)
+		}
+		for round := 0; round < 4; round++ {
+			lag := 1 + r.Intn(4)
+			var flip []instance.Atom
+			if lag >= 2 && r.Intn(2) == 0 {
+				f := term.Const(fmt.Sprintf("f%d_%d", trial, round))
+				flip = []instance.Atom{instance.NewAtom("P", f)}
+				if r.Intn(2) == 0 {
+					flip = []instance.Atom{instance.NewAtom("E", f, f)}
+				}
+			}
+			rebuilt := false
+			for b := 0; b < lag; b++ {
+				nDel := 0
+				if r.Intn(4) == 0 {
+					nDel = 1
+				}
+				ins, del := gen.RandomDelta(r, db, r.Intn(3), nDel)
+				if b == 0 {
+					ins = append(ins, flip...)
+				}
+				if b == lag-1 {
+					del = append(del, flip...)
+				}
+				if _, err := db.ApplyDelta(ins, del); err != nil {
+					t.Fatalf("trial %d round %d batch %d: ApplyDelta: %v", trial, round, b, err)
+				}
+				if r.Intn(12) == 0 {
+					bare := instance.NewAtom("E", term.Const(fmt.Sprintf("c%d", r.Intn(12))), term.Const("bare"))
+					added, err := db.AddReport(bare)
+					if err != nil {
+						t.Fatalf("trial %d round %d: Add: %v", trial, round, err)
+					}
+					rebuilt = rebuilt || added
+				}
+			}
+
+			var st obs.EvalStats
+			got, next, err := c.ExecuteDelta(state, db, Options{Stats: &st})
+			if err != nil {
+				t.Fatalf("trial %d round %d: ExecuteDelta: %v", trial, round, err)
+			}
+			want, err := c.Execute(db, Options{})
+			if err != nil {
+				t.Fatalf("trial %d round %d: Execute: %v", trial, round, err)
+			}
+			if !sameAnswers(got, want) || !sameAnswers(next.Answers(), want) {
+				t.Fatalf("trial %d round %d (lag %d, flip %v, rebuilt %v): answers diverge\nquery %s\ngot  %v\nwant %v",
+					trial, round, lag, flip, rebuilt, q, got, want)
+			}
+			if n := st.TreesReused + st.TreesRepaired + st.TreesRecomputed; n != int64(c.NumTrees()) {
+				t.Fatalf("trial %d round %d: decision split %s does not cover %d trees", trial, round, st.Fingerprint(), c.NumTrees())
+			}
+			if (rebuilt || len(flip) > 0 && flip[0].Pred == "E") && st.TreesRecomputed != int64(c.NumTrees()) {
+				t.Fatalf("trial %d round %d (flip %v, rebuilt %v): want every tree recomputed, got %s",
+					trial, round, flip, rebuilt, st.Fingerprint())
+			}
+			reused += st.TreesReused
+			repaired += st.TreesRepaired
+			recomputed += st.TreesRecomputed
+			state = next
+		}
+	}
+	t.Logf("reused=%d repaired=%d recomputed=%d", reused, repaired, recomputed)
 	if reused == 0 || repaired == 0 || recomputed == 0 {
 		t.Fatalf("decision coverage incomplete: reused=%d repaired=%d recomputed=%d",
 			reused, repaired, recomputed)
@@ -149,15 +236,10 @@ func TestDeltaFingerprintDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: ExecuteState: %v", trial, err)
 			}
-			epoch := db.Epoch()
 			var fps []string
 			for si, step := range script {
 				if _, err := db.ApplyDelta(step.ins, step.del); err != nil {
 					t.Fatalf("trial %d step %d: ApplyDelta: %v", trial, si, err)
-				}
-				deltas, ok := db.DeltaSince(epoch)
-				if !ok {
-					t.Fatalf("trial %d step %d: DeltaSince not bridgeable", trial, si)
 				}
 				results := make([]string, parallelism)
 				states := make([]*ReducerState, parallelism)
@@ -167,7 +249,7 @@ func TestDeltaFingerprintDeterminism(t *testing.T) {
 					go func(g int) {
 						defer wg.Done()
 						var st obs.EvalStats
-						_, next, err := c.ExecuteDelta(state, db, deltas, Options{Stats: &st})
+						_, next, err := c.ExecuteDelta(state, db, Options{Stats: &st})
 						if err != nil {
 							results[g] = fmt.Sprintf("error: %v", err)
 							return
@@ -188,7 +270,6 @@ func TestDeltaFingerprintDeterminism(t *testing.T) {
 				if state == nil {
 					t.Fatalf("trial %d step %d: %s", trial, si, results[0])
 				}
-				epoch = db.Epoch()
 			}
 			return fps
 		}
@@ -230,17 +311,12 @@ func TestDeltaIncompleteStateFallsBack(t *testing.T) {
 	if len(ans) != 0 {
 		t.Fatalf("answers = %v, want none (P empty)", ans)
 	}
-	epoch := db.Epoch()
 
 	if _, err := db.ApplyDelta([]instance.Atom{instance.NewAtom("P", term.Const("b"))}, nil); err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
-	deltas, ok := db.DeltaSince(epoch)
-	if !ok {
-		t.Fatal("DeltaSince not bridgeable")
-	}
 	var st obs.EvalStats
-	got, next, err := c.ExecuteDelta(state, db, deltas, Options{Stats: &st})
+	got, next, err := c.ExecuteDelta(state, db, Options{Stats: &st})
 	if err != nil {
 		t.Fatalf("ExecuteDelta: %v", err)
 	}

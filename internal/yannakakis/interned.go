@@ -106,12 +106,18 @@ type Compiled struct {
 	rootSteps []rootStep
 	colIdx    []int32 // result columns ordered as query.Free
 
-	// Delta-repair indexes (see delta.go): the nodes using each
-	// predicate, each node's tree (index into roots), and each tree's
-	// node set.
-	predNode  map[string][]int32
+	// Delta-repair indexes (see delta.go): the plan's predicates in
+	// sorted order with the nodes reading each, each node's tree (index
+	// into roots), and each tree's node set.
+	preds     []planPred
 	treeOf    []int32
 	treeNodes [][]int32
+}
+
+// planPred is one predicate the plan reads and the nodes reading it.
+type planPred struct {
+	name  string
+	nodes []int32
 }
 
 // NumTrees returns the number of join trees in the plan's forest — the
@@ -254,10 +260,13 @@ func Compile(q *cq.CQ, forest *hypergraph.Forest) (*Compiled, error) {
 		c.colIdx[i] = int32(j)
 	}
 
-	c.predNode = make(map[string][]int32, len(c.nodes))
 	for i := range c.nodes {
 		p := c.nodes[i].pred
-		c.predNode[p] = append(c.predNode[p], int32(i))
+		j, found := slices.BinarySearchFunc(c.preds, p, func(e planPred, p string) int { return cmp.Compare(e.name, p) })
+		if !found {
+			c.preds = slices.Insert(c.preds, j, planPred{name: p})
+		}
+		c.preds[j].nodes = append(c.preds[j].nodes, int32(i))
 	}
 	c.treeOf = make([]int32, len(c.nodes))
 	c.treeNodes = make([][]int32, len(c.roots))

@@ -69,8 +69,11 @@ echo "== allocation guards (no race: counts must be exact) =="
 # stored atom is one allocation: ApplyDelta nets its batch without key
 # strings, the chase keeps derivation depths by instance slot and
 # reuses its trigger and argument buffers, and a fresh null's name is
-# one allocation. The guards skip themselves under -race, so run them
-# once without it.
+# one allocation. cq.Freeze sizes its instance from the query, so it
+# grows no table. ExecuteDelta reuses an unchanged state for one
+# allocation and repairs from the rows a batch appended to the view,
+# without atom keys or copies. The guards skip themselves under -race,
+# so run them once without it.
 go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/
 
 echo "== reference gate =="
@@ -95,10 +98,12 @@ go test -race -count=1 ./internal/server/
 go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/
 
 echo "== delta & overlay differential gate (race) =="
-# Incremental evaluation must never drift from from-scratch: replay
-# delta journals through ExecuteDelta and overlays and compare answers
-# and deterministic fingerprints against full re-evaluation, at the
-# instance, reducer and plan layers. BooleanPlan is the Boolean stop's
+# Incremental evaluation must never drift from from-scratch: apply
+# delta batches, repair reducer states one to four batches old through
+# ExecuteDelta, evaluate overlays, and compare answers and
+# deterministic fingerprints against full re-evaluation, at the
+# instance, reducer and plan layers; the instance layer also pins the
+# relation-family rule ExecuteDelta reads what changed by. BooleanPlan is the Boolean stop's
 # property test (hom's answer, no join rows, one semijoin per forest
 # edge, delta runs equal to fresh ones). -count=1: a cached 'ok' can
 # never satisfy the gate.

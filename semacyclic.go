@@ -56,9 +56,6 @@ type (
 	// Instance is an indexed set of atoms (a database when finite and
 	// variable-free, which Instance enforces).
 	Instance = instance.Instance
-	// Delta is one batch of inserts and deletes, as journalled by
-	// Instance.ApplyDelta and bridged by Instance.DeltaSince.
-	Delta = instance.Delta
 	// DeltaResult reports an applied batch: the new epoch and the net
 	// insert/delete counts after set semantics collapse the batch.
 	DeltaResult = instance.DeltaResult
@@ -98,8 +95,8 @@ type (
 	// EvalOptions tunes one Plan.Execute run (cancellation, tracing).
 	EvalOptions = core.EvalOptions
 	// ReducerState is the retained per-plan semijoin state that
-	// Plan.ExecuteIncremental repairs from an instance's delta journal
-	// instead of recomputing.
+	// Plan.ExecuteIncremental repairs from the rows an instance's view
+	// appended instead of recomputing.
 	ReducerState = core.ReducerState
 	// Certificate is a re-checkable proof behind a Yes decision.
 	Certificate = core.Certificate
