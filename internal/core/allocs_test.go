@@ -1,0 +1,92 @@
+package core
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"semacyclic/internal/testutil"
+)
+
+// TestAllocsDecide guards the search layers' scratch-built candidates:
+// a layer copies a candidate only when it keeps it. The first template
+// settles in layer 2: 70 candidates examined, 1,413 moves generated and
+// 233 of them new; materializing every move before the seen check took
+// 24,892 allocations. The second exhausts the budget through layers 2
+// to 4, where layer 4 prunes, keys and verifies uncloned prefixes and
+// builds extensions in per-level buffers; copying extension atoms and
+// candidates took 16,580.
+func TestAllocsDecide(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	templates := decideColdTemplates()
+	for _, tc := range []struct {
+		tpl   [2]string
+		layer string
+		bound float64
+	}{
+		{templates[4], "quotient", 1350}, // clique4 under E(x,y) → E(x,x)
+		{templates[2], "budget", 9700},   // the sticky triangle
+	} {
+		q, set := parseTemplate(t, tc.tpl)
+		opt := Options{SearchBudget: 100, Parallelism: 1}
+		res, err := Decide(q, set, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Layer != tc.layer {
+			t.Fatalf("%s: settled in layer %q, want %q", q, res.Layer, tc.layer)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Decide(q, set, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s (%s): %v allocs per decision", q, tc.layer, allocs)
+		if allocs > tc.bound {
+			t.Errorf("deciding %s allocates %v, want at most %v", q, allocs, tc.bound)
+		}
+	}
+}
+
+// TestAllocsHugeWitnessBound guards layer 4 against an explicit
+// MaxWitnessSize far beyond any depth the budget reaches. The option
+// skips the default depth cap and the server passes a request's
+// max_witness through unchecked, so scratch sized from the bound
+// (bound·arity fresh names and argument slots per branch) would ask
+// for terabytes before the search began, or overflow; sized from the
+// depth actually entered, the decision costs a few times what it does
+// at the default bound. Under -race the allocation figures are
+// skipped, but one deep search still runs at -j 4, so branches growing
+// their own fresh names past the shared ones run concurrently.
+func TestAllocsHugeWitnessBound(t *testing.T) {
+	q, set := parseTemplate(t, decideColdTemplates()[2]) // the sticky triangle
+	for _, w := range []int{1 << 40, math.MaxInt} {
+		for _, par := range []int{1, 4} {
+			if testutil.RaceEnabled && (w != 1<<40 || par == 1) {
+				continue // one concurrent deep search serves the race detector
+			}
+			opt := Options{SearchBudget: 100, Parallelism: par, MaxWitnessSize: w}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Decide(q, set, opt)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Layer != "budget" {
+				t.Fatalf("bound %d, -j %d: settled in layer %q, want the budget to run out in layer 4", w, par, res.Layer)
+			}
+			if testutil.RaceEnabled {
+				continue
+			}
+			mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+			allocs := after.Mallocs - before.Mallocs
+			t.Logf("bound %d, -j %d: %.1f MB in %d allocations", w, par, mb, allocs)
+			if mb > 16 || allocs > 40000 {
+				t.Errorf("bound %d, -j %d: deciding %s allocated %.1f MB in %d allocations, want at most 16 MB and 40,000", w, par, q, mb, allocs)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/hypergraph"
+	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
 )
 
@@ -69,10 +70,15 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 	}
 
 	// BFS over variable-merging quotients (each merge yields a query
-	// contained in q). The total collapse is always reached, giving the
-	// guaranteed fallback for constant-free queries.
-	queue := []*cq.CQ{q.DedupAtoms()}
-	seen[q.DedupAtoms().CanonicalKey()] = true
+	// contained in q): layer 2's moves without its atom drops, built
+	// and keyed in scratch and copied only when unseen. The total
+	// collapse is always reached, giving the guaranteed fallback for
+	// constant-free queries.
+	var keyer cq.Keyer
+	var moves moveGen
+	start := q.DedupAtoms()
+	queue := []*cq.CQ{start}
+	seen[string(keyer.Key(start.Free, start.Atoms))] = true
 	for len(queue) > 0 && examined < opt.SearchBudget {
 		if opt.cancelled() {
 			return nil, ErrCancelled
@@ -82,25 +88,14 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 		if hypergraph.IsAcyclic(cur.Atoms) && cur.Validate() == nil {
 			candidates = append(candidates, cur)
 		}
-		vars := cur.Vars()
-		freeSet := make(map[term.Term]bool, len(cur.Free))
-		for _, x := range cur.Free {
-			freeSet[x] = true
-		}
-		for i, x := range vars {
-			for j, y := range vars {
-				if i == j || freeSet[y] {
-					continue
-				}
-				next := cur.ApplySubst(term.Subst{y: x}).DedupAtoms()
-				k := next.CanonicalKey()
-				if !seen[k] {
-					seen[k] = true
-					examined++
-					queue = append(queue, next)
-				}
+		moves.each(cur, false, func(atoms []instance.Atom) {
+			if k := keyer.Key(cur.Free, atoms); !seen[string(k)] {
+				seen[string(k)] = true
+				examined++
+				next := cq.CQ{Name: cur.Name, Free: cur.Free, Atoms: atoms}
+				queue = append(queue, next.Clone())
 			}
-		}
+		})
 	}
 	// Guarantee the fallback candidate even under tight budgets: the
 	// total collapse of the existential variables.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
@@ -15,10 +16,14 @@ import (
 // Dropping an atom weakens the query (q ⊆ r plainly) while merging
 // variables strengthens it (r ⊆ q plainly); since the BFS mixes both
 // moves, every acyclic candidate gets a full two-sided equivalence
-// verification. BFS with canonical-form dedup, budgeted.
+// verification. BFS with canonical-form dedup, budgeted. Moves are
+// built and keyed in scratch; only an unseen one is copied, onto the
+// queue.
 func searchQuotients(q *cq.CQ, v *verifier, opt Options) (*cq.CQ, int, error) {
 	start := q.DedupAtoms()
-	seen := map[string]bool{start.CanonicalKey(): true}
+	var keyer cq.Keyer
+	var moves moveGen
+	seen := map[string]bool{string(keyer.Key(start.Free, start.Atoms)): true}
 	queue := []*cq.CQ{start}
 	examined := 0
 
@@ -39,71 +44,91 @@ func searchQuotients(q *cq.CQ, v *verifier, opt Options) (*cq.CQ, int, error) {
 				return cur, examined, nil
 			}
 		}
-		for _, next := range quotientMoves(cur) {
-			k := next.CanonicalKey()
-			if !seen[k] {
-				seen[k] = true
-				queue = append(queue, next)
+		moves.each(cur, true, func(atoms []instance.Atom) {
+			if k := keyer.Key(cur.Free, atoms); !seen[string(k)] {
+				seen[string(k)] = true
+				next := cq.CQ{Name: cur.Name, Free: cur.Free, Atoms: atoms}
+				queue = append(queue, next.Clone())
 			}
-		}
+		})
 	}
 	return nil, examined, nil
 }
 
-// quotientMoves returns the one-step reductions of cur: drop one atom
-// (keeping free variables covered) or merge one variable pair (never
-// merging two distinct free variables).
-func quotientMoves(cur *cq.CQ) []*cq.CQ {
-	var out []*cq.CQ
+// moveGen builds the one-step reductions of a query in scratch it
+// owns: drop one atom (keeping free variables covered), then merge one
+// variable pair y→x (x stays, y goes; y must be existential) over Vars
+// order. A merge drops the duplicate atoms it creates, keeping first
+// occurrences, so it yields exactly ApplySubst({y: x}).DedupAtoms().
+// The query is duplicate-free, so a drop needs no dedup.
+type moveGen struct {
+	atoms []instance.Atom // the current move
+	args  []term.Term     // the current merge's argument slab
+}
 
-	// Drop an atom.
-	if len(cur.Atoms) > 1 {
-		free := make(map[term.Term]bool, len(cur.Free))
-		for _, x := range cur.Free {
-			free[x] = true
-		}
+// each calls yield with every move of cur, drops first when drops is
+// set; Approximate runs the merges only. The atoms yield receives are
+// valid until it returns.
+func (g *moveGen) each(cur *cq.CQ, drops bool, yield func(atoms []instance.Atom)) {
+	if drops && len(cur.Atoms) > 1 {
 		for i := range cur.Atoms {
-			rest := make([]instance.Atom, 0, len(cur.Atoms)-1)
-			rest = append(rest, cur.Atoms[:i]...)
-			rest = append(rest, cur.Atoms[i+1:]...)
-			covered := make(map[term.Term]bool)
-			for _, a := range rest {
-				for _, v := range a.Vars() {
-					covered[v] = true
-				}
-			}
-			ok := true
-			//semalint:allow detmap(universal membership test; verdict is order-independent)
-			for x := range free {
-				if !covered[x] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !coversFree(cur.Free, cur.Atoms, i) {
 				continue
 			}
-			// cur is duplicate-free, so rest is too: no dedup needed.
-			out = append(out, &cq.CQ{Name: cur.Name, Free: append([]term.Term(nil), cur.Free...), Atoms: rest})
+			g.atoms = append(append(g.atoms[:0], cur.Atoms[:i]...), cur.Atoms[i+1:]...)
+			yield(g.atoms)
 		}
 	}
 
-	// Merge a variable pair (x stays, y goes; y must be existential).
-	vars := cur.Vars()
-	free := make(map[term.Term]bool, len(cur.Free))
-	for _, x := range cur.Free {
-		free[x] = true
+	nargs := 0
+	for _, a := range cur.Atoms {
+		nargs += len(a.Args)
 	}
+	// Sized once, the slab never moves while a move's atoms point into it.
+	g.args = slices.Grow(g.args[:0], nargs)
+	vars := cur.Vars()
 	for i, x := range vars {
 		for j, y := range vars {
-			if i == j || free[y] {
+			if i == j || slices.Contains(cur.Free, y) {
 				continue
 			}
-			s := term.Subst{y: x}
-			out = append(out, cur.ApplySubst(s).DedupAtoms())
+			g.atoms, g.args = g.atoms[:0], g.args[:0]
+			for _, a := range cur.Atoms {
+				start := len(g.args)
+				for _, t := range a.Args {
+					if t == y {
+						t = x
+					}
+					g.args = append(g.args, t)
+				}
+				b := instance.Atom{Pred: a.Pred, Args: g.args[start:len(g.args):len(g.args)]}
+				if slices.ContainsFunc(g.atoms, b.Equal) {
+					g.args = g.args[:start]
+					continue
+				}
+				g.atoms = append(g.atoms, b)
+			}
+			yield(g.atoms)
 		}
 	}
-	return out
+}
+
+// coversFree reports whether every free variable occurs in an atom
+// other than atoms[skip].
+func coversFree(free []term.Term, atoms []instance.Atom, skip int) bool {
+	for _, x := range free {
+		covered := false
+		for j, a := range atoms {
+			if j != skip && slices.Contains(a.Args, x) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return false
+		}
+	}
+	return true
 }
 
 // searchChaseSubsets enumerates acyclic connected atom-subsets of the
@@ -150,14 +175,17 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 	}
 
 	// Grow connected subsets: start from each atom, extend by atoms
-	// sharing a variable, up to the bound; dedup by canonical key.
+	// sharing a variable, up to the bound; dedup by canonical key. A
+	// selection is validated, keyed and verified as it stands; only the
+	// witness is copied.
 	seen := make(map[string]bool)
 	examined := 0
 	steps := 0
 	var witness *cq.CQ
+	var keyer cq.Keyer
 
-	var grow func(sel []instance.Atom, used map[int]bool) (bool, error)
-	grow = func(sel []instance.Atom, used map[int]bool) (bool, error) {
+	var grow func(sel []instance.Atom, used []bool) (bool, error)
+	grow = func(sel []instance.Atom, used []bool) (bool, error) {
 		steps++
 		if examined >= opt.SearchBudget || steps >= 50*opt.SearchBudget {
 			return false, nil
@@ -165,19 +193,18 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 		if steps%256 == 0 && opt.cancelled() {
 			return false, ErrCancelled
 		}
-		cand := &cq.CQ{Name: q.Name, Free: append([]term.Term(nil), freeVars...), Atoms: cloneAtoms(sel)}
-		if err := cand.Validate(); err == nil {
-			k := cand.CanonicalKey()
-			if !seen[k] {
-				seen[k] = true
+		view := cq.CQ{Name: q.Name, Free: freeVars, Atoms: sel}
+		if err := view.Validate(); err == nil {
+			if k := keyer.Key(freeVars, sel); !seen[string(k)] {
+				seen[string(k)] = true
 				examined++
-				if hypergraph.IsAcyclic(cand.Atoms) {
-					ok, _, err := v.verifyWitness(cand)
+				if hypergraph.IsAcyclic(sel) {
+					ok, _, err := v.verifyWitness(&view)
 					if err != nil {
 						return false, err
 					}
 					if ok {
-						witness = cand
+						witness = view.Clone()
 						return true, nil
 					}
 				}
@@ -186,24 +213,8 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 		if len(sel) >= bound {
 			return false, nil
 		}
-		selVars := make(map[term.Term]bool)
-		for _, a := range sel {
-			for _, v := range a.Vars() {
-				selVars[v] = true
-			}
-		}
 		for i, a := range atoms {
-			if used[i] {
-				continue
-			}
-			shares := false
-			for _, v := range a.Vars() {
-				if selVars[v] {
-					shares = true
-					break
-				}
-			}
-			if !shares && len(sel) > 0 {
+			if used[i] || len(sel) > 0 && !sharesVar(a, sel) {
 				continue
 			}
 			used[i] = true
@@ -216,16 +227,23 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 		return false, nil
 	}
 
-	if _, err := grow(nil, make(map[int]bool)); err != nil {
+	if _, err := grow(nil, make([]bool, len(atoms))); err != nil {
 		return nil, examined, err
 	}
 	return witness, examined, nil
 }
 
-func cloneAtoms(atoms []instance.Atom) []instance.Atom {
-	out := make([]instance.Atom, len(atoms))
-	for i, a := range atoms {
-		out[i] = a.Clone()
+// sharesVar reports whether a has a variable that occurs in sel.
+func sharesVar(a instance.Atom, sel []instance.Atom) bool {
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			continue
+		}
+		for _, b := range sel {
+			if slices.Contains(b.Args, t) {
+				return true
+			}
+		}
 	}
-	return out
+	return false
 }

@@ -61,6 +61,7 @@ type searchEngine struct {
 	pin    term.Subst
 	consts []term.Term
 	free   []term.Term
+	names  []term.Term // fresh variables s0, s1, ... shared by every branch; len == cap
 
 	// Shared budget pot, spent by all workers.
 	steps    atomic.Int64
@@ -153,6 +154,17 @@ type branchOutcome struct {
 
 func searchVarName(i int) term.Term { return term.Var("s" + itoa(i)) }
 
+// argumentPool appends to dst the terms an atom argument may take: the
+// query's free variables, the canonical fresh variables in names
+// (s0..s_{nextVar+maxFreshPerAtom-1}), and the constants in scope.
+// Fresh variables beyond nextVar are capped by canonical-introduction
+// filtering in fill.
+func (e *searchEngine) argumentPool(dst, names []term.Term) []term.Term {
+	dst = append(dst, e.free...)
+	dst = append(dst, names...)
+	return append(dst, e.consts...)
+}
+
 // seedBranches enumerates the first-atom choices in the exact order the
 // sequential enumerator visits them: predicates in name order, argument
 // tuples in canonical-introduction order.
@@ -162,7 +174,7 @@ func (e *searchEngine) seedBranches() []branch {
 	}
 	var out []branch
 	for _, p := range e.preds {
-		pool := argumentPool(e.free, 0, e.consts, searchVarName)
+		pool := e.argumentPool(nil, e.names[:maxFreshPerAtom])
 		args := make([]term.Term, p.Arity)
 		var fill func(pos, maxNew int)
 		fill = func(pos, maxNew int) {
@@ -339,11 +351,32 @@ func (e *searchEngine) fillStats(examined, decisive, winner int, exhausted bool)
 // runBranch explores one branch's subtree depth-first, mirroring the
 // sequential enumerator node for node: prune by (memoized) pinned
 // homomorphism into chase(q,Σ), verify acyclic survivors by (memoized)
-// containment, extend canonically up to the bound.
+// containment, extend canonically up to the bound. Candidates are
+// prefixes of one atom stack whose extension atoms live in each
+// level's argument buffer; nothing that prunes, keys or verifies a
+// prefix keeps it, so only the witness is copied. The branch's keyer
+// and buffers are its own: workers share no scratch.
 func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 	out.complete = true
 	var bs branchStats
 	defer e.flush(&bs)
+	var keyer cq.Keyer
+	// Level d of the stack holds the candidate's atom d, built in
+	// argSlab[d*maxArity:] from the argument pool pools[d] (level 0 is
+	// the branch's seed). The scratch grows as the search first enters a
+	// level, so it follows the depth reached, not the bound. A level's
+	// buffers change only after the extension below it returns, and a
+	// buffer that grows leaves the atoms already built in its old array.
+	// names starts as the engine's shared names; having no spare
+	// capacity, it is copied before the branch names more.
+	maxArity := 0
+	for _, p := range e.preds {
+		maxArity = max(maxArity, p.Arity)
+	}
+	stack := []instance.Atom{b.atom}
+	var argSlab []term.Term
+	var pools [][]term.Term
+	names := e.names
 
 	// tryCandidate verifies a complete candidate. The enumeration
 	// pruning has already certified q ⊆Σ cand — the candidate has a
@@ -351,11 +384,11 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 	// that containment (sound even on a chase prefix) — so only the
 	// converse direction needs checking here.
 	tryCandidate := func(atoms []instance.Atom) (bool, error) {
-		cand := &cq.CQ{Name: e.q.Name, Free: e.free, Atoms: cloneAtoms(atoms)}
+		cand := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
 		if err := cand.Validate(); err != nil {
 			return false, nil
 		}
-		if !hypergraph.IsAcyclic(cand.Atoms) {
+		if !hypergraph.IsAcyclic(atoms) {
 			return false, nil
 		}
 		// Reserve a verification slot. Slots are globally numbered, so
@@ -366,7 +399,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 			return false, nil
 		}
 		out.examined++
-		v, err := e.verifyMemo(cand, &bs)
+		v, err := e.verifyMemo(&cand, &keyer, &bs)
 		if err != nil {
 			return false, err
 		}
@@ -408,7 +441,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 		}
 		// Prune: q ⊆Σ candidate requires a pinned homomorphism of the
 		// candidate into chase(q,Σ).
-		if !e.pinnedHomExists(atoms, &bs) {
+		if !e.pinnedHomExists(atoms, &keyer, &bs) {
 			bs.pruned++
 			return false, nil
 		}
@@ -421,17 +454,27 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 		// Extend with one atom over each predicate; arguments drawn from
 		// free variables, variables used so far, one fresh variable rank
 		// beyond, and the available constants.
+		d := len(atoms)
+		if len(pools) <= d {
+			pools = append(pools, make([][]term.Term, d+1-len(pools))...)
+			argSlab = append(argSlab, make([]term.Term, (d+1)*maxArity-len(argSlab))...)
+		}
+		for i := len(names); i < nextVar+maxFreshPerAtom; i++ {
+			names = append(names, searchVarName(i))
+		}
+		pools[d] = e.argumentPool(pools[d][:0], names[:nextVar+maxFreshPerAtom])
+		pool := pools[d]
 		for _, p := range e.preds {
-			pool := argumentPool(e.free, nextVar, e.consts, searchVarName)
-			args := make([]term.Term, p.Arity)
+			args := argSlab[d*maxArity : d*maxArity+p.Arity]
 			var fill func(pos, maxNew int) (bool, error)
 			fill = func(pos, maxNew int) (bool, error) {
 				if pos == p.Arity {
-					atom := instance.NewAtom(p.Name, args...)
+					atom := instance.Atom{Pred: p.Name, Args: args}
 					if containsAtom(atoms, atom) {
 						return false, nil
 					}
-					return extend(append(atoms, atom), nextVar+maxNew)
+					stack = append(stack[:d], atom)
+					return extend(stack, nextVar+maxNew)
 				}
 				for _, t := range pool {
 					// Canonical introduction: a fresh variable may only
@@ -459,7 +502,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 		return false, nil
 	}
 
-	if _, err := extend([]instance.Atom{b.atom}, b.nextVar); err != nil {
+	if _, err := extend(stack, b.nextVar); err != nil {
 		out.err = err
 	}
 	return out
@@ -474,7 +517,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 // essentially one naming — so the hits that matter come from
 // isomorphic prefixes in sibling subtrees, which an order-insensitive
 // but renaming-sensitive fingerprint would all miss.
-func (e *searchEngine) pinnedHomExists(atoms []instance.Atom, bs *branchStats) bool {
+func (e *searchEngine) pinnedHomExists(atoms []instance.Atom, keyer *cq.Keyer, bs *branchStats) bool {
 	// The memo key (a canonical form) costs about as much as the
 	// homomorphism test it avoids when the target chase is small or the
 	// prefix short — and short prefixes have the fewest isomorphic
@@ -483,8 +526,7 @@ func (e *searchEngine) pinnedHomExists(atoms []instance.Atom, bs *branchStats) b
 	if e.opt.DisableSearchMemo || len(atoms) < 3 || e.target.Len() < pruneMemoMinTarget {
 		return hom.Exists(atoms, e.target, e.pin)
 	}
-	prefix := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
-	fp := prefix.CanonicalKey()
+	fp := string(keyer.Key(e.free, atoms))
 	if v, ok := e.pruneMemo.Load(fp); ok {
 		bs.pruneHits++
 		return v.(bool)
@@ -499,10 +541,10 @@ func (e *searchEngine) pinnedHomExists(atoms []instance.Atom, bs *branchStats) b
 // candidate's renaming-invariant canonical key so the up-to-k!
 // permutations of a k-atom candidate pay for one chase-based
 // verification between them.
-func (e *searchEngine) verifyMemo(cand *cq.CQ, bs *branchStats) (candVerdict, error) {
+func (e *searchEngine) verifyMemo(cand *cq.CQ, keyer *cq.Keyer, bs *branchStats) (candVerdict, error) {
 	var key string
 	if !e.opt.DisableSearchMemo {
-		key = cand.CanonicalKey()
+		key = string(keyer.Key(cand.Free, cand.Atoms))
 		if v, ok := e.candMemo.Load(key); ok {
 			bs.candHits++
 			return v.(candVerdict), nil

@@ -68,14 +68,22 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	// bound explicitly; a capped run can still find witnesses but its
 	// exhaustion is no longer definitive.
 	capped := false
-	if opt.MaxWitnessSize == 0 {
-		if limit := 2*q.Size() + 4; bound > limit {
-			bound = limit
-			capped = true
-		}
+	limit := 2*q.Size() + 4
+	if opt.MaxWitnessSize == 0 && bound > limit {
+		bound = limit
+		capped = true
 	}
 	preds := sch.Predicates()
 	sort.Slice(preds, func(i, j int) bool { return preds[i].Name < preds[j].Name })
+	// A candidate extended below depth d has introduced fewer than
+	// d·arity fresh variables, and its pool names maxFreshPerAtom beyond
+	// them. Every branch shares the names a search within the default
+	// depth cap can use; a deeper search, under an explicit
+	// MaxWitnessSize, names the rest as it reaches them (runBranch).
+	names := make([]term.Term, max(min(bound, limit), 0)*sch.MaxArity()+maxFreshPerAtom)
+	for i := range names {
+		names[i] = searchVarName(i)
+	}
 
 	copt := opt.Containment.Chase
 	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
@@ -123,6 +131,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 		// Constants available to candidates: those of q and Σ.
 		consts:   availableConstants(q, set),
 		free:     append([]term.Term(nil), q.Free...),
+		names:    names,
 		budget:   int64(opt.SearchBudget),
 		maxSteps: 50 * int64(opt.SearchBudget),
 		st:       st,
@@ -151,19 +160,6 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 		st.Search.Exhausted = exhausted
 	}
 	return nil, examined, exhausted, nil
-}
-
-// argumentPool lists the terms an atom argument may take: the query's
-// free variables, canonical fresh variables s0..s_{nextVar+bound}, and
-// the constants in scope. Fresh variables beyond nextVar are capped by
-// canonical-introduction filtering in fill.
-func argumentPool(free []term.Term, nextVar int, consts []term.Term, varName func(int) term.Term) []term.Term {
-	pool := append([]term.Term(nil), free...)
-	for i := 0; i < nextVar+maxFreshPerAtom; i++ {
-		pool = append(pool, varName(i))
-	}
-	pool = append(pool, consts...)
-	return pool
 }
 
 // maxFreshPerAtom bounds how many brand-new variables one atom may

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
-	"strings"
 
 	"semacyclic/internal/instance"
 	"semacyclic/internal/term"
@@ -54,11 +53,42 @@ func appendKeyName(buf []byte, name string) []byte {
 // '1' or '2', so a key decodes back to exactly one labelled atom list;
 // names without those bytes appear verbatim.
 //
-// Each refinement round renders every atom once into one reused buffer
-// and stable-sorts an index permutation on those byte keys, so a key
-// costs a handful of allocations however many rounds it takes.
+// CanonicalKey computes what a fresh Keyer computes, with the term map
+// on the stack: each refinement round renders every atom once into one
+// reused buffer and stable-sorts an index permutation on those byte
+// keys, so a key costs a handful of allocations however many rounds it
+// takes.
 func (q *CQ) CanonicalKey() string {
-	atoms := q.Atoms
+	_, _, key := canonicalKey(make(map[term.Term]int32), nil, nil, q.Free, q.Atoms)
+	return string(key)
+}
+
+// Keyer computes CanonicalKey with scratch it keeps between calls: a
+// search that keys many candidates reuses one Keyer and, once its
+// buffers have grown, allocates nothing per key. The zero value is
+// ready to use. A Keyer is not safe for concurrent use.
+type Keyer struct {
+	ids  map[term.Term]int32 // the non-constant terms, numbered by first occurrence
+	ints []int32             // argument codes, atom offsets, permutation and labels
+	buf  []byte              // atom renderings, then the key behind them
+}
+
+// Key returns CanonicalKey of the query with free variables free and
+// body atoms, byte for byte. The bytes stay valid until the next call.
+func (k *Keyer) Key(free []term.Term, atoms []instance.Atom) []byte {
+	if k.ids == nil {
+		k.ids = make(map[term.Term]int32)
+	}
+	var key []byte
+	k.ints, k.buf, key = canonicalKey(k.ids, k.ints, k.buf, free, atoms)
+	return key
+}
+
+// canonicalKey computes the key of (free, atoms) with ids, ints and buf
+// as scratch; ids is cleared first. It returns the grown scratch slices
+// and the key, which is buf's tail. It stores neither argument, so a
+// caller's map may live on the caller's stack.
+func canonicalKey(ids map[term.Term]int32, ints []int32, buf []byte, free []term.Term, atoms []instance.Atom) ([]int32, []byte, []byte) {
 	n := len(atoms)
 
 	// size estimates one round's rendering: four bytes per argument
@@ -68,17 +98,18 @@ func (q *CQ) CanonicalKey() string {
 		nargs += len(a.Args)
 		size += len(a.Pred) + 4*len(a.Args)
 	}
-	// Number the non-constant terms by first occurrence. codes[k] is the
-	// number of the k-th argument (-1 for a constant) and argStart[i] is
-	// where atom i's arguments start in codes.
-	codes := make([]int32, nargs+n)
-	argStart := codes[nargs:]
-	ids := make(map[term.Term]int32)
-	k := 0
+	// Number the non-constant terms by first occurrence. codes[j] is the
+	// number of the j-th argument (-1 for a constant) and argStart[i] is
+	// where atom i's arguments start in codes. A query has at most
+	// nargs numbered terms, which bounds the label slabs below.
+	clear(ids)
+	ints = slices.Grow(ints[:0], nargs+n+2*n+1+3*nargs)[:nargs+n]
+	codes, argStart := ints[:nargs], ints[nargs:]
+	c := 0
 	for i, a := range atoms {
-		argStart[i] = int32(k)
+		argStart[i] = int32(c)
 		for _, t := range a.Args {
-			codes[k] = -1
+			codes[c] = -1
 			if t.IsConst() {
 				size += len(t.Name)
 			} else {
@@ -87,9 +118,9 @@ func (q *CQ) CanonicalKey() string {
 					id = int32(len(ids))
 					ids[t] = id
 				}
-				codes[k] = id
+				codes[c] = id
 			}
-			k++
+			c++
 		}
 	}
 
@@ -98,7 +129,8 @@ func (q *CQ) CanonicalKey() string {
 	// (the last one when the head repeats it), assign and next are this
 	// and the next round's existential labels; -1 means none.
 	nt := len(ids)
-	slab := make([]int32, 2*n+1+3*nt)
+	ints = ints[:nargs+3*n+1+3*nt]
+	slab := ints[nargs+n:]
 	perm, off := slab[:n], slab[n:2*n+1]
 	fixed := slab[2*n+1 : 2*n+1+nt]
 	assign := slab[2*n+1+nt : 2*n+1+2*nt]
@@ -110,13 +142,14 @@ func (q *CQ) CanonicalKey() string {
 		fixed[v], assign[v] = -1, -1
 	}
 	// Free variables get fixed labels up front: they are not renameable.
-	for i, x := range q.Free {
+	for i, x := range free {
 		if id, ok := ids[x]; ok {
 			fixed[id] = int32(i)
 		}
 	}
 
-	buf := make([]byte, 0, size)
+	// The final rendering and the key it is copied into share buf.
+	buf = slices.Grow(buf[:0], 2*size+len("free=|")+20+n)
 	// sortAtoms renders every atom under the current labelling, then
 	// stable-sorts perm by the renderings.
 	sortAtoms := func() {
@@ -170,42 +203,28 @@ func (q *CQ) CanonicalKey() string {
 	}
 
 	sortAtoms()
-	free := strconv.Itoa(len(q.Free))
-	var b strings.Builder
-	b.Grow(len("free=|") + len(free) + len(buf) + max(n-1, 0))
-	b.WriteString("free=")
-	b.WriteString(free)
-	b.WriteByte('|')
+	mark := len(buf)
+	buf = strconv.AppendInt(append(buf, "free="...), int64(len(free)), 10)
+	buf = append(buf, '|')
 	for p, i := range perm {
 		if p > 0 {
-			b.WriteByte(keyAtomSep)
+			buf = append(buf, keyAtomSep)
 		}
-		b.Write(buf[off[i]:off[i+1]])
+		buf = append(buf, buf[off[i]:off[i+1]]...)
 	}
-	return b.String()
+	return ints, buf, buf[mark:]
 }
 
 // DedupAtoms returns an independent copy of q without exact duplicate
 // atoms, keeping first occurrences in order. Queries are small, so
-// duplicates are found by comparing each atom with the earlier ones,
-// and the kept atoms' arguments are copied into one shared slab.
+// duplicates are found by comparing each atom with the kept ones.
 func (q *CQ) DedupAtoms() *CQ {
-	kept, nargs := 0, 0
-	for i, a := range q.Atoms {
-		if !slices.ContainsFunc(q.Atoms[:i], a.Equal) {
-			kept++
-			nargs += len(a.Args)
+	atoms := instance.CloneAtoms(q.Atoms)
+	kept := atoms[:0]
+	for _, a := range atoms {
+		if !slices.ContainsFunc(kept, a.Equal) {
+			kept = append(kept, a)
 		}
 	}
-	out := &CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: make([]instance.Atom, 0, kept)}
-	slab := make([]term.Term, 0, nargs)
-	for i, a := range q.Atoms {
-		if slices.ContainsFunc(q.Atoms[:i], a.Equal) {
-			continue
-		}
-		start := len(slab)
-		slab = append(slab, a.Args...)
-		out.Atoms = append(out.Atoms, instance.Atom{Pred: a.Pred, Args: slab[start:len(slab):len(slab)]})
-	}
-	return out
+	return &CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: slices.Clip(kept)}
 }

@@ -17,7 +17,7 @@ import (
 // CanonicalKey must agree with it byte for byte on every query whose
 // names contain no byte 0x00, 0x01 or 0x02.
 func canonicalKeyRef(q *CQ) string {
-	atoms := cloneAtoms(q.Atoms)
+	atoms := instance.CloneAtoms(q.Atoms)
 
 	fixed := make(map[term.Term]string, len(q.Free))
 	for i, x := range q.Free {
@@ -129,13 +129,20 @@ func randomKeyQuery(r *rand.Rand) *CQ {
 }
 
 // TestCanonicalKeyMatchesReference: the single-render CanonicalKey is
-// byte-identical to the reference on 100k random queries.
+// byte-identical to the reference on 100k random queries, and so is
+// one Keyer reused across all of them, whose scratch carries the
+// previous query's terms, labels and renderings into every call.
 func TestCanonicalKeyMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	var k Keyer
 	for trial := 0; trial < 100_000; trial++ {
 		q := randomKeyQuery(r)
-		if got, want := q.CanonicalKey(), canonicalKeyRef(q); got != want {
+		want := canonicalKeyRef(q)
+		if got := q.CanonicalKey(); got != want {
 			t.Fatalf("trial %d: %s (free %v)\n got %q\nwant %q", trial, q, q.Free, got, want)
+		}
+		if got := k.Key(q.Free, q.Atoms); string(got) != want {
+			t.Fatalf("trial %d, reused Keyer: %s (free %v)\n got %q\nwant %q", trial, q, q.Free, got, want)
 		}
 	}
 }
@@ -179,8 +186,10 @@ func TestCanonicalKeySeparatorBytes(t *testing.T) {
 }
 
 // TestAllocsCanonicalKey guards the single-render key: a 6-atom query
-// costs a handful of allocations (canonicalKeyRef pays about 130),
-// whatever the number of refinement rounds.
+// costs three allocations, the argument codes and labels, the render
+// buffer and the key string, whatever the number of refinement rounds
+// (canonicalKeyRef pays about 130). A Keyer reused across queries
+// allocates nothing once its scratch has grown.
 func TestAllocsCanonicalKey(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -188,7 +197,16 @@ func TestAllocsCanonicalKey(t *testing.T) {
 	q := MustParse("q(x) :- R(x,y), R(y,z), S(z,'a'), R(z,w), T(w,x,y), S(y,v).")
 	allocs := testing.AllocsPerRun(200, func() { _ = q.CanonicalKey() })
 	t.Logf("CanonicalKey of a 6-atom query: %v allocs", allocs)
-	if allocs > 12 {
-		t.Fatalf("CanonicalKey allocates %v per call, want at most 12", allocs)
+	if allocs > 3 {
+		t.Fatalf("CanonicalKey allocates %v per call, want at most 3", allocs)
+	}
+	p := MustParse("q(x,y) :- R(x,y), R(y,z), R(z,x), S(x,'b').")
+	var k Keyer
+	allocs = testing.AllocsPerRun(200, func() {
+		_ = k.Key(q.Free, q.Atoms)
+		_ = k.Key(p.Free, p.Atoms)
+	})
+	if allocs != 0 {
+		t.Fatalf("a reused Keyer allocates %v per pair of keys, want 0", allocs)
 	}
 }

@@ -7,6 +7,7 @@ package cq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,7 +27,7 @@ type CQ struct {
 
 // New builds a CQ with the given free variables and atoms and validates it.
 func New(free []term.Term, atoms []instance.Atom) (*CQ, error) {
-	q := &CQ{Name: "q", Free: append([]term.Term(nil), free...), Atoms: cloneAtoms(atoms)}
+	q := &CQ{Name: "q", Free: append([]term.Term(nil), free...), Atoms: instance.CloneAtoms(atoms)}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -40,14 +41,6 @@ func MustNew(free []term.Term, atoms []instance.Atom) *CQ {
 		panic(err)
 	}
 	return q
-}
-
-func cloneAtoms(atoms []instance.Atom) []instance.Atom {
-	out := make([]instance.Atom, len(atoms))
-	for i, a := range atoms {
-		out[i] = a.Clone()
-	}
-	return out
 }
 
 // Validate checks the CQ's well-formedness: at least one atom, no
@@ -98,13 +91,17 @@ func (q *CQ) IsBoolean() bool { return len(q.Free) == 0 }
 func (q *CQ) Size() int { return len(q.Atoms) }
 
 // Vars returns the distinct variables of the query in order of first
-// occurrence in Free then Atoms.
+// occurrence in Free then Atoms. Queries are small, so each term is
+// checked against the variables found so far by scanning, as
+// Atom.Terms does, in one slice sized for every term.
 func (q *CQ) Vars() []term.Term {
-	seen := make(map[term.Term]bool)
-	var out []term.Term
+	n := len(q.Free)
+	for _, a := range q.Atoms {
+		n += len(a.Args)
+	}
+	out := make([]term.Term, 0, n)
 	add := func(t term.Term) {
-		if t.IsVar() && !seen[t] {
-			seen[t] = true
+		if t.IsVar() && !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}
@@ -164,7 +161,7 @@ func (q *CQ) Schema() *schema.Schema {
 
 // Clone returns an independent deep copy.
 func (q *CQ) Clone() *CQ {
-	return &CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: cloneAtoms(q.Atoms)}
+	return &CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: instance.CloneAtoms(q.Atoms)}
 }
 
 // ApplySubst returns the query with s applied to every atom and free
@@ -194,27 +191,49 @@ func (q *CQ) RenameApart() (*CQ, term.Subst) {
 // the free variables is returned alongside. Frozen constants are named
 // so they cannot collide with user constants.
 func (q *CQ) Freeze() (*instance.Instance, []term.Term) {
-	s := term.NewSubst()
-	for _, v := range q.Vars() {
-		s[v] = FrozenConst(v)
-	}
 	arity := 0
 	for _, a := range q.Atoms {
 		arity = max(arity, len(a.Args))
 	}
+	// Each variable is frozen once, in Vars order (Free, then the atoms
+	// by first occurrence), and paired with its constant. Queries are
+	// small, so a variable finds its constant by scanning the pairs,
+	// which live on the stack up to 16 variables.
+	var small [16]frozenVar
+	pairs := small[:0]
+	freeze := func(t term.Term) term.Term {
+		if !t.IsVar() {
+			return t
+		}
+		for _, p := range pairs {
+			if p.v == t {
+				return p.c
+			}
+		}
+		c := FrozenConst(t)
+		pairs = append(pairs, frozenVar{v: t, c: c})
+		return c
+	}
+	tuple := make([]term.Term, len(q.Free))
+	for i, x := range q.Free {
+		tuple[i] = freeze(x)
+	}
 	db := instance.NewSized(len(q.Atoms), arity)
-	var args []term.Term // Add copies the atom, so one buffer serves all
+	args := make([]term.Term, 0, arity) // Add copies the atom, so one buffer serves all
 	for _, a := range q.Atoms {
 		args = args[:0]
 		for _, t := range a.Args {
-			args = append(args, s.Resolve(t))
+			args = append(args, freeze(t))
 		}
 		if err := db.Add(instance.Atom{Pred: a.Pred, Args: args}); err != nil {
 			panic(err) // frozen atoms are ground
 		}
 	}
-	return db, s.ResolveTuple(q.Free)
+	return db, tuple
 }
+
+// frozenVar pairs a variable with its frozen constant.
+type frozenVar struct{ v, c term.Term }
 
 // FrozenConst returns the frozen constant c(x) for variable x, a
 // constant in the namespace term.FrozenPrefix reserves.

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"slices"
 	"sort"
 
 	"semacyclic/internal/instance"
@@ -177,7 +178,7 @@ func (q *CQ) ConnectedComponents() []*CQ {
 				free = append(free, x)
 			}
 		}
-		out = append(out, &CQ{Name: q.Name, Free: free, Atoms: cloneAtoms(atoms)})
+		out = append(out, &CQ{Name: q.Name, Free: free, Atoms: instance.CloneAtoms(atoms)})
 	}
 	return out
 }
@@ -197,6 +198,6 @@ func Conjoin(q, p *CQ) *CQ {
 	return &CQ{
 		Name:  q.Name,
 		Free:  free,
-		Atoms: append(cloneAtoms(q.Atoms), cloneAtoms(p.Atoms)...),
+		Atoms: instance.CloneAtoms(slices.Concat(q.Atoms, p.Atoms)),
 	}
 }

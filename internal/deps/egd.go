@@ -17,7 +17,7 @@ type EGD struct {
 
 // NewEGD builds and validates an egd over a copy of body.
 func NewEGD(body []instance.Atom, x, y term.Term) (*EGD, error) {
-	return newEGD(cloneAtoms(body), x, y)
+	return newEGD(instance.CloneAtoms(body), x, y)
 }
 
 // newEGD validates an egd over body, which it keeps: the parser hands

@@ -30,7 +30,7 @@ type TGD struct {
 
 // NewTGD builds and validates a tgd over copies of body and head.
 func NewTGD(body, head []instance.Atom) (*TGD, error) {
-	return newTGD(cloneAtoms(body), cloneAtoms(head))
+	return newTGD(instance.CloneAtoms(body), instance.CloneAtoms(head))
 }
 
 // newTGD validates a tgd over body and head, which it keeps: the parser
@@ -87,14 +87,6 @@ func MustTGD(body, head []instance.Atom) *TGD {
 		panic(err)
 	}
 	return t
-}
-
-func cloneAtoms(atoms []instance.Atom) []instance.Atom {
-	out := make([]instance.Atom, len(atoms))
-	for i, a := range atoms {
-		out[i] = a.Clone()
-	}
-	return out
 }
 
 // Validate checks well-formedness: nonempty body and head, no nulls,

@@ -97,6 +97,29 @@ func (a Atom) Clone() Atom {
 	return Atom{Pred: a.Pred, Args: append([]term.Term(nil), a.Args...)}
 }
 
+// CloneAtoms returns an independent copy of atoms: one atom slice and
+// one slab holding every atom's arguments.
+func CloneAtoms(atoms []Atom) []Atom {
+	out := slices.Clone(atoms)
+	ownArgs(out)
+	return out
+}
+
+// ownArgs points each atom's arguments at a private copy, all in one
+// new slab, so the atoms share no argument memory with their source.
+func ownArgs(atoms []Atom) {
+	n := 0
+	for _, a := range atoms {
+		n += len(a.Args)
+	}
+	slab := make([]term.Term, 0, n)
+	for i, a := range atoms {
+		start := len(slab)
+		slab = append(slab, a.Args...)
+		atoms[i].Args = slab[start:len(slab):len(slab)]
+	}
+}
+
 // Terms returns the distinct terms of the atom in order of first
 // occurrence. Arities are small, so duplicates are found by scanning
 // the output rather than through a set.

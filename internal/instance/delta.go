@@ -115,8 +115,8 @@ func (o *Overlay) Commit() (DeltaResult, error) {
 // netDelta validates a batch and computes its effective insert/delete
 // lists against the current atom set: deduplicated, presence-checked,
 // delete-then-reinsert pairs cancelled. Effective inserts come back as
-// private clones ready for indexing; effective deletes are the stored
-// atoms. The instance is not modified.
+// private copies ready for indexing, their arguments in one slab;
+// effective deletes are the stored atoms. The instance is not modified.
 func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, err error) {
 	arities := make(map[string]int)
 	checkArity := func(a Atom) error {
@@ -156,9 +156,10 @@ func (ins *Instance) netDelta(inserts, deletes []Atom) (effIns, effDel []Atom, e
 	}
 	for _, a := range insSet.slots {
 		if ins.SlotOf(a.Pred, a.Args) < 0 {
-			effIns = append(effIns, a.Clone())
+			effIns = append(effIns, a)
 		}
 	}
+	ownArgs(effIns) // the overlay owns its inserts
 	return effIns, effDel, nil
 }
 

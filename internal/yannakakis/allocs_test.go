@@ -183,4 +183,75 @@ func TestAllocsExecuteDelta(t *testing.T) {
 	if repair > 80 {
 		t.Errorf("a repair after a 20-insert batch allocates %v, want at most 80", repair)
 	}
+
+	// The union into the cached projection keys the delta's rows only:
+	// a repair of q(x,z) :- E(x,y), E(y,z) after a one-atom insert
+	// allocates within a small constant of itself when the graph, and
+	// with it the projection, grows tenfold at the same out-degree.
+	// Keying every cached row took one allocation per row.
+	small, nSmall := measurePathRepair(t, 500)
+	big, nBig := measurePathRepair(t, 5000)
+	t.Logf("one-atom repair: %v allocs at %d answers, %v at %d", small, nSmall, big, nBig)
+	if nBig < 8*nSmall {
+		t.Fatalf("fixture projections %d and %d do not differ tenfold", nSmall, nBig)
+	}
+	if big > small+64 {
+		t.Errorf("a one-atom repair allocates %v at %d answers but %v at %d: allocations grow with the projection",
+			small, nSmall, big, nBig)
+	}
+}
+
+// measurePathRepair builds a random graph of three edges per node,
+// runs q(x,z) :- E(x,y), E(y,z) on it, inserts one absent edge and
+// measures the allocations of the repair, whose answers must equal a
+// fresh Execute. It returns the allocations and the answer count.
+func measurePathRepair(t *testing.T, nodes int) (float64, int) {
+	t.Helper()
+	q := cq.MustParse("q(x,z) :- E(x,y), E(y,z).")
+	forest, ok := hypergraph.GYO(q.Atoms)
+	if !ok {
+		t.Fatal("query should be acyclic")
+	}
+	c, err := Compile(q, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(int64(nodes)))
+	edge := func() instance.Atom {
+		return instance.NewAtom("E", term.Const(fmt.Sprintf("c%d", r.Intn(nodes))), term.Const(fmt.Sprintf("c%d", r.Intn(nodes))))
+	}
+	db := instance.New()
+	for db.Len() < 3*nodes {
+		db.Add(edge())
+	}
+	_, state, err := c.ExecuteState(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := edge()
+	for db.Has(a) {
+		a = edge()
+	}
+	if _, err := db.ApplyDelta([]instance.Atom{a}, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Execute(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]term.Term
+	var st obs.EvalStats
+	allocs := testing.AllocsPerRun(5, func() {
+		st = obs.EvalStats{}
+		if got, _, err = c.ExecuteDelta(state, db, Options{Stats: &st}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st.TreesRepaired != 1 {
+		t.Fatalf("one-atom insert at %d nodes: want a repair, got %s", nodes, st.Fingerprint())
+	}
+	if !sameAnswers(got, want) {
+		t.Fatalf("one-atom repair at %d nodes: %d answers, Execute gives %d", nodes, len(got), len(want))
+	}
+	return allocs, len(want)
 }

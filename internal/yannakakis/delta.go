@@ -455,10 +455,13 @@ func distinctCol(r irel, col int32) []symtab.ID {
 }
 
 // dedupUnion unions contrib's rows into acc, keeping acc's rows (and
-// order) and appending only contrib rows not already present. acc's
-// backing array is never mutated — the union appends through a
-// capacity-clamped slice, so cached projections shared with an older
-// ReducerState stay intact.
+// order) and appending only contrib rows not already present, in
+// contrib order, first occurrences only. Only contrib's rows are keyed:
+// acc's rows probe those keys through one reused buffer, which
+// allocates nothing, so a repair allocates in the size of the delta,
+// not of the cached projection. acc's backing array is never mutated —
+// the union appends through a capacity-clamped slice, so cached
+// projections shared with an older ReducerState stay intact.
 func dedupUnion(acc, contrib irel) irel {
 	if contrib.n == 0 {
 		return acc
@@ -472,27 +475,39 @@ func dedupUnion(acc, contrib irel) irel {
 		return irel{w: 0, n: n}
 	}
 	w := acc.w
-	seen := make(map[string]bool, acc.n+contrib.n)
+	// first maps a row key to the contrib row where it first occurs.
+	// firstOf[r] is that row for row r's key, or -1 once acc is found to
+	// hold the key, so a row is appended when firstOf[r] is r itself.
+	first := make(map[string]int32, contrib.n)
+	firstOf := make([]int32, contrib.n)
 	var buf []byte
-	for r := 0; r < acc.n; r++ {
+	key := func(ids []symtab.ID, r int) []byte {
 		buf = buf[:0]
-		for _, id := range acc.ids[r*w : r*w+w] {
+		for _, id := range ids[r*w : r*w+w] {
 			buf = symtab.AppendID(buf, id)
 		}
-		seen[string(buf)] = true
+		return buf
+	}
+	for r := 0; r < contrib.n; r++ {
+		k := key(contrib.ids, r)
+		i, ok := first[string(k)]
+		if !ok {
+			i = int32(r)
+			first[string(k)] = i
+		}
+		firstOf[r] = i
+	}
+	for r := 0; r < acc.n; r++ {
+		if i, ok := first[string(key(acc.ids, r))]; ok {
+			firstOf[i] = -1
+		}
 	}
 	out := irel{w: w, n: acc.n, ids: acc.ids[: acc.n*w : acc.n*w]}
 	for r := 0; r < contrib.n; r++ {
-		row := contrib.ids[r*w : r*w+w]
-		buf = buf[:0]
-		for _, id := range row {
-			buf = symtab.AppendID(buf, id)
-		}
-		if seen[string(buf)] {
+		if firstOf[r] != int32(r) {
 			continue
 		}
-		seen[string(buf)] = true
-		out.ids = append(out.ids, row...)
+		out.ids = append(out.ids, contrib.ids[r*w:r*w+w]...)
 		out.n++
 	}
 	return out

@@ -10,6 +10,7 @@ package yannakakis
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,12 +19,31 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 )
 
 // deltaStep is one batch of a delta script.
 type deltaStep struct {
 	ins, del []instance.Atom
+}
+
+// TestDeltaUnionDedup: the union of a repair's contribution into the
+// cached projection keeps acc's rows in order, appends each row acc
+// lacks once, in contribution order, and never writes acc's backing
+// array, which an older ReducerState may share.
+func TestDeltaUnionDedup(t *testing.T) {
+	accIDs := []symtab.ID{1, 2, 3, 4, 5, 6, 99, 99}
+	acc := irel{w: 2, n: 3, ids: accIDs[:6]}
+	contrib := irel{w: 2, n: 5, ids: []symtab.ID{7, 8, 1, 2, 7, 8, 5, 6, 9, 9}}
+	out := dedupUnion(acc, contrib)
+	want := []symtab.ID{1, 2, 3, 4, 5, 6, 7, 8, 9, 9}
+	if out.w != 2 || out.n != 5 || !slices.Equal(out.ids, want) {
+		t.Fatalf("union = %d rows %v, want 5 rows %v", out.n, out.ids, want)
+	}
+	if !slices.Equal(accIDs, []symtab.ID{1, 2, 3, 4, 5, 6, 99, 99}) {
+		t.Fatalf("union wrote acc's backing array: %v", accIDs)
+	}
 }
 
 // TestDifferentialDeltaVsFull drives random delta sequences against

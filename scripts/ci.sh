@@ -70,24 +70,33 @@ echo "== allocation guards (no race: counts must be exact) =="
 # strings, the chase keeps derivation depths by instance slot and
 # reuses its trigger and argument buffers, and a fresh null's name is
 # one allocation. cq.Freeze sizes its instance from the query, so it
-# grows no table. ExecuteDelta reuses an unchanged state for one
-# allocation and repairs from the rows a batch appended to the view,
-# without atom keys or copies. The guards skip themselves under -race,
-# so run them once without it.
+# grows no table, and builds no substitution map. A reused cq.Keyer
+# keys a query with no allocation, and a decision's search layers
+# build candidates in scratch and copy only the ones they keep (core).
+# ApplyDelta copies a batch's effective inserts into one slab.
+# ExecuteDelta reuses an unchanged state for one allocation and repairs
+# from the rows a batch appended to the view, without atom keys or
+# copies, keying only the delta's rows, so a repair's allocations do
+# not grow with the cached projection. The guards skip themselves under
+# -race, so run them once without it.
 go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/
 
 echo "== reference gate =="
 # The allocation-light kernels against the implementations they
 # replaced, kept as test-only references: hom.Core (same retraction,
-# atom for atom) and the enumerator's atom order, cq's DedupAtoms and
-# CanonicalKey, hypergraph's IsAcyclic and GYO (same forest); the
-# decision's hoisted witness verification against
+# atom for atom) and the enumerator's atom order, cq's DedupAtoms,
+# Freeze and CanonicalKey (also through one reused Keyer), hypergraph's
+# IsAcyclic and GYO (same forest); layer 2's scratch-built moves against
+# the quotientMoves list they replaced (same atoms, same order, same
+# keys); the decision's hoisted witness verification against
 # containment.Equivalent, with a caller's Prepared serving layers 2-3;
-# and game.Evaluate, the one enumerator both game methods run, against
-# the guarded and egd enumerators it merged (same answer sets, also
-# through the Plans).
+# game.Evaluate, the one enumerator both game methods run, against the
+# guarded and egd enumerators it merged (same answer sets, also through
+# the Plans); and the decide-cold golden file, which freezes verdict,
+# layer, candidates, witness and deterministic fingerprint of bench's
+# fifteen decide-cold templates at -j 1 and 4, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
-go test -count=1 -run 'MatchesReference|MatchesEquivalent|PreparedServes' \
+go test -count=1 -run 'MatchesReference|MatchesEquivalent|PreparedServes|DecideColdGolden' \
     ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/core/
 
 echo "== cancellation & server gate (race) =="
