@@ -5,6 +5,7 @@ import (
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/term"
 	"semacyclic/internal/testutil"
 )
 
@@ -14,34 +15,49 @@ import (
 // than a map keyed by Atom.Key strings, the trigger list and image slab
 // are reused across collections, and the tgd variable lists are built
 // once by the parser. Before that the first case took 266 allocations
-// and the second 65 (now 89 and 40).
+// and the second 65, then 89 and 40; a fresh Runner's Query, which
+// keeps its run state and the Result in the one Runner allocation,
+// takes about 89 and 33. A reused Runner resets its instance,
+// remembers its frozen constants and keeps its run state and null
+// names, so it allocates the derived atoms' cells and little else: 17
+// and 3.
 func TestAllocsChaseQuery(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	for _, tc := range []struct {
-		query, deps  string
-		maxDepth     int
-		atoms, fired int
-		bound        float64
+		query, deps   string
+		maxDepth      int
+		atoms, fired  int
+		bound, reused float64
 	}{
-		{"q :- E(x,y), E(y,z).", "E(x,y) -> E(y,z).", 11, 13, 11, 120},
-		{"q :- A(x,y), B(y,z), C(z,x).", "A(x,y) -> B(y,z).\nB(x,y) -> C(y,w).", 0, 3, 0, 48},
+		{"q :- E(x,y), E(y,z).", "E(x,y) -> E(y,z).", 11, 13, 11, 120, 17},
+		{"q :- A(x,y), B(y,z), C(z,x).", "A(x,y) -> B(y,z).\nB(x,y) -> C(y,w).", 0, 3, 0, 48, 3},
 	} {
 		q, set := cq.MustParse(tc.query), deps.MustParse(tc.deps)
-		var atoms, fired int
-		allocs := testing.AllocsPerRun(200, func() {
-			res, _, err := Query(q, set, Options{MaxDepth: tc.maxDepth})
-			if err != nil {
-				t.Fatal(err)
+		var run Runner
+		for _, c := range []struct {
+			name  string
+			query func(*cq.CQ, *deps.Set, Options) (*Result, []term.Term, error)
+			bound float64
+		}{{"a fresh Query", Query, tc.bound}, {"a reused Runner", run.Query, tc.reused}} {
+			var atoms, fired int
+			chase := func() {
+				res, _, err := c.query(q, set, Options{MaxDepth: tc.maxDepth})
+				if err != nil {
+					t.Fatal(err)
+				}
+				atoms, fired = res.Instance.Len(), res.Stats.TriggersFired
 			}
-			atoms, fired = res.Instance.Len(), res.Stats.TriggersFired
-		})
-		if atoms != tc.atoms || fired != tc.fired {
-			t.Fatalf("chase of %q: %d atoms, %d fired, want %d and %d", tc.query, atoms, fired, tc.atoms, tc.fired)
-		}
-		if allocs > tc.bound {
-			t.Errorf("chase of %q allocates %v, want at most %v", tc.query, allocs, tc.bound)
+			chase()
+			allocs := testing.AllocsPerRun(200, chase)
+			t.Logf("%s chasing %q: %v allocs", c.name, tc.query, allocs)
+			if atoms != tc.atoms || fired != tc.fired {
+				t.Fatalf("%s chasing %q: %d atoms, %d fired, want %d and %d", c.name, tc.query, atoms, fired, tc.atoms, tc.fired)
+			}
+			if allocs > c.bound {
+				t.Errorf("%s chasing %q allocates %v, want at most %v", c.name, tc.query, allocs, c.bound)
+			}
 		}
 	}
 }

@@ -128,61 +128,91 @@ func (r *Result) DepthOf(a instance.Atom) (depth int, ok bool) {
 // input database is not modified. An egd clash of rigid constants
 // returns ErrFailed (wrapped), per the paper's "failure" outcome.
 func Run(db *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
-	return run(db.Clone(), set, opt)
-}
-
-// run chases inst in place: the result's Instance is inst itself.
-func run(inst *instance.Instance, set *deps.Set, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
-	st := &state{
-		inst:    inst,
-		set:     set,
-		opt:     opt,
-		merges:  term.NewSubst(),
-		scratch: term.NewSubst(),
-	}
-	for _, a := range st.inst.AtomsUnordered() {
-		st.lowerDepth(st.inst.SlotOf(a.Pred, a.Args), 0)
-	}
-	if err := st.run(); err != nil {
+	var s state
+	res := new(Result)
+	if err := s.run(res, db.Clone(), set, opt, true); err != nil {
 		return nil, err
 	}
-	st.stats.Atoms = st.inst.Len()
-	st.stats.Complete = st.complete
-	obs.ChaseRuns.Add(1)
-	obs.ChaseRounds.Add(int64(st.stats.Rounds))
-	obs.ChaseTriggersFired.Add(int64(st.stats.TriggersFired))
-	obs.ChaseNulls.Add(int64(st.stats.NullsCreated))
-	obs.ChaseMerges.Add(int64(st.stats.Merges))
-	return &Result{
-		Instance: st.inst,
-		Complete: st.complete,
-		Steps:    st.steps,
-		Merges:   st.merges,
-		Trace:    st.trace,
-		Stats:    st.stats,
-		depth:    st.depth,
-	}, nil
+	return res, nil
 }
 
 // Query chases the query q per Lemma 1: variables are frozen to the
 // constants c(x), the resulting database is chased, and the frozen head
 // tuple — adjusted for any egd merges — is returned with the result.
 // When the set contains egds the frozen constants are treated as nulls,
-// per the paper's convention.
+// per the paper's convention. It is a fresh Runner's Query, so the
+// result is the caller's own.
 func Query(q *cq.CQ, set *deps.Set, opt Options) (*Result, []term.Term, error) {
-	db, frozen := q.Freeze()
+	return new(Runner).Query(q, set, opt)
+}
+
+// Runner chases one query at a time into an instance and run state it
+// keeps between queries: the instance is reset rather than rebuilt, the
+// freezer remembers each variable's frozen constant, and the merge and
+// scratch substitutions, the depth table and the trigger, slab and
+// argument buffers are emptied rather than reallocated. A search that
+// verifies many candidates owns one Runner and so stops allocating run
+// state once its buffers fit. The zero value is ready to use. A Runner
+// is not safe for concurrent use.
+type Runner struct {
+	inst *instance.Instance
+	fz   cq.Freezer
+	st   state
+	res  Result
+	// tuple is the frozen head tuple resolved through the run's merges.
+	tuple []term.Term
+}
+
+// Freeze resets the runner's instance to D_q (Lemma 1) and returns it
+// with the frozen head tuple, without chasing. Both stay valid until
+// the runner's next call.
+func (r *Runner) Freeze(q *cq.CQ) (*instance.Instance, []term.Term) {
+	if r.inst == nil {
+		r.inst = instance.NewSized(len(q.Atoms), q.MaxArity())
+	}
+	return r.inst, r.fz.Freeze(q, r.inst)
+}
+
+// Query is the package-level Query run in the runner's scratch. The
+// Result and the tuple stay valid until the runner's next call. Every
+// run starts from a full reset, so a run that ended in an error, an egd
+// failure or a cancellation leaves nothing the next run reads.
+//
+// The k-th null of each run takes the k-th name the runner has minted,
+// and term.FreshNull is called only when a run needs more nulls than
+// any earlier one. Every null in the runner's instance was minted by
+// the runner, so no reused name can meet a null it does not stand for;
+// a query that itself holds a null breaks that premise, and its run
+// mints fresh names throughout.
+func (r *Runner) Query(q *cq.CQ, set *deps.Set, opt Options) (*Result, []term.Term, error) {
+	db, frozen := r.Freeze(q)
 	if len(set.EGDs) > 0 {
 		opt.FreezeAsNulls = true
 	}
-	// db is this call's own: chase it in place rather than a clone.
-	res, err := run(db, set, opt)
-	if err != nil {
+	if err := r.st.run(&r.res, db, set, opt, holdsNull(q)); err != nil {
 		return nil, nil, err
 	}
-	return res, res.Merges.ResolveTuple(frozen), nil
+	r.tuple = r.tuple[:0]
+	for _, t := range frozen {
+		r.tuple = append(r.tuple, r.res.Merges.Resolve(t))
+	}
+	return &r.res, r.tuple, nil
 }
 
+// holdsNull reports whether a body atom of q mentions a labelled null.
+func holdsNull(q *cq.CQ) bool {
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if t.IsNull() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// state is one chase run's state. A Runner keeps it between runs; run
+// resets every field a run reads before it starts.
 type state struct {
 	inst     *instance.Instance
 	set      *deps.Set
@@ -209,6 +239,68 @@ type state struct {
 	triggers []trigger
 	slab     []term.Term
 	args     []term.Term
+	// atoms lists the instance for the initial depths and egd merges.
+	atoms []instance.Atom
+	// names are the null names minted so far and nulls the number this
+	// run has used; freshNulls makes every null of the run a new name.
+	names      []term.Term
+	nulls      int
+	freshNulls bool
+}
+
+// run chases inst in place into res: the result's Instance is inst
+// itself. It resets the state first, keeping its buffers and minted
+// null names; freshNulls mints a new name for every null.
+func (s *state) run(res *Result, inst *instance.Instance, set *deps.Set, opt Options, freshNulls bool) error {
+	opt = opt.withDefaults()
+	s.inst, s.set, s.opt = inst, set, opt
+	s.steps, s.complete, s.trace, s.stats = 0, false, nil, obs.ChaseStats{}
+	s.nulls, s.freshNulls = 0, freshNulls
+	if s.merges == nil {
+		s.merges, s.scratch = term.NewSubst(), term.NewSubst()
+	}
+	clear(s.merges)
+	clear(s.scratch)
+	s.depth = s.depth[:0]
+	s.atoms = s.inst.AppendAtomsUnordered(s.atoms[:0])
+	for _, a := range s.atoms {
+		s.lowerDepth(s.inst.SlotOf(a.Pred, a.Args), 0)
+	}
+	if err := s.fixpoint(); err != nil {
+		return err
+	}
+	s.stats.Atoms = s.inst.Len()
+	s.stats.Complete = s.complete
+	obs.ChaseRuns.Add(1)
+	obs.ChaseRounds.Add(int64(s.stats.Rounds))
+	obs.ChaseTriggersFired.Add(int64(s.stats.TriggersFired))
+	obs.ChaseNulls.Add(int64(s.stats.NullsCreated))
+	obs.ChaseMerges.Add(int64(s.stats.Merges))
+	*res = Result{
+		Instance: s.inst,
+		Complete: s.complete,
+		Steps:    s.steps,
+		Merges:   s.merges,
+		Trace:    s.trace,
+		Stats:    s.stats,
+		depth:    s.depth,
+	}
+	return nil
+}
+
+// newNull returns the run's next null: the name the run at this
+// position took before, a new name past them, or a new name throughout
+// under freshNulls.
+func (s *state) newNull() term.Term {
+	s.stats.NullsCreated++
+	if s.freshNulls {
+		return term.FreshNull()
+	}
+	if s.nulls == len(s.names) {
+		s.names = append(s.names, term.FreshNull())
+	}
+	s.nulls++
+	return s.names[s.nulls-1]
 }
 
 // unsetDepth marks a slot without a depth. It exceeds every real
@@ -248,9 +340,14 @@ func (s *state) cancelled() bool {
 	}
 }
 
-func (s *state) run() error {
+// fixpoint alternates the egd fixpoint and tgd rounds until nothing
+// applies or a budget stops it.
+func (s *state) fixpoint() error {
 	if s.opt.Oblivious {
-		s.fired = make(map[string]bool)
+		if s.fired == nil {
+			s.fired = make(map[string]bool)
+		}
+		clear(s.fired)
 	}
 	truncated := false
 	for {
@@ -392,8 +489,7 @@ func (s *state) fire(ti int, frontier []term.Term, depth int) {
 	t := s.set.TGDs[ti]
 	sub := s.bindFrontier(ti, frontier)
 	for _, z := range t.ExistentialVars() {
-		sub[z] = term.FreshNull()
-		s.stats.NullsCreated++
+		sub[z] = s.newNull()
 	}
 	var step *Step
 	if s.opt.Trace {
@@ -469,14 +565,14 @@ func (s *state) egdStep() (bool, error) {
 			s.replace(b, a)
 		default:
 			// Both soft: prefer keeping frozen constants over nulls so
-			// query heads survive; otherwise keep the smaller name for
-			// determinism.
+			// query heads survive; otherwise keep the first in softOrder
+			// for determinism.
 			switch {
 			case cq.IsFrozenConst(a) && !cq.IsFrozenConst(b):
 				s.replace(b, a)
 			case cq.IsFrozenConst(b) && !cq.IsFrozenConst(a):
 				s.replace(a, b)
-			case a.Compare(b) <= 0:
+			case softOrder(a, b) <= 0:
 				s.replace(b, a)
 			default:
 				s.replace(a, b)
@@ -485,6 +581,17 @@ func (s *state) egdStep() (bool, error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// softOrder orders two soft terms of one kind. Two nulls compare by
+// name length first, so the minted names "n" + counter order as their
+// counters do: the null a run minted first is kept whatever the counter
+// stood at, and a Runner's reused names order as a fresh run's do.
+func softOrder(a, b term.Term) int {
+	if a.IsNull() && len(a.Name) != len(b.Name) {
+		return len(a.Name) - len(b.Name)
+	}
+	return a.Compare(b)
 }
 
 // replace rewrites old→new everywhere, maintaining merges and depths.
@@ -501,7 +608,8 @@ func (s *state) replace(old, new term.Term) {
 		depth int32
 	}
 	var affected []moved
-	for _, a := range s.inst.AtomsUnordered() {
+	s.atoms = s.inst.AppendAtomsUnordered(s.atoms[:0])
+	for _, a := range s.atoms {
 		if slices.Contains(a.Args, old) {
 			sl := s.inst.SlotOf(a.Pred, a.Args)
 			affected = append(affected, moved{a, s.depth[sl]})

@@ -76,7 +76,7 @@ func Contains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error) {
 	case MethodPlain:
 		return Decision{Holds: hom.Contained(q, qp), Definitive: true, Method: MethodPlain}, nil
 	case MethodChase, MethodBounded:
-		return chaseContains(q, qp, set, m, opt)
+		return chaseContains(q, qp, set, m, opt, new(chase.Runner))
 	case MethodRewrite:
 		return rewriteContains(q, qp, set, opt)
 	default:
@@ -119,12 +119,13 @@ func pickMethod(set *deps.Set) Method {
 	}
 }
 
-func chaseContains(q, qp *cq.CQ, set *deps.Set, m Method, opt Options) (Decision, error) {
+// chaseContains decides q ⊆Σ q' by chasing q in the runner r.
+func chaseContains(q, qp *cq.CQ, set *deps.Set, m Method, opt Options, r *chase.Runner) (Decision, error) {
 	copt := opt.Chase
 	if m == MethodBounded && copt.MaxDepth <= 0 {
 		copt.MaxDepth = defaultGuardedDepth(qp, set)
 	}
-	res, frozen, err := chase.Query(q, set, copt)
+	res, frozen, err := r.Query(q, set, copt)
 	if errors.Is(err, chase.ErrFailed) {
 		// chase(q,Σ) fails ⇒ q is Σ-unsatisfiable ⇒ q(D) = ∅ on every
 		// D ⊨ Σ ⇒ q ⊆Σ q' trivially.
@@ -172,10 +173,10 @@ func rewriteContains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error)
 // precomputes everything that does not depend on the left-hand side:
 // the method selection, the chase depth budget, and — the expensive one
 // — the UCQ rewriting of q' for sticky sets, which is worst-case
-// exponential and identical across calls. Check(q) returns exactly what
-// Contains(q, q', Σ, opt) would. A Prepared value is immutable after
-// Prepare — except the Checks reuse counter, an atomic — and safe for
-// concurrent Check calls.
+// exponential and identical across calls. Check(q, r) returns exactly
+// what Contains(q, q', Σ, opt) would. A Prepared value is immutable
+// after Prepare — except the Checks reuse counter, an atomic — and safe
+// for concurrent Check calls that each pass their own runner.
 type Prepared struct {
 	qp  *cq.CQ
 	set *deps.Set
@@ -226,8 +227,10 @@ func (p *Prepared) WithCancel(cancel <-chan struct{}) *Prepared {
 	return &cp
 }
 
-// Check decides q ⊆Σ q' for the prepared right-hand side.
-func (p *Prepared) Check(q *cq.CQ) (Decision, error) {
+// Check decides q ⊆Σ q' for the prepared right-hand side, freezing and
+// chasing q in the caller's runner r: the Prepared stays immutable and
+// shared, and each goroutine brings its own runner.
+func (p *Prepared) Check(q *cq.CQ, r *chase.Runner) (Decision, error) {
 	p.checks.Add(1)
 	obs.ContainmentChecks.Add(1)
 	if len(q.Free) != len(p.qp.Free) {
@@ -235,9 +238,10 @@ func (p *Prepared) Check(q *cq.CQ) (Decision, error) {
 	}
 	switch p.m {
 	case MethodPlain:
-		return Decision{Holds: hom.Contained(q, p.qp), Definitive: true, Method: MethodPlain}, nil
+		db, frozen := r.Freeze(q)
+		return Decision{Holds: hom.HasTuple(p.qp, db, frozen), Definitive: true, Method: MethodPlain}, nil
 	case MethodRewrite:
-		db, frozen := q.Freeze()
+		db, frozen := r.Freeze(q)
 		for _, d := range p.rw.UCQ.Disjuncts {
 			if hom.HasTuple(d, db, frozen) {
 				return Decision{Holds: true, Definitive: true, Method: MethodRewrite}, nil
@@ -247,7 +251,7 @@ func (p *Prepared) Check(q *cq.CQ) (Decision, error) {
 	default:
 		// Chase methods chase the left-hand side, which varies per
 		// call; the depth budget above is the only precomputable part.
-		return chaseContains(q, p.qp, p.set, p.m, p.opt)
+		return chaseContains(q, p.qp, p.set, p.m, p.opt, r)
 	}
 }
 

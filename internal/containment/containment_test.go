@@ -191,8 +191,11 @@ func TestUnsatisfiableLeftSideTriviallyContained(t *testing.T) {
 
 // TestPreparedMatchesContains: Prepared.Check must return exactly what
 // Contains returns, across every method selection path — it is the
-// same procedure with the right-hand-side work hoisted.
+// same procedure with the right-hand-side work hoisted. One runner
+// serves every check, so a run that reads scratch an earlier check left
+// behind shows up as a disagreement.
 func TestPreparedMatchesContains(t *testing.T) {
+	var r chase.Runner
 	cases := []struct {
 		name string
 		set  *deps.Set
@@ -221,7 +224,7 @@ func TestPreparedMatchesContains(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Contains(%s): %v", q, err)
 				}
-				got, err := p.Check(q)
+				got, err := p.Check(q, &r)
 				if err != nil {
 					t.Fatalf("Check(%s): %v", q, err)
 				}

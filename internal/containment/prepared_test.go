@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/telemetry"
@@ -41,7 +42,7 @@ func TestPreparedDropsTrace(t *testing.T) {
 	if !collected.Load() {
 		t.Fatal("the span tree of the recorder Prepare was traced with is still reachable from the checker")
 	}
-	if _, err := p.Check(q); err != nil {
+	if _, err := p.Check(q, new(chase.Runner)); err != nil {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(p)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"semacyclic/internal/chase"
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
@@ -163,17 +164,18 @@ func TestPreparedWithCancelViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Check(q); err != nil {
+	var r chase.Runner
+	if _, err := prep.Check(q, &r); err != nil {
 		t.Fatalf("base Check: %v", err)
 	}
 	ch := make(chan struct{})
 	close(ch)
 	view := prep.WithCancel(ch)
 	cleared := view.WithCancel(nil)
-	if _, err := cleared.Check(q); err != nil {
+	if _, err := cleared.Check(q, &r); err != nil {
 		t.Fatalf("cleared view Check: %v", err)
 	}
-	if _, err := prep.Check(q); err != nil {
+	if _, err := prep.Check(q, &r); err != nil {
 		t.Fatalf("base Check after views: %v", err)
 	}
 	if prep.Checks() < 3 {

@@ -113,8 +113,25 @@ func (g *moveGen) each(cur *cq.CQ, drops bool, yield func(atoms []instance.Atom)
 	}
 }
 
+// selectionValid is Validate() == nil for a layer-3 selection, found
+// by scanning: the selection's atoms come from one chased instance, so
+// their arities agree, thawing left no frozen constant, and the free
+// tuple was checked once for the layer. What can still fail is an
+// empty selection, a chase null, or a free variable left uncovered.
+func selectionValid(free []term.Term, sel []instance.Atom) bool {
+	if len(sel) == 0 {
+		return false
+	}
+	for _, a := range sel {
+		if slices.ContainsFunc(a.Args, term.Term.IsNull) {
+			return false
+		}
+	}
+	return coversFree(free, sel, -1)
+}
+
 // coversFree reports whether every free variable occurs in an atom
-// other than atoms[skip].
+// other than atoms[skip]; skip -1 excludes none.
 func coversFree(free []term.Term, atoms []instance.Atom, skip int) bool {
 	for _, x := range free {
 		covered := false
@@ -168,9 +185,12 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 			freeVars[i] = f // a rigid constant survived; cannot be free
 		}
 	}
-	for _, f := range freeVars {
+	for i, f := range freeVars {
 		if !f.IsVar() {
 			return nil, 0, nil // frozen head merged into a constant: no CQ witness here
+		}
+		if slices.Contains(freeVars[:i], f) {
+			return nil, 0, nil // egds merged two head variables: Validate refuses every selection
 		}
 	}
 
@@ -194,7 +214,7 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 			return false, ErrCancelled
 		}
 		view := cq.CQ{Name: q.Name, Free: freeVars, Atoms: sel}
-		if err := view.Validate(); err == nil {
+		if selectionValid(freeVars, sel) {
 			if k := keyer.Key(freeVars, sel); !seen[string(k)] {
 				seen[string(k)] = true
 				examined++

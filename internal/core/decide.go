@@ -385,6 +385,9 @@ type verifier struct {
 	opt Options
 	// checker is the resolved containment checker, nil until needed.
 	checker *containment.Prepared
+	// runner freezes and chases layers 2 and 3's candidates in w ⊆Σ q;
+	// layer 4's branches bring their own.
+	runner chase.Runner
 	// db and frozen are q's frozen instance D_q and head tuple (Lemma
 	// 1), built at the first plain q ⊆ w check.
 	db     *instance.Instance
@@ -451,15 +454,25 @@ func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
 		}
 	}
 	b := plain
-	if !hom.Contained(w, v.q) {
+	if !v.plainContained(w) {
 		checker, err := v.prepared()
 		if err != nil {
 			return false, false, err
 		}
-		if b, err = checker.Check(w); err != nil {
+		if b, err = checker.Check(w, &v.runner); err != nil {
 			return false, false, err
 		}
 	}
 	definitive = a.Definitive && b.Definitive
 	return b.Holds && definitive, definitive, nil
+}
+
+// plainContained is hom.Contained(w, q), with w frozen in the
+// verifier's runner.
+func (v *verifier) plainContained(w *cq.CQ) bool {
+	if len(w.Free) != len(v.q.Free) {
+		return false
+	}
+	db, frozen := v.runner.Freeze(w)
+	return hom.HasTuple(v.q, db, frozen)
 }

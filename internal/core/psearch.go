@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"semacyclic/internal/chase"
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
@@ -61,7 +62,7 @@ type searchEngine struct {
 	pin    term.Subst
 	consts []term.Term
 	free   []term.Term
-	names  []term.Term // fresh variables s0, s1, ... shared by every branch; len == cap
+	names  []term.Term // fresh variables (freshNames) shared by every branch; len == cap
 
 	// Shared budget pot, spent by all workers.
 	steps    atomic.Int64
@@ -156,9 +157,10 @@ func searchVarName(i int) term.Term { return term.Var("s" + itoa(i)) }
 
 // argumentPool appends to dst the terms an atom argument may take: the
 // query's free variables, the canonical fresh variables in names
-// (s0..s_{nextVar+maxFreshPerAtom-1}), and the constants in scope.
-// Fresh variables beyond nextVar are capped by canonical-introduction
-// filtering in fill.
+// (the first nextVar+maxFreshPerAtom of freshNames), and the constants
+// in scope. Fresh variables beyond nextVar are capped by
+// canonical-introduction filtering in fill, which reads a term's rank
+// from its position (freshRank).
 func (e *searchEngine) argumentPool(dst, names []term.Term) []term.Term {
 	dst = append(dst, e.free...)
 	dst = append(dst, names...)
@@ -182,10 +184,10 @@ func (e *searchEngine) seedBranches() []branch {
 				out = append(out, branch{atom: instance.NewAtom(p.Name, args...), nextVar: maxNew})
 				return
 			}
-			for _, t := range pool {
+			for j, t := range pool {
 				// Canonical introduction: a fresh variable may only be
 				// used if all earlier fresh ranks are in use.
-				rank, fresh := freshRank(t, 0)
+				rank, fresh := e.freshRank(j, 0)
 				if fresh && rank > maxNew {
 					continue
 				}
@@ -354,13 +356,14 @@ func (e *searchEngine) fillStats(examined, decisive, winner int, exhausted bool)
 // containment, extend canonically up to the bound. Candidates are
 // prefixes of one atom stack whose extension atoms live in each
 // level's argument buffer; nothing that prunes, keys or verifies a
-// prefix keeps it, so only the witness is copied. The branch's keyer
-// and buffers are its own: workers share no scratch.
+// prefix keeps it, so only the witness is copied. The branch's keyer,
+// chase runner and buffers are its own: workers share no scratch.
 func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 	out.complete = true
 	var bs branchStats
 	defer e.flush(&bs)
 	var keyer cq.Keyer
+	var runner chase.Runner
 	// Level d of the stack holds the candidate's atom d, built in
 	// argSlab[d*maxArity:] from the argument pool pools[d] (level 0 is
 	// the branch's seed). The scratch grows as the search first enters a
@@ -384,10 +387,14 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 	// that containment (sound even on a chase prefix) — so only the
 	// converse direction needs checking here.
 	tryCandidate := func(atoms []instance.Atom) (bool, error) {
-		cand := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
-		if err := cand.Validate(); err != nil {
+		// Validate, by scanning: a candidate's predicates come from the
+		// joint schema and its arguments from the free variables, fresh
+		// variables and the constants of q and Σ, so only free-variable
+		// coverage can fail.
+		if !coversFree(e.free, atoms, -1) {
 			return false, nil
 		}
+		cand := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
 		if !hypergraph.IsAcyclic(atoms) {
 			return false, nil
 		}
@@ -399,7 +406,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 			return false, nil
 		}
 		out.examined++
-		v, err := e.verifyMemo(&cand, &keyer, &bs)
+		v, err := e.verifyMemo(&cand, &keyer, &runner, &bs)
 		if err != nil {
 			return false, err
 		}
@@ -459,9 +466,7 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 			pools = append(pools, make([][]term.Term, d+1-len(pools))...)
 			argSlab = append(argSlab, make([]term.Term, (d+1)*maxArity-len(argSlab))...)
 		}
-		for i := len(names); i < nextVar+maxFreshPerAtom; i++ {
-			names = append(names, searchVarName(i))
-		}
+		names = freshNames(names, e.free, nextVar+maxFreshPerAtom)
 		pools[d] = e.argumentPool(pools[d][:0], names[:nextVar+maxFreshPerAtom])
 		pool := pools[d]
 		for _, p := range e.preds {
@@ -476,10 +481,10 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 					stack = append(stack[:d], atom)
 					return extend(stack, nextVar+maxNew)
 				}
-				for _, t := range pool {
+				for j, t := range pool {
 					// Canonical introduction: a fresh variable may only
 					// be used if all earlier fresh ranks are in use.
-					rank, fresh := freshRank(t, nextVar)
+					rank, fresh := e.freshRank(j, nextVar)
 					if fresh && rank > maxNew {
 						continue
 					}
@@ -537,11 +542,11 @@ func (e *searchEngine) pinnedHomExists(atoms []instance.Atom, keyer *cq.Keyer, b
 	return ok
 }
 
-// verifyMemo runs the candidate's containment check, memoized on the
-// candidate's renaming-invariant canonical key so the up-to-k!
-// permutations of a k-atom candidate pay for one chase-based
-// verification between them.
-func (e *searchEngine) verifyMemo(cand *cq.CQ, keyer *cq.Keyer, bs *branchStats) (candVerdict, error) {
+// verifyMemo runs the candidate's containment check in the branch's
+// runner, memoized on the candidate's renaming-invariant canonical key
+// so the up-to-k! permutations of a k-atom candidate pay for one
+// chase-based verification between them.
+func (e *searchEngine) verifyMemo(cand *cq.CQ, keyer *cq.Keyer, runner *chase.Runner, bs *branchStats) (candVerdict, error) {
 	var key string
 	if !e.opt.DisableSearchMemo {
 		key = string(keyer.Key(cand.Free, cand.Atoms))
@@ -555,7 +560,7 @@ func (e *searchEngine) verifyMemo(cand *cq.CQ, keyer *cq.Keyer, bs *branchStats)
 	var dec containment.Decision
 	var err error
 	if e.checker != nil {
-		dec, err = e.checker.Check(cand)
+		dec, err = e.checker.Check(cand, runner)
 	} else {
 		dec, err = containment.Contains(cand, e.q, e.set, e.opt.Containment)
 	}

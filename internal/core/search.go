@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
+	"strconv"
 
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
@@ -80,10 +82,8 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	// them. Every branch shares the names a search within the default
 	// depth cap can use; a deeper search, under an explicit
 	// MaxWitnessSize, names the rest as it reaches them (runBranch).
-	names := make([]term.Term, max(min(bound, limit), 0)*sch.MaxArity()+maxFreshPerAtom)
-	for i := range names {
-		names[i] = searchVarName(i)
-	}
+	n := max(min(bound, limit), 0)*sch.MaxArity() + maxFreshPerAtom
+	names := freshNames(make([]term.Term, 0, n), q.Free, n)
 
 	copt := opt.Containment.Chase
 	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
@@ -167,22 +167,31 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 // we enumerate, kept as a generous constant.
 const maxFreshPerAtom = 6
 
-func freshRank(t term.Term, nextVar int) (int, bool) {
-	if !t.IsVar() || len(t.Name) < 2 || t.Name[0] != 's' {
-		return 0, false
+// freshNames returns names grown to n fresh variable names: the i-th
+// is the i-th of s0, s1, … that names no free variable, so a fresh
+// variable never stands for a free one. names must be such a prefix.
+func freshNames(names, free []term.Term, n int) []term.Term {
+	next := 0
+	if k := len(names); k > 0 {
+		next, _ = strconv.Atoi(names[k-1].Name[1:])
+		next++
 	}
-	n := 0
-	for i := 1; i < len(t.Name); i++ {
-		c := t.Name[i]
-		if c < '0' || c > '9' {
-			return 0, false
+	for ; len(names) < n; next++ {
+		if v := searchVarName(next); !slices.Contains(free, v) {
+			names = append(names, v)
 		}
-		n = n*10 + int(c-'0')
 	}
-	if n < nextVar {
-		return 0, false // already-introduced variable: not fresh
-	}
-	return n - nextVar, true
+	return names
+}
+
+// freshRank reports whether position j of an argument pool that
+// argumentPool built with names[:nextVar+maxFreshPerAtom] holds a fresh
+// variable, and its rank beyond nextVar. The pool lists the free
+// variables, then the names, then the constants, so the position alone
+// decides, whatever the terms are named.
+func (e *searchEngine) freshRank(j, nextVar int) (int, bool) {
+	rank := j - len(e.free) - nextVar
+	return rank, rank >= 0 && rank < maxFreshPerAtom
 }
 
 func containsAtom(atoms []instance.Atom, a instance.Atom) bool {

@@ -2,13 +2,17 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"semacyclic/internal/chase"
-
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/gen"
 	"semacyclic/internal/hypergraph"
+	"semacyclic/internal/term"
 )
 
 // TestSearchCompleteFindsWitness exercises layer 4 directly: under
@@ -201,4 +205,94 @@ func TestSatisfiableConstantQueryUnaffected(t *testing.T) {
 	if res.Verdict != Yes || res.Layer == "unsatisfiable" {
 		t.Fatalf("result = %+v", res)
 	}
+}
+
+// TestSearchIgnoresFreeVariableNames: layer 4 must not depend on how
+// the free variables are named. Fresh variables are named s0, s1, …,
+// and the search used to take any pool term named s<k> for fresh rank
+// k, so a free variable s1 was also "fresh rank 1": the canonical
+// introduction skipped or miscounted it and the pool held the term
+// twice. Renaming the free variables of random workloads from f0, f1
+// to s0, s1 changed the examined or node count of most of them, and
+// for some whether a witness was found. Both namings must now give
+// the same witness up to the renaming, the same examined count and
+// exhaustion flag, and the same deterministic fingerprint.
+func TestSearchIgnoresFreeVariableNames(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	opt := Options{SearchBudget: 60, Parallelism: 1}
+	compared := 0
+	for round := 0; compared < 50 && round < 40; round++ {
+		for _, class := range gen.WorkloadClasses {
+			q, set, _ := gen.RandomWorkload(r, class, 2, 3, 1, 4)
+			if len(q.Free) == 0 {
+				continue
+			}
+			fq, fFree, ok := renameFree(q, "f")
+			sq, sFree, ok2 := renameFree(q, "s")
+			if !ok || !ok2 {
+				continue
+			}
+			compared++
+			bound := 2 * q.Size()
+			fw, fst, fn, fex, err := SearchCompleteStats(fq, set, opt, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw, sst, sn, sex, err := SearchCompleteStats(sq, set, opt, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s under %s", fq, set)
+			if fn != sn || fex != sex {
+				t.Errorf("%s: examined %d, exhausted %v; with free variables %v: %d, %v", name, fn, fex, sFree, sn, sex)
+			}
+			if (fw == nil) != (sw == nil) {
+				t.Errorf("%s: witness %v; with free variables %v: %v", name, fw, sFree, sw)
+			} else if fw != nil {
+				// Rename the s-run's witness back: its free variables to
+				// f0, f1, and its k-th fresh name to the f-run's k-th.
+				back := map[term.Term]term.Term{}
+				for i, x := range sFree {
+					back[x] = fFree[i]
+				}
+				n := 8 * bound
+				fNames, sNames := freshNames(nil, fFree, n), freshNames(nil, sFree, n)
+				for k, v := range sNames {
+					back[v] = fNames[k]
+				}
+				got := sw.Clone()
+				for _, a := range got.Atoms {
+					for j, x := range a.Args {
+						if y, ok := back[x]; ok {
+							a.Args[j] = y
+						}
+					}
+				}
+				if got.Free = fFree; got.String() != fw.String() {
+					t.Errorf("%s: witness %s; with free variables %v, renamed back: %s", name, fw, sFree, got)
+				}
+			}
+			if f, s := fst.DeterministicFingerprint(), sst.DeterministicFingerprint(); f != s {
+				t.Errorf("%s: fingerprint\n%s\nwith free variables %v:\n%s", name, f, sFree, s)
+			}
+		}
+	}
+	if compared < 50 {
+		t.Fatalf("compared %d workloads with free variables, want at least 50", compared)
+	}
+}
+
+// renameFree renames q's free variables to prefix0, prefix1, …; ok is
+// false when such a name already occurs in q.
+func renameFree(q *cq.CQ, prefix string) (*cq.CQ, []term.Term, bool) {
+	s := term.NewSubst()
+	free := make([]term.Term, len(q.Free))
+	for i, x := range q.Free {
+		free[i] = term.Var(fmt.Sprint(prefix, i))
+		if slices.Contains(q.Vars(), free[i]) {
+			return nil, nil, false
+		}
+		s[x] = free[i]
+	}
+	return q.ApplySubst(s), free, true
 }

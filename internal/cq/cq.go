@@ -189,51 +189,99 @@ func (q *CQ) RenameApart() (*CQ, term.Subst) {
 // Freeze returns the canonical database D_q of Lemma 1: each variable x
 // is replaced by the frozen constant c(x), and the frozen tuple c(x̄) of
 // the free variables is returned alongside. Frozen constants are named
-// so they cannot collide with user constants.
+// so they cannot collide with user constants. It is a fresh Freezer's
+// Freeze into an instance sized from the query, so loading D_q grows no
+// table.
 func (q *CQ) Freeze() (*instance.Instance, []term.Term) {
+	db := instance.NewSized(len(q.Atoms), q.MaxArity())
+	var f Freezer
+	return db, f.Freeze(q, db)
+}
+
+// MaxArity returns the widest arity among the query's atoms.
+func (q *CQ) MaxArity() int {
 	arity := 0
 	for _, a := range q.Atoms {
 		arity = max(arity, len(a.Args))
 	}
+	return arity
+}
+
+// Freezer computes Freeze with scratch it keeps between calls, as a
+// Keyer does for CanonicalKey: the frozen tuple, the argument buffer,
+// and from its second call on the frozen constant of every variable it
+// has frozen, so a search that draws its candidates from one variable
+// pool builds each c(x) once. The zero value is ready to use. A Freezer
+// is not safe for concurrent use.
+type Freezer struct {
+	// buf holds the frozen tuple, then one atom's frozen arguments,
+	// then the current query's variables, each followed by c(x), in the
+	// order they were frozen: one allocation serves all three.
+	buf  []term.Term
+	vars []term.Term // the variable pairs: a window of buf
+	// consts remembers c(x) across calls; nil until a second call, so
+	// a one-off Freeze builds no map.
+	consts map[term.Term]term.Term
+}
+
+// Freeze resets db, fills it with D_q and returns the frozen head
+// tuple c(x̄). The tuple stays valid until the next call.
+func (f *Freezer) Freeze(q *CQ, db *instance.Instance) []term.Term {
+	db.Reset()
+	if f.buf != nil && f.consts == nil {
+		f.consts = make(map[term.Term]term.Term, len(f.vars)/2)
+		for i := 0; i < len(f.vars); i += 2 {
+			f.consts[f.vars[i]] = f.vars[i+1]
+		}
+	}
 	// Each variable is frozen once, in Vars order (Free, then the atoms
-	// by first occurrence), and paired with its constant. Queries are
-	// small, so a variable finds its constant by scanning the pairs,
-	// which live on the stack up to 16 variables.
-	var small [16]frozenVar
-	pairs := small[:0]
-	freeze := func(t term.Term) term.Term {
-		if !t.IsVar() {
-			return t
-		}
-		for _, p := range pairs {
-			if p.v == t {
-				return p.c
-			}
-		}
-		c := FrozenConst(t)
-		pairs = append(pairs, frozenVar{v: t, c: c})
-		return c
-	}
-	tuple := make([]term.Term, len(q.Free))
-	for i, x := range q.Free {
-		tuple[i] = freeze(x)
-	}
-	db := instance.NewSized(len(q.Atoms), arity)
-	args := make([]term.Term, 0, arity) // Add copies the atom, so one buffer serves all
+	// by first occurrence). Queries are small, so a variable finds its
+	// constant among the query's pairs by scanning; a query has no more
+	// variables than term occurrences, so the pairs fit their window.
+	n, arity, terms := len(q.Free), q.MaxArity(), len(q.Free)
 	for _, a := range q.Atoms {
-		args = args[:0]
-		for _, t := range a.Args {
-			args = append(args, freeze(t))
+		terms += len(a.Args)
+	}
+	if need := n + arity + 2*terms; cap(f.buf) < need {
+		f.buf = make([]term.Term, need)
+	}
+	f.vars = f.buf[n+arity : n+arity : cap(f.buf)]
+	tuple := f.buf[:n:n]
+	for i, x := range q.Free {
+		tuple[i] = f.freeze(x)
+	}
+	for _, a := range q.Atoms {
+		args := f.buf[n : n+len(a.Args)] // Add copies the atom, so one buffer serves all
+		for i, t := range a.Args {
+			args[i] = f.freeze(t)
 		}
 		if err := db.Add(instance.Atom{Pred: a.Pred, Args: args}); err != nil {
 			panic(err) // frozen atoms are ground
 		}
 	}
-	return db, tuple
+	return tuple
 }
 
-// frozenVar pairs a variable with its frozen constant.
-type frozenVar struct{ v, c term.Term }
+// freeze returns c(t) for a variable t and t itself otherwise.
+func (f *Freezer) freeze(t term.Term) term.Term {
+	if !t.IsVar() {
+		return t
+	}
+	for i := 0; i < len(f.vars); i += 2 {
+		if f.vars[i] == t {
+			return f.vars[i+1]
+		}
+	}
+	c, ok := f.consts[t]
+	if !ok {
+		c = FrozenConst(t)
+		if f.consts != nil {
+			f.consts[t] = c
+		}
+	}
+	f.vars = append(f.vars, t, c)
+	return c
+}
 
 // FrozenConst returns the frozen constant c(x) for variable x, a
 // constant in the namespace term.FrozenPrefix reserves.

@@ -251,6 +251,27 @@ func TestFreezeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFreezerMatchesReference: one Freezer, reused with one instance
+// over TestFreezeMatchesReference's random queries, fills the instance
+// and returns the tuple the reference does at every call, though its
+// constant memo and the instance's tables carry over between them.
+func TestFreezerMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var f Freezer
+	db := instance.New()
+	for trial := 0; trial < 20_000; trial++ {
+		q := randomKeyQuery(r)
+		tuple := f.Freeze(q, db)
+		wantDB, wantTuple := freezeRef(q)
+		if got, want := fmt.Sprint(db.Atoms()), fmt.Sprint(wantDB.Atoms()); got != want {
+			t.Fatalf("trial %d: Freeze(%s) atoms\n got %s\nwant %s", trial, q, got, want)
+		}
+		if !slices.Equal(tuple, wantTuple) {
+			t.Fatalf("trial %d: Freeze(%s) tuple %v, want %v", trial, q, tuple, wantTuple)
+		}
+	}
+}
+
 // TestAllocsFreeze guards the frozen instance's sizing: Freeze knows
 // its atom count and widest arity, so the instance it fills grows no
 // slot, chain or position table. Grown from empty, the three queries
@@ -274,6 +295,25 @@ func TestAllocsFreeze(t *testing.T) {
 		if allocs > tc.max {
 			t.Errorf("Freeze(%q) allocates %v, want at most %v", tc.src, allocs, tc.max)
 		}
+	}
+}
+
+// TestAllocsFreezer guards the reused Freezer: with its constants
+// memoized and the instance reset rather than rebuilt, freezing a query
+// allocates only the stored atoms' cells, one per atom of arity at most
+// two, where a fresh Freeze of this query takes 20 allocations.
+func TestAllocsFreezer(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	q := MustParse("q(x,y) :- R(x,z), S(z,y), T('a',x).")
+	var f Freezer
+	db := instance.New()
+	f.Freeze(q, db)
+	allocs := testing.AllocsPerRun(200, func() { f.Freeze(q, db) })
+	t.Logf("reused Freezer: %v allocs", allocs)
+	if allocs > 3 {
+		t.Errorf("a reused Freezer allocates %v freezing %s, want at most 3 (its cells)", allocs, q)
 	}
 }
 

@@ -118,6 +118,14 @@ func (s *atomSet) remove(h uint64, i int32) {
 	s.live--
 }
 
+// reset empties the set, keeping its capacity. The slots are cleared
+// first, so the set holds on to no atom it no longer stores.
+func (s *atomSet) reset() {
+	clear(s.slots)
+	s.slots, s.next, s.free, s.live = s.slots[:0], s.next[:0], s.free[:0], 0
+	clear(s.heads)
+}
+
 // isLive reports whether slot i holds an atom.
 func (s *atomSet) isLive(i int) bool { return s.next[i] != freeSlot }
 

@@ -247,6 +247,24 @@ func (ins *Instance) noteBareMutation() {
 	ins.invalidateInterned()
 }
 
+// Reset empties the instance for reuse. It keeps the capacity of its
+// slot set, its where table and its index maps, and its schema emptied,
+// so a search that freezes and chases many candidates into one instance
+// stops growing those tables once they fit. Slots restart at 0 and the
+// lists are rebuilt in Add order: a reset instance filled by some Adds
+// matches NewSized filled by the same Adds in Atoms, ByPred and ByPos
+// order, slots and schema. Like any bare mutation, Reset moves the
+// epoch and drops the interned view. It recycles no cell, so every
+// atom, list and clone handed out before it stays intact.
+func (ins *Instance) Reset() {
+	ins.atoms.reset()
+	clear(ins.byPred)
+	clear(ins.byPos)
+	ins.where = ins.where[:0]
+	ins.sch.Reset()
+	ins.noteBareMutation()
+}
+
 // Has reports membership.
 func (ins *Instance) Has(a Atom) bool { return ins.SlotOf(a.Pred, a.Args) >= 0 }
 
@@ -267,13 +285,18 @@ func (ins *Instance) Atoms() []Atom {
 // AtomsUnordered returns all atoms in slot order, avoiding the sort
 // cost of Atoms for hot paths.
 func (ins *Instance) AtomsUnordered() []Atom {
-	out := make([]Atom, 0, ins.atoms.live)
+	return ins.AppendAtomsUnordered(make([]Atom, 0, ins.atoms.live))
+}
+
+// AppendAtomsUnordered appends all atoms in slot order to dst, so a
+// caller that lists the atoms repeatedly can reuse one buffer.
+func (ins *Instance) AppendAtomsUnordered(dst []Atom) []Atom {
 	for i, a := range ins.atoms.slots {
 		if ins.atoms.isLive(i) {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
 // ByPred returns the atoms with the given predicate. The returned slice

@@ -218,9 +218,10 @@ func (u modelUniverse) check(ins *Instance, m *model) error {
 }
 
 // TestInstanceMatchesModel runs random Add, Remove, ApplyDelta,
-// ReplaceTerm and Clone sequences against the reference model. Every
-// clone stays under check after later steps mutate its origin, so a
-// list shared between instances that one of them writes shows up.
+// ReplaceTerm, Clone and Reset sequences against the reference model.
+// Every clone stays under check after later steps mutate or reset its
+// origin, so a list shared between instances that one of them writes
+// shows up.
 func TestInstanceMatchesModel(t *testing.T) {
 	u := modelUniverse{
 		terms: []term.Term{term.Const("a"), term.Const("b"), term.Const("c"), term.NullTerm("n1"), term.NullTerm("n2")},
@@ -241,7 +242,7 @@ func TestInstanceMatchesModel(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			k := r.Intn(len(pairs))
 			p := pairs[k]
-			switch op := r.Intn(10); {
+			switch op := r.Intn(11); {
 			case op < 4:
 				a := u.randAtom(r)
 				log = append(log, fmt.Sprintf("#%d Add %s", k, a))
@@ -280,9 +281,13 @@ func TestInstanceMatchesModel(t *testing.T) {
 				log = append(log, fmt.Sprintf("#%d ReplaceTerm %s %s", k, old, new))
 				p.ins.ReplaceTerm(old, new)
 				p.m.replaceTerm(old, new)
-			default:
+			case op < 10:
 				log = append(log, fmt.Sprintf("#%d Clone", k))
 				pairs = append(pairs, pair{p.ins.Clone(), p.m.clone()})
+			default:
+				log = append(log, fmt.Sprintf("#%d Reset", k))
+				p.ins.Reset()
+				*p.m = *newModel()
 			}
 			for j, q := range pairs {
 				if err := u.check(q.ins, q.m); err != nil {
@@ -300,6 +305,77 @@ func TestInstanceMatchesModel(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestResetMatchesFresh: an instance emptied by Reset and refilled by
+// some Adds is indistinguishable from NewSized filled by the same Adds —
+// Atoms, every ByPred and ByPos list in order, the slot of every atom
+// and the schema — though its history left free slots, grown lists, a
+// predicate of another arity and an interned view. Reset moves the
+// epoch and drops the view, and a clone taken before it keeps its atoms.
+func TestResetMatchesFresh(t *testing.T) {
+	u := modelUniverse{
+		terms: []term.Term{term.Const("a"), term.Const("b"), term.Const("c"), term.NullTerm("n1")},
+		preds: map[string]int{"Z": 0, "S": 1, "R": 2, "T": 3},
+	}
+	for seq := 0; seq < 200; seq++ {
+		r := rand.New(rand.NewSource(int64(seq)))
+		ins := New()
+		if err := ins.Add(NewAtom("W", term.Const("a"))); err != nil {
+			t.Fatal(err)
+		}
+		for step := r.Intn(40); step > 0; step-- {
+			if a := u.randAtom(r); r.Intn(4) == 0 {
+				ins.Remove(a)
+			} else if err := ins.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ins.Interned()
+		clone, before := ins.Clone(), ins.Atoms()
+		epoch := ins.Epoch()
+		ins.Reset()
+		if ins.Len() != 0 || ins.Epoch() == epoch || ins.interned.Load() != nil || ins.Schema().Len() != 0 {
+			t.Fatalf("seq %d: after Reset: Len %d, epoch %d (was %d), interned view kept %v, %d predicates",
+				seq, ins.Len(), ins.Epoch(), epoch, ins.interned.Load() != nil, ins.Schema().Len())
+		}
+		adds := append(u.randAtoms(r, 30), NewAtom("W", term.Const("a"), term.Const("b")))
+		fresh := NewSized(0, 0)
+		for _, a := range adds {
+			if err := ins.Add(a); err != nil {
+				t.Fatalf("seq %d: Add(%s) after Reset: %v", seq, a, err)
+			}
+			if err := fresh.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := ins.Atoms(), fresh.Atoms(); !sameAtoms(got, want) {
+			t.Fatalf("seq %d: Atoms %v, fresh %v", seq, got, want)
+		}
+		for _, a := range fresh.Atoms() {
+			if got, want := ins.SlotOf(a.Pred, a.Args), fresh.SlotOf(a.Pred, a.Args); got != want {
+				t.Fatalf("seq %d: slot of %s is %d, fresh %d", seq, a, got, want)
+			}
+		}
+		for p, ar := range u.preds {
+			if !sameAtoms(ins.ByPred(p), fresh.ByPred(p)) {
+				t.Fatalf("seq %d: ByPred(%s) %v, fresh %v", seq, p, ins.ByPred(p), fresh.ByPred(p))
+			}
+			for pos := 0; pos < ar; pos++ {
+				for _, x := range u.terms {
+					if got, want := ins.ByPos(p, pos, x), fresh.ByPos(p, pos, x); !sameAtoms(got, want) {
+						t.Fatalf("seq %d: ByPos(%s,%d,%s) %v, fresh %v", seq, p, pos, x, got, want)
+					}
+				}
+			}
+		}
+		if got, want := ins.Schema().String(), fresh.Schema().String(); got != want {
+			t.Fatalf("seq %d: schema %s, fresh %s", seq, got, want)
+		}
+		if got := clone.Atoms(); !sameAtoms(got, before) {
+			t.Fatalf("seq %d: a clone taken before Reset now holds %v, want %v", seq, got, before)
 		}
 	}
 }

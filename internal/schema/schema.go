@@ -57,6 +57,9 @@ func (s *Schema) Add(name string, arity int) error {
 	return nil
 }
 
+// Reset removes every predicate, keeping the storage for reuse.
+func (s *Schema) Reset() { clear(s.preds) }
+
 // Arity returns the arity of the named predicate and whether it exists.
 func (s *Schema) Arity(name string) (int, bool) {
 	if s == nil || s.preds == nil {

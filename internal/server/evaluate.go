@@ -309,11 +309,19 @@ func freeNames(u *decideUnit) []string {
 
 // renderAnswers converts answer tuples to plain string matrices. The
 // registry only holds ground constants, so Name is the full identity
-// of every answer term.
+// of every answer term. Every row is a capacity-clamped window of one
+// slab, so rendering costs two allocations however many answers there
+// are.
 func renderAnswers(ans [][]term.Term) [][]string {
+	n := 0
+	for _, tup := range ans {
+		n += len(tup)
+	}
+	slab := make([]string, n)
 	out := make([][]string, len(ans))
 	for i, tup := range ans {
-		row := make([]string, len(tup))
+		row := slab[:len(tup):len(tup)]
+		slab = slab[len(tup):]
 		for j, t := range tup {
 			row[j] = t.Name
 		}

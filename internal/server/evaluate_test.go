@@ -11,6 +11,8 @@ import (
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/term"
+	"semacyclic/internal/testutil"
 )
 
 const testAtoms = "R(g1,a). R(g1,b). R(g2,c). S(a,x). S(b,y). S(c,z)."
@@ -266,5 +268,34 @@ func TestEvaluateDeadline504(t *testing.T) {
 	r, body := post(t, ts, "/evaluate", req)
 	if r.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (%s)", r.StatusCode, body)
+	}
+}
+
+// TestAllocsRenderAnswers guards the answer rendering: every row is a
+// window of one slab, so rendering costs two allocations whatever the
+// number of answers, where one slice per row took N+1. The rows keep
+// their values and marshal as before, an empty row as [].
+func TestAllocsRenderAnswers(t *testing.T) {
+	for _, n := range []int{1, 10, 1000} {
+		ans := make([][]term.Term, n)
+		for i := range ans {
+			ans[i] = []term.Term{term.Const(fmt.Sprint("a", i)), term.Const("b")}
+		}
+		rows := renderAnswers(ans)
+		for i, row := range rows {
+			if len(row) != 2 || cap(row) != 2 || row[0] != ans[i][0].Name || row[1] != "b" {
+				t.Fatalf("row %d = %q (cap %d), want [%s b] (cap 2)", i, row, cap(row), ans[i][0].Name)
+			}
+		}
+		if testutil.RaceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { renderAnswers(ans) }); allocs != 2 {
+			t.Errorf("rendering %d answers allocates %v, want 2", n, allocs)
+		}
+	}
+	got, err := json.Marshal(renderAnswers([][]term.Term{{}, {}}))
+	if err != nil || string(got) != "[[],[]]" {
+		t.Errorf("two Boolean answers marshal as %s (%v), want [[],[]]", got, err)
 	}
 }

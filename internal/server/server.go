@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"semacyclic/internal/containment"
-	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/telemetry"
 )
@@ -322,16 +321,16 @@ func (s *Server) sigma(depsKey string, set *deps.Set) *sigmaEntry {
 	return se
 }
 
-// prepared returns the containment.Prepared checker for (q, Σ),
-// building and caching it on miss. The build itself honors cancel (a
+// prepared returns the containment.Prepared checker for the unit's
+// (q, Σ), keyed by the canonical key parseUnit built, building and
+// caching it on miss. The build itself honors cancel (a
 // sticky Prepare is the worst-case-exponential step), but the cached
 // value is stored with cancellation cleared so a stale per-request
 // channel never outlives its request; core re-wires the live channel
 // per decision via WithCancel.
-func (s *Server) prepared(depsKey string, set *deps.Set, q *cq.CQ, cancel <-chan struct{}, rec *telemetry.Recorder) (*containment.Prepared, error) {
-	se := s.sigma(depsKey, set)
-	qk := q.CanonicalKey()
-	if v, ok := se.preps.Get(qk); ok {
+func (s *Server) prepared(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) (*containment.Prepared, error) {
+	se := s.sigma(u.depsKey, u.set)
+	if v, ok := se.preps.Get(u.qkey); ok {
 		rec.Event("cache:prepared:hit")
 		return v.(*containment.Prepared), nil
 	}
@@ -340,11 +339,11 @@ func (s *Server) prepared(depsKey string, set *deps.Set, q *cq.CQ, cancel <-chan
 	copt.Chase.Cancel = cancel
 	copt.Rewrite.Cancel = cancel
 	copt.Trace = rec
-	p, err := containment.Prepare(q, se.set, copt)
+	p, err := containment.Prepare(u.q, se.set, copt)
 	if err != nil {
 		return nil, err // a cancelled Prepare is not cached
 	}
 	p = p.WithCancel(nil)
-	se.preps.Add(qk, p)
+	se.preps.Add(u.qkey, p)
 	return p, nil
 }

@@ -393,3 +393,63 @@ func mustDepsKey(t *testing.T, src string) string {
 	}
 	return u.depsKey
 }
+
+// chainQuery returns the Boolean chain q :- E(x0,x1), …, E(x{n-1},xn).
+func chainQuery(n int) string { return atomList(n, "E(x%d,x%d)") }
+
+// starQuery returns the Boolean star q :- E('c',x0), …, E('c',x{n-1}),
+// whose core is one atom: at the cap it is decided in milliseconds,
+// where the chain's core takes seconds.
+func starQuery(n int) string { return atomList(n, "E('c',x%[1]d)") }
+
+// atomList renders a Boolean query of n atoms, the i-th formatted from
+// format with i and i+1.
+func atomList(n int, format string) string {
+	var b strings.Builder
+	b.WriteString("q :- ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, format, i, i+1)
+	}
+	b.WriteByte('.')
+	return b.String()
+}
+
+// A query over maxQueryAtoms is refused with a 400 naming the cap
+// before anything keys it: keying an 8,000-atom chain takes about 26 s
+// on the handler goroutine, where no deadline bounds it. A query at
+// the cap is served.
+func TestQueryAtomCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	cap := fmt.Sprint(maxQueryAtoms)
+	for _, path := range []string{"/decide", "/approximate"} {
+		start := time.Now()
+		resp, body := post(t, ts, path, DecideRequest{Query: chainQuery(8000)})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), cap) {
+			t.Errorf("%s of an 8,000-atom query: status %d (%s), want 400 naming the cap %s", path, resp.StatusCode, body, cap)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s of an 8,000-atom query took %v to refuse", path, d)
+		}
+	}
+	resp, body := post(t, ts, "/decide", DecideRequest{Query: starQuery(maxQueryAtoms)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a query of exactly %d atoms: status %d (%s), want 200", maxQueryAtoms, resp.StatusCode, body)
+	}
+}
+
+// A batch whose queries together exceed maxBatchAtoms is refused with a
+// 400 naming the cap, though each query is within maxQueryAtoms.
+func TestBatchAtomCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	reqs := make([]DecideRequest, maxBatchAtoms/maxQueryAtoms+1)
+	for i := range reqs {
+		reqs[i] = DecideRequest{Query: starQuery(maxQueryAtoms)}
+	}
+	resp, body := post(t, ts, "/decide/batch", BatchRequest{Requests: reqs})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprint(maxBatchAtoms)) {
+		t.Fatalf("over-cap batch: status %d (%s), want 400 naming the cap %d", resp.StatusCode, body, maxBatchAtoms)
+	}
+}

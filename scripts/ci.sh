@@ -73,20 +73,29 @@ echo "== allocation guards (no race: counts must be exact) =="
 # grows no table, and builds no substitution map. A reused cq.Keyer
 # keys a query with no allocation, and a decision's search layers
 # build candidates in scratch and copy only the ones they keep (core).
+# They verify candidates in reusable scratch: an instance emptied by
+# Reset keeps its tables, a reused cq.Freezer allocates only the stored
+# atoms' cells, and a reused chase.Runner keeps its run state and null
+# names (chase); layers 3 and 4 check a candidate by a scan instead of
+# CQ.Validate (core). semacycd renders answer rows as windows of one
+# slab, two allocations however many answers (server).
 # ApplyDelta copies a batch's effective inserts into one slab.
 # ExecuteDelta reuses an unchanged state for one allocation and repairs
 # from the rows a batch appended to the view, without atom keys or
 # copies, keying only the delta's rows, so a repair's allocations do
 # not grow with the cached projection. The guards skip themselves under
 # -race, so run them once without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/ ./internal/server/
 
 echo "== reference gate =="
 # The allocation-light kernels against the implementations they
 # replaced, kept as test-only references: hom.Core (same retraction,
 # atom for atom) and the enumerator's atom order, cq's DedupAtoms,
-# Freeze and CanonicalKey (also through one reused Keyer), hypergraph's
-# IsAcyclic and GYO (same forest); layer 2's scratch-built moves against
+# Freeze (also through one reused Freezer) and CanonicalKey (also
+# through one reused Keyer), hypergraph's IsAcyclic and GYO (same
+# forest); one reused chase.Runner against a fresh chase.Query per
+# (q, Σ), with cancelled and failing runs between; layers 3 and 4's
+# candidate scans against CQ.Validate; layer 2's scratch-built moves against
 # the quotientMoves list they replaced (same atoms, same order, same
 # keys); the decision's hoisted witness verification against
 # containment.Equivalent, with a caller's Prepared serving layers 2-3;
@@ -96,8 +105,8 @@ echo "== reference gate =="
 # layer, candidates, witness and deterministic fingerprint of bench's
 # fifteen decide-cold templates at -j 1 and 4, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
-go test -count=1 -run 'MatchesReference|MatchesEquivalent|PreparedServes|DecideColdGolden' \
-    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/core/
+go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden' \
+    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
