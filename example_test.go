@@ -58,6 +58,23 @@ func ExampleRewriteUCQ() {
 	// q(x) :- A(x)
 }
 
+// A disjunct's existential variables are named v0, v1, … in order of
+// first occurrence, so a rewriting prints the same on every call and
+// parses back; the first disjunct keeps the query's own names.
+func ExampleRewriteUCQ_names() {
+	sigma := semacyclic.MustParseDependencies("JournalPaper(p) -> Publication(p,v).\nAuthorOf(a,p), Publication(p,v) -> AppearsAt(a,v).")
+	q := semacyclic.MustParseQuery("q(a,p) :- AuthorOf(a,p), Publication(p,v), AppearsAt(a,v).")
+	rw, err := semacyclic.RewriteUCQ(q, sigma, semacyclic.RewriteOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(rw.UCQ)
+	// Output:
+	// q(a,p) :- AuthorOf(a,p), Publication(p,v), AppearsAt(a,v)
+	// q(a,p) :- AuthorOf(a,p), Publication(p,v0)
+	// q(a,p) :- JournalPaper(p), AuthorOf(a,p)
+}
+
 func ExampleEvaluateAcyclic() {
 	db, err := semacyclic.ParseDatabase("E(a,b). E(b,c). E(b,d).")
 	if err != nil {

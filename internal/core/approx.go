@@ -125,7 +125,11 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 	}
 	// Core-reduce the winner: the core is equivalent, still acyclic
 	// (a subset of the winner's atoms), and minimal to read.
-	return &Approximation{Query: hom.Core(best), Equivalent: false, Candidates: examined}, nil
+	c, err := hom.CoreCancel(best, opt.Cancel)
+	if err != nil {
+		return nil, mapCancelled(err)
+	}
+	return &Approximation{Query: c, Equivalent: false, Candidates: examined}, nil
 }
 
 // totalCollapse returns the image of q merging every existential

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/gen"
 )
 
 // The tri-sticky workload the server deadline tests also use:
@@ -180,5 +182,32 @@ func TestPreparedWithCancelViews(t *testing.T) {
 	}
 	if prep.Checks() < 3 {
 		t.Fatalf("Checks() = %d, want shared counter across views", prep.Checks())
+	}
+}
+
+// TestDecideCancelLongCore: layer 1's core search polls the decision's
+// cancel channel. The 256-atom chain under E(x,y) → E(y,z), a query
+// semacycd admits, is its own core, so layer 1 tries every atom as a
+// retraction victim and fails each time; without the polls Decide
+// answered yes after about four seconds however early the channel
+// closed. Closed after 50 ms, it must return ErrCancelled within
+// 250 ms of the close, also under -race.
+func TestDecideCancelLongCore(t *testing.T) {
+	q := gen.PathCQ(256)
+	set := deps.MustParse("E(x,y) -> E(y,z).")
+	cancel := make(chan struct{})
+	var closedAt atomic.Int64
+	timer := time.AfterFunc(50*time.Millisecond, func() {
+		closedAt.Store(time.Now().UnixNano())
+		close(cancel)
+	})
+	defer timer.Stop()
+	_, err := Decide(q, set, Options{Cancel: cancel})
+	returned := time.Now()
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
+		t.Fatalf("Decide returned %v after the cancel closed, want at most 250ms", lag)
 	}
 }

@@ -162,7 +162,7 @@ func mapCancelled(err error) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, chase.ErrCancelled) || errors.Is(err, rewrite.ErrCancelled) {
+	if errors.Is(err, chase.ErrCancelled) || errors.Is(err, rewrite.ErrCancelled) || errors.Is(err, hom.ErrCancelled) {
 		return ErrCancelled
 	}
 	return err
@@ -237,7 +237,10 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	// Layer 1: the classical no-constraint criterion. Sound under any
 	// Σ: if core(q) is acyclic then q ≡ core(q) ≡Σ core(q).
 	beginLayer("core")
-	c := hom.Core(q)
+	c, err := hom.CoreCancel(q, opt.Cancel)
+	if err != nil {
+		return nil, err
+	}
 	if hypergraph.IsAcyclic(c.Atoms) {
 		record("core", 1)
 		return &Result{Verdict: Yes, Witness: c, Definitive: true, Layer: "core", Candidates: 1}, nil
@@ -273,7 +276,10 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		res.Candidates += n
 		record("quotient", n)
 		if w != nil {
-			res.Verdict, res.Witness, res.Definitive, res.Layer = Yes, polishWitness(w), true, "quotient"
+			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
+				return nil, err
+			}
+			res.Verdict, res.Definitive, res.Layer = Yes, true, "quotient"
 			return res, nil
 		}
 	}
@@ -286,7 +292,10 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		res.Candidates += n
 		record("chase-subset", n)
 		if w != nil {
-			res.Verdict, res.Witness, res.Definitive, res.Layer = Yes, polishWitness(w), true, "chase-subset"
+			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
+				return nil, err
+			}
+			res.Verdict, res.Definitive, res.Layer = Yes, true, "chase-subset"
 			return res, nil
 		}
 	}
@@ -308,7 +317,10 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		}
 		record("complete", layerN)
 		if w != nil {
-			res.Verdict, res.Witness, res.Definitive, res.Layer = Yes, polishWitness(w), true, "complete"
+			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
+				return nil, err
+			}
+			res.Verdict, res.Definitive, res.Layer = Yes, true, "complete"
 			return res, nil
 		}
 		if exhausted {
@@ -363,13 +375,17 @@ func maxAritySigma(q *cq.CQ, set *deps.Set) int {
 // polishWitness minimizes a verified witness: the core is plainly
 // equivalent, so it remains a witness — but a subset of an acyclic
 // atom set is not always acyclic (dropping a guard can re-expose a
-// cycle), so the core is kept only when it stays acyclic.
-func polishWitness(w *cq.CQ) *cq.CQ {
-	c := hom.Core(w)
-	if hypergraph.IsAcyclic(c.Atoms) {
-		return c
+// cycle), so the core is kept only when it stays acyclic. The core
+// search polls cancel.
+func polishWitness(w *cq.CQ, cancel <-chan struct{}) (*cq.CQ, error) {
+	c, err := hom.CoreCancel(w, cancel)
+	if err != nil {
+		return nil, err
 	}
-	return w
+	if hypergraph.IsAcyclic(c.Atoms) {
+		return c, nil
+	}
+	return w, nil
 }
 
 // verifier checks candidate witnesses w for q ≡Σ w against the
@@ -394,7 +410,12 @@ type verifier struct {
 	frozen []term.Term
 }
 
+// newVerifier resolves the containment method once for the decision:
+// Σ's class does not change between candidates, so Prepare, every
+// Contains call and the DisableSearchMemo arm run the method
+// SelectMethod picks here without classifying Σ again.
 func newVerifier(q *cq.CQ, set *deps.Set, opt Options) *verifier {
+	opt.Containment.Method = containment.SelectMethod(set, opt.Containment)
 	return &verifier{q: q, set: set, opt: opt}
 }
 

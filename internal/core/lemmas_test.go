@@ -68,7 +68,7 @@ func TestLemma26Property(t *testing.T) {
 		// Two-component q; connected q'.
 		a := gen.RandomCQ(r, 1+r.Intn(2), 2, preds)
 		bq := gen.RandomCQ(r, 1+r.Intn(2), 2, preds)
-		b, _ := bq.RenameApart()
+		b, _ := bq.RenameApart(a)
 		q := cq.Conjoin(a, b)
 		qp := gen.RandomAcyclicCQ(r, 1+r.Intn(2), preds)
 		if !qp.IsConnected() {

@@ -40,6 +40,6 @@ func ContainmentViaSemAc(q, qp *cq.CQ, set *deps.Set, opt Options) (*Result, err
 			return nil, fmt.Errorf("core: Proposition 5 needs body-connected tgds (%s)", t)
 		}
 	}
-	renamed, _ := qp.RenameApart()
+	renamed, _ := qp.RenameApart(q)
 	return Decide(cq.Conjoin(q, renamed), set, opt)
 }

@@ -97,3 +97,25 @@ func TestProposition5SharedVariablesRenamed(t *testing.T) {
 		t.Errorf("renaming-apart failed: %+v", res)
 	}
 }
+
+// TestProposition5QueryWithOwnVNames: a q' that itself names a variable
+// v<N> keeps its shape when renamed apart from q. The renaming used to
+// map x ↦ v0 beside v0 ↦ v1, so the triangle collapsed onto a self-loop
+// and an edge looked Σ-contained in it.
+func TestProposition5QueryWithOwnVNames(t *testing.T) {
+	sigma := deps.MustParse(prop5Sigma)
+	edge := cq.MustParse("q :- E(a,b).")
+	for _, triangle := range []string{
+		"q :- E(x,v0), E(v0,z), E(z,x).",
+		"q :- E(x,y), E(y,z), E(z,x).",
+		"q :- E(v1,v0), E(v0,v2), E(v2,v1).",
+	} {
+		res, err := ContainmentViaSemAc(edge, cq.MustParse(triangle), sigma, Options{SearchBudget: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict == Yes {
+			t.Errorf("edge ⊆Σ %s answered yes: %+v", triangle, res)
+		}
+	}
+}

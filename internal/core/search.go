@@ -123,7 +123,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	eng := &searchEngine{
 		q:      q,
 		set:    set,
-		opt:    opt,
+		opt:    v.opt, // opt with the containment method resolved
 		bound:  bound,
 		preds:  preds,
 		target: chres.Instance,

@@ -72,9 +72,10 @@ func decideUnsatisfiable(q *cq.CQ, set *deps.Set, opt Options) (*Result, bool, e
 
 // unsatCandidate instantiates the egd's body with two distinct fresh
 // constants at the equated positions and hosts q's free variables on
-// extra atoms over the egd's first body predicate.
+// extra atoms over the egd's first body predicate. The body is renamed
+// apart from the free variables, so no body variable joins a host atom.
 func unsatCandidate(q *cq.CQ, e *deps.EGD) (*cq.CQ, bool) {
-	e = e.RenameApart()
+	e = e.RenameApart(q.Free)
 	sub := term.Subst{
 		e.X: term.Const("\x01unsat:a"),
 		e.Y: term.Const("\x01unsat:b"),

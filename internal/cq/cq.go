@@ -44,9 +44,9 @@ func MustNew(free []term.Term, atoms []instance.Atom) *CQ {
 }
 
 // Validate checks the CQ's well-formedness: at least one atom, no
-// nulls, no constants in the reserved frozen namespace, free terms are
-// variables, every free variable occurs in some atom, no duplicate free
-// variables, and consistent predicate arities.
+// nulls, no constant or variable in the reserved frozen namespace, free
+// terms are variables, every free variable occurs in some atom, no
+// duplicate free variables, and consistent predicate arities.
 func (q *CQ) Validate() error {
 	if len(q.Atoms) == 0 {
 		return fmt.Errorf("cq: query %s has no atoms", q.Name)
@@ -63,6 +63,11 @@ func (q *CQ) Validate() error {
 			}
 			if term.IsFrozen(t) {
 				return fmt.Errorf("cq: atom %s mentions constant %q in the reserved frozen namespace", a, t.Name)
+			}
+			if t.IsVar() && strings.HasPrefix(t.Name, term.FrozenPrefix) {
+				// The UCQ rewriting names its copies of tgd variables
+				// there, so that no query variable can capture them.
+				return fmt.Errorf("cq: atom %s mentions variable %q in the reserved frozen namespace", a, t.Name)
 			}
 			inBody[t] = true
 		}
@@ -175,14 +180,11 @@ func (q *CQ) ApplySubst(s term.Subst) *CQ {
 	return out
 }
 
-// RenameApart returns a copy of q whose variables are replaced by fresh
-// ones, together with the renaming used. Required whenever two queries
-// must not share variables (Proposition 5, the rewriting engine).
-func (q *CQ) RenameApart() (*CQ, term.Subst) {
-	s := term.NewSubst()
-	for _, v := range q.Vars() {
-		s[v] = term.FreshVar()
-	}
+// RenameApart returns a copy of q that shares no variable with other,
+// together with the renaming used (see term.RenameApart). Required
+// whenever two queries must not share variables (Proposition 5).
+func (q *CQ) RenameApart(other *CQ) (*CQ, term.Subst) {
+	s := term.RenameApart(q.Vars(), other.Vars())
 	return q.ApplySubst(s), s
 }
 

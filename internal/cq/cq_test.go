@@ -101,7 +101,7 @@ func TestCloneAndApplySubst(t *testing.T) {
 
 func TestRenameApart(t *testing.T) {
 	q := MustParse("q(x) :- R(x,y).")
-	r, s := q.RenameApart()
+	r, s := q.RenameApart(q)
 	if len(s) != 2 {
 		t.Errorf("renaming = %v", s)
 	}
@@ -113,6 +113,35 @@ func TestRenameApart(t *testing.T) {
 	// Shape preserved: the join structure is the same.
 	if r.Atoms[0].Args[0] != s[x] || r.Atoms[0].Args[1] != s[y] {
 		t.Errorf("renaming not applied consistently: %s", r)
+	}
+}
+
+// TestRenameApartAvoidsOtherNames: the copy takes v0, v1, … skipping
+// the other query's variables, so a query that itself names variables
+// v<N> is never captured, and the names depend on the two queries
+// alone, not on a process-wide counter.
+func TestRenameApartAvoidsOtherNames(t *testing.T) {
+	other := MustParse("q :- R(v0,v2), S(v2,x).")
+	q := MustParse("q :- R(x,y), S(y,v0).")
+	r, _ := q.RenameApart(other)
+	if got := r.String(); got != "q() :- R(v1,v3), S(v3,v4)" {
+		t.Fatalf("renamed %s", got)
+	}
+	for _, v := range r.Vars() {
+		if slices.Contains(other.Vars(), v) {
+			t.Fatalf("renamed query %s shares %s with %s", r, v, other)
+		}
+	}
+	if again, _ := q.RenameApart(other); again.String() != r.String() {
+		t.Fatalf("renaming is not a function of its input: %s, then %s", r, again)
+	}
+	// The renamed query's own v<N> names are skipped too, even when the
+	// other query does not hold them: x ↦ v0 beside v0 ↦ v1 would make
+	// ApplySubst, which resolves chains, merge x and v0.
+	own := MustParse("q :- R(x,v0).")
+	r, _ = own.RenameApart(MustParse("q :- S(u,w)."))
+	if got := r.String(); got != "q() :- R(v1,v2)" {
+		t.Fatalf("renamed %s to %s, want two distinct variables v1, v2", own, got)
 	}
 }
 

@@ -130,3 +130,22 @@ func TestValidateRejectsFrozenConstants(t *testing.T) {
 		t.Fatal("New accepted a frozen constant")
 	}
 }
+
+// TestValidateRejectsReservedVariables: a variable in the frozen
+// namespace is refused as well, because the UCQ rewriting names its
+// copies of tgd variables there; a query holding one could capture
+// them. Variables that only contain the marker elsewhere stay legal.
+func TestValidateRejectsReservedVariables(t *testing.T) {
+	q := &CQ{Name: "q", Atoms: []instance.Atom{
+		instance.NewAtom("E", term.Var("x"), term.Var(term.FrozenPrefix+"0")),
+	}}
+	if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "reserved frozen namespace") {
+		t.Fatalf("Validate err = %v, want a reserved-namespace error", err)
+	}
+	ok := &CQ{Name: "q", Atoms: []instance.Atom{
+		instance.NewAtom("E", term.Var("x"), term.Var("a"+term.FrozenPrefix)),
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+}

@@ -85,8 +85,8 @@ func TestConjoin(t *testing.T) {
 		t.Errorf("conjunction invalid: %v", err)
 	}
 	// Boolean conjunction of variable-disjoint queries is disconnected.
-	ab, _ := MustParse("q :- R(x,y).").RenameApart()
-	bb, _ := MustParse("q :- S(x,y).").RenameApart()
+	ab := MustParse("q :- R(x,y).")
+	bb, _ := MustParse("q :- S(x,y).").RenameApart(ab)
 	if Conjoin(ab, bb).IsConnected() {
 		t.Error("disjoint conjunction reported connected")
 	}
@@ -122,7 +122,7 @@ func TestCanonicalKeyRenamingProperty(t *testing.T) {
 	}
 	for _, in := range queries {
 		q := MustParse(in + ".")
-		r, s := q.RenameApart()
+		r, s := q.RenameApart(q)
 		// Free variables must keep their identity for the key to match,
 		// so rename them back.
 		inv := term.NewSubst()

@@ -139,22 +139,27 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestRenameApart(t *testing.T) {
-	tgd := MustParse("R(x,y) -> S(y,z).").TGDs[0]
-	r := tgd.RenameApart()
-	for _, v := range append(r.BodyVars(), r.HeadVars()...) {
-		if v == term.Var("x") || v == term.Var("y") || v == term.Var("z") {
-			t.Errorf("renamed tgd still mentions %v", v)
-		}
+	e := MustParse("R(x,y), R(x,z) -> y = z.").EGDs[0]
+	avoid := []term.Term{term.Var("y"), term.Var("v1")}
+	r := e.RenameApart(avoid)
+	if got := r.String(); got != "R(v0,v2), R(v0,v3) -> v2 = v3" {
+		t.Errorf("renamed egd %s, want the names v0, v2, v3 (v1 avoided)", got)
 	}
-	// Frontier structure preserved.
-	if len(r.FrontierVars()) != 1 || len(r.ExistentialVars()) != 1 {
-		t.Errorf("renamed tgd shape wrong: %s", r)
+	if err := r.Validate(); err != nil {
+		t.Errorf("renamed egd invalid: %v", err)
 	}
-	e := MustParse("R(x,y), R(x,z) -> y = z.").EGDs[0].RenameApart()
-	if e.X == term.Var("y") {
-		t.Error("egd rename did not change equated var")
+	if again := e.RenameApart(avoid); again.String() != r.String() {
+		t.Errorf("renaming is not a function of its input: %s, then %s", r, again)
 	}
-	if err := e.Validate(); err != nil {
+	// The egd's own v<N> names are skipped too: y ↦ v1 beside v1 ↦ v0
+	// would chain y onto v0, collapse the body to R(v0,v0), R(v0,v2) and
+	// leave the equated v1 outside it.
+	own := MustParse("R(v1,y), R(v1,z) -> y = z.").EGDs[0]
+	r = own.RenameApart(nil)
+	if got := r.String(); got != "R(v0,v2), R(v0,v3) -> v2 = v3" {
+		t.Errorf("renamed %s to %s, want three distinct variables v0, v2, v3", own, got)
+	}
+	if err := r.Validate(); err != nil {
 		t.Errorf("renamed egd invalid: %v", err)
 	}
 }

@@ -63,12 +63,10 @@ func (e *EGD) Validate() error {
 // BodyVars returns the distinct body variables.
 func (e *EGD) BodyVars() []term.Term { return varsOf(e.Body) }
 
-// RenameApart returns a copy with fresh variables.
-func (e *EGD) RenameApart() *EGD {
-	s := term.NewSubst()
-	for _, v := range e.BodyVars() {
-		s[v] = term.FreshVar()
-	}
+// RenameApart returns a copy whose variables avoid the listed ones (see
+// term.RenameApart).
+func (e *EGD) RenameApart(avoid []term.Term) *EGD {
+	s := term.RenameApart(e.BodyVars(), avoid)
 	return &EGD{Body: applyAtoms(e.Body, s), X: s.Apply(e.X), Y: s.Apply(e.Y)}
 }
 

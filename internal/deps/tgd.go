@@ -23,8 +23,8 @@ type TGD struct {
 	Body []instance.Atom
 	Head []instance.Atom
 
-	// The variable lists, built once by newTGD and RenameApart and
-	// handed out shared; Body and Head must not change afterwards.
+	// The variable lists, built once by newTGD and handed out shared;
+	// Body and Head must not change afterwards.
 	bodyVars, headVars, frontier, existential []term.Term
 }
 
@@ -143,21 +143,6 @@ func (t *TGD) FrontierVars() []term.Term { return t.frontier }
 // (the z̄ of the tgd), in first-occurrence order. The slice is shared;
 // callers must not mutate it.
 func (t *TGD) ExistentialVars() []term.Term { return t.existential }
-
-// RenameApart returns a copy of the tgd whose variables are fresh,
-// needed whenever a tgd is matched against a query sharing names.
-func (t *TGD) RenameApart() *TGD {
-	s := term.NewSubst()
-	for _, v := range t.BodyVars() {
-		s[v] = term.FreshVar()
-	}
-	for _, v := range t.ExistentialVars() {
-		s[v] = term.FreshVar()
-	}
-	r := &TGD{Body: applyAtoms(t.Body, s), Head: applyAtoms(t.Head, s)}
-	r.setVars()
-	return r
-}
 
 func applyAtoms(atoms []instance.Atom, s term.Subst) []instance.Atom {
 	out := make([]instance.Atom, len(atoms))

@@ -32,6 +32,10 @@ type enumerator struct {
 	// without is a target atom the enumeration treats as removed
 	// (Core's retraction search; see candidates), or the zero Atom.
 	without instance.Atom
+	// cancel, when non-nil, stops the search once closed; rec polls it
+	// every pollEvery nodes and counts its visits in polls.
+	cancel <-chan struct{}
+	polls  int
 	// terms bounds how many entries sub and seen can hold: init's
 	// bindings plus the pattern's argument positions.
 	terms int
@@ -88,7 +92,7 @@ func (e *enumerator) release() {
 	clear(e.seen)
 	clear(e.order)
 	e.order, e.undo, e.target, e.backtracks = e.order[:0], e.undo[:0], nil, 0
-	e.without = instance.Atom{}
+	e.without, e.cancel, e.polls = instance.Atom{}, nil, 0
 	enumPool.Put(e)
 }
 
@@ -146,6 +150,11 @@ func (e *enumerator) orderAtoms(atoms []instance.Atom) {
 // calls yield, or with a nil yield stops the search. It reports false
 // once the search was stopped.
 func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
+	if e.cancel != nil {
+		if e.polls++; e.polls%pollEvery == 0 && closed(e.cancel) {
+			return false
+		}
+	}
 	if i == len(e.order) {
 		return yield != nil && yield(e.sub)
 	}
@@ -267,12 +276,28 @@ func Enumerate(pattern []instance.Atom, target *instance.Instance, init term.Sub
 
 // enumerateWithout is Enumerate into target with its atom x treated as
 // removed, in the order Enumerate would take on a clone of target from
-// which x was removed.
-func enumerateWithout(pattern []instance.Atom, target *instance.Instance, init term.Subst, x instance.Atom, yield func(term.Subst) bool) {
+// which x was removed. A closed cancel stops it early; the caller tells
+// that from a complete enumeration by polling cancel itself.
+func enumerateWithout(pattern []instance.Atom, target *instance.Instance, init term.Subst, x instance.Atom, cancel <-chan struct{}, yield func(term.Subst) bool) {
 	e := newEnumerator(pattern, target, init)
-	e.without = x
+	e.without, e.cancel = x, cancel
 	e.rec(0, yield)
 	e.release()
+}
+
+// pollEvery is how many search nodes a cancellable enumeration visits
+// between two polls of its cancel channel.
+const pollEvery = 64
+
+// closed polls a cancel channel without blocking; a nil channel never
+// fires.
+func closed(cancel <-chan struct{}) bool {
+	select {
+	case <-cancel:
+		return true
+	default:
+		return false
+	}
 }
 
 // Find returns one homomorphism extending init, or nil/false.
@@ -294,8 +319,8 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 	return found
 }
 
-// ErrCancelled reports that EvaluateCancel stopped because its cancel
-// channel closed.
+// ErrCancelled reports that EvaluateCancel or CoreCancel stopped
+// because its cancel channel closed.
 var ErrCancelled = errors.New("hom: evaluation cancelled")
 
 // Evaluate computes q(I): the set of answer tuples, each a tuple over
@@ -323,11 +348,9 @@ func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{})
 	var idbuf []byte
 	aborted := false
 	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
-		select {
-		case <-cancel:
+		if closed(cancel) {
 			aborted = true
 			return false
-		default:
 		}
 		idbuf = idbuf[:0]
 		for _, x := range q.Free {

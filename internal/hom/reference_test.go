@@ -112,19 +112,25 @@ func randomCoreQuery(r *rand.Rand) *cq.CQ {
 // TestCoreMatchesReference: Core finds exactly the retractions the
 // clone-based reference finds, so the cores agree atom for atom — the
 // victim-excluding enumeration must visit candidates in the order the
-// removed clone handed them out.
+// removed clone handed them out. One Corer reused across all trials,
+// its instance reset and its buffers rewritten each round, agrees too.
 func TestCoreMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(181))
 	shrunk := 0
+	var corer Corer
 	for trial := 0; trial < 20000; trial++ {
 		q := randomCoreQuery(r)
 		got, want := Core(q), coreRef(q)
 		if got.String() != want.String() || len(got.Free) != len(want.Free) {
 			t.Fatalf("trial %d: Core(%s)\n got %s\nwant %s", trial, q, got, want)
 		}
+		reused, err := corer.Core(q.Free, q.Atoms, nil)
+		if err != nil || len(reused) != len(want.Atoms) {
+			t.Fatalf("trial %d: reused Corer on %s: %v, %v; want %s", trial, q, reused, err, want)
+		}
 		for i := range got.Atoms {
-			if !got.Atoms[i].Equal(want.Atoms[i]) {
-				t.Fatalf("trial %d: Core(%s) atom %d: got %s, want %s", trial, q, i, got.Atoms[i], want.Atoms[i])
+			if !got.Atoms[i].Equal(want.Atoms[i]) || !reused[i].Equal(want.Atoms[i]) {
+				t.Fatalf("trial %d: Core(%s) atom %d: got %s, reused %s, want %s", trial, q, i, got.Atoms[i], reused[i], want.Atoms[i])
 			}
 		}
 		if got.Size() < dedupByKey(q).Size() {
@@ -139,7 +145,9 @@ func TestCoreMatchesReference(t *testing.T) {
 // TestAllocsCore guards the copy-free retraction: the core of a 6-atom
 // path (already a core, so every victim is tried and fails) costs one
 // frozen instance, not one clone per victim (the clone-based version
-// took about 246).
+// took about 246). A reused Corer resets that instance, so it pays only
+// for the frozen atoms' cells and the index lists that outgrow one
+// atom.
 func TestAllocsCore(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -152,5 +160,15 @@ func TestAllocsCore(t *testing.T) {
 	t.Logf("Core of a 6-atom path: %v allocs", allocs)
 	if allocs > 100 {
 		t.Fatalf("Core allocates %v per call, want at most 100", allocs)
+	}
+	var corer Corer
+	reused := testing.AllocsPerRun(100, func() {
+		if _, err := corer.Core(q.Free, q.Atoms, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a reused Corer: %v allocs", reused)
+	if reused > 10 {
+		t.Fatalf("a reused Corer allocates %v per call, want at most 10: the frozen cells and index lists", reused)
 	}
 }

@@ -10,6 +10,7 @@ package term
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -193,8 +194,10 @@ func (t Term) Compare(u Term) int {
 // variable x by the constant FrozenPrefix + x, and thawing maps such a
 // constant back to x. The namespace is reserved: queries and
 // dependencies must not mention constants in it, or a user constant
-// would thaw into a variable (their Validate methods reject them).
-// Instances may hold such constants; they are plain constants there.
+// would thaw into a variable (their Validate methods reject them), and
+// queries must not mention variables in it, because the UCQ rewriting
+// names its copies of tgd variables there. Instances may hold such
+// constants; they are plain constants there.
 const FrozenPrefix = "\x01c:"
 
 // IsFrozen reports whether t is a constant in the reserved frozen
@@ -222,6 +225,29 @@ func FreshVar() Term { return Term{K: Variable, Name: freshName('v')} }
 func freshName(prefix byte) string {
 	var buf [24]byte
 	return string(strconv.AppendUint(append(buf[:0], prefix), freshCounter.Add(1), 10))
+}
+
+// RenameApart returns the renaming that maps vars, in order, to the
+// variables v0, v1, … in turn, skipping every variable in vars or in
+// avoid. Its range shares nothing with avoid, and no image is also a
+// key, so applying it through Resolve (as CQ.ApplySubst does) cannot
+// chain one variable onto another's image and merge the two. Unlike
+// FreshVar's names it depends on its arguments alone, so a renamed
+// query prints the same in every run.
+func RenameApart(vars, avoid []Term) Subst {
+	s := make(Subst, len(vars))
+	next := 0
+	for _, v := range vars {
+		for {
+			name := Var("v" + strconv.Itoa(next))
+			next++
+			if !slices.Contains(vars, name) && !slices.Contains(avoid, name) {
+				s[v] = name
+				break
+			}
+		}
+	}
+	return s
 }
 
 // ResetFreshCounter restarts the fresh-name counter. It exists only so

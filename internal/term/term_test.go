@@ -88,6 +88,31 @@ func TestFreshVarDistinctFromNulls(t *testing.T) {
 	}
 }
 
+// TestRenameApartSkipsOwnNames: a variable already named v<N> is
+// renamed like any other, and no image is also a key, so Resolve maps
+// distinct variables to distinct images (a chain x ↦ v0 ↦ v1 would
+// merge x and v0).
+func TestRenameApartSkipsOwnNames(t *testing.T) {
+	vars := []Term{Var("x"), Var("v0"), Var("z"), Var("v2")}
+	avoid := []Term{Var("v3"), Var("y")}
+	s := RenameApart(vars, avoid)
+	want := Subst{Var("x"): Var("v1"), Var("v0"): Var("v4"), Var("z"): Var("v5"), Var("v2"): Var("v6")}
+	if s.String() != want.String() {
+		t.Fatalf("RenameApart = %v, want %v", s, want)
+	}
+	images := make(map[Term]Term)
+	for _, v := range vars {
+		img := s.Resolve(v)
+		if _, key := s[img]; key {
+			t.Errorf("image %v of %v is also renamed", img, v)
+		}
+		if prev, dup := images[img]; dup {
+			t.Errorf("%v and %v both resolve to %v", prev, v, img)
+		}
+		images[img] = v
+	}
+}
+
 func TestSubstApplyResolve(t *testing.T) {
 	s := Subst{Var("x"): Var("y"), Var("y"): Const("a")}
 	if got := s.Apply(Var("x")); got != Var("y") {

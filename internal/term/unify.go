@@ -31,8 +31,8 @@ func Unify(a, b []Term, init Subst) (Subst, error) {
 		s = NewSubst()
 	}
 	for i := range a {
-		if err := unifyOne(s, a[i], b[i]); err != nil {
-			return nil, err
+		if x, y, ok := unifyOne(s, a[i], b[i]); !ok {
+			return nil, &UnifyError{Left: x, Right: y, Reason: "distinct constants"}
 		}
 	}
 	// Resolve to an idempotent substitution.
@@ -42,17 +42,35 @@ func Unify(a, b []Term, init Subst) (Subst, error) {
 	return s, nil
 }
 
+// UnifyInto extends s in place to a most general unifier of the equally
+// long tuples a and b, binding as Unify does, and reports whether one
+// exists. s stays triangular (read it with Resolve) and, on failure,
+// holds a partial extension: a caller reusing one substitution clears
+// it between problems, and allocates nothing once its table has grown.
+func UnifyInto(s Subst, a, b []Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if _, _, ok := unifyOne(s, a[i], b[i]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // unifyOne merges the equivalence classes of x and y in s, binding
-// flexible terms (variables, nulls) and rejecting constant clashes.
-func unifyOne(s Subst, x, y Term) error {
+// flexible terms (variables, nulls). On a constant clash it returns the
+// two clashing representatives and false.
+func unifyOne(s Subst, x, y Term) (Term, Term, bool) {
 	x = s.Resolve(x)
 	y = s.Resolve(y)
 	if x == y {
-		return nil
+		return x, y, true
 	}
 	switch {
 	case x.IsConst() && y.IsConst():
-		return &UnifyError{Left: x, Right: y, Reason: "distinct constants"}
+		return x, y, false
 	case x.IsConst():
 		s[y] = x
 	case y.IsConst():
@@ -64,7 +82,7 @@ func unifyOne(s Subst, x, y Term) error {
 	default:
 		s[x] = y
 	}
-	return nil
+	return x, y, true
 }
 
 // MatchTuple extends init so that pattern maps onto target

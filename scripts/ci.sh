@@ -79,23 +79,32 @@ echo "== allocation guards (no race: counts must be exact) =="
 # names (chase); layers 3 and 4 check a candidate by a scan instead of
 # CQ.Validate (core). semacycd renders answer rows as windows of one
 # slab, two allocations however many answers (server).
+# A UCQ rewriting owns its scratch: each tgd is renamed once per call,
+# piece unification and the rewriting reuse buffers, one hom.Corer
+# core-reduces every step (freezing into one reset instance), one
+# cq.Keyer keys it, and only an unseen disjunct is copied (rewrite).
 # ApplyDelta copies a batch's effective inserts into one slab.
 # ExecuteDelta reuses an unchanged state for one allocation and repairs
 # from the rows a batch appended to the view, without atom keys or
 # copies, keying only the delta's rows, so a repair's allocations do
 # not grow with the cached projection. The guards skip themselves under
 # -race, so run them once without it.
-go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/ ./internal/server/
+go test -count=1 -run 'Allocs' ./internal/hom/ ./internal/cq/ ./internal/deps/ ./internal/yannakakis/ ./internal/core/ ./internal/instance/ ./internal/telemetry/ ./internal/hypergraph/ ./internal/chase/ ./internal/term/ ./internal/server/ ./internal/rewrite/
 
 echo "== reference gate =="
 # The allocation-light kernels against the implementations they
 # replaced, kept as test-only references: hom.Core (same retraction,
-# atom for atom) and the enumerator's atom order, cq's DedupAtoms,
+# atom for atom, also through one reused Corer) and the enumerator's
+# atom order; the scratch UCQ rewriting against the kernel it replaced
+# (same disjunct keys in the same order, Complete and Rounds) on the
+# sticky and non-recursive decide-cold templates and their layer-2/3
+# candidates, random workloads, Example 3 and truncated runs; cq's DedupAtoms,
 # Freeze (also through one reused Freezer) and CanonicalKey (also
 # through one reused Keyer), hypergraph's IsAcyclic and GYO (same
 # forest); one reused chase.Runner against a fresh chase.Query per
 # (q, Σ), with cancelled and failing runs between; layers 3 and 4's
-# candidate scans against CQ.Validate; layer 2's scratch-built moves against
+# candidate scans and the rewriting's per-step scan against
+# CQ.Validate; layer 2's scratch-built moves against
 # the quotientMoves list they replaced (same atoms, same order, same
 # keys); the decision's hoisted witness verification against
 # containment.Equivalent, with a caller's Prepared serving layers 2-3;
@@ -106,14 +115,16 @@ echo "== reference gate =="
 # fifteen decide-cold templates at -j 1 and 4, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
 go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden' \
-    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/
+    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/ ./internal/rewrite/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
 # the PR-acceptance surface for deadline propagation; run them again
-# with -count=1 so a cached 'ok' can never satisfy the gate.
+# with -count=1 so a cached 'ok' can never satisfy the gate. hom's core
+# search polls the cancel channel too: a 256-atom chain, its own core,
+# must stop within 250 ms of the close.
 go test -race -count=1 ./internal/server/
-go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/
+go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/ ./internal/hom/
 
 echo "== delta & overlay differential gate (race) =="
 # Incremental evaluation must never drift from from-scratch: apply
