@@ -1,6 +1,7 @@
 package semacyclic_test
 
 import (
+	"errors"
 	"fmt"
 
 	semacyclic "semacyclic"
@@ -23,6 +24,23 @@ func ExampleDecide() {
 	// Output:
 	// yes
 	// q(x,y) :- Interest(x,z), Class(y,z)
+}
+
+// A closed Cancel channel stops a decision with ErrCancelled, the one
+// error every cancellable call returns, whichever engine it stopped.
+// Wire a context's Done() channel here for deadlines.
+func ExampleDecide_cancelled() {
+	q := semacyclic.MustParseQuery(
+		"q(x,y) :- Interest(x,z), Class(y,z), Owns(x,y).")
+	sigma := semacyclic.MustParseDependencies(
+		"Interest(x,z), Class(y,z) -> Owns(x,y).")
+
+	cancel := make(chan struct{})
+	close(cancel)
+	_, err := semacyclic.Decide(q, sigma, semacyclic.Options{Cancel: cancel})
+	fmt.Println(errors.Is(err, semacyclic.ErrCancelled))
+	// Output:
+	// true
 }
 
 func ExampleIsAcyclic() {

@@ -7,6 +7,7 @@ import (
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/stop"
 )
 
 // A pre-closed cancel channel aborts before any chase work happens.
@@ -16,8 +17,8 @@ func TestCancelPreClosed(t *testing.T) {
 	ch := make(chan struct{})
 	close(ch)
 	_, _, err := Query(q, set, Options{MaxDepth: 1000, MaxSteps: 1_000_000, Cancel: ch})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }
 
@@ -38,8 +39,8 @@ func TestCancelMidRun(t *testing.T) {
 	start := time.Now()
 	_, _, err := Query(q, set, Options{MaxDepth: 1 << 30, MaxSteps: 1 << 40, Cancel: ch})
 	wall := time.Since(start)
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 	if wall > 10*time.Second {
 		t.Fatalf("cancellation took %v", wall)
@@ -67,7 +68,7 @@ func TestCancelEGD(t *testing.T) {
 	ch := make(chan struct{})
 	close(ch)
 	_, _, err := Query(q, set, Options{Cancel: ch})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }

@@ -18,17 +18,13 @@ import (
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
 // ErrFailed reports a failing egd chase: an egd tried to equate two
 // distinct rigid constants.
 var ErrFailed = errors.New("chase: egd chase failed (constant clash)")
-
-// ErrCancelled reports a chase aborted via Options.Cancel. Callers that
-// need layer-specific cancellation errors (core wraps this into its own
-// ErrCancelled) should test with errors.Is.
-var ErrCancelled = errors.New("chase: cancelled")
 
 // Options tunes a chase run. The zero value picks safe defaults.
 type Options struct {
@@ -55,10 +51,10 @@ type Options struct {
 	// long chases produce long traces.
 	Trace bool
 	// Cancel, when non-nil, aborts the run as soon as the channel is
-	// closed (or receives); Run then returns ErrCancelled. The channel
-	// is polled before every trigger firing, every egd application and
-	// every few collected triggers, so cancellation latency is bounded
-	// by one chase step, not one fixpoint round.
+	// closed (or receives); Run then returns stop.ErrCancelled. The
+	// channel is polled before every trigger firing, every egd
+	// application and every 64 collected triggers, so cancellation
+	// latency is bounded by one chase step, not one fixpoint round.
 	Cancel <-chan struct{}
 }
 
@@ -329,17 +325,6 @@ func (s *state) applyArgs(a instance.Atom, sub term.Subst) []term.Term {
 	return s.args
 }
 
-// cancelled polls the cancel channel without blocking (a nil channel
-// never fires, so the poll is a no-op select for unconfigured runs).
-func (s *state) cancelled() bool {
-	select {
-	case <-s.opt.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 // fixpoint alternates the egd fixpoint and tgd rounds until nothing
 // applies or a budget stops it.
 func (s *state) fixpoint() error {
@@ -351,8 +336,8 @@ func (s *state) fixpoint() error {
 	}
 	truncated := false
 	for {
-		if s.cancelled() {
-			return ErrCancelled
+		if stop.Cancelled(s.opt.Cancel) {
+			return stop.ErrCancelled
 		}
 		if err := s.egdFixpoint(); err != nil {
 			return err
@@ -384,8 +369,8 @@ func (s *state) tgdPass() (progressed, truncated bool, err error) {
 		triggers := s.collectTriggers(ti)
 		s.stats.TriggersCollected += len(triggers)
 		for _, trig := range triggers {
-			if s.cancelled() {
-				return progressed, truncated, ErrCancelled
+			if stop.Cancelled(s.opt.Cancel) {
+				return progressed, truncated, stop.ErrCancelled
 			}
 			if s.steps >= s.opt.MaxSteps || s.inst.Len() >= s.opt.MaxAtoms {
 				return progressed, true, nil
@@ -437,7 +422,7 @@ func (s *state) collectTriggers(ti int) []trigger {
 	hom.Enumerate(t.Body, s.inst, nil, func(h term.Subst) bool {
 		// Stop collecting on cancellation: the partial trigger list is
 		// never fired, because tgdPass polls before every firing.
-		if len(s.triggers)%64 == 63 && s.cancelled() {
+		if len(s.triggers)%64 == 63 && stop.Cancelled(s.opt.Cancel) {
 			return false
 		}
 		var trig trigger
@@ -518,8 +503,8 @@ func (s *state) fire(ti int, frontier []term.Term, depth int) {
 // egdFixpoint applies egds until none is applicable, identifying terms.
 func (s *state) egdFixpoint() error {
 	for {
-		if s.cancelled() {
-			return ErrCancelled
+		if stop.Cancelled(s.opt.Cancel) {
+			return stop.ErrCancelled
 		}
 		applied, err := s.egdStep()
 		if err != nil {

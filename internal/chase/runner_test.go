@@ -10,6 +10,7 @@ import (
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 	"semacyclic/internal/testutil"
 )
@@ -72,8 +73,8 @@ func TestRunnerMatchesReference(t *testing.T) {
 			}
 		case 5:
 			q, set, _ := gen.RandomWorkload(r, "inclusion", 2, 3, 1, 3)
-			if _, _, err := run.Query(q, set, Options{Cancel: closed}); !errors.Is(err, ErrCancelled) {
-				t.Fatalf("trial %d: cancelled run: %v, want ErrCancelled", trial, err)
+			if _, _, err := run.Query(q, set, Options{Cancel: closed}); !errors.Is(err, stop.ErrCancelled) {
+				t.Fatalf("trial %d: cancelled run: %v, want stop.ErrCancelled", trial, err)
 			}
 		}
 		class := gen.WorkloadClasses[trial%len(gen.WorkloadClasses)]

@@ -76,7 +76,7 @@ func Contains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error) {
 	case MethodPlain:
 		return Decision{Holds: hom.Contained(q, qp), Definitive: true, Method: MethodPlain}, nil
 	case MethodChase, MethodBounded:
-		return chaseContains(q, qp, set, m, opt, new(chase.Runner))
+		return chaseContains(q, qp, set, m, opt.Chase, new(chase.Runner))
 	case MethodRewrite:
 		return rewriteContains(q, qp, set, opt)
 	default:
@@ -120,8 +120,7 @@ func pickMethod(set *deps.Set) Method {
 }
 
 // chaseContains decides q ⊆Σ q' by chasing q in the runner r.
-func chaseContains(q, qp *cq.CQ, set *deps.Set, m Method, opt Options, r *chase.Runner) (Decision, error) {
-	copt := opt.Chase
+func chaseContains(q, qp *cq.CQ, set *deps.Set, m Method, copt chase.Options, r *chase.Runner) (Decision, error) {
 	if m == MethodBounded && copt.MaxDepth <= 0 {
 		copt.MaxDepth = defaultGuardedDepth(qp, set)
 	}
@@ -173,32 +172,34 @@ func rewriteContains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error)
 // precomputes everything that does not depend on the left-hand side:
 // the method selection, the chase depth budget, and — the expensive one
 // — the UCQ rewriting of q' for sticky sets, which is worst-case
-// exponential and identical across calls. Check(q, r) returns exactly
-// what Contains(q, q', Σ, opt) would. A Prepared value is immutable
-// after Prepare — except the Checks reuse counter, an atomic — and safe
-// for concurrent Check calls that each pass their own runner.
+// exponential and identical across calls. Check(q, r, cancel) returns
+// exactly what Contains(q, q', Σ, opt) would with cancel as opt's
+// cancel channel. A Prepared value is immutable after Prepare — except
+// the Checks reuse counter, an atomic — and safe for concurrent Check
+// calls that each pass their own runner. It keeps no cancel channel,
+// so one cached checker serves every request.
 type Prepared struct {
 	qp  *cq.CQ
 	set *deps.Set
-	opt Options
 	m   Method
-	rw  *rewrite.Result // only for MethodRewrite
-	// checks counts Check calls served — the Prepare reuse count. A
-	// pointer so WithCancel copies share one counter (and so the struct
-	// stays copyable by value inside WithCancel).
-	checks *atomic.Int64
+	// copt holds the chase methods' budgets, the depth budget resolved,
+	// and no cancel channel: Check takes the caller's.
+	copt chase.Options
+	rw   *rewrite.Result // only for MethodRewrite
+	// checks counts Check calls served — the Prepare reuse count.
+	checks atomic.Int64
 }
 
 // Prepare builds a Prepared checker for the fixed right-hand side q'.
-// opt.Trace receives the containment:prepare span only: the checker
-// keeps no recorder, so a cached checker never holds on to the span
-// tree of the request that built it.
+// opt's cancel channels and opt.Trace serve Prepare only: the checker
+// keeps neither, so a cached checker never holds on to the channel or
+// the span tree of the request that built it.
 func Prepare(qp *cq.CQ, set *deps.Set, opt Options) (*Prepared, error) {
 	sp := opt.Trace.Start("containment:prepare")
 	defer sp.End()
 	m := SelectMethod(set, opt)
-	p := &Prepared{qp: qp, set: set, opt: opt, m: m, checks: new(atomic.Int64)}
-	p.opt.Trace = nil
+	p := &Prepared{qp: qp, set: set, m: m, copt: opt.Chase}
+	p.copt.Cancel = nil
 	if m == MethodRewrite {
 		rw, err := rewrite.Rewrite(qp, set, opt.Rewrite)
 		if err != nil {
@@ -206,31 +207,17 @@ func Prepare(qp *cq.CQ, set *deps.Set, opt Options) (*Prepared, error) {
 		}
 		p.rw = rw
 	}
-	if m == MethodBounded && p.opt.Chase.MaxDepth <= 0 {
-		p.opt.Chase.MaxDepth = defaultGuardedDepth(qp, set)
+	if m == MethodBounded && p.copt.MaxDepth <= 0 {
+		p.copt.MaxDepth = defaultGuardedDepth(qp, set)
 	}
 	return p, nil
 }
 
-// WithCancel returns a view of the prepared checker whose Check calls
-// abort when the channel fires (wired into the chase/rewrite budgets of
-// the per-call left-hand-side work). The precomputed right-hand-side
-// state — the hoisted UCQ rewriting and the reuse counter — is shared
-// with the receiver, so a long-lived cache can hold one Prepared per
-// (q', Σ) and hand out per-request cancellable views for free. A nil
-// channel yields a view with cancellation cleared: caches store that
-// view so a stale per-request channel never outlives its request.
-func (p *Prepared) WithCancel(cancel <-chan struct{}) *Prepared {
-	cp := *p
-	cp.opt.Chase.Cancel = cancel
-	cp.opt.Rewrite.Cancel = cancel
-	return &cp
-}
-
 // Check decides q ⊆Σ q' for the prepared right-hand side, freezing and
-// chasing q in the caller's runner r: the Prepared stays immutable and
-// shared, and each goroutine brings its own runner.
-func (p *Prepared) Check(q *cq.CQ, r *chase.Runner) (Decision, error) {
+// chasing q in the caller's runner r; a closed cancel aborts the chase
+// with stop.ErrCancelled. The Prepared stays immutable and shared, and
+// each goroutine brings its own runner.
+func (p *Prepared) Check(q *cq.CQ, r *chase.Runner, cancel <-chan struct{}) (Decision, error) {
 	p.checks.Add(1)
 	obs.ContainmentChecks.Add(1)
 	if len(q.Free) != len(p.qp.Free) {
@@ -251,13 +238,15 @@ func (p *Prepared) Check(q *cq.CQ, r *chase.Runner) (Decision, error) {
 	default:
 		// Chase methods chase the left-hand side, which varies per
 		// call; the depth budget above is the only precomputable part.
-		return chaseContains(q, p.qp, p.set, p.m, p.opt, r)
+		copt := p.copt
+		copt.Cancel = cancel
+		return chaseContains(q, p.qp, p.set, p.m, copt, r)
 	}
 }
 
 // Checks returns the number of Check calls this prepared right-hand
 // side has served — the reuse count that measures what Prepare's
-// hoisting amortized. WithCancel views share the receiver's counter.
+// hoisting amortized.
 func (p *Prepared) Checks() int64 { return p.checks.Load() }
 
 // SelectedMethod returns the decision procedure Prepare resolved.

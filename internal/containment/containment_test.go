@@ -224,7 +224,7 @@ func TestPreparedMatchesContains(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Contains(%s): %v", q, err)
 				}
-				got, err := p.Check(q, &r)
+				got, err := p.Check(q, &r, nil)
 				if err != nil {
 					t.Fatalf("Check(%s): %v", q, err)
 				}

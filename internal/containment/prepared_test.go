@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/telemetry"
 )
 
@@ -33,7 +35,7 @@ func TestPreparedDropsTrace(t *testing.T) {
 		root := rec.Finish()
 		marker := root.Children[len(root.Children)-1]
 		runtime.SetFinalizer(marker, func(*telemetry.Span) { collected.Store(true) })
-		return p.WithCancel(nil)
+		return p
 	}()
 	for i := 0; i < 50 && !collected.Load(); i++ {
 		runtime.GC()
@@ -42,8 +44,38 @@ func TestPreparedDropsTrace(t *testing.T) {
 	if !collected.Load() {
 		t.Fatal("the span tree of the recorder Prepare was traced with is still reachable from the checker")
 	}
-	if _, err := p.Check(q, new(chase.Runner)); err != nil {
+	if _, err := p.Check(q, new(chase.Runner), nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(p)
+}
+
+// TestPreparedCheckCancelMidChase: the channel a Check call passes
+// reaches the chase it runs. Under E(x,y) → E(y,z) with no depth
+// budget the bounded chase of q :- E(x,y) grows one atom per round and
+// re-collects every trigger each round, so it runs for well over five
+// seconds, and q' :- E(x,x) never holds on it. A cancel closed 20 ms into the check
+// must stop it with stop.ErrCancelled within 250 ms of the close, also
+// under -race.
+func TestPreparedCheckCancelMidChase(t *testing.T) {
+	set := deps.MustParse("E(x,y) -> E(y,z).")
+	p, err := Prepare(cq.MustParse("q :- E(x,x)."), set, Options{Chase: chase.Options{MaxDepth: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel := make(chan struct{})
+	var closedAt atomic.Int64
+	timer := time.AfterFunc(20*time.Millisecond, func() {
+		closedAt.Store(time.Now().UnixNano())
+		close(cancel)
+	})
+	defer timer.Stop()
+	_, err = p.Check(cq.MustParse("q :- E(x,y)."), new(chase.Runner), cancel)
+	returned := time.Now()
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
+	}
+	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
+		t.Fatalf("Check returned %v after the cancel closed, want at most 250ms", lag)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"semacyclic/internal/hom"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -80,8 +81,8 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 	queue := []*cq.CQ{start}
 	seen[string(keyer.Key(start.Free, start.Atoms))] = true
 	for len(queue) > 0 && examined < opt.SearchBudget {
-		if opt.cancelled() {
-			return nil, ErrCancelled
+		if stop.Cancelled(opt.Cancel) {
+			return nil, stop.ErrCancelled
 		}
 		cur := queue[0]
 		queue = queue[1:]
@@ -110,14 +111,14 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 		// If best ⊆Σ c and not conversely, c is strictly more general.
 		up, err := containment.Contains(best, c, set, opt.Containment)
 		if err != nil {
-			return nil, mapCancelled(err)
+			return nil, err
 		}
 		if !up.Holds {
 			continue
 		}
 		down, err := containment.Contains(c, best, set, opt.Containment)
 		if err != nil {
-			return nil, mapCancelled(err)
+			return nil, err
 		}
 		if !down.Holds {
 			best = c
@@ -127,7 +128,7 @@ func Approximate(q *cq.CQ, set *deps.Set, opt Options) (*Approximation, error) {
 	// (a subset of the winner's atoms), and minimal to read.
 	c, err := hom.CoreCancel(best, opt.Cancel)
 	if err != nil {
-		return nil, mapCancelled(err)
+		return nil, err
 	}
 	return &Approximation{Query: c, Equivalent: false, Candidates: examined}, nil
 }

@@ -11,6 +11,8 @@ import (
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
+	"semacyclic/internal/rewrite"
+	"semacyclic/internal/stop"
 )
 
 // The tri-sticky workload the server deadline tests also use:
@@ -30,15 +32,15 @@ func TestDecideCancelPreClosed(t *testing.T) {
 		ch := make(chan struct{})
 		close(ch)
 		_, err := Decide(q, set, Options{Parallelism: j, Cancel: ch})
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want ErrCancelled", j, err)
+		if !errors.Is(err, stop.ErrCancelled) {
+			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
 		}
 	}
 }
 
-// Cancelling mid-decision returns ErrCancelled promptly at -j 1, 4 and
-// 8: the parallel branch workers poll inside their inner enumeration,
-// so no worker runs its branch to completion first.
+// Cancelling mid-decision returns stop.ErrCancelled promptly at -j 1,
+// 4 and 8: the parallel branch workers poll inside their inner
+// enumeration, so no worker runs its branch to completion first.
 func TestDecideCancelMidSearch(t *testing.T) {
 	q, set := stickyCancelCase()
 	for _, j := range []int{1, 4, 8} {
@@ -55,8 +57,8 @@ func TestDecideCancelMidSearch(t *testing.T) {
 			// machine and is not a cancellation bug.
 			continue
 		}
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want ErrCancelled", j, err)
+		if !errors.Is(err, stop.ErrCancelled) {
+			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
 		}
 		if wall > 15*time.Second {
 			t.Fatalf("j=%d: cancellation took %v", j, wall)
@@ -80,8 +82,8 @@ func TestCancelStatsSentinels(t *testing.T) {
 		if err == nil {
 			continue // completed before the cancel
 		}
-		if !errors.Is(err, ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want ErrCancelled", j, err)
+		if !errors.Is(err, stop.ErrCancelled) {
+			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
 		}
 		if w != nil {
 			t.Fatalf("j=%d: cancelled run returned a witness", j)
@@ -107,8 +109,8 @@ func TestUCQCancel(t *testing.T) {
 	}
 	ch := make(chan struct{})
 	close(ch)
-	if _, err := DecideUCQ(u, set, Options{Cancel: ch}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if _, err := DecideUCQ(u, set, Options{Cancel: ch}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }
 
@@ -117,8 +119,8 @@ func TestApproximateCancel(t *testing.T) {
 	q, set := stickyCancelCase()
 	ch := make(chan struct{})
 	close(ch)
-	if _, err := Approximate(q, set, Options{Cancel: ch}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if _, err := Approximate(q, set, Options{Cancel: ch}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }
 
@@ -156,32 +158,55 @@ func TestPreparedDeterminismAcrossJ(t *testing.T) {
 	}
 }
 
-// WithCancel views share the hoisted state but not the channel: a view
-// with a closed channel aborts, while the receiver and a cleared view
-// keep working — the invariant that lets a cache hold one Prepared per
-// (q', Σ) across requests.
+// TestPreparedWithCancelViews: Check takes its caller's cancel channel
+// and a Prepared keeps none, the invariant that lets a cache hold one
+// checker per (q', Σ) across requests. A closed channel aborts a
+// chase-method check and a nil one never does, whatever channel
+// Prepare ran under and whatever the previous check passed. A sticky
+// checker's rewriting is built once, by Prepare: a closed channel
+// aborts that rewriting, but changes no Check answer, because Check
+// runs none.
 func TestPreparedWithCancelViews(t *testing.T) {
-	q, set := stickyCancelCase()
-	prep, err := containment.Prepare(q, set, containment.Options{})
+	closed := make(chan struct{})
+	close(closed)
+	var r chase.Runner
+
+	q := cq.MustParse("q :- E(x,y), E(y,z).")
+	guarded := deps.MustParse("E(x,y) -> E(y,z).")
+	prep, err := containment.Prepare(q, guarded, containment.Options{Chase: chase.Options{Cancel: closed}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r chase.Runner
-	if _, err := prep.Check(q, &r); err != nil {
-		t.Fatalf("base Check: %v", err)
+	for i, ch := range []<-chan struct{}{nil, closed, nil, closed} {
+		_, err := prep.Check(q, &r, ch)
+		if ch == nil && err != nil {
+			t.Fatalf("check %d, nil channel: %v", i, err)
+		}
+		if ch != nil && !errors.Is(err, stop.ErrCancelled) {
+			t.Fatalf("check %d, closed channel: err = %v, want stop.ErrCancelled", i, err)
+		}
 	}
-	ch := make(chan struct{})
-	close(ch)
-	view := prep.WithCancel(ch)
-	cleared := view.WithCancel(nil)
-	if _, err := cleared.Check(q, &r); err != nil {
-		t.Fatalf("cleared view Check: %v", err)
+	if prep.Checks() != 4 {
+		t.Fatalf("Checks() = %d, want 4", prep.Checks())
 	}
-	if _, err := prep.Check(q, &r); err != nil {
-		t.Fatalf("base Check after views: %v", err)
+
+	sq, sticky := stickyCancelCase()
+	if _, err := containment.Prepare(sq, sticky, containment.Options{Rewrite: rewrite.Options{Cancel: closed}}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("Prepare under a closed channel: err = %v, want stop.ErrCancelled", err)
 	}
-	if prep.Checks() < 3 {
-		t.Fatalf("Checks() = %d, want shared counter across views", prep.Checks())
+	sp, err := containment.Prepare(sq, sticky, containment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := sp.SelectedMethod(); m != containment.MethodRewrite {
+		t.Fatalf("method = %s, want %s", m, containment.MethodRewrite)
+	}
+	want, err := sp.Check(sq, &r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sp.Check(sq, &r, closed); err != nil || got != want {
+		t.Fatalf("sticky Check under a closed channel = %+v, %v; want %+v, nil", got, err, want)
 	}
 }
 
@@ -190,7 +215,7 @@ func TestPreparedWithCancelViews(t *testing.T) {
 // semacycd admits, is its own core, so layer 1 tries every atom as a
 // retraction victim and fails each time; without the polls Decide
 // answered yes after about four seconds however early the channel
-// closed. Closed after 50 ms, it must return ErrCancelled within
+// closed. Closed after 50 ms, it must return stop.ErrCancelled within
 // 250 ms of the close, also under -race.
 func TestDecideCancelLongCore(t *testing.T) {
 	q := gen.PathCQ(256)
@@ -204,8 +229,8 @@ func TestDecideCancelLongCore(t *testing.T) {
 	defer timer.Stop()
 	_, err := Decide(q, set, Options{Cancel: cancel})
 	returned := time.Now()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
 		t.Fatalf("Decide returned %v after the cancel closed, want at most 250ms", lag)

@@ -9,6 +9,7 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -28,8 +29,8 @@ func searchQuotients(q *cq.CQ, v *verifier, opt Options) (*cq.CQ, int, error) {
 	examined := 0
 
 	for len(queue) > 0 && examined < opt.SearchBudget {
-		if opt.cancelled() {
-			return nil, examined, ErrCancelled
+		if stop.Cancelled(opt.Cancel) {
+			return nil, examined, stop.ErrCancelled
 		}
 		cur := queue[0]
 		queue = queue[1:]
@@ -166,8 +167,8 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 	res, frozen, err := chase.Query(q, set, copt)
 	chSp.End()
 	if err != nil {
-		if errors.Is(err, chase.ErrCancelled) {
-			return nil, 0, ErrCancelled
+		if errors.Is(err, stop.ErrCancelled) {
+			return nil, 0, err
 		}
 		// A failing egd chase means no instance satisfies q's pattern
 		// constraints; no candidates from this layer.
@@ -210,8 +211,8 @@ func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound
 		if examined >= opt.SearchBudget || steps >= 50*opt.SearchBudget {
 			return false, nil
 		}
-		if steps%256 == 0 && opt.cancelled() {
-			return false, ErrCancelled
+		if steps%256 == 0 && stop.Cancelled(opt.Cancel) {
+			return false, stop.ErrCancelled
 		}
 		view := cq.CQ{Name: q.Name, Free: freeVars, Atoms: sel}
 		if selectionValid(freeVars, sel) {

@@ -21,7 +21,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"semacyclic/internal/chase"
@@ -77,10 +76,10 @@ type Options struct {
 	// a miss then yields Unknown rather than a definitive No.
 	SkipCompleteSearch bool
 	// Cancel, when non-nil, aborts the decision as soon as the channel
-	// is closed (or receives); Decide then returns ErrCancelled. Wire a
-	// context's Done() channel here for deadline/cancellation support.
-	// The channel is propagated into every layer — the chase apply
-	// loop, the quotient/subquery searches, the parallel branch
+	// is closed (or receives); Decide then returns stop.ErrCancelled.
+	// Wire a context's Done() channel here for deadline/cancellation
+	// support. The channel is propagated into every layer — the chase
+	// apply loop, the quotient/subquery searches, the parallel branch
 	// workers' enumeration, the containment chases and the sticky UCQ
 	// rewriting — so cancellation latency is bounded by one chase step
 	// (or one rewriting step), not one decision layer.
@@ -121,19 +120,6 @@ type Options struct {
 	Prepared *containment.Prepared
 }
 
-// ErrCancelled reports that a decision was aborted via Options.Cancel.
-var ErrCancelled = errors.New("core: decision cancelled")
-
-// cancelled polls the cancel channel without blocking.
-func (o Options) cancelled() bool {
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 func (o Options) withDefaults() Options {
 	if o.SearchBudget <= 0 {
 		o.SearchBudget = 20000
@@ -154,18 +140,6 @@ func (o Options) withDefaults() Options {
 		o.Containment.Trace = o.Trace
 	}
 	return o
-}
-
-// mapCancelled folds the sub-engines' cancellation errors into the
-// package's ErrCancelled so callers have a single sentinel to test.
-func mapCancelled(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, chase.ErrCancelled) || errors.Is(err, rewrite.ErrCancelled) || errors.Is(err, hom.ErrCancelled) {
-		return ErrCancelled
-	}
-	return err
 }
 
 // Result reports a SemAc decision.
@@ -198,7 +172,7 @@ func Decide(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 	res, err := decide(q, set, opt, st)
 	sp.End()
 	if err != nil {
-		return nil, mapCancelled(err)
+		return nil, err
 	}
 	obs.Decisions.Add(1)
 	st.WallNS = sw.ElapsedNS()
@@ -427,9 +401,9 @@ func (v *verifier) prepared() (*containment.Prepared, error) {
 	}
 	if v.opt.Prepared != nil {
 		// A long-lived caller (the semacycd server) already hoisted the
-		// right-hand side for this (q, Σ); reuse it, re-wired to this
+		// right-hand side for this (q, Σ); every Check passes it this
 		// decision's cancel channel.
-		v.checker = v.opt.Prepared.WithCancel(v.opt.Cancel)
+		v.checker = v.opt.Prepared
 		return v.checker, nil
 	}
 	// Prepare the right-hand side once: for sticky sets this hoists the
@@ -480,7 +454,7 @@ func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
 		if err != nil {
 			return false, false, err
 		}
-		if b, err = checker.Check(w, &v.runner); err != nil {
+		if b, err = checker.Check(w, &v.runner, v.opt.Containment.Chase.Cancel); err != nil {
 			return false, false, err
 		}
 	}

@@ -36,11 +36,13 @@ type Certificate struct {
 // Explain reconstructs a certificate for a Yes decision. It fails when
 // the result carries no witness or when a certificate component cannot
 // be rebuilt (which would indicate a bug — the decision verified the
-// same facts).
+// same facts). Both chases poll opt.Cancel, as Decide's do, and a
+// closed channel returns stop.ErrCancelled.
 func Explain(q *cq.CQ, set *deps.Set, res *Result, opt Options) (*Certificate, error) {
 	if res == nil || res.Verdict != Yes || res.Witness == nil {
 		return nil, fmt.Errorf("core: only yes-results with witnesses are explainable")
 	}
+	opt = opt.withDefaults()
 	w := res.Witness
 
 	forest, ok := hypergraph.GYO(w.Atoms)

@@ -76,7 +76,7 @@ func (p *Plan) ExecuteIncremental(db *instance.Instance, prev *ReducerState, eop
 		ans, inner, err = p.compiled.ExecuteState(db, yopt)
 	}
 	if err != nil {
-		return nil, nil, nil, mapEvalCancelled(err)
+		return nil, nil, nil, err
 	}
 	// The state keeps its answers: hand the caller a copy of the outer
 	// slice so that writing to it cannot reach the next reused run.
@@ -112,7 +112,7 @@ func (p *Plan) ExecuteOverlay(ov *instance.Overlay, eopt EvalOptions) ([][]term.
 		Trace:  eopt.Trace,
 	})
 	if err != nil {
-		return nil, nil, mapEvalCancelled(err)
+		return nil, nil, err
 	}
 	ans = canonicalizeAnswers(ans)
 	st.Answers = len(ans)

@@ -13,6 +13,7 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/telemetry"
 	"semacyclic/internal/term"
 	"semacyclic/internal/yannakakis"
@@ -69,7 +70,7 @@ type Plan struct {
 // EvalOptions tunes one Plan.Execute run.
 type EvalOptions struct {
 	// Cancel, when non-nil, aborts the evaluation as soon as the
-	// channel is closed; Execute then returns ErrCancelled. Wire a
+	// channel is closed; Execute then returns stop.ErrCancelled. Wire a
 	// context's Done() channel here.
 	Cancel <-chan struct{}
 	// Trace, when non-nil, receives an "execute" span with per-phase
@@ -118,8 +119,8 @@ func CompilePlan(q *cq.CQ, set *deps.Set, opt Options, method string) (*Plan, er
 		}
 		res, frozen, err := chase.Query(q, set, chase.Options{Cancel: opt.Cancel})
 		if err != nil {
-			if errors.Is(err, chase.ErrCancelled) {
-				return nil, ErrCancelled
+			if errors.Is(err, stop.ErrCancelled) {
+				return nil, err
 			}
 			// A failing egd chase means q is unsatisfiable on databases
 			// ⊨ Σ: the plan evaluates to the empty answer set.
@@ -191,22 +192,12 @@ func (p *Plan) Execute(db *instance.Instance, eopt EvalOptions) ([][]term.Term, 
 		return nil, nil, fmt.Errorf("core: plan has unknown method %q", p.Method)
 	}
 	if err != nil {
-		return nil, nil, mapEvalCancelled(err)
+		return nil, nil, err
 	}
 	ans = canonicalizeAnswers(ans)
 	st.Answers = len(ans)
 	st.WallNS = sw.ElapsedNS()
 	return ans, st, nil
-}
-
-// mapEvalCancelled folds every evaluator's cancellation sentinel into
-// the package's ErrCancelled.
-func mapEvalCancelled(err error) error {
-	if errors.Is(err, yannakakis.ErrCancelled) || errors.Is(err, game.ErrCancelled) ||
-		errors.Is(err, hom.ErrCancelled) || errors.Is(err, chase.ErrCancelled) {
-		return ErrCancelled
-	}
-	return err
 }
 
 // canonicalizeAnswers puts an answer set in canonical order — strictly

@@ -12,6 +12,7 @@ import (
 	"semacyclic/internal/gen"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 	"semacyclic/internal/testutil"
 )
@@ -185,8 +186,8 @@ func TestPlanExecuteCancelPreClosed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.Execute(db, EvalOptions{Cancel: cancel}); !errors.Is(err, ErrCancelled) {
-			t.Fatalf("method %s: err = %v, want ErrCancelled", method, err)
+		if _, _, err := p.Execute(db, EvalOptions{Cancel: cancel}); !errors.Is(err, stop.ErrCancelled) {
+			t.Fatalf("method %s: err = %v, want stop.ErrCancelled", method, err)
 		}
 	}
 }

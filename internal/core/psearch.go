@@ -15,6 +15,7 @@ import (
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/schema"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -434,12 +435,12 @@ func (e *searchEngine) runBranch(idx int, b branch) (out branchOutcome) {
 			return false, nil
 		}
 		if steps%256 == 0 {
-			if e.opt.cancelled() {
+			if stop.Cancelled(e.opt.Cancel) {
 				// Flag the shared abort immediately (not only when this
 				// branch's outcome lands) so sibling workers stop at
 				// their next poll rather than at branch granularity.
 				e.aborted.Store(true)
-				return false, ErrCancelled
+				return false, stop.ErrCancelled
 			}
 			if e.aborted.Load() || e.bestBranch.Load() < int64(idx) {
 				out.complete = false
@@ -560,7 +561,7 @@ func (e *searchEngine) verifyMemo(cand *cq.CQ, keyer *cq.Keyer, runner *chase.Ru
 	var dec containment.Decision
 	var err error
 	if e.checker != nil {
-		dec, err = e.checker.Check(cand, runner)
+		dec, err = e.checker.Check(cand, runner, e.opt.Containment.Chase.Cancel)
 	} else {
 		dec, err = containment.Contains(cand, e.q, e.set, e.opt.Containment)
 	}

@@ -11,6 +11,7 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -40,8 +41,7 @@ import (
 // SearchCompleteStats to get the same answer plus an obs.Stats.
 func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, int, bool, error) {
 	opt = opt.withDefaults()
-	w, examined, exhausted, err := searchComplete(q, set, newVerifier(q, set, opt), opt, bound, nil)
-	return w, examined, exhausted, mapCancelled(err)
+	return searchComplete(q, set, newVerifier(q, set, opt), opt, bound, nil)
 }
 
 // SearchCompleteStats is SearchComplete with observability: it returns
@@ -54,7 +54,7 @@ func SearchCompleteStats(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.C
 	opt = opt.withDefaults()
 	st := obs.NewStats()
 	witness, examined, exhausted, err := searchComplete(q, set, newVerifier(q, set, opt), opt, bound, st)
-	return witness, st, examined, exhausted, mapCancelled(err)
+	return witness, st, examined, exhausted, err
 }
 
 // searchComplete runs layer 4 with opt already defaulted; v supplies
@@ -94,7 +94,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	chres, frozen, err := chase.Query(q, set, copt)
 	chSp.End()
 	if err != nil {
-		if errors.Is(err, chase.ErrCancelled) {
+		if errors.Is(err, stop.ErrCancelled) {
 			return nil, 0, false, err
 		}
 		// Failing egd chase: Lemma 1 does not apply (Decide handles

@@ -12,6 +12,7 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
 	"semacyclic/internal/hypergraph"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -113,7 +114,7 @@ func TestDecideCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled decision returned no error")
 	}
-	if !errors.Is(err, ErrCancelled) {
+	if !errors.Is(err, stop.ErrCancelled) {
 		t.Errorf("error = %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/stop"
 )
 
 // UCQResult reports a UCQ semantic-acyclicity decision (§8.1 of the
@@ -55,13 +56,13 @@ func DecideUCQ(u *cq.UCQ, set *deps.Set, opt Options) (*UCQResult, error) {
 			if i == j || out.Redundant[j] {
 				continue
 			}
-			if opt.cancelled() {
-				return nil, ErrCancelled
+			if stop.Cancelled(opt.Cancel) {
+				return nil, stop.ErrCancelled
 			}
 			out.RedundancyChecks++
 			dec, err := containment.Contains(qi, qj, set, opt.Containment)
 			if err != nil {
-				return nil, mapCancelled(err)
+				return nil, err
 			}
 			if !dec.Definitive {
 				out.Definitive = false
@@ -70,7 +71,7 @@ func DecideUCQ(u *cq.UCQ, set *deps.Set, opt Options) (*UCQResult, error) {
 				out.RedundancyChecks++
 				back, err := containment.Contains(qj, qi, set, opt.Containment)
 				if err != nil {
-					return nil, mapCancelled(err)
+					return nil, err
 				}
 				if back.Holds && i < j {
 					continue // mutual: keep i, let j be marked on its turn

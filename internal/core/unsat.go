@@ -8,6 +8,7 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -34,8 +35,8 @@ func decideUnsatisfiable(q *cq.CQ, set *deps.Set, opt Options) (*Result, bool, e
 		copt.MaxSteps = 2000
 	}
 	_, _, err := chase.Query(q, set, copt)
-	if errors.Is(err, chase.ErrCancelled) {
-		return nil, false, ErrCancelled
+	if errors.Is(err, stop.ErrCancelled) {
+		return nil, false, err
 	}
 	if !errors.Is(err, chase.ErrFailed) {
 		return nil, false, nil
@@ -51,8 +52,8 @@ func decideUnsatisfiable(q *cq.CQ, set *deps.Set, opt Options) (*Result, bool, e
 			continue
 		}
 		_, _, werr := chase.Query(w, set, copt)
-		if errors.Is(werr, chase.ErrCancelled) {
-			return nil, false, ErrCancelled
+		if errors.Is(werr, stop.ErrCancelled) {
+			return nil, false, werr
 		}
 		if errors.Is(werr, chase.ErrFailed) {
 			return &Result{

@@ -11,39 +11,24 @@
 package game
 
 import (
-	"errors"
 	"slices"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
-
-// ErrCancelled reports that a game evaluation was aborted via
-// Options.Cancel.
-var ErrCancelled = errors.New("game: evaluation cancelled")
 
 // Options tunes the cancellable entry points. The zero value means no
 // cancellation.
 type Options struct {
 	// Cancel, when non-nil, aborts the evaluation as soon as the
-	// channel is closed; the entry point then returns ErrCancelled.
+	// channel is closed; the entry point then returns
+	// stop.ErrCancelled.
 	// Polled once per arc-consistency sweep and once per candidate
 	// tuple of the enumeration, so latency is bounded by one fixpoint
 	// sweep, not a whole answer enumeration.
 	Cancel <-chan struct{}
-}
-
-func (o Options) cancelled() bool {
-	if o.Cancel == nil {
-		return false
-	}
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // flexibleElem reports whether a pattern term is an element the
@@ -64,7 +49,7 @@ type posPair struct{ pi, pj int }
 // game on (pattern, ptuple) versus (target, ttuple): Lemma 28's H
 // exists. ptuple and ttuple must have equal length; position i of
 // ptuple is pinned to position i of ttuple. On Options.Cancel it aborts
-// the arc-consistency fixpoint and returns ErrCancelled.
+// the arc-consistency fixpoint and returns stop.ErrCancelled.
 func Covers(pattern []instance.Atom, ptuple []term.Term, target *instance.Instance, ttuple []term.Term, opt Options) (bool, error) {
 	if len(ptuple) != len(ttuple) {
 		return false, nil
@@ -138,8 +123,8 @@ func Covers(pattern []instance.Atom, ptuple []term.Term, target *instance.Instan
 	// Arc-consistency fixpoint: drop a candidate of atom i when some
 	// atom j has no candidate agreeing on all shared positions.
 	for changed := true; changed; {
-		if opt.cancelled() {
-			return false, ErrCancelled
+		if stop.Cancelled(opt.Cancel) {
+			return false, stop.ErrCancelled
 		}
 		changed = false
 		for i := range pattern {
@@ -225,7 +210,7 @@ func imageOf(a, fact instance.Atom, pin map[term.Term]term.Term) (candidate, boo
 // it is Section 7's egd evaluation. Without those premises it
 // overapproximates CQ evaluation (never misses a real answer). A
 // Boolean ptuple yields {()} or nothing. On Options.Cancel the
-// enumeration stops and ErrCancelled is returned.
+// enumeration stops and stop.ErrCancelled is returned.
 func Evaluate(pattern []instance.Atom, ptuple []term.Term, db *instance.Instance, opt Options) ([][]term.Term, error) {
 	cand := domains(pattern, ptuple, db)
 	var out [][]term.Term

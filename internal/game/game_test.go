@@ -1,14 +1,18 @@
 package game
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -190,5 +194,34 @@ func TestGameSoundnessProperty(t *testing.T) {
 				t.Fatalf("game rejected certified answer %v of %s on %s", ans, q, db)
 			}
 		}
+	}
+}
+
+// TestEvaluateCancelMidRun: the game polls its cancel channel once per
+// arc-consistency sweep. One free variable over a random 2,000-edge
+// graph runs a game per candidate value, about two seconds in all
+// (2-vCPU VM, no -race); a cancel closed 20 ms in must stop it with
+// stop.ErrCancelled within 250 ms of the close, also under -race.
+func TestEvaluateCancelMidRun(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	db := instance.New()
+	for db.Len() < 2000 {
+		db.Add(edge(fmt.Sprintf("n%d", r.Intn(1000)), fmt.Sprintf("n%d", r.Intn(1000))))
+	}
+	q := cq.MustParse("q(x) :- E(x,y), E(y,z), E(z,w).")
+	cancel := make(chan struct{})
+	var closedAt atomic.Int64
+	timer := time.AfterFunc(20*time.Millisecond, func() {
+		closedAt.Store(time.Now().UnixNano())
+		close(cancel)
+	})
+	defer timer.Stop()
+	_, err := Evaluate(q.Atoms, q.Free, db, Options{Cancel: cancel})
+	returned := time.Now()
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
+	}
+	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
+		t.Fatalf("Evaluate returned %v after the cancel closed, want at most 250ms", lag)
 	}
 }

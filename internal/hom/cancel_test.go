@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"semacyclic/internal/cq"
+	"semacyclic/internal/stop"
 )
 
 // chainCQ returns the Boolean chain q :- E(x0,x1), …, E(x_{n-1},x_n),
@@ -23,9 +24,9 @@ func chainCQ(n int) *cq.CQ {
 }
 
 // TestCoreCancelLongChain: a cancel closed 50 ms into the core of the
-// 256-atom chain stops it with ErrCancelled within 250 ms of the close,
-// also under -race: the search polls before every victim atom and
-// inside each retraction search. Without the polls it ran for about
+// 256-atom chain stops it with stop.ErrCancelled within 250 ms of the
+// close, also under -race: the search polls before every victim atom
+// and inside each retraction search. Without the polls it ran for about
 // four seconds.
 func TestCoreCancelLongChain(t *testing.T) {
 	q := chainCQ(256)
@@ -38,8 +39,8 @@ func TestCoreCancelLongChain(t *testing.T) {
 	defer timer.Stop()
 	_, err := CoreCancel(q, cancel)
 	returned := time.Now()
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
 		t.Fatalf("CoreCancel returned %v after the cancel closed, want at most 250ms", lag)
@@ -59,7 +60,7 @@ func TestCoreCancelNilChannel(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	close(closed)
-	if _, err := CoreCancel(cq.MustParse("q :- E(x,y)."), closed); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("closed channel: err = %v, want ErrCancelled", err)
+	if _, err := CoreCancel(cq.MustParse("q :- E(x,y)."), closed); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("closed channel: err = %v, want stop.ErrCancelled", err)
 	}
 }

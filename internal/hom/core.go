@@ -5,6 +5,7 @@ import (
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -25,7 +26,7 @@ func Core(q *cq.CQ) *cq.CQ {
 	return c
 }
 
-// CoreCancel is Core that stops with ErrCancelled once cancel is
+// CoreCancel is Core that stops with stop.ErrCancelled once cancel is
 // closed; a nil cancel never fires. It polls before each victim atom
 // and every pollEvery nodes of a retraction search, so a long query's
 // core stops within pollEvery search steps of the close.
@@ -66,7 +67,7 @@ type Corer struct {
 // duplicate-free and their own core they are returned as they are;
 // otherwise the result lives in the Corer's scratch and stays valid
 // until its next call. Neither argument is written. A closed cancel
-// stops the search with ErrCancelled.
+// stops the search with stop.ErrCancelled.
 func (c *Corer) Core(free []term.Term, atoms []instance.Atom, cancel <-chan struct{}) ([]instance.Atom, error) {
 	c.cur, c.next = atoms, 0
 	if hasDuplicates(atoms) {
@@ -155,8 +156,8 @@ func (c *Corer) retractOnce(free []term.Term, cancel <-chan struct{}) (bool, err
 		init = c.init
 	}
 	for _, victim := range cur {
-		if closed(cancel) {
-			return false, ErrCancelled
+		if stop.Cancelled(cancel) {
+			return false, stop.ErrCancelled
 		}
 		// Duplicate-free queries always contain their frozen atoms
 		// (freezing is injective), so the lookup cannot miss.
@@ -171,8 +172,8 @@ func (c *Corer) retractOnce(free []term.Term, cancel <-chan struct{}) (bool, err
 			return true, nil
 		}
 	}
-	if closed(cancel) {
-		return false, ErrCancelled // the last enumeration may have stopped early
+	if stop.Cancelled(cancel) {
+		return false, stop.ErrCancelled // the last enumeration may have stopped early
 	}
 	return false, nil
 }

@@ -5,13 +5,13 @@
 package hom
 
 import (
-	"errors"
 	"slices"
 	"sync"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 )
@@ -151,7 +151,7 @@ func (e *enumerator) orderAtoms(atoms []instance.Atom) {
 // once the search was stopped.
 func (e *enumerator) rec(i int, yield func(term.Subst) bool) bool {
 	if e.cancel != nil {
-		if e.polls++; e.polls%pollEvery == 0 && closed(e.cancel) {
+		if e.polls++; e.polls%pollEvery == 0 && stop.Cancelled(e.cancel) {
 			return false
 		}
 	}
@@ -289,17 +289,6 @@ func enumerateWithout(pattern []instance.Atom, target *instance.Instance, init t
 // between two polls of its cancel channel.
 const pollEvery = 64
 
-// closed polls a cancel channel without blocking; a nil channel never
-// fires.
-func closed(cancel <-chan struct{}) bool {
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
-}
-
 // Find returns one homomorphism extending init, or nil/false.
 func Find(pattern []instance.Atom, target *instance.Instance, init term.Subst) (term.Subst, bool) {
 	var out term.Subst
@@ -319,10 +308,6 @@ func Exists(pattern []instance.Atom, target *instance.Instance, init term.Subst)
 	return found
 }
 
-// ErrCancelled reports that EvaluateCancel or CoreCancel stopped
-// because its cancel channel closed.
-var ErrCancelled = errors.New("hom: evaluation cancelled")
-
 // Evaluate computes q(I): the set of answer tuples, each a tuple over
 // the terms of I, deduplicated, in canonical order (term.CompareTuples).
 //
@@ -337,10 +322,11 @@ func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
 	return ans
 }
 
-// EvaluateCancel is Evaluate that stops with ErrCancelled once cancel
-// is closed; a nil cancel never fires. It polls once per enumerated
-// homomorphism, so on answer-dense databases latency is tight, while a
-// long fruitless backtrack between answers is not interruptible.
+// EvaluateCancel is Evaluate that stops with stop.ErrCancelled once
+// cancel is closed; a nil cancel never fires. It polls once per
+// enumerated homomorphism, so on answer-dense databases latency is
+// tight, while a long fruitless backtrack between answers is not
+// interruptible.
 func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
 	local := symtab.New()
 	seen := make(map[string]bool)
@@ -348,7 +334,7 @@ func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{})
 	var idbuf []byte
 	aborted := false
 	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
-		if closed(cancel) {
+		if stop.Cancelled(cancel) {
 			aborted = true
 			return false
 		}
@@ -363,7 +349,7 @@ func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{})
 		return true
 	})
 	if aborted {
-		return nil, ErrCancelled
+		return nil, stop.ErrCancelled
 	}
 	slices.SortFunc(answers, term.CompareTuples)
 	return answers, nil

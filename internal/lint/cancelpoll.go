@@ -13,9 +13,10 @@ import (
 //
 // A loop satisfies the contract when its body (at any nesting depth)
 // contains a cancellation check: a call whose callee name mentions
-// cancellation (state.cancelled, Options.cancelled, mapCancelled, ...),
-// a receive from a cancel/done channel, a use of an ErrCancelled
-// sentinel, or a call — resolved through the whole-program call graph,
+// cancellation (stop.Cancelled, the one poll every engine shares, and
+// yannakakis's row-counting evalState.cancelled around it), a receive
+// from a cancel/done channel, a use of the stop.ErrCancelled sentinel,
+// or a call — resolved through the whole-program call graph,
 // across package boundaries — to a function that itself (transitively)
 // polls. Compare-and-swap retry loops are exempt: a loop that calls
 // CompareAndSwap terminates by the CAS contract. Three-clause

@@ -11,11 +11,11 @@ import (
 // ErrWrap enforces the error-identity half of the cancellation
 // contract, everywhere in the module:
 //
-//   - sentinel errors (ErrCancelled and friends — any error-typed
-//     identifier named Err*) must be compared with errors.Is, never
-//     with == or != : the decision layers deliberately wrap and fold
-//     their sentinels (core.mapCancelled), so an == comparison that
-//     happens to work today silently breaks when a layer adds context;
+//   - sentinel errors (stop.ErrCancelled and friends — any
+//     error-typed identifier named Err*) must be compared with
+//     errors.Is, never with == or != : a layer may wrap a sentinel
+//     with context (fmt.Errorf("core: %w", err)), and an == comparison
+//     that happens to work today silently breaks when one does;
 //   - fmt.Errorf must wrap error operands with %w, not flatten them
 //     through %v/%s, so errors.Is keeps seeing the sentinel through
 //     the new message.

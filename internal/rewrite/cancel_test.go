@@ -7,6 +7,7 @@ import (
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
+	"semacyclic/internal/stop"
 )
 
 // A pre-closed cancel channel aborts the rewriting before the BFS
@@ -17,8 +18,8 @@ func TestCancelPreClosed(t *testing.T) {
 	ch := make(chan struct{})
 	close(ch)
 	_, err := Rewrite(q, set, Options{Cancel: ch})
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }
 
@@ -44,11 +45,11 @@ func TestCancelMidRewrite(t *testing.T) {
 	start := time.Now()
 	_, rerr := Rewrite(q, set, Options{MaxDisjuncts: 1 << 30, Cancel: ch})
 	wall := time.Since(start)
-	if !errors.Is(rerr, ErrCancelled) {
+	if !errors.Is(rerr, stop.ErrCancelled) {
 		// The workload finishing under 20ms is possible on a fast
 		// machine; only a non-cancel error is a failure then.
 		if rerr != nil {
-			t.Fatalf("err = %v, want ErrCancelled or nil", rerr)
+			t.Fatalf("err = %v, want stop.ErrCancelled or nil", rerr)
 		}
 		t.Skip("rewriting completed before the cancel fired")
 	}

@@ -13,6 +13,7 @@ import (
 	"semacyclic/internal/gen"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -41,8 +42,8 @@ func rewriteRef(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 		var next []*cq.CQ
 		for _, p := range frontier {
 			for _, t := range set.TGDs {
-				if opt.cancelled() {
-					return nil, ErrCancelled
+				if stop.Cancelled(opt.Cancel) {
+					return nil, stop.ErrCancelled
 				}
 				for _, r := range rewriteStepRef(p, t) {
 					if opt.MaxAtomsPerCQ > 0 && r.Size() > opt.MaxAtomsPerCQ {
@@ -438,8 +439,8 @@ func TestRewriteMatchesReference(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	close(closed)
-	if _, err := Rewrite(q, set, Options{Cancel: closed}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("cancelled run: err = %v, want ErrCancelled", err)
+	if _, err := Rewrite(q, set, Options{Cancel: closed}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("cancelled run: err = %v, want stop.ErrCancelled", err)
 	}
 	if checkReference(t, q, set, Options{MaxAtomsPerCQ: 3}).Complete {
 		t.Fatal("Example 3 (n=3) within 3 atoms per disjunct reported complete")

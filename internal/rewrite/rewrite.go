@@ -15,7 +15,6 @@
 package rewrite
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -24,11 +23,9 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
-
-// ErrCancelled reports a rewriting aborted via Options.Cancel.
-var ErrCancelled = errors.New("rewrite: cancelled")
 
 // Options bounds the rewriting closure. The zero value picks defaults
 // that comfortably cover the f_C(q,Σ) bounds on laptop-scale inputs.
@@ -43,21 +40,11 @@ type Options struct {
 	// disjunct cap governs).
 	MaxRounds int
 	// Cancel, when non-nil, aborts the closure as soon as the channel
-	// is closed (or receives); Rewrite then returns ErrCancelled. The
-	// channel is polled once per (disjunct, tgd) rewriting step and
+	// is closed (or receives); Rewrite then returns stop.ErrCancelled.
+	// The channel is polled once per (disjunct, tgd) rewriting step and
 	// inside every core search, so a diverging sticky closure stops
 	// within one piece-rewriting step.
 	Cancel <-chan struct{}
-}
-
-// cancelled polls the cancel channel without blocking.
-func (o Options) cancelled() bool {
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 func (o Options) withDefaults() Options {
@@ -235,7 +222,7 @@ func renameTGDs(tgds []*deps.TGD) []tgdCopy {
 func (w *rewriter) run(q *cq.CQ) (*Result, error) {
 	start, err := w.corer.Core(q.Free, q.Atoms, w.opt.Cancel)
 	if err != nil {
-		return nil, ErrCancelled
+		return nil, err
 	}
 	w.seen[string(w.keyer.Key(q.Free, start))] = struct{}{}
 	first := &cq.CQ{Name: q.Name, Free: append([]term.Term(nil), q.Free...), Atoms: instance.CloneAtoms(start)}
@@ -247,8 +234,8 @@ func (w *rewriter) run(q *cq.CQ) (*Result, error) {
 		for _, p := range w.frontier {
 			w.load(p)
 			for i := range w.tgds {
-				if w.opt.cancelled() {
-					return nil, ErrCancelled
+				if stop.Cancelled(w.opt.Cancel) {
+					return nil, stop.ErrCancelled
 				}
 				w.t = &w.tgds[i]
 				w.enumerate(0, false)
@@ -505,7 +492,7 @@ func (w *rewriter) consider() {
 	}
 	core, err := w.corer.Core(w.free, w.atoms, w.opt.Cancel)
 	if err != nil {
-		w.err = ErrCancelled
+		w.err = err
 		return
 	}
 	if len(core) < len(w.atoms) {

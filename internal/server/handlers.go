@@ -6,16 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
-	"semacyclic/internal/chase"
 	"semacyclic/internal/core"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/obs"
-	"semacyclic/internal/rewrite"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/telemetry"
 )
 
@@ -232,12 +230,6 @@ func (s *Server) computeApprox(ctx context.Context, u *decideUnit) ([]byte, erro
 	return json.Marshal(&ApproxResponse{Approximation: ap.Query.String(), Equivalent: ap.Equivalent})
 }
 
-func isCancelled(err error) bool {
-	return errors.Is(err, core.ErrCancelled) ||
-		errors.Is(err, chase.ErrCancelled) ||
-		errors.Is(err, rewrite.ErrCancelled)
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -268,11 +260,7 @@ func writeBody(w http.ResponseWriter, body []byte, hit bool) {
 func (s *Server) reject(w http.ResponseWriter, err error) {
 	if errors.Is(err, errQueueFull) {
 		obs.ServerShed.Add(1)
-		secs := int(s.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "queue full, retry later")
 		return
 	}
@@ -282,7 +270,7 @@ func (s *Server) reject(w http.ResponseWriter, err error) {
 // writeComputeErr maps decision errors: cancellation → 504, anything
 // else (validation, class errors) → 400.
 func writeComputeErr(w http.ResponseWriter, err error) {
-	if isCancelled(err) {
+	if errors.Is(err, stop.ErrCancelled) {
 		obs.ServerCancelled.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "cancelled: deadline exceeded")
 		return
@@ -409,7 +397,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			body, derr := s.computeDecide(ctx, u)
 			if derr != nil {
-				if isCancelled(derr) {
+				if errors.Is(derr, stop.ErrCancelled) {
 					results[i].Error = "cancelled: deadline exceeded"
 					cancelledAny = true
 				} else {

@@ -49,6 +49,18 @@ import (
 	"semacyclic/internal/telemetry"
 )
 
+// The prepared-checker cache bounds and the 429 back-off hint.
+const (
+	// sigmaCacheSize bounds the number of distinct constraint sets with
+	// live prepared-checker caches.
+	sigmaCacheSize = 128
+	// prepCacheSize bounds the prepared checkers kept per constraint
+	// set.
+	prepCacheSize = 256
+	// retryAfter is the Retry-After header, in seconds, of a 429.
+	retryAfter = "1"
+)
+
 // Config tunes the server. The zero value picks defaults sized to the
 // host.
 type Config struct {
@@ -62,12 +74,6 @@ type Config struct {
 	// CacheSize is the decision-cache capacity in entries (default
 	// 4096). Entries hold marshaled response bytes.
 	CacheSize int
-	// SigmaCacheSize bounds the number of distinct constraint sets with
-	// live prepared-checker caches (default 128).
-	SigmaCacheSize int
-	// PrepCacheSize bounds the prepared checkers kept per constraint
-	// set (default 256).
-	PrepCacheSize int
 	// PlanCacheSize bounds the compiled evaluation plans kept for
 	// /evaluate (default 1024). A plan-cache hit skips the decision and
 	// join-forest construction entirely.
@@ -81,8 +87,6 @@ type Config struct {
 	// 0 picks 10s; negative disables the default (requests without
 	// deadline_ms then run unbounded).
 	DefaultDeadline time.Duration
-	// RetryAfter is the hint attached to 429 responses (default 1s).
-	RetryAfter time.Duration
 	// TraceRingSize bounds the /debug/traces ring of recent request
 	// span trees (default 128).
 	TraceRingSize int
@@ -104,12 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
 	}
-	if c.SigmaCacheSize <= 0 {
-		c.SigmaCacheSize = 128
-	}
-	if c.PrepCacheSize <= 0 {
-		c.PrepCacheSize = 256
-	}
 	if c.PlanCacheSize <= 0 {
 		c.PlanCacheSize = 1024
 	}
@@ -121,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultDeadline == 0 {
 		c.DefaultDeadline = 10 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.TraceRingSize <= 0 {
 		c.TraceRingSize = 128
@@ -196,7 +191,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		queue:     make(chan *task, cfg.QueueDepth),
 		decisions: newLRU(cfg.CacheSize),
-		sigmas:    newLRU(cfg.SigmaCacheSize),
+		sigmas:    newLRU(sigmaCacheSize),
 		plans:     newLRU(cfg.PlanCacheSize),
 		reducers:  newLRU(cfg.PlanCacheSize),
 		instances: newRegistry(cfg.MaxInstances, cfg.MaxInstanceAtoms),
@@ -316,18 +311,16 @@ func (s *Server) sigma(depsKey string, set *deps.Set) *sigmaEntry {
 	if v, ok := s.sigmas.Get(depsKey); ok {
 		return v.(*sigmaEntry)
 	}
-	se := &sigmaEntry{set: set, preps: newLRUWithStats(s.cfg.PrepCacheSize, s.prepStats)}
+	se := &sigmaEntry{set: set, preps: newLRUWithStats(prepCacheSize, s.prepStats)}
 	s.sigmas.Add(depsKey, se)
 	return se
 }
 
 // prepared returns the containment.Prepared checker for the unit's
 // (q, Σ), keyed by the canonical key parseUnit built, building and
-// caching it on miss. The build itself honors cancel (a
-// sticky Prepare is the worst-case-exponential step), but the cached
-// value is stored with cancellation cleared so a stale per-request
-// channel never outlives its request; core re-wires the live channel
-// per decision via WithCancel.
+// caching it on miss. The build itself honors cancel (a sticky Prepare
+// is the worst-case-exponential step); the checker keeps no channel,
+// and core passes each decision's own to every Check.
 func (s *Server) prepared(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) (*containment.Prepared, error) {
 	se := s.sigma(u.depsKey, u.set)
 	if v, ok := se.preps.Get(u.qkey); ok {
@@ -343,7 +336,6 @@ func (s *Server) prepared(u *decideUnit, cancel <-chan struct{}, rec *telemetry.
 	if err != nil {
 		return nil, err // a cancelled Prepare is not cached
 	}
-	p = p.WithCancel(nil)
 	se.preps.Add(u.qkey, p)
 	return p, nil
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"semacyclic/internal/instance"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 )
@@ -233,7 +234,7 @@ func deltaLeaf(n *cnode, rel *instance.InternedRelation, from int, constID []sym
 	vals := make([]symtab.ID, n.w)
 	for r := from; r < rel.Rows(); r++ {
 		if st.cancelled() {
-			return irel{}, ErrCancelled
+			return irel{}, stop.ErrCancelled
 		}
 		if matchRow(n, rel.Row(r), constID, constOK, vals) {
 			out.ids = append(out.ids, vals...)
@@ -421,7 +422,7 @@ func restrictLoad(n *cnode, iv *instance.InternedView, constID []symtab.ID, cons
 		}
 		for t := lo; t < hi; t++ {
 			if st.cancelled() {
-				return irel{}, ErrCancelled
+				return irel{}, stop.ErrCancelled
 			}
 			row := rel.Row(rel.RowAt(pos, t))
 			if matchRow(n, row, constID, constOK, vals) {

@@ -11,6 +11,7 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -132,7 +133,8 @@ func TestIndexStatsSelective(t *testing.T) {
 	}
 }
 
-// A pre-closed cancel channel aborts the evaluation with ErrCancelled.
+// A pre-closed cancel channel aborts the evaluation with
+// stop.ErrCancelled.
 func TestEvaluateCancelPreClosed(t *testing.T) {
 	db := instance.New()
 	for i := 0; i < 3*cancelCheckRows; i++ {
@@ -143,7 +145,7 @@ func TestEvaluateCancelPreClosed(t *testing.T) {
 	q := cq.MustParse("q(x,y) :- E(x,y).")
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, err := compileExecute(t, q, db, Options{Cancel: cancel}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
+	if _, err := compileExecute(t, q, db, Options{Cancel: cancel}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }

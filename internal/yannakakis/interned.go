@@ -9,6 +9,7 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/symtab"
 	"semacyclic/internal/term"
 )
@@ -553,7 +554,7 @@ func loadLeaf(n *cnode, iv *instance.InternedView, constID []symtab.ID, constOK 
 	vals := make([]symtab.ID, n.w)
 	for k := 0; k < nCand; k++ {
 		if st.cancelled() {
-			return irel{}, ErrCancelled
+			return irel{}, stop.ErrCancelled
 		}
 		ridx := k
 		if usePerm {
@@ -588,7 +589,7 @@ func (st *ievalState) semijoin(left, right *irel, li, ri []int32) error {
 	st.filter = st.filter[:0]
 	for r := 0; r < right.n; r++ {
 		if st.cancelled() {
-			return ErrCancelled
+			return stop.ErrCancelled
 		}
 		row := right.ids[r*right.w : r*right.w+right.w]
 		for _, cc := range ri {
@@ -604,7 +605,7 @@ func (st *ievalState) semijoin(left, right *irel, li, ri []int32) error {
 	dst := left.ids[:0]
 	for r := 0; r < left.n; r++ {
 		if st.cancelled() {
-			return ErrCancelled
+			return stop.ErrCancelled
 		}
 		row := left.ids[r*left.w : r*left.w+left.w]
 		for i, cc := range li {
@@ -678,7 +679,7 @@ func (st *ievalState) join(acc, child irel, li, ri, rExtra []int32, outW int) (i
 		}
 		for k := lo; k < hi; k++ {
 			if st.cancelled() {
-				return irel{}, ErrCancelled
+				return irel{}, stop.ErrCancelled
 			}
 			rrow := child.ids[int(perm[k])*child.w : int(perm[k])*child.w+child.w]
 			out.ids = append(out.ids, lrow...)

@@ -8,6 +8,7 @@ import (
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 )
 
@@ -248,7 +249,7 @@ func matchRows(a instance.Atom, vars []term.Term, db *instance.Instance, st *eva
 	sub := term.NewSubst()
 	for _, fact := range candidates {
 		if st.cancelled() {
-			return nil, ErrCancelled
+			return nil, stop.ErrCancelled
 		}
 		added, ok := term.MatchTuple(sub, a.Args, fact.Args, nil)
 		if !ok {
@@ -282,14 +283,14 @@ func semijoin(left, right *node, st *evalState) error {
 	keys := make(map[string]bool, len(right.rows))
 	for _, row := range right.rows {
 		if st.cancelled() {
-			return ErrCancelled
+			return stop.ErrCancelled
 		}
 		keys[projKey(row, ri)] = true
 	}
 	kept := left.rows[:0]
 	for _, row := range left.rows {
 		if st.cancelled() {
-			return ErrCancelled
+			return stop.ErrCancelled
 		}
 		if keys[projKey(row, li)] {
 			kept = append(kept, row)
@@ -323,7 +324,7 @@ func join(lv []term.Term, lr [][]term.Term, rv []term.Term, rr [][]term.Term, st
 	for _, lrow := range lr {
 		for _, rrow := range index[projKey(lrow, li)] {
 			if st.cancelled() {
-				return nil, nil, ErrCancelled
+				return nil, nil, stop.ErrCancelled
 			}
 			row := make([]term.Term, 0, len(outVars))
 			row = append(row, lrow...)

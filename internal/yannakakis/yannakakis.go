@@ -16,31 +16,26 @@
 package yannakakis
 
 import (
-	"errors"
 	"fmt"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/telemetry"
 	"semacyclic/internal/term"
 )
-
-// ErrCancelled reports that an evaluation was aborted via
-// Options.Cancel before completing.
-var ErrCancelled = errors.New("yannakakis: evaluation cancelled")
 
 // Options tunes one evaluation. The zero value is the default: no
 // cancellation, no stats collection. Leaf loading always probes the
 // per-position index when an atom mentions constants.
 type Options struct {
 	// Cancel, when non-nil, aborts the evaluation as soon as the
-	// channel is closed; the evaluator then returns ErrCancelled.
-	// Cancellation is polled between join-tree nodes and every
-	// cancelCheckRows rows inside the leaf-load, semijoin and join
-	// loops, so latency is bounded by a fraction of one phase, not a
-	// whole evaluation.
+	// channel is closed; the evaluator then returns stop.ErrCancelled.
+	// Cancellation is polled once every cancelCheckRows rows of the
+	// leaf-load, semijoin and join loops, so latency is bounded by a
+	// fraction of one phase, not a whole evaluation.
 	Cancel <-chan struct{}
 	// Stats, when non-nil, receives the evaluation's work counters
 	// (rows scanned, index hits, semijoin reductions). Collection never
@@ -74,12 +69,7 @@ func (st *evalState) cancelled() bool {
 		return false
 	}
 	st.since = 0
-	select {
-	case <-st.opt.Cancel:
-		return true
-	default:
-		return false
-	}
+	return stop.Cancelled(st.opt.Cancel)
 }
 
 // Evaluate computes q(D) for an acyclic q. It returns an error when q

@@ -122,9 +122,13 @@ echo "== cancellation & server gate (race) =="
 # the PR-acceptance surface for deadline propagation; run them again
 # with -count=1 so a cached 'ok' can never satisfy the gate. hom's core
 # search polls the cancel channel too: a 256-atom chain, its own core,
-# must stop within 250 ms of the close.
+# must stop within 250 ms of the close; so do the game's sweeps and a
+# prepared checker's chase. Every engine polls through internal/stop,
+# whose contract test calls each cancellable entry point with a closed
+# channel (stop.ErrCancelled) and a nil one (success).
 go test -race -count=1 ./internal/server/
-go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/ ./internal/hom/
+go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/ ./internal/hom/ \
+    ./internal/yannakakis/ ./internal/game/ ./internal/containment/ ./internal/stop/
 
 echo "== delta & overlay differential gate (race) =="
 # Incremental evaluation must never drift from from-scratch: apply

@@ -40,6 +40,7 @@ import (
 	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/rewrite"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/term"
 	"semacyclic/internal/yannakakis"
 )
@@ -215,6 +216,12 @@ var ErrArityClash = instance.ErrArityClash
 // ErrStaleOverlay is returned by Overlay.Commit when the overlay's base
 // instance was mutated after the overlay captured it.
 var ErrStaleOverlay = instance.ErrStaleOverlay
+
+// ErrCancelled is returned by every cancellable call (Decide,
+// Approximate, CompilePlan, Plan.Execute, Explain, Contains, Chase,
+// RewriteUCQ, …) once the Cancel channel of its options has closed,
+// whichever engine was running; match with errors.Is.
+var ErrCancelled = stop.ErrCancelled
 
 // FormatDatabase renders a database in the ground-atom syntax that
 // ParseDatabase reads back (one "R(a,b)." statement per line). It
