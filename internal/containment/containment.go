@@ -176,8 +176,10 @@ func rewriteContains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error)
 // exactly what Contains(q, q', Σ, opt) would with cancel as opt's
 // cancel channel. A Prepared value is immutable after Prepare — except
 // the Checks reuse counter, an atomic — and safe for concurrent Check
-// calls that each pass their own runner. It keeps no cancel channel,
-// so one cached checker serves every request.
+// calls that each pass their own runner. It keeps no cancel channel:
+// a decision (core's verifier) prepares one for its query at the first
+// verification that needs it, and every Check passes the decision's
+// channel, from layers 2 and 3 and from layer 4's parallel branches.
 type Prepared struct {
 	qp  *cq.CQ
 	set *deps.Set
@@ -192,8 +194,8 @@ type Prepared struct {
 
 // Prepare builds a Prepared checker for the fixed right-hand side q'.
 // opt's cancel channels and opt.Trace serve Prepare only: the checker
-// keeps neither, so a cached checker never holds on to the channel or
-// the span tree of the request that built it.
+// keeps neither, so it never holds on to the channel or the span tree
+// of the call that built it.
 func Prepare(qp *cq.CQ, set *deps.Set, opt Options) (*Prepared, error) {
 	sp := opt.Trace.Start("containment:prepare")
 	defer sp.End()

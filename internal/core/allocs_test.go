@@ -20,12 +20,13 @@ import (
 // CQ.Validate. Copying extension atoms and candidates took the sticky
 // triangle 16,580 allocations, and a new instance, chase state and set
 // of frozen constants per verified candidate 9,167; the 3-cycle under
-// E(x,y) → E(y,z) took 16,787 (now 6,265). The two sticky templates
-// rewrite every layer-2/3 candidate in q ⊆Σ w: a rewriting that renamed
-// each tgd, froze the disjunct and built fresh queries per step, and
-// froze each core round into a new instance, took the sticky triangle
-// 5,602 allocations and S0,S1,S0 14,033 (now 3,305 and 4,792). The
-// bounds are those counts plus 5%.
+// E(x,y) → E(y,z) took 16,787. The two sticky templates rewrite every
+// layer-2/3 candidate in q ⊆Σ w: a rewriting that renamed each tgd,
+// froze the disjunct and built fresh queries per step, and froze each
+// core round into a new instance, took the sticky triangle 5,602
+// allocations and S0,S1,S0 14,033. Layers 3 and 4 each chasing q took
+// the three 3,305, 4,792 and 6,223; they share the verifier's chase
+// now, at 3,275, 4,711 and 6,186. The bounds are those counts plus 5%.
 func TestAllocsDecide(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -37,9 +38,9 @@ func TestAllocsDecide(t *testing.T) {
 		bound float64
 	}{
 		{templates[4], "quotient", 1350}, // clique4 under E(x,y) → E(x,x)
-		{templates[2], "budget", 3470},   // the sticky triangle
-		{templates[3], "budget", 5030},   // S0,S1,S0 under the sticky set
-		{templates[0], "budget", 6580},   // the 3-cycle under E(x,y) → E(y,z)
+		{templates[2], "budget", 3440},   // the sticky triangle
+		{templates[3], "budget", 4950},   // S0,S1,S0 under the sticky set
+		{templates[0], "budget", 6500},   // the 3-cycle under E(x,y) → E(y,z)
 	} {
 		q, set := parseTemplate(t, tc.tpl)
 		opt := Options{SearchBudget: 100, Parallelism: 1}

@@ -78,7 +78,7 @@ func TestCancelStatsSentinels(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			close(ch)
 		}()
-		w, st, _, exhausted, err := SearchCompleteStats(q, set, Options{Parallelism: j, SearchBudget: 1 << 30, Cancel: ch}, 6)
+		w, st, _, exhausted, err := SearchComplete(q, set, Options{Parallelism: j, SearchBudget: 1 << 30, Cancel: ch}, 6)
 		if err == nil {
 			continue // completed before the cancel
 		}
@@ -124,24 +124,25 @@ func TestApproximateCancel(t *testing.T) {
 	}
 }
 
-// Completed runs stay deterministic with a caller-supplied Prepared
-// checker: the verdict, witness and stats fingerprint are identical at
-// every parallelism level and identical to the self-prepared run —
-// the property the semacycd decision cache's byte-identity rests on.
+// TestPreparedDeterminismAcrossJ: a decision over the sticky set,
+// which no determinism-corpus case covers, prepares its own checker
+// (the UCQ rewriting of q) and still gives an identical verdict,
+// witness and stats fingerprint at every parallelism level — the
+// property the semacycd decision cache's byte-identity rests on.
 func TestPreparedDeterminismAcrossJ(t *testing.T) {
 	q, set := stickyCancelCase()
-	base, err := Decide(q, set, Options{Parallelism: 1, SearchBudget: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := containment.Prepare(q, set, containment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var base *Result
 	for _, j := range []int{1, 4, 8} {
-		res, err := Decide(q, set, Options{Parallelism: j, SearchBudget: 800, Prepared: prep})
+		res, err := Decide(q, set, Options{Parallelism: j, SearchBudget: 800})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if j == 1 {
+			if res.Stats.Containment.PreparedChecks == 0 {
+				t.Fatal("j=1: the decision prepared no checker")
+			}
+			base = res
+			continue
 		}
 		if res.Verdict != base.Verdict {
 			t.Fatalf("j=%d: verdict %v != %v", j, res.Verdict, base.Verdict)

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"slices"
 
-	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
-	"semacyclic/internal/deps"
 	"semacyclic/internal/hypergraph"
 	"semacyclic/internal/instance"
 	"semacyclic/internal/stop"
@@ -150,22 +148,13 @@ func coversFree(free []term.Term, atoms []instance.Atom, skip int) bool {
 }
 
 // searchChaseSubsets enumerates acyclic connected atom-subsets of the
-// (bounded, thawed) chase of q up to the witness bound, checking both
-// containments for each candidate.
-func searchChaseSubsets(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int) (*cq.CQ, int, error) {
+// (bounded, thawed) chase of q, the verifier's, up to the witness
+// bound, checking both containments for each candidate.
+func searchChaseSubsets(q *cq.CQ, v *verifier, opt Options, bound int) (*cq.CQ, int, error) {
 	if bound <= 0 {
 		bound = 2 * q.Size()
 	}
-	copt := opt.Containment.Chase
-	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
-		// Keep the chase pool small: candidates only need to cover
-		// reformulations reachable within a few derivation steps.
-		copt.MaxDepth = q.Size() + len(set.TGDs) + 2
-		copt.MaxSteps = 2000
-	}
-	chSp := opt.Trace.Start("chase")
-	res, frozen, err := chase.Query(q, set, copt)
-	chSp.End()
+	res, frozen, err := v.chaseQuery()
 	if err != nil {
 		if errors.Is(err, stop.ErrCancelled) {
 			return nil, 0, err

@@ -98,26 +98,14 @@ type Options struct {
 	// cost changes.
 	DisableSearchMemo bool
 	// Trace, when non-nil, receives a span per pipeline stage (the
-	// decision, each layer, the layer-3 chase, containment preparation
-	// — inside the first layer whose verification needs the checker).
+	// decision, each layer, and — inside the first layer that needs
+	// them — the one chase of q and the containment preparation).
 	// Spans are opened only from the sequential coordinator code — never
 	// from parallel branch workers — so the span-tree *structure* (names
 	// and nesting) is identical at every Parallelism value; only the
 	// recorded durations are nondeterministic. A nil Trace is free: the
 	// hooks are no-ops that allocate nothing.
 	Trace *telemetry.Recorder
-	// Prepared, when non-nil, supplies a pre-built containment checker
-	// for the right-hand side q of every candidate verification w ⊆Σ q
-	// in layers 2, 3 and 4. It MUST have been built by
-	// containment.Prepare with this decision's query as q', the same
-	// dependency set and this decision's Containment options — Decide
-	// cannot verify the match and a mismatched checker yields wrong
-	// verdicts. Long-lived callers (the semacycd server) cache one per
-	// (query, Σ) so repeated decisions skip the worst-case-exponential
-	// UCQ rewriting. When nil, Decide prepares one itself at the first
-	// verification that needs it. Ignored when DisableSearchMemo is set
-	// (the reference arm re-derives per candidate).
-	Prepared *containment.Prepared
 }
 
 func (o Options) withDefaults() Options {
@@ -181,8 +169,8 @@ func Decide(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// decide is the layered procedure; st (nil = collection off) receives
-// per-layer records as each layer completes.
+// decide is the layered procedure; st receives per-layer records as
+// each layer completes.
 func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -202,10 +190,8 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	record := func(name string, candidates int) {
 		layerSpan.End()
 		layerSpan = nil
-		if st != nil {
-			st.AddLayer(name, candidates, layerSW.ElapsedNS())
-			layerSW = telemetry.StartTimer()
-		}
+		st.AddLayer(name, candidates, layerSW.ElapsedNS())
+		layerSW = telemetry.StartTimer()
 	}
 
 	// Layer 1: the classical no-constraint criterion. Sound under any
@@ -226,11 +212,16 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	}
 	record("core", 1)
 
+	// The verifier owns what the later layers derive from (q, Σ): the
+	// chase of q and the containment checker, each built at first need.
+	v := newVerifier(q, set, opt)
+	defer v.recordChecks(st)
+
 	// Σ-unsatisfiable queries (failing egd chase) are equivalent to any
 	// acyclic Σ-unsatisfiable query; handle them before the chase-based
 	// layers, which cannot reason via Lemma 1 without a chase.
 	beginLayer("unsatisfiable")
-	if res, handled, err := decideUnsatisfiable(q, set, opt); err != nil {
+	if res, handled, err := decideUnsatisfiable(q, set, v); err != nil {
 		return nil, err
 	} else if handled {
 		record("unsatisfiable", res.Candidates)
@@ -240,7 +231,6 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 
 	bound := witnessBound(q, set, opt)
 	res := &Result{Bound: bound}
-	v := newVerifier(q, set, opt)
 
 	// Layer 2: quotients and subqueries of q.
 	beginLayer("quotient")
@@ -260,7 +250,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 
 	// Layer 3: acyclic connected subsets of the (bounded) chase of q.
 	beginLayer("chase-subset")
-	if w, n, err := searchChaseSubsets(q, set, v, opt, bound); err != nil {
+	if w, n, err := searchChaseSubsets(q, v, opt, bound); err != nil {
 		return nil, err
 	} else {
 		res.Candidates += n
@@ -285,11 +275,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		// The layer record uses the DETERMINISTIC decisive count — -1
 		// sentinel included; the raw examined count is scheduling-
 		// dependent and stays in Search.CandidatesObserved.
-		layerN := n
-		if st != nil {
-			layerN = st.Search.Candidates
-		}
-		record("complete", layerN)
+		record("complete", st.Search.Candidates)
 		if w != nil {
 			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
 				return nil, err
@@ -362,18 +348,32 @@ func polishWitness(w *cq.CQ, cancel <-chan struct{}) (*cq.CQ, error) {
 	return w, nil
 }
 
-// verifier checks candidate witnesses w for q ≡Σ w against the
-// decision's fixed query q. The right-hand side of w ⊆Σ q is the same
-// for every candidate, so one containment checker serves layers 2, 3
-// and 4: opt.Prepared when the caller supplied one, otherwise a single
-// containment.Prepare(q, Σ), built at the first verification that needs
-// it. A verifier belongs to one decision and is not safe for concurrent
-// use; layer 4's parallel workers share only the checker.
+// verifier owns what a decision derives from its fixed (q, Σ) and
+// checks candidate witnesses w for q ≡Σ w. It chases q once, at first
+// need, under the layers' one chase budget (chaseQuery): the
+// unsatisfiability test, layer 3 and layer 4 read that result. The
+// right-hand side of w ⊆Σ q is the same for every candidate, so one
+// containment checker, built by containment.Prepare at the first
+// verification that needs it, serves layers 2, 3 and 4. A verifier
+// belongs to one decision and is not safe for concurrent use; layer
+// 4's parallel workers share only the checker and the chased instance,
+// which they read.
 type verifier struct {
 	q   *cq.CQ
 	set *deps.Set
 	opt Options
-	// checker is the resolved containment checker, nil until needed.
+	// copt is the layers' chase budget: opt.Containment.Chase, with
+	// MaxDepth |q| + |TGDs| + 2 and MaxSteps 2,000 unless the caller
+	// set either. It keeps the chase pool small: candidates only need
+	// to cover reformulations reachable within a few derivation steps.
+	copt chase.Options
+	// chased reports that chase(q,Σ) ran; chaseRes, chaseFrozen and
+	// chaseErr are what chase.Query returned.
+	chased      bool
+	chaseRes    *chase.Result
+	chaseFrozen []term.Term
+	chaseErr    error
+	// checker is the decision's containment checker, nil until needed.
 	checker *containment.Prepared
 	// runner freezes and chases layers 2 and 3's candidates in w ⊆Σ q;
 	// layer 4's branches bring their own.
@@ -384,36 +384,55 @@ type verifier struct {
 	frozen []term.Term
 }
 
-// newVerifier resolves the containment method once for the decision:
-// Σ's class does not change between candidates, so Prepare, every
-// Contains call and the DisableSearchMemo arm run the method
-// SelectMethod picks here without classifying Σ again.
+// newVerifier resolves the containment method and the chase budget
+// once for the decision: Σ's class does not change between candidates,
+// so Prepare, every Contains call and the DisableSearchMemo arm run
+// the method SelectMethod picks here without classifying Σ again.
 func newVerifier(q *cq.CQ, set *deps.Set, opt Options) *verifier {
 	opt.Containment.Method = containment.SelectMethod(set, opt.Containment)
-	return &verifier{q: q, set: set, opt: opt}
+	copt := opt.Containment.Chase
+	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
+		copt.MaxDepth = q.Size() + len(set.TGDs) + 2
+		copt.MaxSteps = 2000
+	}
+	return &verifier{q: q, set: set, opt: opt, copt: copt}
+}
+
+// chaseQuery returns chase(q,Σ) under the layers' budget and q's
+// frozen head tuple, chasing inside a "chase" span on first use. Its
+// error is chase.Query's: chase.ErrFailed when an egd fails,
+// stop.ErrCancelled when the decision was cancelled.
+func (v *verifier) chaseQuery() (*chase.Result, []term.Term, error) {
+	if !v.chased {
+		sp := v.opt.Trace.Start("chase")
+		v.chaseRes, v.chaseFrozen, v.chaseErr = chase.Query(v.q, v.set, v.copt)
+		sp.End()
+		v.chased = true
+	}
+	return v.chaseRes, v.chaseFrozen, v.chaseErr
 }
 
 // prepared returns the decision's containment checker for the fixed
-// right-hand side q, resolving it on first use.
+// right-hand side q, preparing it on first use: for sticky sets this
+// hoists the exponential UCQ rewriting out of the per-candidate loop.
 func (v *verifier) prepared() (*containment.Prepared, error) {
+	if v.checker == nil {
+		checker, err := containment.Prepare(v.q, v.set, v.opt.Containment)
+		if err != nil {
+			return nil, err
+		}
+		v.checker = checker
+	}
+	return v.checker, nil
+}
+
+// recordChecks records how many checks the decision's checker served,
+// whichever layer settled the decision; a decision that built none
+// records nothing.
+func (v *verifier) recordChecks(st *obs.Stats) {
 	if v.checker != nil {
-		return v.checker, nil
+		st.Containment.PreparedChecks = v.checker.Checks()
 	}
-	if v.opt.Prepared != nil {
-		// A long-lived caller (the semacycd server) already hoisted the
-		// right-hand side for this (q, Σ); every Check passes it this
-		// decision's cancel channel.
-		v.checker = v.opt.Prepared
-		return v.checker, nil
-	}
-	// Prepare the right-hand side once: for sticky sets this hoists the
-	// exponential UCQ rewriting out of the per-candidate loop.
-	checker, err := containment.Prepare(v.q, v.set, v.opt.Containment)
-	if err != nil {
-		return nil, err
-	}
-	v.checker = checker
-	return checker, nil
 }
 
 // verifyWitness checks q ≡Σ w. It returns whether the equivalence

@@ -118,7 +118,7 @@ func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 				{Parallelism: 8, SearchBudget: 1500},
 				{Parallelism: 4, SearchBudget: 1500, DisableSearchMemo: true},
 			} {
-				w, examined, exhausted, err := SearchComplete(c.q, c.set, opt, bound)
+				w, _, examined, exhausted, err := SearchComplete(c.q, c.set, opt, bound)
 				if err != nil {
 					t.Fatalf("opt %+v: %v", opt, err)
 				}
@@ -193,7 +193,7 @@ func TestStatsDeterministicAcrossMemo(t *testing.T) {
 				{Parallelism: 1, SearchBudget: 1500},
 				{Parallelism: 4, SearchBudget: 1500, DisableSearchMemo: true},
 			} {
-				_, st, _, _, err := SearchCompleteStats(c.q, c.set, opt, bound)
+				_, st, _, _, err := SearchComplete(c.q, c.set, opt, bound)
 				if err != nil {
 					t.Fatalf("opt %+v: %v", opt, err)
 				}
@@ -222,7 +222,7 @@ func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 			if bound <= 0 || bound > 6 {
 				bound = 6
 			}
-			w, st, examined, exhausted, err := SearchCompleteStats(c.q, c.set, Options{Parallelism: 1, SearchBudget: 1500}, bound)
+			w, st, examined, exhausted, err := SearchComplete(c.q, c.set, Options{Parallelism: 1, SearchBudget: 1500}, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +248,7 @@ func TestParallelSearchSharedBudgetStops(t *testing.T) {
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x), B(x).")
 	for _, j := range []int{1, 4} {
 		opt := Options{SearchBudget: 30, Parallelism: j}
-		w, examined, exhausted, err := SearchComplete(q, set, opt, 500)
+		w, _, examined, exhausted, err := SearchComplete(q, set, opt, 500)
 		if err != nil {
 			t.Fatalf("-j %d: %v", j, err)
 		}

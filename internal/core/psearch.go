@@ -91,8 +91,7 @@ type searchEngine struct {
 	// case every verification re-derives the right-hand side).
 	checker *containment.Prepared
 
-	// st receives the run's observability counters; nil disables
-	// collection entirely (the benchmarking baseline). Shared counters
+	// st receives the run's observability counters. Shared counters
 	// are aggregated per branch in a local branchStats and flushed with
 	// a handful of atomic adds when the branch ends, so the enumeration
 	// hot loop pays plain increments only.
@@ -116,9 +115,6 @@ type branchStats struct {
 }
 
 func (e *searchEngine) flush(bs *branchStats) {
-	if e.st == nil {
-		return
-	}
 	e.prunedByHom.Add(bs.pruned)
 	e.pruneHits.Add(bs.pruneHits)
 	e.pruneMisses.Add(bs.pruneMisses)
@@ -218,11 +214,9 @@ func (e *searchEngine) run() (*cq.CQ, int, bool, error) {
 	if workers > len(branches) {
 		workers = len(branches)
 	}
-	if e.st != nil {
-		e.st.Search.Branches = len(branches)
-		e.st.Search.Workers = workers
-		e.workerBranches = make([]int64, workers)
-	}
+	e.st.Search.Branches = len(branches)
+	e.st.Search.Workers = workers
+	e.workerBranches = make([]int64, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -234,9 +228,7 @@ func (e *searchEngine) run() (*cq.CQ, int, bool, error) {
 				if idx >= len(branches) {
 					return
 				}
-				if e.workerBranches != nil {
-					e.workerBranches[w]++
-				}
+				e.workerBranches[w]++
 				switch {
 				case e.aborted.Load():
 					outcomes[idx] = branchOutcome{complete: false}
@@ -319,9 +311,6 @@ func (e *searchEngine) run() (*cq.CQ, int, bool, error) {
 
 // fillStats writes the run's counters into the attached obs.Stats.
 func (e *searchEngine) fillStats(examined, decisive, winner int, exhausted bool) {
-	if e.st == nil {
-		return
-	}
 	s := &e.st.Search
 	s.Bound = e.bound
 	s.Budget = int(e.budget)
@@ -342,7 +331,6 @@ func (e *searchEngine) fillStats(examined, decisive, winner int, exhausted bool)
 	if e.checker != nil {
 		c.Method = string(e.checker.SelectedMethod())
 		c.RewriteDisjuncts, c.RewriteComplete = e.checker.RewriteSize()
-		c.PreparedChecks = e.checker.Checks()
 	} else {
 		c.Method = string(containment.SelectMethod(e.set, e.opt.Containment))
 		c.RewriteDisjuncts = -1 // no prepared rewriting (memo disabled)

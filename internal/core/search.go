@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 
-	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/instance"
@@ -30,35 +29,28 @@ import (
 // for every parallelism level: each branch yields its canonically first
 // witness and the canonically least branch wins.
 //
-// Returns the witness (if any), the number of candidates examined, and
-// whether the enumeration exhausted the search space definitively —
-// which additionally requires the pruning chase to have been complete.
+// Returns the witness (if any), the run's stats, the number of
+// candidates examined, and whether the enumeration exhausted the search
+// space definitively — which additionally requires the pruning chase to
+// have been complete.
 //
 // Exported within the module so tests can drive layer 4 directly; the
-// public facade does not re-export it.
-//
-// SearchComplete collects no observability counters. Use
-// SearchCompleteStats to get the same answer plus an obs.Stats.
-func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, int, bool, error) {
-	opt = opt.withDefaults()
-	return searchComplete(q, set, newVerifier(q, set, opt), opt, bound, nil)
-}
-
-// SearchCompleteStats is SearchComplete with observability: it returns
-// the identical witness/examined/exhausted answer (stats collection
-// never influences the search; see the determinism contract in
-// psearch.go) plus the run's counters. The returned Stats carries the
-// chase, search and containment sections; Hom and Layers are left to
-// Decide, which owns the process-wide delta and the pipeline view.
-func SearchCompleteStats(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, *obs.Stats, int, bool, error) {
+// public facade does not re-export it. The returned Stats carries the
+// run's chase, search and containment sections (collection never
+// influences the search; see the determinism contract in psearch.go);
+// Hom and Layers are left to Decide, which owns the process-wide delta
+// and the pipeline view.
+func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, *obs.Stats, int, bool, error) {
 	opt = opt.withDefaults()
 	st := obs.NewStats()
-	witness, examined, exhausted, err := searchComplete(q, set, newVerifier(q, set, opt), opt, bound, st)
+	v := newVerifier(q, set, opt)
+	witness, examined, exhausted, err := searchComplete(q, set, v, opt, bound, st)
+	v.recordChecks(st)
 	return witness, st, examined, exhausted, err
 }
 
 // searchComplete runs layer 4 with opt already defaulted; v supplies
-// the decision's containment checker.
+// the decision's chase of q and containment checker.
 func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int, st *obs.Stats) (*cq.CQ, int, bool, error) {
 	sch, err := q.Schema().Union(set.Schema())
 	if err != nil {
@@ -85,14 +77,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	n := max(min(bound, limit), 0)*sch.MaxArity() + maxFreshPerAtom
 	names := freshNames(make([]term.Term, 0, n), q.Free, n)
 
-	copt := opt.Containment.Chase
-	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
-		copt.MaxDepth = q.Size() + len(set.TGDs) + 2
-		copt.MaxSteps = 2000
-	}
-	chSp := opt.Trace.Start("chase")
-	chres, frozen, err := chase.Query(q, set, copt)
-	chSp.End()
+	chres, frozen, err := v.chaseQuery()
 	if err != nil {
 		if errors.Is(err, stop.ErrCancelled) {
 			return nil, 0, false, err
@@ -101,20 +86,16 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 		// unsatisfiable queries before this layer); no claims here.
 		return nil, 0, false, nil
 	}
-	if st != nil {
-		st.Chase = chres.Stats
-		st.Search.Bound = bound
-		st.Search.Budget = opt.SearchBudget
-	}
+	st.Chase = chres.Stats
+	st.Search.Bound = bound
+	st.Search.Budget = opt.SearchBudget
 
 	// Pin the candidate's free variables to the frozen head tuple.
 	pin := term.NewSubst()
 	for i, x := range q.Free {
 		if prev, ok := pin[x]; ok && prev != frozen[i] {
-			if st != nil {
-				st.Search.Exhausted = chres.Complete
-				st.Search.Candidates = 0
-			}
+			st.Search.Exhausted = chres.Complete
+			st.Search.Candidates = 0
 			return nil, 0, chres.Complete, nil
 		}
 		pin[x] = frozen[i]
@@ -153,12 +134,10 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 		return witness, examined, false, nil
 	}
 	exhausted = exhausted && chres.Complete && !capped
-	if st != nil {
-		// fillStats recorded the enumerator's own exhaustion; fold in the
-		// chase-completeness and depth-cap conditions so the reported flag
-		// matches the returned one.
-		st.Search.Exhausted = exhausted
-	}
+	// fillStats recorded the enumerator's own exhaustion; fold in the
+	// chase-completeness and depth-cap conditions so the reported flag
+	// matches the returned one.
+	st.Search.Exhausted = exhausted
 	return nil, examined, exhausted, nil
 }
 

@@ -24,7 +24,7 @@ func TestSearchCompleteFindsWitness(t *testing.T) {
 	set := deps.MustParse("E(x,y) -> E(x,x).")
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x).")
 	opt := Options{SearchBudget: 5000}.withDefaults()
-	w, examined, _, err := SearchComplete(q, set, opt, 1)
+	w, _, examined, _, err := SearchComplete(q, set, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSearchCompleteExhaustsTinyBound(t *testing.T) {
 	set := deps.MustParse("E(x,y) -> E(y,x).")
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x).")
 	opt := Options{SearchBudget: 5000}.withDefaults()
-	w, _, exhausted, err := SearchComplete(q, set, opt, 1)
+	w, _, _, exhausted, err := SearchComplete(q, set, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSearchCompleteCapReportsNonExhaustive(t *testing.T) {
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x), B(x).")
 	opt := Options{SearchBudget: 30}.withDefaults()
 	// Class bound far above the cap.
-	_, _, exhausted, err := SearchComplete(q, set, opt, 500)
+	_, _, _, exhausted, err := SearchComplete(q, set, opt, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +235,11 @@ func TestSearchIgnoresFreeVariableNames(t *testing.T) {
 			}
 			compared++
 			bound := 2 * q.Size()
-			fw, fst, fn, fex, err := SearchCompleteStats(fq, set, opt, bound)
+			fw, fst, fn, fex, err := SearchComplete(fq, set, opt, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, sst, sn, sex, err := SearchCompleteStats(sq, set, opt, bound)
+			sw, sst, sn, sex, err := SearchComplete(sq, set, opt, bound)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,6 +91,38 @@ func TestTraceCoversPipelineLayers(t *testing.T) {
 	}
 }
 
+// TestDecideChasesQueryOnce: the verifier owns chase(q,Σ), so a
+// decision that reaches layer 4 chases q once, in one "chase" span
+// inside layer 3, the first layer that needs it; layer 4 reads that
+// chase. The sticky triangle, a decide-cold template, runs out of
+// budget in layer 4; it used to chase q in both layers.
+func TestDecideChasesQueryOnce(t *testing.T) {
+	q, set := parseTemplate(t, decideColdTemplates()[2])
+	rec := telemetry.NewRecorder("request")
+	res, err := Decide(q, set, Options{SearchBudget: 100, Parallelism: 1, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := rec.Finish()
+	if res.Layer != "budget" || !contains(root.Structure(), "layer:complete") {
+		t.Fatalf("settled in layer %q with spans %s, want layer 4 to run out of budget", res.Layer, root.Structure())
+	}
+	var parents []string
+	var walk func(s *telemetry.Span)
+	walk = func(s *telemetry.Span) {
+		for _, c := range s.Children {
+			if c.Name == "chase" {
+				parents = append(parents, s.Name)
+			}
+			walk(c)
+		}
+	}
+	walk(root)
+	if len(parents) != 1 || parents[0] != "layer:chase-subset" {
+		t.Fatalf("chase spans under %v, want one under layer:chase-subset; spans %s", parents, root.Structure())
+	}
+}
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

@@ -19,22 +19,18 @@ import (
 // acyclicity therefore reduces to: does an acyclic Σ-unsatisfiable CQ
 // with q's free variables exist? We construct candidates from the
 // egds' own bodies (two distinct rigid constants forced equal) and
-// verify each by chasing it to failure.
+// verify each by chasing it to failure under the layers' chase budget.
 //
-// Returns (nil, false) when q's chase does not fail, in which case the
-// regular layers proceed.
-func decideUnsatisfiable(q *cq.CQ, set *deps.Set, opt Options) (*Result, bool, error) {
+// Returns (nil, false) when q's chase — the verifier's, which layers 3
+// and 4 read too — does not fail, in which case the regular layers
+// proceed.
+func decideUnsatisfiable(q *cq.CQ, set *deps.Set, v *verifier) (*Result, bool, error) {
 	if len(set.EGDs) == 0 || len(q.Constants()) < 2 {
 		// Failure needs two distinct rigid constants forced equal; a
 		// constant-poor query cannot clash.
 		return nil, false, nil
 	}
-	copt := opt.Containment.Chase
-	if copt.MaxDepth <= 0 && copt.MaxSteps <= 0 {
-		copt.MaxDepth = q.Size() + len(set.TGDs) + 2
-		copt.MaxSteps = 2000
-	}
-	_, _, err := chase.Query(q, set, copt)
+	_, _, err := v.chaseQuery()
 	if errors.Is(err, stop.ErrCancelled) {
 		return nil, false, err
 	}
@@ -51,7 +47,7 @@ func decideUnsatisfiable(q *cq.CQ, set *deps.Set, opt Options) (*Result, bool, e
 		if !hypergraph.IsAcyclic(w.Atoms) {
 			continue
 		}
-		_, _, werr := chase.Query(w, set, copt)
+		_, _, werr := chase.Query(w, set, v.copt)
 		if errors.Is(werr, stop.ErrCancelled) {
 			return nil, false, werr
 		}

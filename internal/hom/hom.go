@@ -16,12 +16,13 @@ import (
 	"semacyclic/internal/term"
 )
 
-// enumerator is the state of one Enumerate, Find or Exists call: the
-// substitution being extended, the undo stack of the open levels, the
-// pattern in search order and orderAtoms' scratch. Enumerators are
-// recycled through enumPool, so a steady-state call allocates nothing
-// for its own bookkeeping. Nested calls (an Exists inside a yield, as
-// in the chase) each take their own enumerator.
+// enumerator is the state of one Enumerate, Find, Exists or
+// EvaluateCancel call: the substitution being extended, the undo stack
+// of the open levels, the pattern in search order and orderAtoms'
+// scratch. Enumerators are recycled through enumPool, so a
+// steady-state call allocates nothing for its own bookkeeping. Nested
+// calls (an Exists inside a yield, as in the chase) each take their
+// own enumerator.
 type enumerator struct {
 	sub    term.Subst         // the partial homomorphism; init copied in
 	undo   []term.Term        // keys bound by the open levels, innermost last
@@ -323,21 +324,22 @@ func Evaluate(q *cq.CQ, target *instance.Instance) [][]term.Term {
 }
 
 // EvaluateCancel is Evaluate that stops with stop.ErrCancelled once
-// cancel is closed; a nil cancel never fires. It polls once per
-// enumerated homomorphism, so on answer-dense databases latency is
-// tight, while a long fruitless backtrack between answers is not
-// interruptible.
+// cancel is closed; a nil cancel never fires. It polls before the
+// search and then every pollEvery search nodes, so a long fruitless
+// backtrack between answers stops as promptly as an answer-dense
+// enumeration.
 func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{}) ([][]term.Term, error) {
+	if stop.Cancelled(cancel) {
+		return nil, stop.ErrCancelled
+	}
 	local := symtab.New()
 	seen := make(map[string]bool)
 	var answers [][]term.Term
 	var idbuf []byte
-	aborted := false
-	Enumerate(q.Atoms, target, nil, func(s term.Subst) bool {
-		if stop.Cancelled(cancel) {
-			aborted = true
-			return false
-		}
+	e := newEnumerator(q.Atoms, target, nil)
+	e.cancel = cancel
+	// The yield never stops the search, so only a closed cancel does.
+	complete := e.rec(0, func(s term.Subst) bool {
 		idbuf = idbuf[:0]
 		for _, x := range q.Free {
 			idbuf = symtab.AppendID(idbuf, local.Intern(s.Resolve(x)))
@@ -348,7 +350,8 @@ func EvaluateCancel(q *cq.CQ, target *instance.Instance, cancel <-chan struct{})
 		}
 		return true
 	})
-	if aborted {
+	e.release()
+	if !complete {
 		return nil, stop.ErrCancelled
 	}
 	slices.SortFunc(answers, term.CompareTuples)

@@ -147,11 +147,7 @@ func (s *Server) plan(u *decideUnit, method string, cancel <-chan struct{}, rec 
 		return v.(*core.Plan), true, nil
 	}
 	rec.Event("cache:plan:miss")
-	opt, err := s.options(u, cancel, rec)
-	if err != nil {
-		return nil, false, err
-	}
-	p, err := core.CompilePlan(u.q, u.set, opt, method)
+	p, err := core.CompilePlan(u.q, u.set, options(u, cancel, rec), method)
 	if err != nil {
 		return nil, false, err // a cancelled compile is not cached
 	}

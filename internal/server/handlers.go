@@ -109,12 +109,10 @@ const maxBatchAtoms = 16 * maxQueryAtoms
 
 // decideUnit is a parsed, cache-keyed decision request.
 type decideUnit struct {
-	req     *DecideRequest
-	q       *cq.CQ
-	set     *deps.Set
-	depsKey string
-	qkey    string // q.CanonicalKey()
-	key     string
+	req *DecideRequest
+	q   *cq.CQ
+	set *deps.Set
+	key string
 }
 
 // parseUnit validates and canonicalizes one request. kind prefixes the
@@ -148,13 +146,13 @@ func parseRequest(req *DecideRequest) (*decideUnit, error) {
 			return nil, fmt.Errorf("deps: %w", err)
 		}
 	}
-	return &decideUnit{req: req, q: q, set: set, depsKey: set.String()}, nil
+	return &decideUnit{req: req, q: q, set: set}, nil
 }
 
-// setKey computes the unit's canonical query key and its cache key.
+// setKey computes the unit's cache key from the query's canonical form
+// and the set's rendering.
 func (u *decideUnit) setKey(kind string) {
-	u.qkey = u.q.CanonicalKey()
-	u.key = kind + "\x00" + u.qkey + "\x00" + u.depsKey + "\x00" +
+	u.key = kind + "\x00" + u.q.CanonicalKey() + "\x00" + u.set.String() + "\x00" +
 		fmt.Sprintf("b=%d w=%d skip=%v", u.req.Budget, u.req.MaxWitness, u.req.SkipComplete)
 }
 
@@ -172,9 +170,9 @@ func (s *Server) requestCtx(parent context.Context, ms int64) (context.Context, 
 }
 
 // options assembles the core.Options for a unit, wiring the deadline
-// channel, the request's span recorder, and the prepared checker.
-func (s *Server) options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) (core.Options, error) {
-	opt := core.Options{
+// channel and the request's span recorder.
+func options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) core.Options {
+	return core.Options{
 		SearchBudget:       u.req.Budget,
 		MaxWitnessSize:     u.req.MaxWitness,
 		SkipCompleteSearch: u.req.SkipComplete,
@@ -182,12 +180,6 @@ func (s *Server) options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.R
 		Cancel:             cancel,
 		Trace:              rec,
 	}
-	prep, err := s.prepared(u, cancel, rec)
-	if err != nil {
-		return opt, err
-	}
-	opt.Prepared = prep
-	return opt, nil
 }
 
 // computeDecide runs one decision on the calling (worker) goroutine
@@ -195,11 +187,7 @@ func (s *Server) options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.R
 // land in the layer histograms here; they never enter the response
 // (DecideResponse carries only deterministic fields).
 func (s *Server) computeDecide(ctx context.Context, u *decideUnit) ([]byte, error) {
-	opt, err := s.options(u, ctx.Done(), traceRec(ctx))
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Decide(u.q, u.set, opt)
+	res, err := core.Decide(u.q, u.set, options(u, ctx.Done(), traceRec(ctx)))
 	if err != nil {
 		return nil, err
 	}
@@ -219,11 +207,7 @@ func (s *Server) computeDecide(ctx context.Context, u *decideUnit) ([]byte, erro
 
 // computeApprox runs one approximation on the calling goroutine.
 func (s *Server) computeApprox(ctx context.Context, u *decideUnit) ([]byte, error) {
-	opt, err := s.options(u, ctx.Done(), traceRec(ctx))
-	if err != nil {
-		return nil, err
-	}
-	ap, err := core.Approximate(u.q, u.set, opt)
+	ap, err := core.Approximate(u.q, u.set, options(u, ctx.Done(), traceRec(ctx)))
 	if err != nil {
 		return nil, err
 	}

@@ -7,64 +7,20 @@ import (
 	"semacyclic/internal/telemetry"
 )
 
-// lruStats aggregates a cache's hit/miss/eviction counters. A stats
-// block can be shared by several lruCaches (the per-Σ prepared-checker
-// caches all feed one block) so the /metrics surface reports one series
-// per logical cache, not one per shard.
-type lruStats struct {
-	mu           sync.Mutex
-	hits         int64 `sem:"guardedby(mu)"`
-	misses       int64 `sem:"guardedby(mu)"`
-	evictions    int64 `sem:"guardedby(mu)"`
-	evictedAgeNS int64 `sem:"guardedby(mu)"`
-}
-
-func (st *lruStats) hit() {
-	st.mu.Lock()
-	st.hits++
-	st.mu.Unlock()
-}
-
-func (st *lruStats) miss() {
-	st.mu.Lock()
-	st.misses++
-	st.mu.Unlock()
-}
-
-func (st *lruStats) evict(age telemetry.DurationNS) {
-	st.mu.Lock()
-	st.evictions++
-	st.evictedAgeNS += int64(age)
-	st.mu.Unlock()
-}
-
-// Hits returns the cumulative Get-hit count.
-func (st *lruStats) Hits() int64 { st.mu.Lock(); defer st.mu.Unlock(); return st.hits }
-
-// Misses returns the cumulative Get-miss count.
-func (st *lruStats) Misses() int64 { st.mu.Lock(); defer st.mu.Unlock(); return st.misses }
-
-// Evictions returns the cumulative capacity-eviction count.
-func (st *lruStats) Evictions() int64 { st.mu.Lock(); defer st.mu.Unlock(); return st.evictions }
-
-// EvictedAgeNS returns the summed residency age of evicted entries —
-// low total age per eviction means the cache is churning (undersized).
-func (st *lruStats) EvictedAgeNS() int64 { st.mu.Lock(); defer st.mu.Unlock(); return st.evictedAgeNS }
-
-// lruCache is a small mutex-guarded LRU map. Both server caches sit on
-// the request path before the worker pool, so the critical sections are
-// a map probe and a list splice — no decision work happens under the
-// lock.
+// lruCache is a small mutex-guarded LRU map that counts its hits,
+// misses and capacity evictions for /metrics. The server's caches sit
+// on the request path before the worker pool, so the critical sections
+// are a map probe, a list splice and a counter bump — no decision work
+// happens under the lock.
 type lruCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List               `sem:"guardedby(mu)"`
-	items map[string]*list.Element `sem:"guardedby(mu)"`
-	stats *lruStats
-	// onEvict, when non-nil, observes each capacity eviction (key and
-	// evicted value), called outside the cache lock so a callback may
-	// touch other caches without lock-order concerns.
-	onEvict func(key string, val any)
+	mu           sync.Mutex
+	max          int
+	ll           *list.List               `sem:"guardedby(mu)"`
+	items        map[string]*list.Element `sem:"guardedby(mu)"`
+	hits         int64                    `sem:"guardedby(mu)"`
+	misses       int64                    `sem:"guardedby(mu)"`
+	evictions    int64                    `sem:"guardedby(mu)"`
+	evictedAgeNS int64                    `sem:"guardedby(mu)"`
 }
 
 type lruEntry struct {
@@ -74,87 +30,44 @@ type lruEntry struct {
 }
 
 func newLRU(max int) *lruCache {
-	return newLRUWithStats(max, &lruStats{})
-}
-
-// newLRUWithStats builds a cache that feeds the given (possibly shared)
-// stats block.
-func newLRUWithStats(max int, stats *lruStats) *lruCache {
 	if max < 1 {
 		max = 1
 	}
-	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element), stats: stats}
+	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
-
-// Stats returns the cache's counter block.
-func (c *lruCache) Stats() *lruStats { return c.stats }
-
-// SetOnEvict installs the eviction callback. Call before the cache is
-// shared across goroutines (installation is not synchronized).
-func (c *lruCache) SetOnEvict(fn func(key string, val any)) { c.onEvict = fn }
 
 // Get returns the cached value and promotes it to most-recently-used.
 func (c *lruCache) Get(key string) (any, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		c.mu.Unlock()
-		c.stats.miss()
+		c.misses++
 		return nil, false
 	}
+	c.hits++
 	c.ll.MoveToFront(e)
-	val := e.Value.(*lruEntry).val
-	c.mu.Unlock()
-	c.stats.hit()
-	return val, true
+	return e.Value.(*lruEntry).val, true
 }
 
 // Add inserts or refreshes the entry, evicting the least-recently-used
 // entries beyond the capacity.
 func (c *lruCache) Add(key string, val any) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
 		c.ll.MoveToFront(e)
 		e.Value.(*lruEntry).val = val
-		c.mu.Unlock()
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val, added: telemetry.StartTimer()})
-	var evicted []*lruEntry
 	for c.ll.Len() > c.max {
 		old := c.ll.Back()
 		c.ll.Remove(old)
 		ent := old.Value.(*lruEntry)
 		delete(c.items, ent.key)
-		evicted = append(evicted, ent)
-	}
-	c.mu.Unlock()
-	for _, ent := range evicted {
-		c.stats.evict(ent.added.ElapsedNS())
-		if c.onEvict != nil {
-			c.onEvict(ent.key, ent.val)
-		}
-	}
-}
-
-// dropAll evicts every entry, recording each into the stats (and the
-// callback) like a capacity eviction. Used when a whole cache is being
-// discarded — e.g. a sigma entry eviction drops its nested
-// prepared-checker cache.
-func (c *lruCache) dropAll() {
-	c.mu.Lock()
-	ents := make([]*lruEntry, 0, c.ll.Len())
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		ents = append(ents, e.Value.(*lruEntry))
-	}
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.mu.Unlock()
-	for _, ent := range ents {
-		c.stats.evict(ent.added.ElapsedNS())
-		if c.onEvict != nil {
-			c.onEvict(ent.key, ent.val)
-		}
+		c.evictions++
+		c.evictedAgeNS += int64(ent.added.ElapsedNS())
 	}
 }
 
@@ -164,3 +77,16 @@ func (c *lruCache) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
+
+// Hits returns the cumulative Get-hit count.
+func (c *lruCache) Hits() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.hits }
+
+// Misses returns the cumulative Get-miss count.
+func (c *lruCache) Misses() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.misses }
+
+// Evictions returns the cumulative capacity-eviction count.
+func (c *lruCache) Evictions() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.evictions }
+
+// EvictedAgeNS returns the summed residency age of evicted entries —
+// low total age per eviction means the cache is churning (undersized).
+func (c *lruCache) EvictedAgeNS() int64 { c.mu.Lock(); defer c.mu.Unlock(); return c.evictedAgeNS }

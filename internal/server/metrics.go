@@ -79,32 +79,20 @@ type metricsSet struct {
 func newMetricsSet(s *Server) *metricsSet {
 	m := &metricsSet{reg: telemetry.NewRegistry()}
 	caches := []struct {
-		name string
-		st   *lruStats
+		name  string
+		cache *lruCache
 	}{
-		{"decision", s.decisions.Stats()},
-		{"sigma", s.sigmas.Stats()},
-		{"prepared", s.prepStats},
-		{"plan", s.plans.Stats()},
+		{"decision", s.decisions},
+		{"plan", s.plans},
 	}
 	for _, c := range caches {
 		ls := telemetry.Labels("cache", c.name)
-		m.reg.CounterFunc(mCacheHits, hCacheHits, ls, c.st.Hits)
-		m.reg.CounterFunc(mCacheMisses, hCacheMisses, ls, c.st.Misses)
-		m.reg.CounterFunc(mCacheEvict, hCacheEvict, ls, c.st.Evictions)
-		m.reg.CounterFunc(mCacheAge, hCacheAge, ls, c.st.EvictedAgeNS)
-	}
-	lens := []struct {
-		name string
-		fn   func() int
-	}{
-		{"decision", s.decisions.Len},
-		{"sigma", s.sigmas.Len},
-		{"plan", s.plans.Len},
-	}
-	for _, c := range lens {
-		fn := c.fn
-		m.reg.GaugeFunc(mCacheLen, hCacheLen, telemetry.Labels("cache", c.name), func() int64 { return int64(fn()) })
+		m.reg.CounterFunc(mCacheHits, hCacheHits, ls, c.cache.Hits)
+		m.reg.CounterFunc(mCacheMisses, hCacheMisses, ls, c.cache.Misses)
+		m.reg.CounterFunc(mCacheEvict, hCacheEvict, ls, c.cache.Evictions)
+		m.reg.CounterFunc(mCacheAge, hCacheAge, ls, c.cache.EvictedAgeNS)
+		cache := c.cache
+		m.reg.GaugeFunc(mCacheLen, hCacheLen, ls, func() int64 { return int64(cache.Len()) })
 	}
 	m.reg.GaugeFunc(mQueueDepth, hQueueDepth, "", func() int64 { return int64(len(s.queue)) })
 	m.reg.GaugeFunc(mInflight, hInflight, "", func() int64 {

@@ -78,7 +78,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`semacycd_request_duration_seconds_count{endpoint="/decide"}`,
 		`semacycd_cache_hits_total{cache="decision"} 1`,
 		`semacycd_cache_misses_total{cache="decision"} 1`,
-		`semacycd_cache_misses_total{cache="prepared"} 1`,
 		`semacycd_cache_entries{cache="decision"} 1`,
 		"server_requests_total",
 		"semacyclic_decisions_total",
@@ -86,6 +85,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// No decision checker is cached across requests any more.
+	for _, gone := range []string{`cache="sigma"`, `cache="prepared"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still serves a %s series", gone)
 		}
 	}
 	if t.Failed() {

@@ -21,10 +21,9 @@
 //     form × Σ rendering × budget knobs), and cache hits return the
 //     stored response bytes verbatim — byte-identical to the fresh
 //     response, which the determinism contract guarantees is
-//     well-defined. A second cache holds one containment.Prepared per
-//     (query, Σ), so repeated decisions over the same constraint set
-//     skip the worst-case-exponential UCQ rewriting even when the
-//     decision cache misses (different budgets, evicted entries).
+//     well-defined. A repeated request is served from this cache, so
+//     it pays no decision work, the sticky UCQ rewriting included; a
+//     decision that misses it builds what it needs from (q, Σ) itself.
 //   - Deadlines. Every request carries a deadline (its own deadline_ms
 //     or the server default) wired through context into
 //     core.Options.Cancel, which every layer polls; cancellation
@@ -44,22 +43,11 @@ import (
 	"sync"
 	"time"
 
-	"semacyclic/internal/containment"
-	"semacyclic/internal/deps"
 	"semacyclic/internal/telemetry"
 )
 
-// The prepared-checker cache bounds and the 429 back-off hint.
-const (
-	// sigmaCacheSize bounds the number of distinct constraint sets with
-	// live prepared-checker caches.
-	sigmaCacheSize = 128
-	// prepCacheSize bounds the prepared checkers kept per constraint
-	// set.
-	prepCacheSize = 256
-	// retryAfter is the Retry-After header, in seconds, of a 429.
-	retryAfter = "1"
-)
+// retryAfter is the Retry-After header, in seconds, of a 429.
+const retryAfter = "1"
 
 // Config tunes the server. The zero value picks defaults sized to the
 // host.
@@ -148,10 +136,9 @@ type Server struct {
 	draining bool `sem:"guardedby(mu)"`
 	closeQ   sync.Once
 
-	// decisions caches marshaled response bytes by decisionKey.
+	// decisions caches marshaled response bytes by the unit key
+	// (setKey).
 	decisions *lruCache
-	// sigmas caches *sigmaEntry by the set's canonical rendering.
-	sigmas *lruCache
 	// plans caches *core.Plan by planKey (decision knobs × method).
 	plans *lruCache
 	// reducers caches *core.ReducerState by reducerKey — the retained
@@ -161,10 +148,6 @@ type Server struct {
 	// instances is the named-database registry behind /instances.
 	instances *registry
 
-	// prepStats aggregates hit/miss/eviction counters across every
-	// per-Σ prepared-checker cache, so /metrics reports one "prepared"
-	// series instead of one per constraint set.
-	prepStats *lruStats
 	// metrics owns the /metrics registry and the histogram handles.
 	metrics *metricsSet
 	// traces is the /debug/traces ring of recent request span trees.
@@ -191,23 +174,13 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		queue:     make(chan *task, cfg.QueueDepth),
 		decisions: newLRU(cfg.CacheSize),
-		sigmas:    newLRU(sigmaCacheSize),
 		plans:     newLRU(cfg.PlanCacheSize),
 		reducers:  newLRU(cfg.PlanCacheSize),
 		instances: newRegistry(cfg.MaxInstances, cfg.MaxInstanceAtoms),
-		prepStats: &lruStats{},
 		traces:    telemetry.NewTraceRing(cfg.TraceRingSize),
 		slowLog:   cfg.SlowLogWriter,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// An evicted sigma entry takes its nested prepared-checker cache
-	// with it; fold those entries into the shared prepared stats so the
-	// eviction series accounts for them.
-	s.sigmas.SetOnEvict(func(_ string, val any) {
-		if se, ok := val.(*sigmaEntry); ok {
-			se.preps.dropAll()
-		}
-	})
 	s.metrics = newMetricsSet(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -294,48 +267,4 @@ func (s *Server) Drain() {
 	// the wait, and inflight reached zero after it.
 	s.closeQ.Do(func() { close(s.queue) })
 	s.workers.Wait()
-}
-
-// sigmaEntry is the per-constraint-set state: the parsed set and an
-// LRU of prepared containment checkers keyed by the decision query's
-// canonical form.
-type sigmaEntry struct {
-	set   *deps.Set
-	preps *lruCache
-}
-
-// sigma returns the cached entry for the set rendering, creating it
-// from the already-parsed set on miss. Concurrent misses may build two
-// entries; the last Add wins and both are valid.
-func (s *Server) sigma(depsKey string, set *deps.Set) *sigmaEntry {
-	if v, ok := s.sigmas.Get(depsKey); ok {
-		return v.(*sigmaEntry)
-	}
-	se := &sigmaEntry{set: set, preps: newLRUWithStats(prepCacheSize, s.prepStats)}
-	s.sigmas.Add(depsKey, se)
-	return se
-}
-
-// prepared returns the containment.Prepared checker for the unit's
-// (q, Σ), keyed by the canonical key parseUnit built, building and
-// caching it on miss. The build itself honors cancel (a sticky Prepare
-// is the worst-case-exponential step); the checker keeps no channel,
-// and core passes each decision's own to every Check.
-func (s *Server) prepared(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) (*containment.Prepared, error) {
-	se := s.sigma(u.depsKey, u.set)
-	if v, ok := se.preps.Get(u.qkey); ok {
-		rec.Event("cache:prepared:hit")
-		return v.(*containment.Prepared), nil
-	}
-	rec.Event("cache:prepared:miss")
-	var copt containment.Options
-	copt.Chase.Cancel = cancel
-	copt.Rewrite.Cancel = cancel
-	copt.Trace = rec
-	p, err := containment.Prepare(u.q, se.set, copt)
-	if err != nil {
-		return nil, err // a cancelled Prepare is not cached
-	}
-	se.preps.Add(u.qkey, p)
-	return p, nil
 }

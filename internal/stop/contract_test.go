@@ -47,7 +47,8 @@ func chain(t *testing.T, n int) *instance.Instance {
 // polled it, and with a nil channel the same call succeeds. Explain
 // used to break it twice on Example 1: it ignored a closed
 // Options.Cancel, and a closed Containment.Chase.Cancel surfaced as
-// the chase's own error, not the decision's.
+// the chase's own error, not the decision's. hom.EvaluateCancel broke
+// it on every answer-free search, since it polled only at answers.
 func TestCancelContract(t *testing.T) {
 	// The paper's Example 1 under its tgd: full, so containment chases.
 	q := cq.MustParse("q(x,y) :- Interest(x,z), Class(y,z), Owns(x,y).")
@@ -57,6 +58,7 @@ func TestCancelContract(t *testing.T) {
 	sq := cq.MustParse("q :- S0(x,y), S0(y,z).")
 	path := cq.MustParse("q(x,y) :- E(x,y), E(y,z).")
 	path1 := cq.MustParse("q(x) :- E(x,y).")
+	triangle := cq.MustParse("q(x) :- E(x,y), E(y,z), E(z,x).")
 	db, err := instance.Parse("Interest(ann,art). Class(c1,art).")
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +119,11 @@ func TestCancelContract(t *testing.T) {
 		}},
 		{"hom.EvaluateCancel", func(c <-chan struct{}) error {
 			_, err := hom.EvaluateCancel(path, chain(t, 8), c)
+			return err
+		}},
+		{"hom.EvaluateCancel/no-answers", func(c <-chan struct{}) error {
+			// A chain has no triangle: the search yields no answer.
+			_, err := hom.EvaluateCancel(triangle, chain(t, 8), c)
 			return err
 		}},
 		{"game.Evaluate", func(c <-chan struct{}) error {

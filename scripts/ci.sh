@@ -77,8 +77,10 @@ echo "== allocation guards (no race: counts must be exact) =="
 # Reset keeps its tables, a reused cq.Freezer allocates only the stored
 # atoms' cells, and a reused chase.Runner keeps its run state and null
 # names (chase); layers 3 and 4 check a candidate by a scan instead of
-# CQ.Validate (core). semacycd renders answer rows as windows of one
-# slab, two allocations however many answers (server).
+# CQ.Validate (core); a decision chases q once, in its verifier, for
+# the unsatisfiability test and layers 3 and 4 (core). semacycd renders
+# answer rows as windows of one slab, two allocations however many
+# answers (server).
 # A UCQ rewriting owns its scratch: each tgd is renamed once per call,
 # piece unification and the rewriting reuse buffers, one hom.Corer
 # core-reduces every step (freezing into one reset instance), one
@@ -107,7 +109,8 @@ echo "== reference gate =="
 # CQ.Validate; layer 2's scratch-built moves against
 # the quotientMoves list they replaced (same atoms, same order, same
 # keys); the decision's hoisted witness verification against
-# containment.Equivalent, with a caller's Prepared serving layers 2-3;
+# containment.Equivalent, with the decision's own checker serving
+# layers 2-3;
 # game.Evaluate, the one enumerator both game methods run, against the
 # guarded and egd enumerators it merged (same answer sets, also through
 # the Plans); and the decide-cold golden file, which freezes verdict,
@@ -122,8 +125,10 @@ echo "== cancellation & server gate (race) =="
 # the PR-acceptance surface for deadline propagation; run them again
 # with -count=1 so a cached 'ok' can never satisfy the gate. hom's core
 # search polls the cancel channel too: a 256-atom chain, its own core,
-# must stop within 250 ms of the close; so do the game's sweeps and a
-# prepared checker's chase. Every engine polls through internal/stop,
+# must stop within 250 ms of the close; so do the game's sweeps, a
+# prepared checker's chase, and the generic evaluator, whose enumerator
+# polls every 64 nodes, so an answer-free triangle search over a
+# 43,200-atom DAG stops too. Every engine polls through internal/stop,
 # whose contract test calls each cancellable entry point with a closed
 # channel (stop.ErrCancelled) and a nil one (success).
 go test -race -count=1 ./internal/server/
