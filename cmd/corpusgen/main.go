@@ -145,7 +145,7 @@ func run(out string) error {
 		if err != nil {
 			return fmt.Errorf("%s: building workload: %w", w.name, err)
 		}
-		rep, err := core.CrossCheck(q, set, db, core.Options{Parallelism: 4})
+		rep, err := core.CrossCheck(q, set, db, core.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: methods disagree, refusing to freeze: %w", w.name, err)
 		}

@@ -36,7 +36,6 @@ func run() int {
 		ucqMode     = flag.Bool("ucq", false, "treat the query input as a UCQ (one CQ per line) and decide UCQ semantic acyclicity")
 		approximate = flag.Bool("approximate", false, "also print an acyclic approximation when the answer is not yes")
 		budget      = flag.Int("budget", 0, "search budget (candidate queries per layer)")
-		jobs        = flag.Int("j", 0, "parallel witness-search workers (0 = one per CPU, 1 = sequential; the answer is identical for every value)")
 		verbose     = flag.Bool("v", false, "print decision details and a stats summary")
 		showStats   = flag.Bool("stats", false, "print the decision's observability stats as JSON")
 		statsOut    = flag.String("stats-out", "", "write the stats JSON to this file instead of stdout")
@@ -53,7 +52,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "semacyc:", err)
 		return 3
 	}
-	opt := semacyclic.Options{SearchBudget: *budget, Parallelism: *jobs}
+	opt := semacyclic.Options{SearchBudget: *budget}
 
 	if *ucqMode {
 		return runUCQ(*queryText, *queryFile, set, opt)
@@ -149,10 +148,9 @@ func printStatsSummary(st *semacyclic.Stats) {
 	if s.Branches > 0 {
 		fmt.Printf("search: branches=%d bound=%d budget=%d candidates=%d observed=%d winner=%d exhausted=%v\n",
 			s.Branches, s.Bound, s.Budget, s.Candidates, s.CandidatesObserved, s.WinnerBranch, s.Exhausted)
-		fmt.Printf("search: nodes=%d pruned=%d verified=%d memo prune=%d/%d cand=%d/%d workers=%d\n",
+		fmt.Printf("search: nodes=%d pruned=%d verified=%d memo cand=%d/%d\n",
 			s.NodesVisited, s.PrunedByHom, s.Verified,
-			s.PruneMemoHits, s.PruneMemoHits+s.PruneMemoMisses,
-			s.CandMemoHits, s.CandMemoHits+s.CandMemoMisses, s.Workers)
+			s.CandMemoHits, s.CandMemoHits+s.CandMemoMisses)
 	}
 	if st.Containment.Method != "" {
 		ct := st.Containment

@@ -13,11 +13,10 @@ import (
 const corpusRoot = "testdata/corpus"
 
 // TestCorpus runs every corpus case: parse-torture cases against the
-// three parsers, eval cases through the differential cross-check at
-// parallelism 1, 4 and 8 (every applicable method must reproduce the
-// frozen verdict and answers at each level), and error cases against
-// their stable messages. New .json files under testdata/corpus are
-// picked up automatically.
+// three parsers, eval cases through the differential cross-check
+// (every applicable method must reproduce the frozen verdict and
+// answers), and error cases against their stable messages. New .json
+// files under testdata/corpus are picked up automatically.
 func TestCorpus(t *testing.T) {
 	cases, err := corpus.Load(corpusRoot)
 	if err != nil {
@@ -39,25 +38,17 @@ func TestCorpus(t *testing.T) {
 		c := c
 		t.Run(filepath.ToSlash(c.Name), func(t *testing.T) {
 			t.Parallel()
-			if c.Tier != "eval" {
-				if err := corpus.Run(c, 1); err != nil {
-					t.Error(err)
-				}
-				return
-			}
-			for _, j := range []int{1, 4, 8} {
-				if err := corpus.Run(c, j); err != nil {
-					t.Errorf("-j %d: %v", j, err)
-				}
+			if err := corpus.Run(c); err != nil {
+				t.Error(err)
 			}
 		})
 	}
 }
 
 // TestCorpusLayerMonotonicity asserts the decision pipeline's
-// structural contracts — identical decisions at parallelism 1/4/8 and
-// without the search memo, and layer-k yes implying layer-(k+1) yes —
-// on every eval-tier (q, Σ) pair of the corpus.
+// structural contracts — identical decisions with and without the
+// search memo, and layer-k yes implying layer-(k+1) yes — on every
+// eval-tier (q, Σ) pair of the corpus.
 func TestCorpusLayerMonotonicity(t *testing.T) {
 	cases, err := corpus.Load(corpusRoot)
 	if err != nil {

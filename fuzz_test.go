@@ -169,7 +169,7 @@ func FuzzInstanceRoundTrip(f *testing.F) {
 // FuzzMethodAgreement generates a random (q, Σ, D) workload in a
 // fuzz-chosen dependency class, cross-checks every applicable
 // evaluation method, asserts the decision pipeline's monotonicity and
-// parallelism contracts, and round-trips the database. A disagreement
+// memo-independence contracts, and round-trips the database. A disagreement
 // is minimized and emitted in corpus eval-case format so it can be
 // frozen under testdata/corpus/eval.
 func FuzzMethodAgreement(f *testing.F) {
@@ -190,13 +190,12 @@ func FuzzMethodAgreement(f *testing.F) {
 		}
 		// The budget bounds worst-case per-input time: the complete
 		// search chases one candidate per containment check, and a
-		// sticky Σ makes each chase expensive. CrossCheck plus the six
+		// sticky Σ makes each chase expensive. CrossCheck plus the three
 		// monotonicity probes multiply that cost, and the fuzz worker
 		// reports inputs slower than ~10s as hangs, so keep the whole
 		// battery comfortably under a second per input.
 		opt := core.Options{
 			SearchBudget: 250,
-			Parallelism:  2,
 			Containment: containment.Options{
 				Chase: chase.Options{MaxSteps: 300, MaxDepth: 3},
 			},

@@ -18,7 +18,6 @@ package containment
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"semacyclic/internal/chase"
 	"semacyclic/internal/cq"
@@ -51,9 +50,9 @@ type Options struct {
 	Rewrite rewrite.Options
 	// Trace, when non-nil, records a span around Prepare (the hoisted,
 	// possibly-exponential right-hand-side work); the Prepared does not
-	// keep it. Per-candidate Check calls are deliberately unspanned:
-	// among others they run inside the layer-4 branch workers, where
-	// spans would make the tree shape depend on scheduling. Nil is free.
+	// keep it. Per-candidate Check calls are deliberately unspanned: a
+	// decision runs thousands of them, and the span tree records the
+	// stages, not the candidates. Nil is free.
 	Trace *telemetry.Recorder
 }
 
@@ -174,12 +173,11 @@ func rewriteContains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error)
 // — the UCQ rewriting of q' for sticky sets, which is worst-case
 // exponential and identical across calls. Check(q, r, cancel) returns
 // exactly what Contains(q, q', Σ, opt) would with cancel as opt's
-// cancel channel. A Prepared value is immutable after Prepare — except
-// the Checks reuse counter, an atomic — and safe for concurrent Check
-// calls that each pass their own runner. It keeps no cancel channel:
-// a decision (core's verifier) prepares one for its query at the first
-// verification that needs it, and every Check passes the decision's
-// channel, from layers 2 and 3 and from layer 4's parallel branches.
+// cancel channel. A Prepared belongs to one decision and is not safe
+// for concurrent use: Check counts the calls it serves. It keeps no
+// cancel channel: a decision (core's verifier) prepares one for its
+// query at the first verification that needs it, and every Check from
+// layers 2, 3 and 4 passes the decision's channel.
 type Prepared struct {
 	qp  *cq.CQ
 	set *deps.Set
@@ -189,7 +187,7 @@ type Prepared struct {
 	copt chase.Options
 	rw   *rewrite.Result // only for MethodRewrite
 	// checks counts Check calls served — the Prepare reuse count.
-	checks atomic.Int64
+	checks int64
 }
 
 // Prepare builds a Prepared checker for the fixed right-hand side q'.
@@ -217,10 +215,9 @@ func Prepare(qp *cq.CQ, set *deps.Set, opt Options) (*Prepared, error) {
 
 // Check decides q ⊆Σ q' for the prepared right-hand side, freezing and
 // chasing q in the caller's runner r; a closed cancel aborts the chase
-// with stop.ErrCancelled. The Prepared stays immutable and shared, and
-// each goroutine brings its own runner.
+// with stop.ErrCancelled.
 func (p *Prepared) Check(q *cq.CQ, r *chase.Runner, cancel <-chan struct{}) (Decision, error) {
-	p.checks.Add(1)
+	p.checks++
 	obs.ContainmentChecks.Add(1)
 	if len(q.Free) != len(p.qp.Free) {
 		return Decision{Holds: false, Definitive: true, Method: MethodPlain}, nil
@@ -249,7 +246,7 @@ func (p *Prepared) Check(q *cq.CQ, r *chase.Runner, cancel <-chan struct{}) (Dec
 // Checks returns the number of Check calls this prepared right-hand
 // side has served — the reuse count that measures what Prepare's
 // hoisting amortized.
-func (p *Prepared) Checks() int64 { return p.checks.Load() }
+func (p *Prepared) Checks() int64 { return p.checks }
 
 // SelectedMethod returns the decision procedure Prepare resolved.
 func (p *Prepared) SelectedMethod() Method { return p.m }

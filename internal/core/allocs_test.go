@@ -14,10 +14,9 @@ import (
 // 233 of them new; materializing every move before the seen check took
 // 24,892 allocations. The other three exhaust the budget through layers
 // 2 to 4, where layer 4 prunes, keys and verifies uncloned prefixes,
-// builds extensions in per-level buffers, and freezes and chases every
-// candidate in its branch's chase.Runner; layers 2 and 3 verify in the
-// verifier's runner, and neither checks a candidate through
-// CQ.Validate. Copying extension atoms and candidates took the sticky
+// builds extensions in per-level buffers, and layers 2 to 4 freeze and
+// chase every candidate in the verifier's one chase.Runner; no layer
+// checks a candidate through CQ.Validate. Copying extension atoms and candidates took the sticky
 // triangle 16,580 allocations, and a new instance, chase state and set
 // of frozen constants per verified candidate 9,167; the 3-cycle under
 // E(x,y) → E(y,z) took 16,787. The two sticky templates rewrite every
@@ -25,8 +24,11 @@ import (
 // froze the disjunct and built fresh queries per step, and froze each
 // core round into a new instance, took the sticky triangle 5,602
 // allocations and S0,S1,S0 14,033. Layers 3 and 4 each chasing q took
-// the three 3,305, 4,792 and 6,223; they share the verifier's chase
-// now, at 3,275, 4,711 and 6,186. The bounds are those counts plus 5%.
+// the three 3,305, 4,792 and 6,223; sharing the verifier's chase took
+// 3,275, 4,711 and 6,186. Layer 4 walking its branches in one
+// goroutine, with the verifier's runner, one keyer, a plain-map memo
+// and scratch reused across branches, takes 2,945, 4,373 and 5,831.
+// The bounds are those counts plus 5%.
 func TestAllocsDecide(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -38,12 +40,12 @@ func TestAllocsDecide(t *testing.T) {
 		bound float64
 	}{
 		{templates[4], "quotient", 1350}, // clique4 under E(x,y) → E(x,x)
-		{templates[2], "budget", 3440},   // the sticky triangle
-		{templates[3], "budget", 4950},   // S0,S1,S0 under the sticky set
-		{templates[0], "budget", 6500},   // the 3-cycle under E(x,y) → E(y,z)
+		{templates[2], "budget", 3100},   // the sticky triangle
+		{templates[3], "budget", 4600},   // S0,S1,S0 under the sticky set
+		{templates[0], "budget", 6130},   // the 3-cycle under E(x,y) → E(y,z)
 	} {
 		q, set := parseTemplate(t, tc.tpl)
-		opt := Options{SearchBudget: 100, Parallelism: 1}
+		opt := Options{SearchBudget: 100}
 		res, err := Decide(q, set, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -67,41 +69,38 @@ func TestAllocsDecide(t *testing.T) {
 // MaxWitnessSize far beyond any depth the budget reaches. The option
 // skips the default depth cap and the server passes a request's
 // max_witness through unchecked, so scratch sized from the bound
-// (bound·arity fresh names and argument slots per branch) would ask
-// for terabytes before the search began, or overflow; sized from the
-// depth actually entered, the decision costs a few times what it does
-// at the default bound: about 14,100 allocations, 22,700 before the
-// search layers verified candidates in reusable chase runners. Under
+// (bound·arity fresh names and argument slots) would ask for
+// terabytes before the search began, or overflow; sized from the depth
+// actually entered, the decision costs a few times what it does at the
+// default bound: about 11,400 allocations, 22,700 before the search
+// layers verified candidates in reusable chase runners. Under
 // -race the allocation figures are skipped, but one deep search still
-// runs at -j 4, so branches growing their own fresh names past the
-// shared ones run concurrently.
+// runs.
 func TestAllocsHugeWitnessBound(t *testing.T) {
 	q, set := parseTemplate(t, decideColdTemplates()[2]) // the sticky triangle
 	for _, w := range []int{1 << 40, math.MaxInt} {
-		for _, par := range []int{1, 4} {
-			if testutil.RaceEnabled && (w != 1<<40 || par == 1) {
-				continue // one concurrent deep search serves the race detector
-			}
-			opt := Options{SearchBudget: 100, Parallelism: par, MaxWitnessSize: w}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			res, err := Decide(q, set, opt)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Layer != "budget" {
-				t.Fatalf("bound %d, -j %d: settled in layer %q, want the budget to run out in layer 4", w, par, res.Layer)
-			}
-			if testutil.RaceEnabled {
-				continue
-			}
-			mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-			allocs := after.Mallocs - before.Mallocs
-			t.Logf("bound %d, -j %d: %.1f MB in %d allocations", w, par, mb, allocs)
-			if mb > 16 || allocs > 15000 {
-				t.Errorf("bound %d, -j %d: deciding %s allocated %.1f MB in %d allocations, want at most 16 MB and 15,000", w, par, q, mb, allocs)
-			}
+		if testutil.RaceEnabled && w != 1<<40 {
+			continue // one deep search serves the race detector
+		}
+		opt := Options{SearchBudget: 100, MaxWitnessSize: w}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Decide(q, set, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Layer != "budget" {
+			t.Fatalf("bound %d: settled in layer %q, want the budget to run out in layer 4", w, res.Layer)
+		}
+		if testutil.RaceEnabled {
+			continue
+		}
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("bound %d: %.1f MB in %d allocations", w, mb, allocs)
+		if mb > 16 || allocs > 15000 {
+			t.Errorf("bound %d: deciding %s allocated %.1f MB in %d allocations, want at most 16 MB and 15,000", w, q, mb, allocs)
 		}
 	}
 }

@@ -24,79 +24,72 @@ func stickyCancelCase() (*cq.CQ, *deps.Set) {
 	return q, set
 }
 
-// A pre-closed channel cancels Decide before any layer runs, at every
-// parallelism level.
+// A pre-closed channel cancels Decide before any layer runs.
 func TestDecideCancelPreClosed(t *testing.T) {
 	q, set := stickyCancelCase()
-	for _, j := range []int{1, 4, 8} {
-		ch := make(chan struct{})
-		close(ch)
-		_, err := Decide(q, set, Options{Parallelism: j, Cancel: ch})
-		if !errors.Is(err, stop.ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
-		}
+	ch := make(chan struct{})
+	close(ch)
+	_, err := Decide(q, set, Options{Cancel: ch})
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}
 }
 
-// Cancelling mid-decision returns stop.ErrCancelled promptly at -j 1,
-// 4 and 8: the parallel branch workers poll inside their inner
-// enumeration, so no worker runs its branch to completion first.
+// Cancelling mid-decision returns stop.ErrCancelled promptly: the
+// layer-4 enumeration polls inside its inner loop, so no branch runs
+// to completion first.
 func TestDecideCancelMidSearch(t *testing.T) {
 	q, set := stickyCancelCase()
-	for _, j := range []int{1, 4, 8} {
-		ch := make(chan struct{})
-		go func() {
-			time.Sleep(15 * time.Millisecond)
-			close(ch)
-		}()
-		start := time.Now()
-		_, err := Decide(q, set, Options{Parallelism: j, SearchBudget: 1 << 30, Cancel: ch})
-		wall := time.Since(start)
-		if err == nil {
-			// Finishing before the timer fires is possible on a fast
-			// machine and is not a cancellation bug.
-			continue
-		}
-		if !errors.Is(err, stop.ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
-		}
-		if wall > 15*time.Second {
-			t.Fatalf("j=%d: cancellation took %v", j, wall)
-		}
+	ch := make(chan struct{})
+	go func() {
+		time.Sleep(15 * time.Millisecond)
+		close(ch)
+	}()
+	start := time.Now()
+	_, err := Decide(q, set, Options{SearchBudget: 1 << 30, Cancel: ch})
+	wall := time.Since(start)
+	if err == nil {
+		// Finishing before the timer fires is possible on a fast
+		// machine and is not a cancellation bug.
+		return
+	}
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
+	}
+	if wall > 15*time.Second {
+		t.Fatalf("cancellation took %v", wall)
 	}
 }
 
-// A cancelled layer-4 run leaves consistent partial stats: per-branch
-// counters are flushed on abort and the deterministic fields keep their
-// "not defined" sentinels, so a fingerprint of the partial record never
-// masquerades as a completed run's.
+// A cancelled layer-4 run leaves consistent partial stats: the
+// deterministic fields keep their "not defined" sentinels, so a
+// fingerprint of the partial record never masquerades as a completed
+// run's.
 func TestCancelStatsSentinels(t *testing.T) {
 	q, set := stickyCancelCase()
-	for _, j := range []int{1, 4} {
-		ch := make(chan struct{})
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			close(ch)
-		}()
-		w, st, _, exhausted, err := SearchComplete(q, set, Options{Parallelism: j, SearchBudget: 1 << 30, Cancel: ch}, 6)
-		if err == nil {
-			continue // completed before the cancel
-		}
-		if !errors.Is(err, stop.ErrCancelled) {
-			t.Fatalf("j=%d: err = %v, want stop.ErrCancelled", j, err)
-		}
-		if w != nil {
-			t.Fatalf("j=%d: cancelled run returned a witness", j)
-		}
-		if st.Search.WinnerBranch != -1 {
-			t.Errorf("j=%d: WinnerBranch = %d, want -1 sentinel", j, st.Search.WinnerBranch)
-		}
-		if st.Search.Candidates != -1 {
-			t.Errorf("j=%d: Candidates = %d, want -1 sentinel", j, st.Search.Candidates)
-		}
-		if exhausted || st.Search.Exhausted {
-			t.Errorf("j=%d: cancelled run claimed exhaustion", j)
-		}
+	ch := make(chan struct{})
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(ch)
+	}()
+	w, st, _, exhausted, err := SearchComplete(q, set, Options{SearchBudget: 1 << 30, Cancel: ch}, 6)
+	if err == nil {
+		return // completed before the cancel
+	}
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
+	}
+	if w != nil {
+		t.Fatal("cancelled run returned a witness")
+	}
+	if st.Search.WinnerBranch != -1 {
+		t.Errorf("WinnerBranch = %d, want -1 sentinel", st.Search.WinnerBranch)
+	}
+	if st.Search.Candidates != -1 {
+		t.Errorf("Candidates = %d, want -1 sentinel", st.Search.Candidates)
+	}
+	if exhausted || st.Search.Exhausted {
+		t.Error("cancelled run claimed exhaustion")
 	}
 }
 
@@ -126,36 +119,35 @@ func TestApproximateCancel(t *testing.T) {
 
 // TestPreparedDeterminismAcrossJ: a decision over the sticky set,
 // which no determinism-corpus case covers, prepares its own checker
-// (the UCQ rewriting of q) and still gives an identical verdict,
-// witness and stats fingerprint at every parallelism level — the
-// property the semacycd decision cache's byte-identity rests on.
+// (the UCQ rewriting of q) and gives an identical verdict, witness and
+// stats fingerprint on two runs — the property the semacycd decision
+// cache's byte-identity rests on. (The name predates the sequential
+// search.)
 func TestPreparedDeterminismAcrossJ(t *testing.T) {
 	q, set := stickyCancelCase()
-	var base *Result
-	for _, j := range []int{1, 4, 8} {
-		res, err := Decide(q, set, Options{Parallelism: j, SearchBudget: 800})
+	var runs [2]*Result
+	for i := range runs {
+		res, err := Decide(q, set, Options{SearchBudget: 800})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j == 1 {
-			if res.Stats.Containment.PreparedChecks == 0 {
-				t.Fatal("j=1: the decision prepared no checker")
-			}
-			base = res
-			continue
+		if res.Stats.Containment.PreparedChecks == 0 {
+			t.Fatalf("run %d: the decision prepared no checker", i)
 		}
-		if res.Verdict != base.Verdict {
-			t.Fatalf("j=%d: verdict %v != %v", j, res.Verdict, base.Verdict)
-		}
-		if (res.Witness == nil) != (base.Witness == nil) {
-			t.Fatalf("j=%d: witness presence differs", j)
-		}
-		if res.Witness != nil && res.Witness.CanonicalKey() != base.Witness.CanonicalKey() {
-			t.Fatalf("j=%d: witness differs", j)
-		}
-		if got, want := res.Stats.DeterministicFingerprint(), base.Stats.DeterministicFingerprint(); got != want {
-			t.Fatalf("j=%d fingerprint:\n got %s\nwant %s", j, got, want)
-		}
+		runs[i] = res
+	}
+	base, res := runs[0], runs[1]
+	if res.Verdict != base.Verdict {
+		t.Fatalf("verdict %v != %v", res.Verdict, base.Verdict)
+	}
+	if (res.Witness == nil) != (base.Witness == nil) {
+		t.Fatal("witness presence differs")
+	}
+	if res.Witness != nil && res.Witness.CanonicalKey() != base.Witness.CanonicalKey() {
+		t.Fatal("witness differs")
+	}
+	if got, want := res.Stats.DeterministicFingerprint(), base.Stats.DeterministicFingerprint(); got != want {
+		t.Fatalf("fingerprint:\n got %s\nwant %s", got, want)
 	}
 }
 

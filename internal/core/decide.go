@@ -79,32 +79,24 @@ type Options struct {
 	// is closed (or receives); Decide then returns stop.ErrCancelled.
 	// Wire a context's Done() channel here for deadline/cancellation
 	// support. The channel is propagated into every layer — the chase
-	// apply loop, the quotient/subquery searches, the parallel branch
-	// workers' enumeration, the containment chases and the sticky UCQ
+	// apply loop, the quotient/subquery searches, the layer-4
+	// enumeration, the containment chases and the sticky UCQ
 	// rewriting — so cancellation latency is bounded by one chase step
 	// (or one rewriting step), not one decision layer.
 	Cancel <-chan struct{}
-	// Parallelism bounds the worker goroutines used by the layer-4
-	// complete search (branch fan-out) and by DecideUCQ (independent
-	// disjunct decisions). 0 means one worker per logical CPU
-	// (GOMAXPROCS); 1 restores the exact sequential behavior. Results
-	// are deterministic for every value: the canonically least witness
-	// wins regardless of scheduling.
-	Parallelism int
-	// DisableSearchMemo turns off the shared memoization caches of the
-	// complete search (prefix-pruning and candidate-containment
-	// verdicts). A benchmarking/debugging knob: the caches memoize pure
-	// functions, so the decision is identical either way — only the
-	// cost changes.
+	// DisableSearchMemo turns off the complete search's candidate memo
+	// and the hoisted containment checker, so every verification
+	// re-derives its verdict and its right-hand side. A reference and
+	// debugging knob: both hoist pure functions, so the decision is
+	// identical either way — only the cost changes.
 	DisableSearchMemo bool
 	// Trace, when non-nil, receives a span per pipeline stage (the
 	// decision, each layer, and — inside the first layer that needs
 	// them — the one chase of q and the containment preparation).
-	// Spans are opened only from the sequential coordinator code — never
-	// from parallel branch workers — so the span-tree *structure* (names
-	// and nesting) is identical at every Parallelism value; only the
-	// recorded durations are nondeterministic. A nil Trace is free: the
-	// hooks are no-ops that allocate nothing.
+	// Candidate checks open no spans, so the span-tree *structure*
+	// (names and nesting) is a function of the input; only the recorded
+	// durations are nondeterministic. A nil Trace is free: the hooks are
+	// no-ops that allocate nothing.
 	Trace *telemetry.Recorder
 }
 
@@ -180,8 +172,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	}
 	// Each layer gets a stopwatch segment (for LayerStats.WallNS) and,
 	// when tracing, a "layer:<name>" span. beginLayer/record are always
-	// paired on the sequential coordinator path, so the span nesting is
-	// scheduling-independent.
+	// paired, so the span nesting follows the layers that ran.
 	layerSW := telemetry.StartTimer()
 	var layerSpan *telemetry.Span
 	beginLayer := func(name string) {
@@ -273,8 +264,8 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		}
 		res.Candidates += n
 		// The layer record uses the DETERMINISTIC decisive count — -1
-		// sentinel included; the raw examined count is scheduling-
-		// dependent and stays in Search.CandidatesObserved.
+		// sentinel included; the raw examined count stays in
+		// Search.CandidatesObserved.
 		record("complete", st.Search.Candidates)
 		if w != nil {
 			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
@@ -354,10 +345,9 @@ func polishWitness(w *cq.CQ, cancel <-chan struct{}) (*cq.CQ, error) {
 // unsatisfiability test, layer 3 and layer 4 read that result. The
 // right-hand side of w ⊆Σ q is the same for every candidate, so one
 // containment checker, built by containment.Prepare at the first
-// verification that needs it, serves layers 2, 3 and 4. A verifier
-// belongs to one decision and is not safe for concurrent use; layer
-// 4's parallel workers share only the checker and the chased instance,
-// which they read.
+// verification that needs it, serves layers 2, 3 and 4, and so does
+// one chase.Runner. A verifier belongs to one decision and is not safe
+// for concurrent use.
 type verifier struct {
 	q   *cq.CQ
 	set *deps.Set
@@ -375,8 +365,8 @@ type verifier struct {
 	chaseErr    error
 	// checker is the decision's containment checker, nil until needed.
 	checker *containment.Prepared
-	// runner freezes and chases layers 2 and 3's candidates in w ⊆Σ q;
-	// layer 4's branches bring their own.
+	// runner freezes and chases the candidates of layers 2, 3 and 4 in
+	// w ⊆Σ q.
 	runner chase.Runner
 	// db and frozen are q's frozen instance D_q and head tuple (Lemma
 	// 1), built at the first plain q ⊆ w check.

@@ -26,7 +26,7 @@ func TestItoaSigned(t *testing.T) {
 // determinismCorpus pairs queries from internal/gen with dependency
 // sets across the paper's classes. Each case runs every decision layer;
 // several are cyclic with no small witness, driving the layer-4
-// enumerator to exhaustion — the scheduling-sensitive path.
+// enumerator to exhaustion or to its budget.
 func determinismCorpus() []struct {
 	name string
 	q    *cq.CQ
@@ -49,8 +49,8 @@ func determinismCorpus() []struct {
 	}
 }
 
-// fingerprintResult reduces a decision to the fields that must be
-// scheduling-independent. Witnesses are compared by canonical form
+// fingerprintResult reduces a decision to the fields that must repeat
+// run to run. Witnesses are compared by canonical form
 // (renaming-invariant), which is what "the same witness" means: chase
 // null numbering is process-global state, so raw variable names can
 // differ across runs even sequentially.
@@ -62,31 +62,26 @@ func fingerprintResult(res *Result) string {
 	return fmt.Sprintf("verdict=%s definitive=%v witness=%s", res.Verdict, res.Definitive, w)
 }
 
-// TestDecideDeterministicAcrossParallelism: Decide must produce an
-// identical verdict and canonical witness for -j 1, 4 and 8 across the
-// corpus. Run under -race this also exercises the parallel search's
-// synchronization.
+// TestDecideDeterministicAcrossParallelism: two runs of Decide on the
+// same input produce an identical verdict and canonical witness across
+// the corpus. A small budget keeps the suite fast under -race and
+// deliberately exercises truncated runs, which must repeat just as
+// exactly as exhaustive ones. (The name predates the sequential
+// search; the corpus at this budget is decided nowhere else.)
 func TestDecideDeterministicAcrossParallelism(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			var want string
-			for _, j := range []int{1, 4, 8} {
-				// A small budget keeps the suite fast under -race and
-				// deliberately exercises truncated runs, which must be
-				// just as scheduling-independent as exhaustive ones.
-				res, err := Decide(c.q, c.set, Options{Parallelism: j, SearchBudget: 1500, MaxWitnessSize: 5})
+			var runs [2]string
+			for i := range runs {
+				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
 				if err != nil {
-					t.Fatalf("-j %d: %v", j, err)
+					t.Fatalf("run %d: %v", i, err)
 				}
-				got := fingerprintResult(res)
-				if j == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("-j %d diverged:\n  -j 1: %s\n  -j %d: %s", j, want, j, got)
-				}
+				runs[i] = fingerprintResult(res)
+			}
+			if runs[0] != runs[1] {
+				t.Errorf("runs diverged:\n  run 0: %s\n  run 1: %s", runs[0], runs[1])
 			}
 		})
 	}
@@ -94,8 +89,8 @@ func TestDecideDeterministicAcrossParallelism(t *testing.T) {
 
 // TestSearchCompleteDeterministicAcrossParallelism drives layer 4
 // directly (bypassing the earlier layers that could settle the answer
-// first), including the memo-off ablation: caching must not change any
-// outcome either.
+// first) with the memo on and off: caching must not change the
+// witness, the examined count or exhaustion.
 func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
@@ -113,10 +108,8 @@ func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 			}
 			var want outcome
 			for i, opt := range []Options{
-				{Parallelism: 1, SearchBudget: 1500},
-				{Parallelism: 4, SearchBudget: 1500},
-				{Parallelism: 8, SearchBudget: 1500},
-				{Parallelism: 4, SearchBudget: 1500, DisableSearchMemo: true},
+				{SearchBudget: 1500},
+				{SearchBudget: 1500, DisableSearchMemo: true},
 			} {
 				w, _, examined, exhausted, err := SearchComplete(c.q, c.set, opt, bound)
 				if err != nil {
@@ -131,12 +124,7 @@ func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 					want = got
 					continue
 				}
-				// The examined count is scheduling-independent only
-				// because every branch runs to completion (or is
-				// skipped wholesale after a lower branch won); compare
-				// witness and exhaustion, the externally visible
-				// contract.
-				if got.fp != want.fp || got.exhausted != want.exhausted {
+				if got != want {
 					t.Errorf("opt %+v diverged: got %+v want %+v", opt, got, want)
 				}
 			}
@@ -145,31 +133,26 @@ func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestStatsDeterministicAcrossParallelism: the fields obs classifies as
-// DETERMINISTIC must be byte-identical at -j 1, 4 and 8 — the stats
-// extension of the determinism contract. Run under -race this also
-// exercises the collection-side synchronization (per-branch flushes,
-// worker-slot writes).
+// DETERMINISTIC are byte-identical across two runs of the same input —
+// the stats extension of the determinism contract. (The name predates
+// the sequential search.)
 func TestStatsDeterministicAcrossParallelism(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			var want string
-			for _, j := range []int{1, 4, 8} {
-				res, err := Decide(c.q, c.set, Options{Parallelism: j, SearchBudget: 1500, MaxWitnessSize: 5})
+			var runs [2]string
+			for i := range runs {
+				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
 				if err != nil {
-					t.Fatalf("-j %d: %v", j, err)
+					t.Fatalf("run %d: %v", i, err)
 				}
 				if res.Stats == nil {
-					t.Fatalf("-j %d: stats collection is on by default, got nil", j)
+					t.Fatalf("run %d: stats collection is on by default, got nil", i)
 				}
-				got := res.Stats.DeterministicFingerprint()
-				if j == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("-j %d stats diverged:\n  -j 1: %s\n  -j %d: %s", j, want, j, got)
-				}
+				runs[i] = res.Stats.DeterministicFingerprint()
+			}
+			if runs[0] != runs[1] {
+				t.Errorf("stats diverged:\n  run 0: %s\n  run 1: %s", runs[0], runs[1])
 			}
 		})
 	}
@@ -190,8 +173,8 @@ func TestStatsDeterministicAcrossMemo(t *testing.T) {
 			}
 			var want string
 			for i, opt := range []Options{
-				{Parallelism: 1, SearchBudget: 1500},
-				{Parallelism: 4, SearchBudget: 1500, DisableSearchMemo: true},
+				{SearchBudget: 1500},
+				{SearchBudget: 1500, DisableSearchMemo: true},
 			} {
 				_, st, _, _, err := SearchComplete(c.q, c.set, opt, bound)
 				if err != nil {
@@ -210,10 +193,10 @@ func TestStatsDeterministicAcrossMemo(t *testing.T) {
 	}
 }
 
-// TestStatsDecisiveCandidatesSequential: at -j 1 the decisive candidate
-// count on non-truncated runs is just the examined count — pin the two
-// together so the decisive aggregation cannot silently drift from the
-// sequential meaning it encodes.
+// TestStatsDecisiveCandidatesSequential: the decisive candidate count
+// on non-truncated runs is just the examined count — pin the two
+// together so the decisive count cannot silently drift from the
+// meaning it encodes.
 func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
@@ -222,7 +205,7 @@ func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 			if bound <= 0 || bound > 6 {
 				bound = 6
 			}
-			w, st, examined, exhausted, err := SearchComplete(c.q, c.set, Options{Parallelism: 1, SearchBudget: 1500}, bound)
+			w, st, examined, exhausted, err := SearchComplete(c.q, c.set, Options{SearchBudget: 1500}, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,26 +224,24 @@ func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSearchSharedBudgetStops: a starved budget must stop the
-// parallel search without claiming exhaustion, at every -j.
+// TestParallelSearchSharedBudgetStops: a starved budget stops the
+// search without claiming exhaustion, after exactly the budgeted
+// verifications. (The name predates the sequential search.)
 func TestParallelSearchSharedBudgetStops(t *testing.T) {
 	set := deps.MustParse("A(x) -> B(x).")
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x), B(x).")
-	for _, j := range []int{1, 4} {
-		opt := Options{SearchBudget: 30, Parallelism: j}
-		w, _, examined, exhausted, err := SearchComplete(q, set, opt, 500)
-		if err != nil {
-			t.Fatalf("-j %d: %v", j, err)
-		}
-		if w != nil {
-			t.Fatalf("-j %d: unexpected witness %s", j, w)
-		}
-		if exhausted {
-			t.Errorf("-j %d: starved search claimed exhaustion", j)
-		}
-		if examined > 30+8 {
-			t.Errorf("-j %d: examined %d blew past the shared budget", j, examined)
-		}
+	w, _, examined, exhausted, err := SearchComplete(q, set, Options{SearchBudget: 30}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != nil {
+		t.Fatalf("unexpected witness %s", w)
+	}
+	if exhausted {
+		t.Error("starved search claimed exhaustion")
+	}
+	if examined > 30 {
+		t.Errorf("examined %d blew past the budget of 30", examined)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // harness: it runs every evaluation method applicable to a
 // (q, Σ, D) triple and demands byte-identical canonical answer sets,
 // and it checks the decision pipeline's layer-monotonicity and
-// parallelism-independence contracts.
+// memo-independence contracts.
 
 // MethodAnswers is one evaluation arm's canonical answer set.
 type MethodAnswers struct {
@@ -171,59 +171,39 @@ func FormatAnswers(ans [][]term.Term) string {
 // CheckLayerMonotonicity verifies the decision pipeline's structural
 // contracts on one (q, Σ):
 //
-//   - parallelism independence: Decide returns an identical verdict,
-//     definitiveness, settling layer and witness at Parallelism 1, 4
-//     and 8, and with the search memo disabled;
+//   - memo independence: Decide returns an identical verdict,
+//     definitiveness, settling layer and witness with the search memo
+//     on and off;
 //   - layer monotonicity (layer-k yes ⇒ layer-(k+1) yes): a Yes found
 //     by the cheap layers alone (SkipCompleteSearch) must survive the
 //     full pipeline, the full pipeline's early-layer results must be
 //     bit-identical with or without layer 4 behind them, and skipping
 //     the complete layer must never manufacture a definitive No.
 //
-// The base options' Parallelism and SkipCompleteSearch fields are
-// overridden per probe.
+// The base options' SkipCompleteSearch field is overridden per probe,
+// and DisableSearchMemo in the no-memo probe.
 func CheckLayerMonotonicity(q *cq.CQ, set *deps.Set, opt Options) error {
-	type probe struct {
-		name string
-		res  *Result
+	o := opt
+	o.SkipCompleteSearch = false
+	fullRes, err := Decide(q, set, o)
+	if err != nil {
+		return err
 	}
-	var full []probe
-	for _, par := range []int{1, 4, 8} {
-		o := opt
-		o.Parallelism = par
-		o.SkipCompleteSearch = false
-		res, err := Decide(q, set, o)
-		if err != nil {
-			return err
-		}
-		full = append(full, probe{fmt.Sprintf("full/j%d", par), res})
+	o.DisableSearchMemo = true
+	noMemo, err := Decide(q, set, o)
+	if err != nil {
+		return err
 	}
-	{
-		o := opt
-		o.Parallelism = 1
-		o.SkipCompleteSearch = false
-		o.DisableSearchMemo = true
-		res, err := Decide(q, set, o)
-		if err != nil {
-			return err
-		}
-		full = append(full, probe{"full/no-memo", res})
-	}
-	ref := full[0]
-	for _, p := range full[1:] {
-		if err := sameDecision(ref.res, p.res); err != nil {
-			return fmt.Errorf("core: decision differs between %s and %s: %w", ref.name, p.name, err)
-		}
+	if err := sameDecision(fullRes, noMemo); err != nil {
+		return fmt.Errorf("core: decision differs between full and full/no-memo: %w", err)
 	}
 
-	o := opt
-	o.Parallelism = 4
+	o = opt
 	o.SkipCompleteSearch = true
 	skip, err := Decide(q, set, o)
 	if err != nil {
 		return err
 	}
-	fullRes := ref.res
 	if skip.Verdict == Yes && fullRes.Verdict != Yes {
 		return fmt.Errorf("core: monotonicity violated: layers 1-3 found witness %s but the full pipeline returned %s",
 			skip.Witness, fullRes.Verdict)
@@ -241,9 +221,9 @@ func CheckLayerMonotonicity(q *cq.CQ, set *deps.Set, opt Options) error {
 
 // sameDecision compares two decisions field-for-field. Witnesses are
 // compared by canonical (renaming-invariant) form, matching the
-// determinism contract: the elected witness is canonical up to
-// variable naming, and the concrete names may legitimately differ
-// with scheduling or shared-memo state.
+// determinism contract: the witness is canonical up to variable
+// naming, and the concrete names may legitimately differ with the memo
+// state.
 func sameDecision(a, b *Result) error {
 	if a.Verdict != b.Verdict {
 		return fmt.Errorf("verdict %s vs %s", a.Verdict, b.Verdict)

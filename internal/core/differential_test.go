@@ -80,7 +80,7 @@ func TestCrossCheckAgreementOnExamples(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := CrossCheck(tc.q, tc.set, tc.db, Options{Parallelism: 2})
+			rep, err := CrossCheck(tc.q, tc.set, tc.db, Options{})
 			if err != nil {
 				t.Fatalf("CrossCheck: %v", err)
 			}
@@ -107,7 +107,7 @@ func TestCrossCheckEGDPinnedHeadCoordinate(t *testing.T) {
 		instance.NewAtom("E0", term.Const("c0"), term.Const("c0")),
 		instance.NewAtom("E0", term.Const("c1"), term.Const("c0")),
 	)
-	rep, err := CrossCheck(q, set, db, Options{Parallelism: 2})
+	rep, err := CrossCheck(q, set, db, Options{})
 	if err != nil {
 		t.Fatalf("CrossCheck: %v", err)
 	}

@@ -60,27 +60,25 @@ func parseTemplate(t *testing.T, tpl [2]string) (*cq.CQ, *deps.Set) {
 
 // TestDecideColdGolden freezes the decision outcomes of the decide-cold
 // templates at budget 100: verdict, layer, candidates, witness and the
-// deterministic fingerprint at Parallelism 1 and 4, and Approximate's
-// query at Parallelism 1. A change that only makes the search cheaper
-// must leave every line as it is. Regenerate with UPDATE_GOLDEN=1 only
-// when a change to the decisions is intended.
+// deterministic fingerprint, and Approximate's query. A change that
+// only makes the search cheaper must leave every line as it is.
+// Regenerate with UPDATE_GOLDEN=1 only when a change to the decisions
+// is intended.
 func TestDecideColdGolden(t *testing.T) {
 	var b bytes.Buffer
 	for i, tpl := range decideColdTemplates() {
 		q, set := parseTemplate(t, tpl)
-		for _, par := range []int{1, 4} {
-			res, err := Decide(q, set, Options{SearchBudget: 100, Parallelism: par})
-			if err != nil {
-				t.Fatalf("template %d at -j %d: %v", i, par, err)
-			}
-			witness := "-"
-			if res.Witness != nil {
-				witness = res.Witness.String()
-			}
-			fmt.Fprintf(&b, "%d j%d %s %s candidates=%d witness=%s fp=%s\n",
-				i, par, res.Verdict, res.Layer, res.Candidates, witness, res.Stats.DeterministicFingerprint())
+		res, err := Decide(q, set, Options{SearchBudget: 100})
+		if err != nil {
+			t.Fatalf("template %d: %v", i, err)
 		}
-		ap, err := Approximate(q, set, Options{SearchBudget: 100, Parallelism: 1})
+		witness := "-"
+		if res.Witness != nil {
+			witness = res.Witness.String()
+		}
+		fmt.Fprintf(&b, "%d %s %s candidates=%d witness=%s fp=%s\n",
+			i, res.Verdict, res.Layer, res.Candidates, witness, res.Stats.DeterministicFingerprint())
+		ap, err := Approximate(q, set, Options{SearchBudget: 100})
 		if err != nil {
 			fmt.Fprintf(&b, "%d approx error=%v\n", i, err)
 		} else {

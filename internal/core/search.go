@@ -22,12 +22,9 @@ import (
 // pruning get a full equivalence verification.
 //
 // The enumeration is branch-decomposed: the top-level choices (first
-// atom = predicate × canonical argument seed) become independent
-// branches fanned across Options.Parallelism workers, with shared
-// step/examined budgets and shared memoization of pruning and
-// containment verdicts (see psearch.go). The witness is deterministic
-// for every parallelism level: each branch yields its canonically first
-// witness and the canonically least branch wins.
+// atom = predicate × canonical argument seed) are walked in canonical
+// order under one step and verification budget, with memoized
+// containment verdicts (see psearch.go).
 //
 // Returns the witness (if any), the run's stats, the number of
 // candidates examined, and whether the enumeration exhausted the search
@@ -37,9 +34,8 @@ import (
 // Exported within the module so tests can drive layer 4 directly; the
 // public facade does not re-export it. The returned Stats carries the
 // run's chase, search and containment sections (collection never
-// influences the search; see the determinism contract in psearch.go);
-// Hom and Layers are left to Decide, which owns the process-wide delta
-// and the pipeline view.
+// influences the search); Hom and Layers are left to Decide, which owns
+// the process-wide delta and the pipeline view.
 func SearchComplete(q *cq.CQ, set *deps.Set, opt Options, bound int) (*cq.CQ, *obs.Stats, int, bool, error) {
 	opt = opt.withDefaults()
 	st := obs.NewStats()
@@ -71,7 +67,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	sort.Slice(preds, func(i, j int) bool { return preds[i].Name < preds[j].Name })
 	// A candidate extended below depth d has introduced fewer than
 	// d·arity fresh variables, and its pool names maxFreshPerAtom beyond
-	// them. Every branch shares the names a search within the default
+	// them. The search names up front what a search within the default
 	// depth cap can use; a deeper search, under an explicit
 	// MaxWitnessSize, names the rest as it reaches them (runBranch).
 	n := max(min(bound, limit), 0)*sch.MaxArity() + maxFreshPerAtom
@@ -113,8 +109,9 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 		consts:   availableConstants(q, set),
 		free:     append([]term.Term(nil), q.Free...),
 		names:    names,
-		budget:   int64(opt.SearchBudget),
+		budget:   opt.SearchBudget,
 		maxSteps: 50 * int64(opt.SearchBudget),
+		runner:   &v.runner,
 		st:       st,
 	}
 	if !opt.DisableSearchMemo {
@@ -125,6 +122,7 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 			return nil, 0, false, err
 		}
 		eng.checker = checker
+		eng.memo = make(map[string]candVerdict)
 	}
 	witness, examined, exhausted, err := eng.run()
 	if err != nil {

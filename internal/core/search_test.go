@@ -119,42 +119,6 @@ func TestDecideCancellation(t *testing.T) {
 	}
 }
 
-func TestDecideUCQParallel(t *testing.T) {
-	set := deps.MustParse("Interest(x,z), Class(y,z) -> Owns(x,y).")
-	disjuncts := []*cq.CQ{
-		cq.MustParse("q :- Interest(x,z), Class(y,z), Owns(x,y)."),
-		cq.MustParse("q :- Owns(a,b)."),
-		cq.MustParse("q :- Interest(a,b)."),
-		cq.MustParse("q :- Class(a,b)."),
-	}
-	u, err := cq.NewUCQ(disjuncts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := DecideUCQ(u, set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := DecideUCQ(u, set, Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Verdict != par.Verdict {
-		t.Fatalf("verdicts differ: %s vs %s", seq.Verdict, par.Verdict)
-	}
-	for i := range seq.Redundant {
-		if seq.Redundant[i] != par.Redundant[i] {
-			t.Fatalf("redundancy differs at %d", i)
-		}
-		if (seq.PerDisjunct[i] == nil) != (par.PerDisjunct[i] == nil) {
-			t.Fatalf("per-disjunct presence differs at %d", i)
-		}
-		if seq.PerDisjunct[i] != nil && seq.PerDisjunct[i].Verdict != par.PerDisjunct[i].Verdict {
-			t.Fatalf("per-disjunct verdict differs at %d", i)
-		}
-	}
-}
-
 // TestDecideUnsatisfiableQuery: a query whose chase fails under the
 // key is Σ-unsatisfiable, hence equivalent to the acyclic clash query
 // built from the key itself.
@@ -220,7 +184,7 @@ func TestSatisfiableConstantQueryUnaffected(t *testing.T) {
 // exhaustion flag, and the same deterministic fingerprint.
 func TestSearchIgnoresFreeVariableNames(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	opt := Options{SearchBudget: 60, Parallelism: 1}
+	opt := Options{SearchBudget: 60}
 	compared := 0
 	for round := 0; compared < 50 && round < 40; round++ {
 		for _, class := range gen.WorkloadClasses {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
@@ -82,48 +81,18 @@ func DecideUCQ(u *cq.UCQ, set *deps.Set, opt Options) (*UCQResult, error) {
 		}
 	}
 
-	// Decide the surviving disjuncts — concurrently when asked: the
-	// decisions are independent (all shared inputs are read-only) and
-	// results land in per-index slots, so the outcome is deterministic.
-	workers := opt.parallelism()
-	type job struct{ i int }
-	jobs := make(chan job)
-	errs := make([]error, len(u.Disjuncts))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res, err := Decide(u.Disjuncts[j.i], set, opt)
-				if err != nil {
-					errs[j.i] = err
-					continue
-				}
-				out.PerDisjunct[j.i] = res
-			}
-		}()
-	}
-	for i := range u.Disjuncts {
-		if !out.Redundant[i] {
-			jobs <- job{i}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
+	// Decide the surviving disjuncts in order.
 	var witnesses []*cq.CQ
 	verdict := Yes
-	for i := range u.Disjuncts {
+	for i, qi := range u.Disjuncts {
 		if out.Redundant[i] {
 			continue
 		}
-		res := out.PerDisjunct[i]
+		res, err := Decide(qi, set, opt)
+		if err != nil {
+			return nil, err
+		}
+		out.PerDisjunct[i] = res
 		switch res.Verdict {
 		case Yes:
 			witnesses = append(witnesses, res.Witness)

@@ -48,7 +48,7 @@ func TestLoadAndRun(t *testing.T) {
 		if c.Name != wantNames[i] {
 			t.Fatalf("case %d = %s, want %s", i, c.Name, wantNames[i])
 		}
-		if err := Run(c, 1); err != nil {
+		if err := Run(c); err != nil {
 			t.Errorf("Run(%s): %v", c.Name, err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestRunReportsWrongExpectations(t *testing.T) {
 			continue
 		}
 		ran = true
-		if err := Run(c, 1); err == nil || !strings.Contains(err.Error(), "answers") {
+		if err := Run(c); err == nil || !strings.Contains(err.Error(), "answers") {
 			t.Errorf("wrong answer matrix not caught: %v", err)
 		}
 	}

@@ -12,15 +12,14 @@ import (
 )
 
 // Run executes one case: parse-tier cases exercise the named parser,
-// eval-tier cases run the full differential cross-check at the given
-// parallelism, error-tier cases assert the stable failure. A nil error
-// means the case holds.
-func Run(c *Case, parallelism int) error {
+// eval-tier cases run the full differential cross-check, error-tier
+// cases assert the stable failure. A nil error means the case holds.
+func Run(c *Case) error {
 	switch c.Tier {
 	case "parse":
 		return runParse(c)
 	case "eval":
-		return runEval(c, parallelism)
+		return runEval(c)
 	case "error":
 		return runError(c)
 	}
@@ -125,12 +124,12 @@ func parseTriple(c *Case) (*cq.CQ, *deps.Set, *instance.Instance, error) {
 // runEval cross-checks every applicable evaluation method on the
 // case's triple and compares verdict and canonical answers against the
 // frozen expectations.
-func runEval(c *Case, parallelism int) error {
+func runEval(c *Case) error {
 	q, set, db, err := parseTriple(c)
 	if err != nil {
 		return err
 	}
-	rep, err := core.CrossCheck(q, set, db, core.Options{Parallelism: parallelism})
+	rep, err := core.CrossCheck(q, set, db, core.Options{})
 	if err != nil {
 		return fmt.Errorf("corpus: %s: %w", c.Name, err)
 	}
@@ -143,7 +142,7 @@ func runEval(c *Case, parallelism int) error {
 	if c.DeltaInsert == "" && c.DeltaDelete == "" {
 		return nil
 	}
-	return runEvalDelta(c, q, set, db, parallelism)
+	return runEvalDelta(c, q, set, db)
 }
 
 // runEvalDelta applies the case's delta batch to the already-checked
@@ -151,7 +150,7 @@ func runEval(c *Case, parallelism int) error {
 // instance (the delta-maintenance path) and on a from-scratch rebuild
 // of the same atom set (the batch-build path). Any divergence between
 // the two is an index/view maintenance bug, not a data change.
-func runEvalDelta(c *Case, q *cq.CQ, set *deps.Set, db *instance.Instance, parallelism int) error {
+func runEvalDelta(c *Case, q *cq.CQ, set *deps.Set, db *instance.Instance) error {
 	ins, err := instance.ParseAtoms(c.DeltaInsert)
 	if err != nil {
 		return fmt.Errorf("corpus: %s: delta_insert: %w", c.Name, err)
@@ -175,7 +174,7 @@ func runEvalDelta(c *Case, q *cq.CQ, set *deps.Set, db *instance.Instance, paral
 		label string
 		db    *instance.Instance
 	}{{"patched", db}, {"rebuilt", rebuilt}} {
-		rep, err := core.CrossCheck(q, set, arm.db, core.Options{Parallelism: parallelism})
+		rep, err := core.CrossCheck(q, set, arm.db, core.Options{})
 		if err != nil {
 			return fmt.Errorf("corpus: %s: %s: %w", c.Name, arm.label, err)
 		}
@@ -205,7 +204,7 @@ func compareAnswers(name, label string, got, want [][]string) error {
 	return nil
 }
 
-// Monotonicity runs the decision-layer monotonicity and parallelism
+// Monotonicity runs the decision-layer monotonicity and memo
 // independence contract on an eval-tier case.
 func Monotonicity(c *Case) error {
 	q, set, _, err := parseTriple(c)

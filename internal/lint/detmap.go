@@ -9,7 +9,7 @@ import (
 // deterministic decision packages. Go randomizes map iteration order
 // per run, so any map range whose body's effect depends on visit order
 // (appending to a slice, first-wins election, emitting text) breaks the
-// byte-identical-at-every--j contract in a way the runtime tests only
+// byte-identical-on-every-run contract in a way the runtime tests only
 // catch when the randomized order happens to differ between runs.
 //
 // The sanctioned patterns are (a) collect the keys, sort them

@@ -408,10 +408,10 @@ func (st *dtState) evalInner(e ast.Expr) (taint, uint64) {
 		return t1 | t2, p1 | p2
 	case *ast.UnaryExpr:
 		if ex.Op == token.ARROW {
-			// Channel receive: the repo's worker protocols are
-			// deterministic by construction (canonical winner election,
-			// indexed result slots), so a receive is not a source; join
-			// *order* dependence is caught at captured-append sites.
+			// Channel receive: the repo's channels carry stop signals
+			// and the server's work queue, whose results land in
+			// indexed slots, so a receive is not a source; join *order*
+			// dependence is caught at captured-append sites.
 			return st.eval(ex.X)
 		}
 		return st.eval(ex.X)

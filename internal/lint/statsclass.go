@@ -12,9 +12,9 @@ import (
 // every field of every internal/obs stats struct (Stats and *Stats)
 // must carry an explicit `sem` struct tag —
 //
-//	sem:"det"     deterministic: identical at every -j, part of the
-//	              fingerprint contract
-//	sem:"nondet"  scheduling-dependent measurement
+//	sem:"det"     deterministic: identical on every run of an input,
+//	              part of the fingerprint contract
+//	sem:"nondet"  measurement outside the contract
 //	sem:"group"   a nested stats struct (or slice of one) whose own
 //	              fields carry the classification
 //
@@ -183,7 +183,7 @@ func runStatsClass(p *Pass) {
 				case "nondet":
 					if refs[f.name] {
 						p.Reportf(m.decl.Pos(),
-							"%s.%s references NONDETERMINISTIC field %s; fingerprints must be identical at every -j",
+							"%s.%s references NONDETERMINISTIC field %s; fingerprints must be identical on every run",
 							m.recv, m.decl.Name.Name, label)
 					}
 				case "group":

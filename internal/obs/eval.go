@@ -14,7 +14,7 @@ import (
 // Like Stats, fields split into DETERMINISTIC (fixed for a given
 // plan/database/options triple — the index and semijoin work of the
 // sequential evaluators) and NONDETERMINISTIC (wall times). The
-// determinism tests fingerprint the former across -j values.
+// determinism tests compare the former byte for byte.
 type EvalStats struct {
 	// Method names the evaluation procedure that ran: "yannakakis",
 	// "guarded-game", "egd-game" or "generic". DETERMINISTIC.

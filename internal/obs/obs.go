@@ -5,18 +5,17 @@
 //
 // Every counter is classified as DETERMINISTIC or NONDETERMINISTIC:
 //
-//   - Deterministic fields are identical for every Options.Parallelism
-//     value (-j on the CLI) on a fixed input — they are part of the
-//     engine's determinism contract, and the determinism tests assert
-//     their fingerprints byte for byte.
-//   - Nondeterministic fields depend on goroutine scheduling (work done
-//     by branches that a canonically earlier winner later aborted, memo
-//     races that recompute a cached verdict, per-worker utilization,
-//     wall times). They are measurements, not contract.
+//   - Deterministic fields are identical on every run of a fixed input
+//     — they are part of the engine's determinism contract, and the
+//     determinism tests assert their fingerprints byte for byte.
+//   - Nondeterministic fields are measurements, not contract: wall
+//     times, process-wide deltas that concurrent decisions bleed into,
+//     and cost counters (nodes visited, memo hits, verifications run)
+//     that a cheaper search may change without changing any answer.
 //
 // The structs are plain data with JSON tags; the stats-collection cost
-// lives in the packages that fill them (per-branch local counters
-// flushed once, one atomic pair per hom enumeration).
+// lives in the packages that fill them (plain counters in the search,
+// one atomic pair per hom enumeration).
 package obs
 
 import (
@@ -32,7 +31,7 @@ import (
 type Stats struct {
 	// Chase observes chase(q,Σ), the Lemma 1 pruning target built by
 	// the decision layers. Deterministic: the pipeline chases with
-	// sequential rounds, independent of -j.
+	// sequential rounds.
 	Chase ChaseStats `json:"chase" sem:"group"`
 	// Search observes the layer-4 complete bounded enumeration.
 	Search SearchStats `json:"search" sem:"group"`
@@ -61,10 +60,9 @@ func NewStats() *Stats {
 type LayerStats struct {
 	// Name is the layer's Result.Layer-style name.
 	Name string `json:"name" sem:"det"`
-	// Candidates examined by the layer. DETERMINISTIC: the early layers
-	// are sequential, and the complete layer records its decisive count
-	// (see SearchStats.Candidates), not the raw scheduling-dependent
-	// total.
+	// Candidates examined by the layer. DETERMINISTIC: the complete
+	// layer records its decisive count (see SearchStats.Candidates), not
+	// the raw total.
 	Candidates int `json:"candidates" sem:"det"`
 	// WallNS is the layer's wall time. NONDETERMINISTIC.
 	WallNS telemetry.DurationNS `json:"wall_ns" sem:"nondet"`
@@ -72,7 +70,7 @@ type LayerStats struct {
 
 // ChaseStats counts the work of one chase run. All fields are
 // DETERMINISTIC for fixed chase options: the chase runs sequential
-// rounds regardless of -j.
+// rounds.
 type ChaseStats struct {
 	// Rounds is the number of tgd passes executed (including the final
 	// pass that fires nothing and certifies the fixpoint).
@@ -114,26 +112,23 @@ type SearchStats struct {
 	// DETERMINISTIC.
 	Budget int `json:"budget" sem:"det"`
 	// WinnerBranch is the index of the branch whose witness was
-	// elected, -1 when no witness was returned. DETERMINISTIC: the
-	// canonically least complete-prefixed witness wins at every -j.
+	// returned, -1 when none was. DETERMINISTIC: the search returns the
+	// first witness in canonical branch order, and only when every
+	// earlier branch was enumerated completely.
 	WinnerBranch int `json:"winner_branch" sem:"det"`
 	// Exhausted reports a definitive full enumeration. DETERMINISTIC.
 	Exhausted bool `json:"exhausted" sem:"det"`
 	// Candidates is the decisive candidate count: the number of
-	// verifications the sequential (-j 1) order performs up to the
-	// decision point. DETERMINISTIC — when a witness is returned it
-	// sums the fully-enumerated branches before the winner plus the
-	// winner's prefix (branches the parallel run started beyond the
-	// winner are excluded); when the run exhausted it is the total.
-	// On budget-truncated no-witness runs the sequential prefix cannot
-	// be reconstructed from a parallel run, so the field is -1 ("not
-	// defined") — identically at every -j. See CandidatesObserved for
-	// the raw count.
+	// verifications the search performs up to the decision point.
+	// DETERMINISTIC — when a witness is returned it counts the
+	// verifications up to and including it; when the run exhausted it
+	// is the total. A budget-truncated run without a witness reaches no
+	// decision point, so the field is -1 ("not defined"). See
+	// CandidatesObserved for the raw count.
 	Candidates int `json:"candidates" sem:"det"`
 
-	// CandidatesObserved is the raw number of verification slots
-	// granted, including work by branches an earlier winner later
-	// aborted. NONDETERMINISTIC.
+	// CandidatesObserved is the raw number of verifications granted,
+	// including those after a truncated branch. NONDETERMINISTIC.
 	CandidatesObserved int `json:"candidates_observed" sem:"nondet"`
 	// NodesVisited counts enumeration-tree nodes expanded.
 	// NONDETERMINISTIC.
@@ -148,19 +143,10 @@ type SearchStats struct {
 	// Indefinite counts non-definitive verification verdicts (a budget
 	// inside the containment check). NONDETERMINISTIC.
 	Indefinite int64 `json:"indefinite" sem:"nondet"`
-	// PruneMemoHits / PruneMemoMisses are the prefix-homomorphism cache
-	// rates. NONDETERMINISTIC (racing branches may recompute a key).
-	PruneMemoHits   int64 `json:"prune_memo_hits" sem:"nondet"`
-	PruneMemoMisses int64 `json:"prune_memo_misses" sem:"nondet"`
 	// CandMemoHits / CandMemoMisses are the candidate-containment cache
 	// rates. NONDETERMINISTIC.
 	CandMemoHits   int64 `json:"cand_memo_hits" sem:"nondet"`
 	CandMemoMisses int64 `json:"cand_memo_misses" sem:"nondet"`
-	// Workers is the resolved worker count; WorkerBranches[w] is the
-	// number of branches worker w processed (utilization, not
-	// assignment). NONDETERMINISTIC.
-	Workers        int     `json:"workers" sem:"nondet"`
-	WorkerBranches []int64 `json:"worker_branches,omitempty" sem:"nondet"`
 }
 
 // Fingerprint renders the deterministic search fields canonically.
@@ -185,8 +171,8 @@ type ContainmentStats struct {
 	// decision's prepared right-hand side — the Prepare reuse count.
 	// The checker serves layers 2 and 3 before layer 4, so their checks
 	// count too, and a decision settled before layer 4 reports them as
-	// well; 0 when no layer prepared a checker. NONDETERMINISTIC
-	// (aborted branches verify extra candidates).
+	// well; 0 when no layer prepared a checker. NONDETERMINISTIC (a
+	// cost counter: candidate-memo hits skip the check).
 	PreparedChecks int64 `json:"prepared_checks" sem:"nondet"`
 }
 
@@ -214,8 +200,7 @@ func (s *Stats) AddLayer(name string, candidates int, wallNS telemetry.DurationN
 }
 
 // DeterministicFingerprint serializes exactly the deterministic fields:
-// two runs of the same input at any two -j values must produce
-// byte-identical fingerprints. Memoization-dependent-but-deterministic
+// two runs of the same input must produce byte-identical fingerprints. Memoization-dependent-but-deterministic
 // fields (the containment group) are included; compare
 // Chase/Search fingerprints directly when ablating the memo.
 func (s *Stats) DeterministicFingerprint() string {

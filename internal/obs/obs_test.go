@@ -17,7 +17,7 @@ func TestNewStatsSentinels(t *testing.T) {
 }
 
 // TestDeterministicFingerprintExcludesNondeterministicFields: two runs
-// differing only in scheduling-dependent measurements must fingerprint
+// differing only in NONDETERMINISTIC measurements must fingerprint
 // identically — that is the whole point of the fingerprint.
 func TestDeterministicFingerprintExcludesNondeterministicFields(t *testing.T) {
 	a := NewStats()
@@ -36,9 +36,7 @@ func TestDeterministicFingerprintExcludesNondeterministicFields(t *testing.T) {
 	b.Search.NodesVisited = 1 << 20
 	b.Search.PrunedByHom = 5555
 	b.Search.Verified = 17
-	b.Search.PruneMemoHits = 3
-	b.Search.Workers = 8
-	b.Search.WorkerBranches = []int64{4, 5}
+	b.Search.CandMemoHits = 3
 	b.WallNS = 123456789
 	b.Hom = HomStats{Enumerations: 42, Backtracks: 9000}
 	b.Containment.PreparedChecks = 77

@@ -16,8 +16,7 @@ import (
 // acyclicity of (query, deps), compile an evaluation plan, and run it
 // against a registered instance. The decision knobs (budget,
 // max_witness, skip_complete) mirror /decide and enter the plan-cache
-// key; deadline_ms and parallelism are per-request execution knobs and
-// do not.
+// key; deadline_ms is a per-request execution knob and does not.
 type EvaluateRequest struct {
 	// Query is the conjunctive query to evaluate.
 	Query string `json:"query"`
@@ -30,12 +29,11 @@ type EvaluateRequest struct {
 	// "yannakakis", "guarded-game", "egd-game" or "generic". See
 	// core.CompilePlan for the contract of each.
 	Method string `json:"method,omitempty"`
-	// Budget / MaxWitness / SkipComplete / Parallelism tune the
-	// underlying decision exactly as on /decide.
+	// Budget / MaxWitness / SkipComplete tune the underlying decision
+	// exactly as on /decide.
 	Budget       int  `json:"budget,omitempty"`
 	MaxWitness   int  `json:"max_witness,omitempty"`
 	SkipComplete bool `json:"skip_complete,omitempty"`
-	Parallelism  int  `json:"parallelism,omitempty"`
 	// DeadlineMS bounds plan compilation plus execution.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Overlay, when present, evaluates a what-if delta layered over the
@@ -88,8 +86,7 @@ type EvaluateResponse struct {
 }
 
 // planKey derives the plan-cache key for a parsed unit and method.
-// Parallelism and deadline stay out: the plan is identical at every
-// value of each.
+// The deadline stays out: the plan is identical at every value.
 func planKey(u *decideUnit, method string) string {
 	return "plan\x00" + u.key + "\x00m=" + method
 }
@@ -167,7 +164,6 @@ func (s *Server) serveEvaluate(w http.ResponseWriter, r *http.Request) {
 		Budget:       req.Budget,
 		MaxWitness:   req.MaxWitness,
 		SkipComplete: req.SkipComplete,
-		Parallelism:  req.Parallelism,
 		DeadlineMS:   req.DeadlineMS,
 	}
 	u, err := parseUnit(&dreq, "decide")

@@ -18,9 +18,9 @@ import (
 )
 
 // DecideRequest is the JSON body of /decide, one element of
-// /decide/batch, and the body of /approximate. Parallelism never
-// enters the cache key: the determinism contract makes the response
-// identical at every value.
+// /decide/batch, and the body of /approximate. Every field but
+// DeadlineMS enters the cache key; the determinism contract makes the
+// response a function of the rest.
 type DecideRequest struct {
 	// Query is the conjunctive query, e.g. "q(x) :- R(x,y), S(y,x)".
 	Query string `json:"query"`
@@ -33,8 +33,6 @@ type DecideRequest struct {
 	MaxWitness int `json:"max_witness,omitempty"`
 	// SkipComplete disables the exhaustive layer 4.
 	SkipComplete bool `json:"skip_complete,omitempty"`
-	// Parallelism bounds the decision's internal workers (0 = cores).
-	Parallelism int `json:"parallelism,omitempty"`
 	// DeadlineMS overrides the server's default deadline for this
 	// request, in milliseconds. On /decide/batch only the batch-level
 	// value applies.
@@ -52,7 +50,7 @@ type DecideResponse struct {
 	Layer      string `json:"layer"`
 	Bound      int    `json:"bound"`
 	// Fingerprint is obs.Stats.DeterministicFingerprint — identical
-	// across -j values and across cache hit/miss by contract.
+	// run to run and across cache hit/miss by contract.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
@@ -176,7 +174,6 @@ func options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) cor
 		SearchBudget:       u.req.Budget,
 		MaxWitnessSize:     u.req.MaxWitness,
 		SkipCompleteSearch: u.req.SkipComplete,
-		Parallelism:        u.req.Parallelism,
 		Cancel:             cancel,
 		Trace:              rec,
 	}

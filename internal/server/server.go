@@ -53,8 +53,8 @@ const retryAfter = "1"
 // host.
 type Config struct {
 	// Workers is the number of decision workers (default GOMAXPROCS).
-	// Each worker runs one decision at a time; the decision itself may
-	// fan out further via the request's parallelism knob.
+	// Each worker runs one decision at a time, in its own goroutine: the
+	// pool is the only concurrency on a decision's path.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-unstarted requests
 	// (default 4×Workers). A full queue sheds with 429.

@@ -305,6 +305,9 @@ func TestBadRequests(t *testing.T) {
 		{"/decide", DecideRequest{Query: "q :- E(x,y)", Deps: "not a dependency"}},
 		{"/decide/batch", BatchRequest{}},
 		{"/approximate", DecideRequest{Query: "broken("}},
+		// The removed per-request worker count is an unknown field now.
+		{"/decide", map[string]any{"query": "q :- E(x,y), E(y,x)", "parallelism": 2}},
+		{"/evaluate", map[string]any{"query": "q :- E(x,y)", "instance": "db", "parallelism": 2}},
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts, c.path, c.body)

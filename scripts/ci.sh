@@ -3,10 +3,10 @@
 #
 #   scripts/ci.sh          # vet + build + race-enabled tests + short benchmarks
 #
-# The test step runs with -race on purpose: the witness search and the
-# UCQ layer run goroutine pools, and their determinism contract (same
-# answer at every -j) is enforced by tests that only mean something
-# when the race detector watches them.
+# The test step runs with -race on purpose: semacycd runs decisions on
+# a worker pool beside its instance registry and caches, and the tests
+# that drive them only mean something when the race detector watches
+# them. A decision itself runs in one goroutine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,9 +76,12 @@ echo "== allocation guards (no race: counts must be exact) =="
 # They verify candidates in reusable scratch: an instance emptied by
 # Reset keeps its tables, a reused cq.Freezer allocates only the stored
 # atoms' cells, and a reused chase.Runner keeps its run state and null
-# names (chase); layers 3 and 4 check a candidate by a scan instead of
-# CQ.Validate (core); a decision chases q once, in its verifier, for
-# the unsatisfiability test and layers 3 and 4 (core). semacycd renders
+# names (chase); the decision's verifier owns the one runner that
+# layers 2 to 4 verify in, and layer 4 walks its branches in one
+# goroutine with one keyer and buffers reused across branches; layers
+# 3 and 4 check a candidate by a scan instead of CQ.Validate (core); a
+# decision chases q once, in its verifier, for the unsatisfiability
+# test and layers 3 and 4 (core). semacycd renders
 # answer rows as windows of one slab, two allocations however many
 # answers (server).
 # A UCQ rewriting owns its scratch: each tgd is renamed once per call,
@@ -115,7 +118,7 @@ echo "== reference gate =="
 # guarded and egd enumerators it merged (same answer sets, also through
 # the Plans); and the decide-cold golden file, which freezes verdict,
 # layer, candidates, witness and deterministic fingerprint of bench's
-# fifteen decide-cold templates at -j 1 and 4, and Approximate's query.
+# fifteen decide-cold templates, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
 go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden' \
     ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/ ./internal/rewrite/
@@ -168,7 +171,7 @@ for d in internal/*/; do
     fi
 done
 
-echo "== torture corpus (race, -j 1/4/8) =="
+echo "== torture corpus (race) =="
 # The data-driven corpus under testdata/corpus: parser regressions,
 # differential method agreement on frozen verdicts/answers, stable
 # error messages, and the decision layer-monotonicity contract. Run
