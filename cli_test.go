@@ -180,16 +180,18 @@ func TestCLIChaseErrors(t *testing.T) {
 func TestCLISemacycStats(t *testing.T) {
 	// -stats prints the decision's stats JSON after the verdict; a
 	// layer-4 run populates the search section. The tight budget keeps
-	// the run fast (verdict unknown, exit 2).
+	// the run fast (verdict unknown, exit 2). The triangle carries a
+	// third argument: over binary predicates the shape layer settles it
+	// before layer 4 runs.
 	out, code := runTool(t, "semacyc",
-		"-query", "q :- E(x,y), E(y,z), E(z,x).",
-		"-deps", "E(x,y) -> E(y,x).",
+		"-query", "q :- E(x,y,u), E(y,z,u), E(z,x,u).",
+		"-deps", "E(x,y,u) -> E(y,x,u).",
 		"-budget", "200",
 		"-stats")
 	if code != 2 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
-	for _, want := range []string{"verdict: unknown", `"chase"`, `"search"`, `"branches"`, `"layers"`, `"wall_ns"`} {
+	for _, want := range []string{"verdict: unknown", `"chase"`, `"search"`, `"branches"`, `"layers"`, `"wall_ns"`, `"name": "complete"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
@@ -247,8 +249,8 @@ func TestCLISemacycStatsOutFailure(t *testing.T) {
 
 func TestCLISemacycVerboseStatsSummary(t *testing.T) {
 	out, code := runTool(t, "semacyc",
-		"-query", "q :- E(x,y), E(y,z), E(z,x).",
-		"-deps", "E(x,y) -> E(y,x).",
+		"-query", "q :- E(x,y,u), E(y,z,u), E(z,x,u).",
+		"-deps", "E(x,y,u) -> E(y,x,u).",
 		"-budget", "200",
 		"-v")
 	if code != 2 {

@@ -251,6 +251,11 @@ func (p *Prepared) Checks() int64 { return p.checks }
 // SelectedMethod returns the decision procedure Prepare resolved.
 func (p *Prepared) SelectedMethod() Method { return p.m }
 
+// Rewriting returns the hoisted UCQ rewriting of the right-hand side,
+// nil when the selected method does not rewrite. It is the checker's
+// own: callers read it and must not modify it.
+func (p *Prepared) Rewriting() *rewrite.Result { return p.rw }
+
 // RewriteSize reports the size of the hoisted UCQ rewriting and whether
 // it was exhaustive; (0, true) when the selected method does not
 // rewrite.

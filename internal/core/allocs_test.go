@@ -28,21 +28,28 @@ import (
 // 3,275, 4,711 and 6,186. Layer 4 walking its branches in one
 // goroutine, with the verifier's runner, one keyer, a plain-map memo
 // and scratch reused across branches, takes 2,945, 4,373 and 5,831.
-// The bounds are those counts plus 5%.
+// The shape layer settles the three binary templates before layer 4
+// (definitive no after 8, 12 and 3 checks): 1,992, 4,140 and 774. The
+// sticky triangle with a third argument, which the shape layer does
+// not serve, still runs out of budget in layer 4: 8,450. The bounds are
+// the measured counts plus 5%.
 func TestAllocsDecide(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	templates := decideColdTemplates()
+	q3, set3 := ternaryStickyCase()
+	ternarySticky := [2]string{q3.String(), set3.String()}
 	for _, tc := range []struct {
 		tpl   [2]string
 		layer string
 		bound float64
 	}{
 		{templates[4], "quotient", 1350}, // clique4 under E(x,y) → E(x,x)
-		{templates[2], "budget", 3100},   // the sticky triangle
-		{templates[3], "budget", 4600},   // S0,S1,S0 under the sticky set
-		{templates[0], "budget", 6130},   // the 3-cycle under E(x,y) → E(y,z)
+		{templates[2], "shape", 2090},    // the sticky triangle
+		{templates[3], "shape", 4350},    // S0,S1,S0 under the sticky set
+		{templates[0], "shape", 815},     // the 3-cycle under E(x,y) → E(y,z)
+		{ternarySticky, "budget", 8870},  // the sticky triangle, arity 3
 	} {
 		q, set := parseTemplate(t, tc.tpl)
 		opt := Options{SearchBudget: 100}
@@ -75,7 +82,8 @@ func TestAllocsDecide(t *testing.T) {
 // default bound: about 11,400 allocations, 22,700 before the search
 // layers verified candidates in reusable chase runners. Under
 // -race the allocation figures are skipped, but one deep search still
-// runs.
+// runs. The search runs layer 4 alone: Decide now settles the sticky
+// triangle in the shape layer, before layer 4.
 func TestAllocsHugeWitnessBound(t *testing.T) {
 	q, set := parseTemplate(t, decideColdTemplates()[2]) // the sticky triangle
 	for _, w := range []int{1 << 40, math.MaxInt} {
@@ -85,13 +93,13 @@ func TestAllocsHugeWitnessBound(t *testing.T) {
 		opt := Options{SearchBudget: 100, MaxWitnessSize: w}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := Decide(q, set, opt)
+		witness, st, _, exhausted, err := SearchComplete(q, set, opt, w)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Layer != "budget" {
-			t.Fatalf("bound %d: settled in layer %q, want the budget to run out in layer 4", w, res.Layer)
+		if witness != nil || exhausted || st.Search.Candidates != -1 {
+			t.Fatalf("bound %d: witness %v, exhausted %v, candidates %d; want the budget to run out in layer 4", w, witness, exhausted, st.Search.Candidates)
 		}
 		if testutil.RaceEnabled {
 			continue

@@ -24,6 +24,16 @@ func stickyCancelCase() (*cq.CQ, *deps.Set) {
 	return q, set
 }
 
+// The tri-sticky workload with a third argument u on every predicate:
+// over binary predicates the shape layer settles the triangle in under
+// a millisecond, but with arity 3 it does not apply, and the decision
+// runs out of budget in layer 4 (about 120 ms at budget 100).
+func ternaryStickyCase() (*cq.CQ, *deps.Set) {
+	set := deps.MustParse("US1(x,u), US0(y,u) -> S0(x,y,u).\nS1(x,y,u) -> S1(y,w,u).\nUS0(x,u), US1(y,u) -> S1(x,y,u).")
+	q := cq.MustParse("q :- S0(x,y,u), S0(y,z,u), S0(z,x,u).")
+	return q, set
+}
+
 // A pre-closed channel cancels Decide before any layer runs.
 func TestDecideCancelPreClosed(t *testing.T) {
 	q, set := stickyCancelCase()
@@ -37,9 +47,13 @@ func TestDecideCancelPreClosed(t *testing.T) {
 
 // Cancelling mid-decision returns stop.ErrCancelled promptly: the
 // layer-4 enumeration polls inside its inner loop, so no branch runs
-// to completion first.
+// to completion first. The input runs out of budget in layer 4 at
+// budget 100, so at budget 2^30 it cannot finish before the timer.
 func TestDecideCancelMidSearch(t *testing.T) {
-	q, set := stickyCancelCase()
+	q, set := ternaryStickyCase()
+	if res, err := Decide(q, set, Options{SearchBudget: 100}); err != nil || res.Layer != "budget" {
+		t.Fatalf("budget 100: %+v, %v; want layer 4 to run out of budget", res, err)
+	}
 	ch := make(chan struct{})
 	go func() {
 		time.Sleep(15 * time.Millisecond)
@@ -48,11 +62,6 @@ func TestDecideCancelMidSearch(t *testing.T) {
 	start := time.Now()
 	_, err := Decide(q, set, Options{SearchBudget: 1 << 30, Cancel: ch})
 	wall := time.Since(start)
-	if err == nil {
-		// Finishing before the timer fires is possible on a fast
-		// machine and is not a cancellation bug.
-		return
-	}
 	if !errors.Is(err, stop.ErrCancelled) {
 		t.Fatalf("err = %v, want stop.ErrCancelled", err)
 	}

@@ -79,37 +79,47 @@ func (g *moveGen) each(cur *cq.CQ, drops bool, yield func(atoms []instance.Atom)
 		}
 	}
 
-	nargs := 0
-	for _, a := range cur.Atoms {
-		nargs += len(a.Args)
-	}
-	// Sized once, the slab never moves while a move's atoms point into it.
-	g.args = slices.Grow(g.args[:0], nargs)
 	vars := cur.Vars()
 	for i, x := range vars {
 		for j, y := range vars {
 			if i == j || slices.Contains(cur.Free, y) {
 				continue
 			}
-			g.atoms, g.args = g.atoms[:0], g.args[:0]
-			for _, a := range cur.Atoms {
-				start := len(g.args)
-				for _, t := range a.Args {
-					if t == y {
-						t = x
-					}
-					g.args = append(g.args, t)
+			g.atoms, g.args = imageAtoms(g.atoms, g.args, cur.Atoms, func(t term.Term) term.Term {
+				if t == y {
+					return x
 				}
-				b := instance.Atom{Pred: a.Pred, Args: g.args[start:len(g.args):len(g.args)]}
-				if slices.ContainsFunc(g.atoms, b.Equal) {
-					g.args = g.args[:start]
-					continue
-				}
-				g.atoms = append(g.atoms, b)
-			}
+				return t
+			})
 			yield(g.atoms)
 		}
 	}
+}
+
+// imageAtoms returns the image of src under mapTerm, built in the
+// reused atoms and args buffers, without the duplicates the image
+// creates (first occurrences kept). args is sized once per call, so it
+// never moves while the atoms point into it; the result is valid until
+// the buffers are reused.
+func imageAtoms(atoms []instance.Atom, args []term.Term, src []instance.Atom, mapTerm func(term.Term) term.Term) ([]instance.Atom, []term.Term) {
+	nargs := 0
+	for _, a := range src {
+		nargs += len(a.Args)
+	}
+	atoms, args = atoms[:0], slices.Grow(args[:0], nargs)
+	for _, a := range src {
+		start := len(args)
+		for _, t := range a.Args {
+			args = append(args, mapTerm(t))
+		}
+		b := instance.Atom{Pred: a.Pred, Args: args[start:len(args):len(args)]}
+		if slices.ContainsFunc(atoms, b.Equal) {
+			args = args[:start]
+			continue
+		}
+		atoms = append(atoms, b)
+	}
+	return atoms, args
 }
 
 // selectionValid is Validate() == nil for a layer-3 selection, found

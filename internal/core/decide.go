@@ -12,12 +12,19 @@
 //     of q, verified equivalent under Σ;
 //  3. chase-guided candidates — acyclic connected subsets of a bounded
 //     chase(q,Σ);
+//
+// then the shape layer — on schemas of arity ≤ 2 in a class with a
+// witness bound, the acyclic quotients of core(q), or of each disjunct
+// of q's UCQ rewriting, which the proofs of Propositions 8 and 15 show
+// suffice (shape.go);
+//
 //  4. complete bounded enumeration up to the class's small-query bound
 //     (2·|q| for acyclicity-preserving-chase classes, Proposition 8;
 //     2·f_C(q,Σ) for UCQ-rewritable classes, Proposition 15), budgeted.
 //
 // Every YES carries a verified acyclic witness. A NO is definitive only
-// when the complete layer exhausted the bound without hitting a budget.
+// when the shape layer checked every quotient definitively, or the
+// complete layer exhausted the bound, without hitting a budget.
 package core
 
 import (
@@ -73,7 +80,8 @@ type Options struct {
 	// MaxWitnessSize overrides the class-derived small-query bound.
 	MaxWitnessSize int
 	// SkipCompleteSearch disables layer 4 (the exhaustive enumerator);
-	// a miss then yields Unknown rather than a definitive No.
+	// a miss then yields Unknown rather than a definitive No, unless the
+	// shape layer, which runs either way, settled the decision.
 	SkipCompleteSearch bool
 	// Cancel, when non-nil, aborts the decision as soon as the channel
 	// is closed (or receives); Decide then returns stop.ErrCancelled.
@@ -128,7 +136,8 @@ type Result struct {
 	// Witness is a verified acyclic CQ with q ≡Σ Witness (Yes only).
 	Witness *cq.CQ
 	// Definitive reports whether the verdict is exact: Yes always is;
-	// No requires the complete search to have exhausted the bound.
+	// No requires the shape layer to have checked every quotient
+	// definitively, or the complete search to have exhausted the bound.
 	Definitive bool
 	// Layer names the procedure layer that settled the answer.
 	Layer string
@@ -255,6 +264,31 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 		}
 	}
 
+	// The shape layer: on arity-≤2 schemas the proofs' witness shape
+	// leaves finitely many quotients to check.
+	if class, err := shapeClass(v); err != nil {
+		return nil, err
+	} else if class != classNone {
+		beginLayer("shape")
+		w, n, settled, err := searchShape(c, class, v, opt)
+		if err != nil {
+			return nil, err
+		}
+		res.Candidates += n
+		record("shape", n)
+		if w != nil {
+			if res.Witness, err = polishWitness(w, opt.Cancel); err != nil {
+				return nil, err
+			}
+			res.Verdict, res.Definitive, res.Layer = Yes, true, "shape"
+			return res, nil
+		}
+		if settled {
+			res.Verdict, res.Definitive, res.Layer = No, true, "shape"
+			return res, nil
+		}
+	}
+
 	// Layer 4: complete bounded enumeration.
 	if !opt.SkipCompleteSearch && bound > 0 {
 		beginLayer("complete")
@@ -289,15 +323,25 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	return res, nil
 }
 
-// witnessBound returns the class-derived small-query bound, or 0 when
-// the set lies outside the classes with a proven bound.
-func witnessBound(q *cq.CQ, set *deps.Set, opt Options) int {
-	if opt.MaxWitnessSize > 0 {
-		return opt.MaxWitnessSize
-	}
+// witnessClass names the proof that bounds the witnesses of (q, Σ).
+type witnessClass int
+
+const (
+	// classNone: outside the classes with a proven bound.
+	classNone witnessClass = iota
+	// classAPC: an acyclicity-preserving chase (Proposition 8); every
+	// witness is g(q) plus at most |q| atoms (Lemma 9).
+	classAPC
+	// classRewritable: UCQ-rewritable (Proposition 15); every witness
+	// is g(p) plus at most |p| atoms, p a disjunct of q's rewriting.
+	classRewritable
+)
+
+// classify returns the class witnessBound and the shape layer read.
+func classify(q *cq.CQ, set *deps.Set) witnessClass {
 	switch {
 	case set.PureTGDs() && set.IsGuarded():
-		return 2 * q.Size() // Proposition 8 via Proposition 12
+		return classAPC // Proposition 8 via Proposition 12
 	case set.PureEGDs() && (set.IsK2() || set.IsUnaryFDs()) && maxAritySigma(q, set) <= 2:
 		// Proposition 22 / Theorem 23: the acyclicity-preserving-chase
 		// argument needs the WHOLE signature unary/binary — Example 4
@@ -305,9 +349,25 @@ func witnessBound(q *cq.CQ, set *deps.Set, opt Options) int {
 		// unary-FD extension [17] is proved for unconstrained
 		// signatures, but without a published small-witness bound we
 		// only claim 2·|q| where the K2 argument applies.
-		return 2 * q.Size()
+		return classAPC
 	case set.PureTGDs() && (set.IsNonRecursive() || set.IsSticky()):
-		return 2 * rewrite.HeightBound(q, set) // Propositions 15/17/19
+		return classRewritable // Propositions 15/17/19
+	default:
+		return classNone
+	}
+}
+
+// witnessBound returns the class-derived small-query bound, or 0 when
+// the set lies outside the classes with a proven bound.
+func witnessBound(q *cq.CQ, set *deps.Set, opt Options) int {
+	if opt.MaxWitnessSize > 0 {
+		return opt.MaxWitnessSize
+	}
+	switch classify(q, set) {
+	case classAPC:
+		return 2 * q.Size()
+	case classRewritable:
+		return 2 * rewrite.HeightBound(q, set)
 	default:
 		return 0
 	}
@@ -444,20 +504,11 @@ func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
 		}
 		return dec.Holds && dec.Definitive, dec.Definitive, nil
 	}
-	if v.db == nil {
-		v.db, v.frozen = v.q.Freeze()
+	a, err := v.containedIn(w)
+	if err != nil || !a.Holds {
+		return false, a.Definitive, err
 	}
-	plain := containment.Decision{Holds: true, Definitive: true}
-	a := plain
-	if !hom.HasTuple(w, v.db, v.frozen) {
-		if a, err = containment.Contains(v.q, w, v.set, v.opt.Containment); err != nil {
-			return false, false, err
-		}
-		if !a.Holds {
-			return false, a.Definitive, nil
-		}
-	}
-	b := plain
+	b := containment.Decision{Holds: true, Definitive: true}
 	if !v.plainContained(w) {
 		checker, err := v.prepared()
 		if err != nil {
@@ -469,6 +520,45 @@ func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
 	}
 	definitive = a.Definitive && b.Definitive
 	return b.Holds && definitive, definitive, nil
+}
+
+// containedIn decides q ⊆Σ w, the direction of verifyWitness that the
+// shape layer also runs alone: plain Chandra–Merlin containment first,
+// then containment.Contains. DisableSearchMemo skips the plain test,
+// which changes only the cost: plain containment implies q ⊆Σ w,
+// definitively, under every procedure.
+func (v *verifier) containedIn(w *cq.CQ) (containment.Decision, error) {
+	if !v.opt.DisableSearchMemo {
+		if v.db == nil {
+			v.db, v.frozen = v.q.Freeze()
+		}
+		if hom.HasTuple(w, v.db, v.frozen) {
+			return containment.Decision{Holds: true, Definitive: true}, nil
+		}
+	}
+	return containment.Contains(v.q, w, v.set, v.opt.Containment)
+}
+
+// rewriting returns q's UCQ rewriting under Σ, which the shape layer
+// reads for the UCQ-rewritable classes: the checker's own when the
+// selected method rewrites (sticky sets), else one Rewrite call with
+// the same options, its disjuncts capped at the search budget, since
+// the layer cannot examine more sources than that. Both memo arms
+// apply the same rule, so they read the same rewriting.
+func (v *verifier) rewriting() (*rewrite.Result, error) {
+	ropt := v.opt.Containment.Rewrite
+	if v.opt.Containment.Method == containment.MethodRewrite {
+		if !v.opt.DisableSearchMemo {
+			checker, err := v.prepared()
+			if err != nil {
+				return nil, err
+			}
+			return checker.Rewriting(), nil
+		}
+	} else if ropt.MaxDisjuncts <= 0 || ropt.MaxDisjuncts > v.opt.SearchBudget {
+		ropt.MaxDisjuncts = v.opt.SearchBudget
+	}
+	return rewrite.Rewrite(v.q, v.set, ropt)
 }
 
 // plainContained is hom.Contained(w, q), with w frozen in the

@@ -88,10 +88,11 @@ func TestTraceCoversPipelineLayers(t *testing.T) {
 // TestDecideChasesQueryOnce: the verifier owns chase(q,Σ), so a
 // decision that reaches layer 4 chases q once, in one "chase" span
 // inside layer 3, the first layer that needs it; layer 4 reads that
-// chase. The sticky triangle, a decide-cold template, runs out of
-// budget in layer 4; it used to chase q in both layers.
+// chase. The sticky triangle with a third argument runs out of budget
+// in layer 4 (over binary predicates the shape layer settles it before
+// layer 4); layers 3 and 4 used to chase q each.
 func TestDecideChasesQueryOnce(t *testing.T) {
-	q, set := parseTemplate(t, decideColdTemplates()[2])
+	q, set := ternaryStickyCase()
 	rec := telemetry.NewRecorder("request")
 	res, err := Decide(q, set, Options{SearchBudget: 100, Trace: rec})
 	if err != nil {

@@ -252,12 +252,13 @@ func TestEvaluateErrors(t *testing.T) {
 // back as 504, exactly like /decide.
 func TestEvaluateDeadline504(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	if r, body := post(t, ts, "/instances", InstanceRequest{Name: "db", Atoms: "S0(a,b). S0(b,c). S0(c,a)."}); r.StatusCode != http.StatusCreated {
+	requireBudgetLayer(t, ts)
+	if r, body := post(t, ts, "/instances", InstanceRequest{Name: "db", Atoms: "S0(a,b,d). S0(b,c,d). S0(c,a,d)."}); r.StatusCode != http.StatusCreated {
 		t.Fatalf("load: %d %s", r.StatusCode, body)
 	}
 	req := EvaluateRequest{
-		Query:      stickyQuery,
-		Deps:       stickyDeps,
+		Query:      slowQuery,
+		Deps:       slowDeps,
 		Instance:   "db",
 		Budget:     1 << 30,
 		DeadlineMS: 1,

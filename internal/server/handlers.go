@@ -189,6 +189,7 @@ func (s *Server) computeDecide(ctx context.Context, u *decideUnit) ([]byte, erro
 		return nil, err
 	}
 	s.metrics.observeLayers(res.Stats.Layers)
+	s.metrics.observeVerdict(res.Verdict.String(), res.Layer)
 	resp := DecideResponse{
 		Verdict:     res.Verdict.String(),
 		Definitive:  res.Definitive,

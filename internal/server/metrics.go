@@ -35,7 +35,9 @@ const (
 	mRequestDur  = "semacycd_request_duration_seconds"
 	hRequestDur  = "request wall time by endpoint"
 	mLayerDur    = "semacycd_decision_layer_duration_seconds"
-	hLayerDur    = "per-decision-layer wall time (core, unsatisfiable, quotient, chase-subset, complete)"
+	hLayerDur    = "per-decision-layer wall time (core, unsatisfiable, quotient, chase-subset, shape, complete)"
+	mDecisions   = "semacycd_decisions_total"
+	hDecisions   = "computed decisions (decision-cache misses) by verdict and settling layer"
 	mEvalDur     = "semacycd_evaluate_duration_seconds"
 	hEvalDur     = "plan execution wall time by evaluation method"
 	mCacheHits   = "semacycd_cache_hits_total"
@@ -138,13 +140,21 @@ func (m *metricsSet) requestHist(endpoint string) *telemetry.Histogram {
 }
 
 // observeLayers feeds one decision's per-layer wall times into the
-// layer histograms. The layer label set is small and fixed (the five
-// pipeline layers), so the registry lookup cost per decision is a few
+// layer histograms. The layer label set is small and fixed (the six
+// pipeline layers: core, unsatisfiable, quotient, chase-subset, shape
+// and complete), so the registry lookup cost per decision is a few
 // short mutex sections.
 func (m *metricsSet) observeLayers(layers []obs.LayerStats) {
 	for _, l := range layers {
 		m.reg.Histogram(mLayerDur, hLayerDur, telemetry.Labels("layer", l.Name)).Observe(l.WallNS)
 	}
+}
+
+// observeVerdict counts one computed decision by its verdict and the
+// layer that settled it. Only computed decisions reach it: a
+// decision-cache hit neither counts nor allocates.
+func (m *metricsSet) observeVerdict(verdict, layer string) {
+	m.reg.Counter(mDecisions, hDecisions, telemetry.Labels("verdict", verdict, "layer", layer)).Add(1)
 }
 
 // observeEval feeds one plan execution into the per-method histogram.

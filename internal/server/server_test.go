@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,6 +18,27 @@ import (
 
 const stickyQuery = "q :- S0(x,y), S0(y,z), S0(z,x)."
 const stickyDeps = "US1(x), US0(y) -> S0(x,y).\nS1(x,y) -> S1(y,w).\nUS0(x), US1(y) -> S1(x,y)."
+
+// The sticky triangle with a third argument u on every predicate. Over
+// binary predicates the shape layer settles the triangle in under a
+// millisecond; at arity 3 it does not apply, and the decision runs out
+// of budget in layer 4 (about 120 ms at budget 100), so a large budget
+// keeps it running until its deadline.
+const (
+	slowQuery = "q :- S0(x,y,u), S0(y,z,u), S0(z,x,u)."
+	slowDeps  = "US1(x,u), US0(y,u) -> S0(x,y,u).\nS1(x,y,u) -> S1(y,w,u).\nUS0(x,u), US1(y,u) -> S1(x,y,u)."
+)
+
+// requireBudgetLayer fails unless slowQuery under slowDeps runs out of
+// budget in layer 4 at budget 100.
+func requireBudgetLayer(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	resp, body := post(t, ts, "/decide", DecideRequest{Query: slowQuery, Deps: slowDeps, Budget: 100})
+	var dr DecideResponse
+	if err := json.Unmarshal(body, &dr); err != nil || resp.StatusCode != http.StatusOK || dr.Layer != "budget" {
+		t.Fatalf("budget 100: status %d, %s; want layer 4 to run out of budget", resp.StatusCode, body)
+	}
+}
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -115,12 +137,13 @@ func TestDeadlinePropagation(t *testing.T) {
 		overshoot = time.Second
 		requests  = 5
 	)
+	requireBudgetLayer(t, ts)
 	before := obs.ServerCancelled.Load()
 	var worst time.Duration
 	for i := 0; i < requests; i++ {
 		start := time.Now()
 		resp, body := post(t, ts, "/decide", DecideRequest{
-			Query: stickyQuery, Deps: stickyDeps, Budget: 1<<30 + i, DeadlineMS: deadline.Milliseconds(),
+			Query: slowQuery, Deps: slowDeps, Budget: 1<<30 + i, DeadlineMS: deadline.Milliseconds(),
 		})
 		wall := time.Since(start)
 		if resp.StatusCode != http.StatusGatewayTimeout {
@@ -141,6 +164,7 @@ func TestDeadlinePropagation(t *testing.T) {
 // work completes normally.
 func TestBackpressure429(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, DefaultDeadline: 2 * time.Second})
+	requireBudgetLayer(t, ts)
 	before := obs.ServerShed.Load()
 	const n = 10
 	statuses := make([]int, n)
@@ -152,7 +176,7 @@ func TestBackpressure429(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			resp, _ := post(t, ts, "/decide", DecideRequest{
-				Query: stickyQuery, Deps: stickyDeps, Budget: 500000 + i,
+				Query: slowQuery, Deps: slowDeps, Budget: 500000 + i,
 			})
 			mu.Lock()
 			statuses[i] = resp.StatusCode
@@ -460,5 +484,31 @@ func TestBatchAtomCap(t *testing.T) {
 	resp, body := post(t, ts, "/decide/batch", BatchRequest{Requests: reqs})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprint(maxBatchAtoms)) {
 		t.Fatalf("over-cap batch: status %d (%s), want 400 naming the cap %d", resp.StatusCode, body, maxBatchAtoms)
+	}
+}
+
+// semacycd_decisions_total counts computed decisions by verdict and
+// settling layer: a decision-cache hit adds nothing, and the shape
+// layer's definitive no shows under its own label.
+func TestMetricsDecisionsTotal(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	req := DecideRequest{Query: stickyQuery, Deps: stickyDeps, Budget: 100}
+	for range 2 { // a miss, then a hit
+		if resp, body := post(t, ts, "/decide", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d (%s)", resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `semacycd_decisions_total{layer="shape",verdict="no"} 1`
+	if !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, body)
 	}
 }

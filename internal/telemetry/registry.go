@@ -24,6 +24,17 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
+// Counter is an integer counter that only grows.
+type Counter struct {
+	v atomic.Int64
+}
+
+// Add increases the counter by delta, which must not be negative.
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
+
+// Load returns the current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
+
 // Labels renders label pairs (key, value, key, value, ...) into the
 // canonical Prometheus form `k1="v1",k2="v2"`, sorted by key so equal
 // label sets always produce equal strings (series identity).
@@ -68,10 +79,11 @@ const (
 )
 
 type series struct {
-	labels string
-	hist   *Histogram
-	gauge  *Gauge
-	fn     func() int64
+	labels  string
+	hist    *Histogram
+	gauge   *Gauge
+	counter *Counter
+	fn      func() int64
 }
 
 type family struct {
@@ -87,7 +99,8 @@ type family struct {
 
 // Registry is a collection of named metric families rendered in
 // Prometheus text exposition format. Registration is mutex-guarded
-// (get-or-create); the returned Histogram/Gauge handles are lock-free,
+// (get-or-create); the returned Histogram/Gauge/Counter handles are
+// lock-free,
 // so hot paths register once and observe through the handle.
 type Registry struct {
 	mu       sync.Mutex
@@ -135,6 +148,20 @@ func (r *Registry) Gauge(name, help, labels string) *Gauge {
 		f.series[labels] = s
 	}
 	return s.gauge
+}
+
+// Counter returns the counter series name{labels}, creating it on
+// first use.
+func (r *Registry) Counter(name, help, labels string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.family(name, help, kindCounter)
+	s, ok := f.series[labels]
+	if !ok {
+		s = &series{labels: labels, counter: &Counter{}}
+		f.series[labels] = s
+	}
+	return s.counter
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
@@ -197,6 +224,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(&b, f.name, s.labels, s.hist.Snapshot())
 			case s.gauge != nil:
 				writeSample(&b, f.name, s.labels, strconv.FormatInt(s.gauge.Load(), 10))
+			case s.counter != nil:
+				writeSample(&b, f.name, s.labels, strconv.FormatInt(s.counter.Load(), 10))
 			case s.fn != nil:
 				writeSample(&b, f.name, s.labels, strconv.FormatInt(s.fn(), 10))
 			}

@@ -86,6 +86,23 @@ func TestRegistryReuseAndLabels(t *testing.T) {
 	}
 }
 
+// TestRegistryCounter: Counter returns one handle per series, and the
+// scrape renders its running total as a counter sample.
+func TestRegistryCounter(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c_total", "c", Labels("k", "v")).Add(2)
+	r.Counter("c_total", "c", Labels("k", "v")).Add(1)
+	r.Counter("c_total", "c", Labels("k", "w")).Add(5)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP c_total c\n# TYPE c_total counter\nc_total{k=\"v\"} 3\nc_total{k=\"w\"} 5\n"
+	if got := b.String(); got != want {
+		t.Fatalf("got\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestConcurrentScrapeAndRegister pins the fix for a fatal concurrent
 // map read/write: layer and eval-method series register lazily at
 // request time, so a scrape iterating a family's series map while a

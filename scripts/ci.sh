@@ -116,11 +116,13 @@ echo "== reference gate =="
 # layers 2-3;
 # game.Evaluate, the one enumerator both game methods run, against the
 # guarded and egd enumerators it merged (same answer sets, also through
-# the Plans); and the decide-cold golden file, which freezes verdict,
+# the Plans); the shape layer against layer 4 and containment.Equivalent
+# on random arity-2 workloads, and under renamed predicates; and the
+# decide-cold golden file, which freezes verdict,
 # layer, candidates, witness and deterministic fingerprint of bench's
 # fifteen decide-cold templates, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
-go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden' \
+go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden|ShapeAgreesWithCompleteSearch|ShapeRenamingKeepsDecision' \
     ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/ ./internal/rewrite/
 
 echo "== cancellation & server gate (race) =="
