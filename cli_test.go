@@ -191,7 +191,7 @@ func TestCLISemacycStats(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
-	for _, want := range []string{"verdict: unknown", `"chase"`, `"search"`, `"branches"`, `"layers"`, `"wall_ns"`, `"name": "complete"`} {
+	for _, want := range []string{"verdict: unknown", `"chase"`, `"search"`, `"candidates_observed"`, `"layers"`, `"wall_ns"`, `"name": "complete"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
@@ -256,7 +256,7 @@ func TestCLISemacycVerboseStatsSummary(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit = %d\n%s", code, out)
 	}
-	for _, want := range []string{"layer complete", "search: branches=", "chase: rounds=", "hom: enumerations="} {
+	for _, want := range []string{"layer complete", "search: bound=", "chase: rounds=", "hom: enumerations="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}

@@ -145,9 +145,9 @@ func printStatsSummary(st *semacyclic.Stats) {
 			c.Rounds, c.TriggersFired, c.TriggersCollected, c.NullsCreated, c.Merges, c.Atoms, c.Complete)
 	}
 	s := st.Search
-	if s.Branches > 0 {
-		fmt.Printf("search: branches=%d bound=%d budget=%d candidates=%d observed=%d winner=%d exhausted=%v\n",
-			s.Branches, s.Bound, s.Budget, s.Candidates, s.CandidatesObserved, s.WinnerBranch, s.Exhausted)
+	if s.Bound > 0 {
+		fmt.Printf("search: bound=%d budget=%d candidates=%d observed=%d exhausted=%v\n",
+			s.Bound, s.Budget, s.Candidates, s.CandidatesObserved, s.Exhausted)
 		fmt.Printf("search: nodes=%d pruned=%d verified=%d memo cand=%d/%d\n",
 			s.NodesVisited, s.PrunedByHom, s.Verified,
 			s.CandMemoHits, s.CandMemoHits+s.CandMemoMisses)

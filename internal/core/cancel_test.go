@@ -46,7 +46,7 @@ func TestDecideCancelPreClosed(t *testing.T) {
 }
 
 // Cancelling mid-decision returns stop.ErrCancelled promptly: the
-// layer-4 enumeration polls inside its inner loop, so no branch runs
+// layer-4 enumeration polls inside its inner loop, so no subtree runs
 // to completion first. The input runs out of budget in layer 4 at
 // budget 100, so at budget 2^30 it cannot finish before the timer.
 func TestDecideCancelMidSearch(t *testing.T) {
@@ -91,9 +91,6 @@ func TestCancelStatsSentinels(t *testing.T) {
 	if w != nil {
 		t.Fatal("cancelled run returned a witness")
 	}
-	if st.Search.WinnerBranch != -1 {
-		t.Errorf("WinnerBranch = %d, want -1 sentinel", st.Search.WinnerBranch)
-	}
 	if st.Search.Candidates != -1 {
 		t.Errorf("Candidates = %d, want -1 sentinel", st.Search.Candidates)
 	}
@@ -126,13 +123,12 @@ func TestApproximateCancel(t *testing.T) {
 	}
 }
 
-// TestPreparedDeterminismAcrossJ: a decision over the sticky set,
+// TestPreparedDeterminismAcrossRuns: a decision over the sticky set,
 // which no determinism-corpus case covers, prepares its own checker
 // (the UCQ rewriting of q) and gives an identical verdict, witness and
 // stats fingerprint on two runs — the property the semacycd decision
-// cache's byte-identity rests on. (The name predates the sequential
-// search.)
-func TestPreparedDeterminismAcrossJ(t *testing.T) {
+// cache's byte-identity rests on.
+func TestPreparedDeterminismAcrossRuns(t *testing.T) {
 	q, set := stickyCancelCase()
 	var runs [2]*Result
 	for i := range runs {

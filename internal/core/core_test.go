@@ -156,18 +156,15 @@ func TestDecideInvalidQuery(t *testing.T) {
 func TestWitnessBoundPerClass(t *testing.T) {
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x).")
 	guarded := deps.MustParse("E(x,y) -> E(y,z).")
-	if got := witnessBound(q, guarded, Options{}); got != 6 {
+	if got := witnessBound(q, guarded); got != 6 {
 		t.Errorf("guarded bound = %d, want 6", got)
 	}
 	keys := deps.MustParse("E(x,y), E(x,z) -> y = z.")
-	if got := witnessBound(q, keys, Options{}); got != 6 {
+	if got := witnessBound(q, keys); got != 6 {
 		t.Errorf("K2 bound = %d, want 6", got)
 	}
-	if got := witnessBound(q, emptySet(), Options{MaxWitnessSize: 3}); got != 3 {
-		t.Errorf("override bound = %d, want 3", got)
-	}
 	full := deps.MustParse("E(x,y), E(y,z) -> E(x,z).\nE(x,y), F(y,z) -> E(z,x).")
-	if got := witnessBound(q, full, Options{}); got != 0 {
+	if got := witnessBound(q, full); got != 0 {
 		t.Errorf("undecidable-class bound = %d, want 0", got)
 	}
 }
@@ -183,12 +180,12 @@ func TestWitnessBoundK2RequiresBinarySignature(t *testing.T) {
 	// query — the Proposition 22 argument does not apply, so no bound.
 	key := deps.MustParse("R(x,y), R(x,z) -> y = z.")
 	q := gen.Example4Query() // uses ternary S
-	if got := witnessBound(q, key, Options{}); got != 0 {
+	if got := witnessBound(q, key); got != 0 {
 		t.Errorf("bound = %d, want 0 (ternary predicate in scope)", got)
 	}
 	// With a purely binary query the bound applies.
 	qBin := cq.MustParse("q :- R(x,y), R(x,z), E(y,z).")
-	if got := witnessBound(qBin, key, Options{}); got != 2*qBin.Size() {
+	if got := witnessBound(qBin, key); got != 2*qBin.Size() {
 		t.Errorf("bound = %d, want %d", got, 2*qBin.Size())
 	}
 }

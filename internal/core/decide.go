@@ -77,8 +77,6 @@ type Options struct {
 	// SearchBudget caps the number of candidate queries examined per
 	// layer (default 20000).
 	SearchBudget int
-	// MaxWitnessSize overrides the class-derived small-query bound.
-	MaxWitnessSize int
 	// SkipCompleteSearch disables layer 4 (the exhaustive enumerator);
 	// a miss then yields Unknown rather than a definitive No, unless the
 	// shape layer, which runs either way, settled the decision.
@@ -229,7 +227,7 @@ func decide(q *cq.CQ, set *deps.Set, opt Options, st *obs.Stats) (*Result, error
 	}
 	record("unsatisfiable", 0)
 
-	bound := witnessBound(q, set, opt)
+	bound := witnessBound(q, set)
 	res := &Result{Bound: bound}
 
 	// Layer 2: quotients and subqueries of q.
@@ -359,10 +357,7 @@ func classify(q *cq.CQ, set *deps.Set) witnessClass {
 
 // witnessBound returns the class-derived small-query bound, or 0 when
 // the set lies outside the classes with a proven bound.
-func witnessBound(q *cq.CQ, set *deps.Set, opt Options) int {
-	if opt.MaxWitnessSize > 0 {
-		return opt.MaxWitnessSize
-	}
+func witnessBound(q *cq.CQ, set *deps.Set) int {
 	switch classify(q, set) {
 	case classAPC:
 		return 2 * q.Size()
@@ -402,12 +397,13 @@ func polishWitness(w *cq.CQ, cancel <-chan struct{}) (*cq.CQ, error) {
 // verifier owns what a decision derives from its fixed (q, Σ) and
 // checks candidate witnesses w for q ≡Σ w. It chases q once, at first
 // need, under the layers' one chase budget (chaseQuery): the
-// unsatisfiability test, layer 3 and layer 4 read that result. The
-// right-hand side of w ⊆Σ q is the same for every candidate, so one
-// containment checker, built by containment.Prepare at the first
-// verification that needs it, serves layers 2, 3 and 4, and so does
-// one chase.Runner. A verifier belongs to one decision and is not safe
-// for concurrent use.
+// unsatisfiability test, layer 3, the shape layer (shapeClass) and
+// layer 4 read that result. The right-hand side of w ⊆Σ q is the same
+// for every candidate, so one containment checker, built by
+// containment.Prepare at the first verification that needs it, serves
+// layers 2 and 3, the shape layer and layer 4, and so does one
+// chase.Runner. A verifier belongs to one decision and is not safe for
+// concurrent use.
 type verifier struct {
 	q   *cq.CQ
 	set *deps.Set
@@ -425,8 +421,8 @@ type verifier struct {
 	chaseErr    error
 	// checker is the decision's containment checker, nil until needed.
 	checker *containment.Prepared
-	// runner freezes and chases the candidates of layers 2, 3 and 4 in
-	// w ⊆Σ q.
+	// runner freezes and chases the candidates of layers 2 and 3, the
+	// shape layer and layer 4 in w ⊆Σ q.
 	runner chase.Runner
 	// db and frozen are q's frozen instance D_q and head tuple (Lemma
 	// 1), built at the first plain q ⊆ w check.

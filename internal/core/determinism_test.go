@@ -2,26 +2,13 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
 )
-
-// TestItoaSigned: the enumerator's allocation-obvious itoa must agree
-// with strconv.Itoa on the full signed range, including the extremes
-// where negation overflows.
-func TestItoaSigned(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 10, 42, 305, 99999, -1, -9, -10, -305, -100000, math.MaxInt, math.MinInt} {
-		if got, want := itoa(n), strconv.Itoa(n); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", n, got, want)
-		}
-	}
-}
 
 // determinismCorpus pairs queries from internal/gen with dependency
 // sets across the paper's classes. Each case runs every decision layer;
@@ -74,7 +61,7 @@ func TestDecideDeterministicAcrossParallelism(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var runs [2]string
 			for i := range runs {
-				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
+				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500})
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
@@ -95,7 +82,7 @@ func TestSearchCompleteDeterministicAcrossParallelism(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			bound := witnessBound(c.q, c.set, Options{})
+			bound := witnessBound(c.q, c.set)
 			if bound <= 0 || bound > 6 {
 				// Cap the enumeration depth: determinism must hold at any
 				// bound, and small bounds keep -race runs fast.
@@ -142,7 +129,7 @@ func TestStatsDeterministicAcrossParallelism(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var runs [2]string
 			for i := range runs {
-				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
+				res, err := Decide(c.q, c.set, Options{SearchBudget: 1500})
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
@@ -167,7 +154,7 @@ func TestStatsDeterministicAcrossMemo(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			bound := witnessBound(c.q, c.set, Options{})
+			bound := witnessBound(c.q, c.set)
 			if bound <= 0 || bound > 6 {
 				bound = 6
 			}
@@ -201,7 +188,7 @@ func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			bound := witnessBound(c.q, c.set, Options{})
+			bound := witnessBound(c.q, c.set)
 			if bound <= 0 || bound > 6 {
 				bound = 6
 			}
@@ -224,10 +211,10 @@ func TestStatsDecisiveCandidatesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelSearchSharedBudgetStops: a starved budget stops the
-// search without claiming exhaustion, after exactly the budgeted
-// verifications. (The name predates the sequential search.)
-func TestParallelSearchSharedBudgetStops(t *testing.T) {
+// TestSearchSharedBudgetStops: a starved budget stops the search
+// without claiming exhaustion, after exactly the budgeted
+// verifications.
+func TestSearchSharedBudgetStops(t *testing.T) {
 	set := deps.MustParse("A(x) -> B(x).")
 	q := cq.MustParse("q :- E(x,y), E(y,z), E(z,x), B(x).")
 	w, _, examined, exhausted, err := SearchComplete(q, set, Options{SearchBudget: 30}, 500)

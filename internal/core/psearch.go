@@ -16,17 +16,18 @@ import (
 
 // searchEngine is the state of one SearchComplete run: the read-only
 // problem inputs, the budget spent so far, the candidate memo and the
-// scratch every branch reuses.
+// scratch the walk reuses.
 //
-// Determinism contract: the branches are the top-level enumeration
-// choices in canonical order. The search walks them in that order, each
-// depth-first, and stops at the first witness. It returns the witness
-// only when every earlier branch was enumerated completely: a branch
-// that the budget or an indefinite verdict truncated may hide an earlier
+// Determinism contract: the search walks the candidates depth-first in
+// canonical order from the empty candidate and stops at the first
+// witness. It returns the witness only when the subtree of every
+// earlier first atom was enumerated completely: a subtree that the
+// budget or an indefinite verdict truncated may hide an earlier
 // witness, so a witness after it is discarded and the run reports a
-// non-exhaustive miss. A truncated branch does not end the walk: the
-// later branches still run until the budget is spent or a witness
-// turns up, and their verifications count in the examined total.
+// non-exhaustive miss. A truncated subtree does not end the walk: the
+// later first atoms are still walked until the budget is spent or a
+// witness turns up, and their verifications count in the examined
+// total.
 type searchEngine struct {
 	q      *cq.CQ
 	set    *deps.Set
@@ -37,16 +38,23 @@ type searchEngine struct {
 	pin    term.Subst
 	consts []term.Term
 	free   []term.Term
-	names  []term.Term // fresh variables (freshNames) named so far
+	names  []term.Term // the fresh variables the walk can use (freshNames)
 
 	// The budget: steps counts enumeration nodes, examined the
 	// verifications granted. starved records a refused verification,
-	// after which the enumeration stops.
+	// after which the enumeration stops. complete stays true until the
+	// walk is truncated: a step or a verification refused, or a verdict
+	// indefinite.
 	steps    int64
 	maxSteps int64
 	examined int
 	budget   int
 	starved  bool
+	complete bool
+
+	// witness is the verified candidate the walk stopped at; nil while
+	// none was found, or once the contract above discarded it.
+	witness *cq.CQ
 
 	// memo holds the verdicts of the candidates verified so far, keyed
 	// by keyer's renaming-invariant canonical key, so the up-to-k!
@@ -65,11 +73,11 @@ type searchEngine struct {
 	runner  *chase.Runner
 
 	// Level d of stack holds the candidate's atom d, built in
-	// argSlab[d*maxArity:] from the argument pool pools[d] (level 0 is
-	// the branch's seed). The scratch grows as the search first enters a
-	// level, so it follows the depth reached, not the bound. A level's
-	// buffers change only after the extension below it returns, and a
-	// buffer that grows leaves the atoms already built in its old array.
+	// argSlab[d*maxArity:] from the argument pool pools[d]. The scratch
+	// grows as the search first enters a level, so it follows the depth
+	// reached, not the bound. A level's buffers change only after the
+	// extension below it returns, and a buffer that grows leaves the
+	// atoms already built in its old array.
 	stack    []instance.Atom
 	argSlab  []term.Term
 	pools    [][]term.Term
@@ -87,20 +95,11 @@ type candVerdict struct {
 	definitive bool
 }
 
-// branch is one top-level enumeration choice: the candidate's first
-// atom and the fresh-variable watermark after it.
-type branch struct {
-	atom    instance.Atom
-	nextVar int
-}
-
-func searchVarName(i int) term.Term { return term.Var("s" + itoa(i)) }
-
 // argumentPool appends to dst the terms an atom argument may take: the
 // query's free variables, the canonical fresh variables in names
 // (the first nextVar+maxFreshPerAtom of freshNames), and the constants
 // in scope. Fresh variables beyond nextVar are capped by
-// canonical-introduction filtering in fill, which reads a term's rank
+// canonical-introduction filtering in expand, which reads a term's rank
 // from its position (freshRank).
 func (e *searchEngine) argumentPool(dst, names []term.Term) []term.Term {
 	dst = append(dst, e.free...)
@@ -108,87 +107,42 @@ func (e *searchEngine) argumentPool(dst, names []term.Term) []term.Term {
 	return append(dst, e.consts...)
 }
 
-// seedBranches enumerates the first-atom choices in the exact order the
-// enumerator visits them: predicates in name order, argument tuples in
-// canonical-introduction order.
-func (e *searchEngine) seedBranches() []branch {
-	if e.bound <= 0 {
-		return nil
-	}
-	var out []branch
-	for _, p := range e.preds {
-		pool := e.argumentPool(nil, e.names[:maxFreshPerAtom])
-		args := make([]term.Term, p.Arity)
-		var fill func(pos, maxNew int)
-		fill = func(pos, maxNew int) {
-			if pos == p.Arity {
-				out = append(out, branch{atom: instance.NewAtom(p.Name, args...), nextVar: maxNew})
-				return
-			}
-			for j, t := range pool {
-				// Canonical introduction: a fresh variable may only be
-				// used if all earlier fresh ranks are in use.
-				rank, fresh := e.freshRank(j, 0)
-				if fresh && rank > maxNew {
-					continue
-				}
-				newMax := maxNew
-				if fresh && rank == maxNew {
-					newMax = maxNew + 1
-				}
-				args[pos] = t
-				fill(pos+1, newMax)
-			}
-		}
-		fill(0, 0)
-	}
-	return out
-}
-
-// run walks the branches in canonical order and returns the witness,
-// the number of verifications granted, and whether every branch was
+// run walks the candidates from the empty one and returns the witness,
+// the number of verifications granted, and whether the walk was
 // enumerated completely.
 func (e *searchEngine) run() (*cq.CQ, int, bool, error) {
-	branches := e.seedBranches()
-	e.st.Search.Branches = len(branches)
 	for _, p := range e.preds {
 		e.maxArity = max(e.maxArity, p.Arity)
 	}
-	complete := true // every branch walked so far was enumerated completely
-	for i, b := range branches {
-		w, done, err := e.runBranch(b)
-		if err != nil {
+	e.complete = true
+	if e.bound > 0 {
+		if _, err := e.expand(nil, 0); err != nil {
 			// Cancellation or a failed check: the deterministic fields
 			// keep their "not defined" sentinels, so a partial record
 			// never passes for a completed run's.
-			e.fillStats(-1, -1, false)
+			e.fillStats(-1, false)
 			return nil, e.examined, false, err
 		}
-		if w != nil {
-			if !complete {
-				break // a truncated branch before it may hide an earlier witness
-			}
-			e.fillStats(e.examined, i, false)
-			return w, e.examined, false, nil
-		}
-		complete = complete && done
 	}
-	if !complete {
-		e.fillStats(-1, -1, false)
+	if e.witness != nil {
+		e.fillStats(e.examined, false)
+		return e.witness, e.examined, false, nil
+	}
+	if !e.complete {
+		e.fillStats(-1, false)
 		return nil, e.examined, false, nil
 	}
-	e.fillStats(e.examined, -1, true)
+	e.fillStats(e.examined, true)
 	return nil, e.examined, true, nil
 }
 
 // fillStats writes the run's counters into the attached obs.Stats.
 // decisive is the verifications up to the decision point, -1 when the
 // run was truncated without a witness.
-func (e *searchEngine) fillStats(decisive, winner int, exhausted bool) {
+func (e *searchEngine) fillStats(decisive int, exhausted bool) {
 	s := &e.st.Search
 	s.Bound = e.bound
 	s.Budget = e.budget
-	s.WinnerBranch = winner
 	s.Exhausted = exhausted
 	s.Candidates = decisive
 	s.CandidatesObserved = e.examined
@@ -210,128 +164,132 @@ func (e *searchEngine) fillStats(decisive, winner int, exhausted bool) {
 	obs.SearchCandidates.Add(int64(e.examined))
 }
 
-// runBranch explores one branch's subtree depth-first: prune by pinned
-// homomorphism into chase(q,Σ), verify acyclic survivors by (memoized)
-// containment, extend canonically up to the bound. Candidates are
-// prefixes of the engine's atom stack whose extension atoms live in
-// each level's argument buffer; nothing that prunes, keys or verifies a
-// prefix keeps it, so only the witness is copied. complete reports that
-// the subtree was enumerated without truncation or indefinite verdicts.
-func (e *searchEngine) runBranch(b branch) (witness *cq.CQ, complete bool, err error) {
-	complete = true
-
-	// tryCandidate verifies a complete candidate. The enumeration
-	// pruning has already certified q ⊆Σ cand — the candidate has a
-	// pinned homomorphism into chase(q,Σ), which by Lemma 1 is exactly
-	// that containment (sound even on a chase prefix) — so only the
-	// converse direction needs checking here.
-	tryCandidate := func(atoms []instance.Atom) (bool, error) {
-		// Validate, by scanning: a candidate's predicates come from the
-		// joint schema and its arguments from the free variables, fresh
-		// variables and the constants of q and Σ, so only free-variable
-		// coverage can fail.
-		if !coversFree(e.free, atoms, -1) {
-			return false, nil
-		}
-		cand := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
-		if !hypergraph.IsAcyclic(atoms) {
-			return false, nil
-		}
-		if e.examined == e.budget {
-			e.starved = true
-			complete = false
-			return false, nil
-		}
-		e.examined++
-		v, err := e.verify(&cand)
-		if err != nil {
-			return false, err
-		}
-		if v.holds {
-			witness = cand.Clone()
-			return true, nil
-		}
-		if !v.definitive {
-			complete = false
-			e.indefinite++
-		}
+// extend visits one candidate: prune by pinned homomorphism into
+// chase(q,Σ), verify it if acyclic, and expand it while it is below
+// the bound. Candidates are prefixes of the engine's atom stack whose
+// atoms live in each level's argument buffer; nothing that prunes, keys
+// or verifies a prefix keeps it, so only the witness is copied. done
+// reports that the walk must stop: a witness turned up.
+func (e *searchEngine) extend(atoms []instance.Atom, nextVar int) (done bool, err error) {
+	e.steps++
+	if e.steps > e.maxSteps || e.starved {
+		e.complete = false
 		return false, nil
 	}
+	if e.steps%256 == 0 && stop.Cancelled(e.opt.Cancel) {
+		return false, stop.ErrCancelled
+	}
+	// Prune: q ⊆Σ candidate requires a pinned homomorphism of the
+	// candidate into chase(q,Σ).
+	if !hom.Exists(atoms, e.target, e.pin) {
+		e.pruned++
+		return false, nil
+	}
+	if done, err := e.tryCandidate(atoms); err != nil || done {
+		return done, err
+	}
+	if len(atoms) >= e.bound {
+		return false, nil
+	}
+	return e.expand(atoms, nextVar)
+}
 
-	var extend func(atoms []instance.Atom, nextVar int) (bool, error)
-	extend = func(atoms []instance.Atom, nextVar int) (bool, error) {
-		e.steps++
-		if e.steps > e.maxSteps || e.starved {
-			complete = false
-			return false, nil
-		}
-		if e.steps%256 == 0 && stop.Cancelled(e.opt.Cancel) {
-			return false, stop.ErrCancelled
-		}
-		// Prune: q ⊆Σ candidate requires a pinned homomorphism of the
-		// candidate into chase(q,Σ).
-		if !hom.Exists(atoms, e.target, e.pin) {
-			e.pruned++
-			return false, nil
-		}
-		if done, err := tryCandidate(atoms); err != nil || done {
-			return done, err
-		}
-		if len(atoms) >= e.bound {
-			return false, nil
-		}
-		// Extend with one atom over each predicate; arguments drawn from
-		// free variables, variables used so far, one fresh variable rank
-		// beyond, and the available constants.
-		d := len(atoms)
-		if len(e.pools) <= d {
-			e.pools = append(e.pools, make([][]term.Term, d+1-len(e.pools))...)
-			e.argSlab = append(e.argSlab, make([]term.Term, (d+1)*e.maxArity-len(e.argSlab))...)
-		}
-		e.names = freshNames(e.names, e.free, nextVar+maxFreshPerAtom)
-		e.pools[d] = e.argumentPool(e.pools[d][:0], e.names[:nextVar+maxFreshPerAtom])
-		pool := e.pools[d]
-		for _, p := range e.preds {
-			args := e.argSlab[d*e.maxArity : d*e.maxArity+p.Arity]
-			var fill func(pos, maxNew int) (bool, error)
-			fill = func(pos, maxNew int) (bool, error) {
-				if pos == p.Arity {
-					atom := instance.Atom{Pred: p.Name, Args: args}
-					if containsAtom(atoms, atom) {
-						return false, nil
-					}
-					e.stack = append(e.stack[:d], atom)
-					return extend(e.stack, nextVar+maxNew)
+// tryCandidate verifies a complete candidate. The enumeration pruning
+// has already certified q ⊆Σ cand — the candidate has a pinned
+// homomorphism into chase(q,Σ), which by Lemma 1 is exactly that
+// containment (sound even on a chase prefix) — so only the converse
+// direction needs checking here.
+func (e *searchEngine) tryCandidate(atoms []instance.Atom) (bool, error) {
+	// Validate, by scanning: a candidate's predicates come from the
+	// joint schema and its arguments from the free variables, fresh
+	// variables and the constants of q and Σ, so only free-variable
+	// coverage can fail.
+	if !coversFree(e.free, atoms, -1) {
+		return false, nil
+	}
+	cand := cq.CQ{Name: e.q.Name, Free: e.free, Atoms: atoms}
+	if !hypergraph.IsAcyclic(atoms) {
+		return false, nil
+	}
+	if e.examined == e.budget {
+		e.starved = true
+		e.complete = false
+		return false, nil
+	}
+	e.examined++
+	v, err := e.verify(&cand)
+	if err != nil {
+		return false, err
+	}
+	if v.holds {
+		e.witness = cand.Clone()
+		return true, nil
+	}
+	if !v.definitive {
+		e.complete = false
+		e.indefinite++
+	}
+	return false, nil
+}
+
+// expand extends atoms by one atom over each predicate, in name order,
+// with arguments drawn from the free variables, the variables used so
+// far, fresh variables in canonical-introduction order, and the
+// available constants, and visits each extension.
+func (e *searchEngine) expand(atoms []instance.Atom, nextVar int) (bool, error) {
+	d := len(atoms)
+	if len(e.pools) <= d {
+		e.pools = append(e.pools, make([][]term.Term, d+1-len(e.pools))...)
+		e.argSlab = append(e.argSlab, make([]term.Term, (d+1)*e.maxArity-len(e.argSlab))...)
+	}
+	e.pools[d] = e.argumentPool(e.pools[d][:0], e.names[:nextVar+maxFreshPerAtom])
+	pool := e.pools[d]
+	for _, p := range e.preds {
+		args := e.argSlab[d*e.maxArity : d*e.maxArity+p.Arity]
+		var fill func(pos, maxNew int) (bool, error)
+		fill = func(pos, maxNew int) (bool, error) {
+			if pos == p.Arity {
+				atom := instance.Atom{Pred: p.Name, Args: args}
+				if containsAtom(atoms, atom) {
+					return false, nil
 				}
-				for j, t := range pool {
-					// Canonical introduction: a fresh variable may only
-					// be used if all earlier fresh ranks are in use.
-					rank, fresh := e.freshRank(j, nextVar)
-					if fresh && rank > maxNew {
-						continue
-					}
-					newMax := maxNew
-					if fresh && rank == maxNew {
-						newMax = maxNew + 1
-					}
-					args[pos] = t
-					done, err := fill(pos+1, newMax)
-					if err != nil || done {
-						return done, err
-					}
+				e.stack = append(e.stack[:d], atom)
+				if d > 0 {
+					return e.extend(e.stack, nextVar+maxNew)
 				}
-				return false, nil
-			}
-			if done, err := fill(0, 0); err != nil || done {
+				// A witness under this first atom counts only if the
+				// subtree of every earlier first atom was complete.
+				earlier := e.complete
+				done, err := e.extend(e.stack, nextVar+maxNew)
+				if done && !earlier {
+					e.witness = nil
+				}
 				return done, err
 			}
+			for j, t := range pool {
+				// Canonical introduction: a fresh variable may only be
+				// used if all earlier fresh ranks are in use.
+				rank, fresh := e.freshRank(j, nextVar)
+				if fresh && rank > maxNew {
+					continue
+				}
+				newMax := maxNew
+				if fresh && rank == maxNew {
+					newMax = maxNew + 1
+				}
+				args[pos] = t
+				done, err := fill(pos+1, newMax)
+				if err != nil || done {
+					return done, err
+				}
+			}
+			return false, nil
 		}
-		return false, nil
+		if done, err := fill(0, 0); err != nil || done {
+			return done, err
+		}
 	}
-
-	e.stack = append(e.stack[:0], b.atom)
-	_, err = extend(e.stack, b.nextVar)
-	return witness, complete, err
+	return false, nil
 }
 
 // verify runs the candidate's containment check in the verifier's

@@ -21,10 +21,9 @@ import (
 // satisfy q ⊆Σ candidate, by Lemma 1). Acyclic candidates passing the
 // pruning get a full equivalence verification.
 //
-// The enumeration is branch-decomposed: the top-level choices (first
-// atom = predicate × canonical argument seed) are walked in canonical
-// order under one step and verification budget, with memoized
-// containment verdicts (see psearch.go).
+// The enumeration is one depth-first walk from the empty candidate in
+// canonical order under one step and verification budget, with
+// memoized containment verdicts (see psearch.go).
 //
 // Returns the witness (if any), the run's stats, the number of
 // candidates examined, and whether the enumeration exhausted the search
@@ -54,24 +53,19 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 	}
 	// The UCQ-rewritable classes have witness bounds of 2·f_C(q,Σ),
 	// which can be astronomically beyond what exhaustive enumeration
-	// can visit. Cap the explored depth unless the caller overrode the
-	// bound explicitly; a capped run can still find witnesses but its
-	// exhaustion is no longer definitive.
-	capped := false
+	// can visit. Cap the explored depth at 2|q|+4; a capped run can
+	// still find witnesses but its exhaustion is no longer definitive.
 	limit := 2*q.Size() + 4
-	if opt.MaxWitnessSize == 0 && bound > limit {
+	capped := bound > limit
+	if capped {
 		bound = limit
-		capped = true
 	}
 	preds := sch.Predicates()
 	sort.Slice(preds, func(i, j int) bool { return preds[i].Name < preds[j].Name })
 	// A candidate extended below depth d has introduced fewer than
 	// d·arity fresh variables, and its pool names maxFreshPerAtom beyond
-	// them. The search names up front what a search within the default
-	// depth cap can use; a deeper search, under an explicit
-	// MaxWitnessSize, names the rest as it reaches them (runBranch).
-	n := max(min(bound, limit), 0)*sch.MaxArity() + maxFreshPerAtom
-	names := freshNames(make([]term.Term, 0, n), q.Free, n)
+	// them, so the walk names every fresh variable it can use up front.
+	names := freshNames(q.Free, max(bound, 0)*sch.MaxArity()+maxFreshPerAtom)
 
 	chres, frozen, err := v.chaseQuery()
 	if err != nil {
@@ -144,17 +138,13 @@ func searchComplete(q *cq.CQ, set *deps.Set, v *verifier, opt Options, bound int
 // we enumerate, kept as a generous constant.
 const maxFreshPerAtom = 6
 
-// freshNames returns names grown to n fresh variable names: the i-th
-// is the i-th of s0, s1, … that names no free variable, so a fresh
-// variable never stands for a free one. names must be such a prefix.
-func freshNames(names, free []term.Term, n int) []term.Term {
-	next := 0
-	if k := len(names); k > 0 {
-		next, _ = strconv.Atoi(names[k-1].Name[1:])
-		next++
-	}
-	for ; len(names) < n; next++ {
-		if v := searchVarName(next); !slices.Contains(free, v) {
+// freshNames returns n fresh variable names: the i-th is the i-th of
+// s0, s1, … that names no free variable, so a fresh variable never
+// stands for a free one.
+func freshNames(free []term.Term, n int) []term.Term {
+	names := make([]term.Term, 0, n)
+	for i := 0; len(names) < n; i++ {
+		if v := term.Var("s" + strconv.Itoa(i)); !slices.Contains(free, v) {
 			names = append(names, v)
 		}
 	}
@@ -203,31 +193,4 @@ func availableConstants(q *cq.CQ, set *deps.Set) []term.Term {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
-}
-
-// itoa is a tiny strconv.Itoa to keep hot paths allocation-obvious.
-// Negative inputs are handled (the uint conversion of the negation is
-// correct even for the minimum int, where -n wraps).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	un := uint(n)
-	if neg {
-		un = uint(-n)
-	}
-	var buf [21]byte
-	i := len(buf)
-	//semalint:allow cancelpoll(digit extraction; at most 20 iterations)
-	for un > 0 {
-		i--
-		buf[i] = byte('0' + un%10)
-		un /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"semacyclic/internal/chase"
+	"semacyclic/internal/containment"
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/gen"
@@ -56,6 +57,40 @@ func TestSearchCompleteExhaustsTinyBound(t *testing.T) {
 	}
 	if !exhausted {
 		t.Error("tiny bound should exhaust")
+	}
+}
+
+// TestSearchDiscardsWitnessAfterTruncatedSubtree pins layer 4's
+// witness rule: a witness under a first atom counts only if the
+// subtree of every earlier first atom was enumerated completely, since
+// a truncated subtree may hide a witness that comes first in canonical
+// order. Under an infinite guarded chase the bounded-chase checks of
+// the candidates under the first atoms E0(t0,·) are indefinite, so the
+// verified witness q(t0,t1) :- E0(s0,t0), E1(t0,t1), which comes later,
+// is discarded: the run stops after five verifications, four of them
+// indefinite, claims no exhaustion and leaves the decisive count
+// undefined. A larger budget changes nothing.
+func TestSearchDiscardsWitnessAfterTruncatedSubtree(t *testing.T) {
+	q := cq.MustParse("q(t0,t1) :- E1(t0,t1), E0(t2,t0), E1(t3,t1), E0(t4,t3).")
+	set := deps.MustParse("E0(x,y) -> E0(y,z).\nE1(x,y) -> E1(y,x).")
+	later := cq.MustParse("q(t0,t1) :- E0(s0,t0), E1(t0,t1).")
+	holds, definitive, err := newVerifier(q, set, Options{}.withDefaults()).verifyWitness(later)
+	if err != nil || !holds || !definitive {
+		t.Fatalf("%s: holds %v, definitive %v, err %v; want a definitive witness", later, holds, definitive, err)
+	}
+	for _, budget := range []int{60, 1000} {
+		w, st, examined, exhausted, err := SearchComplete(q, set, Options{SearchBudget: budget}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := st.Search
+		if w != nil || exhausted || s.Exhausted || examined != 5 || s.Indefinite != 4 || s.Candidates != -1 {
+			t.Errorf("budget %d: witness %v, exhausted %v/%v, examined %d, indefinite %d, candidates %d; want no witness after 5 verifications, 4 indefinite, candidates -1",
+				budget, w, exhausted, s.Exhausted, examined, s.Indefinite, s.Candidates)
+		}
+		if m := st.Containment.Method; m != string(containment.MethodBounded) {
+			t.Errorf("budget %d: method %q, want %q", budget, m, containment.MethodBounded)
+		}
 	}
 }
 
@@ -221,7 +256,7 @@ func TestSearchIgnoresFreeVariableNames(t *testing.T) {
 					back[x] = fFree[i]
 				}
 				n := 8 * bound
-				fNames, sNames := freshNames(nil, fFree, n), freshNames(nil, sFree, n)
+				fNames, sNames := freshNames(fFree, n), freshNames(sFree, n)
 				for k, v := range sNames {
 					back[v] = fNames[k]
 				}

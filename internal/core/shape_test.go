@@ -39,8 +39,9 @@ import (
 // of the largest source the layer read (core(q), or the largest
 // disjunct of q's rewriting): Lemma 9 puts a witness of at most that
 // size beside any witness. Layer 4 must find none, and only a run that
-// exhausted its bound counts as agreement; each class must reach a
-// minimum of those. Under -race or -short the test runs fewer seeds.
+// exhausted its bound counts as agreement (a source past layer 4's
+// depth cap of 2|q|+4 cannot); each class must reach a minimum of
+// those. Under -race or -short the test runs fewer seeds.
 func TestShapeAgreesWithCompleteSearch(t *testing.T) {
 	seeds, minNo := int64(30), 5
 	if testutil.RaceEnabled || testing.Short() {
@@ -82,7 +83,7 @@ func TestShapeAgreesWithCompleteSearch(t *testing.T) {
 				}
 			case settled:
 				bound := largestSource(t, q, c, class, set)
-				w, _, _, exhausted, err := SearchComplete(q, set, Options{SearchBudget: 4000, MaxWitnessSize: bound}, bound)
+				w, _, _, exhausted, err := SearchComplete(q, set, Options{SearchBudget: 4000}, bound)
 				switch {
 				case err != nil:
 					t.Fatal(err)

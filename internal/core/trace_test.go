@@ -23,7 +23,7 @@ func TestTraceStructureDeterministicAcrossParallelism(t *testing.T) {
 			var runs [2]string
 			for i := range runs {
 				rec := telemetry.NewRecorder("request")
-				_, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5, Trace: rec})
+				_, err := Decide(c.q, c.set, Options{SearchBudget: 1500, Trace: rec})
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
@@ -46,12 +46,12 @@ func TestTracingLeavesAnswerUnchanged(t *testing.T) {
 	for _, c := range determinismCorpus() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			plain, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5})
+			plain, err := Decide(c.q, c.set, Options{SearchBudget: 1500})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := telemetry.NewRecorder("request")
-			traced, err := Decide(c.q, c.set, Options{SearchBudget: 1500, MaxWitnessSize: 5, Trace: rec})
+			traced, err := Decide(c.q, c.set, Options{SearchBudget: 1500, Trace: rec})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func TestCandidateScansMatchValidate(t *testing.T) {
 			}
 			preds := sch.Predicates()
 			e := &searchEngine{free: q.Free, consts: availableConstants(q, set)}
-			pool := e.argumentPool(nil, freshNames(nil, q.Free, 4))
+			pool := e.argumentPool(nil, freshNames(q.Free, 4))
 			for c := 0; c < 20; c++ {
 				atoms := make([]instance.Atom, 1+r.Intn(3))
 				for i := range atoms {

@@ -53,7 +53,7 @@ type Stats struct {
 
 // NewStats returns a Stats with the "not defined" sentinels applied.
 func NewStats() *Stats {
-	return &Stats{Search: SearchStats{WinnerBranch: -1, Candidates: -1}}
+	return &Stats{Search: SearchStats{Candidates: -1}}
 }
 
 // LayerStats is one decision layer's contribution.
@@ -100,22 +100,14 @@ func (c ChaseStats) Fingerprint() string {
 		c.Rounds, c.TriggersCollected, c.TriggersFired, c.NullsCreated, c.Merges, c.Atoms, c.Complete)
 }
 
-// SearchStats observes the layer-4 branch-decomposed enumeration.
+// SearchStats observes the layer-4 enumeration.
 type SearchStats struct {
-	// Branches is the number of top-level enumeration branches seeded.
-	// DETERMINISTIC.
-	Branches int `json:"branches" sem:"det"`
 	// Bound is the atom bound actually enumerated to (after the
 	// UCQ-class cap, when applied). DETERMINISTIC.
 	Bound int `json:"bound" sem:"det"`
 	// Budget is the verification-slot budget the run was given.
 	// DETERMINISTIC.
 	Budget int `json:"budget" sem:"det"`
-	// WinnerBranch is the index of the branch whose witness was
-	// returned, -1 when none was. DETERMINISTIC: the search returns the
-	// first witness in canonical branch order, and only when every
-	// earlier branch was enumerated completely.
-	WinnerBranch int `json:"winner_branch" sem:"det"`
 	// Exhausted reports a definitive full enumeration. DETERMINISTIC.
 	Exhausted bool `json:"exhausted" sem:"det"`
 	// Candidates is the decisive candidate count: the number of
@@ -123,12 +115,15 @@ type SearchStats struct {
 	// DETERMINISTIC — when a witness is returned it counts the
 	// verifications up to and including it; when the run exhausted it
 	// is the total. A budget-truncated run without a witness reaches no
-	// decision point, so the field is -1 ("not defined"). See
+	// decision point, so the field is -1 ("not defined"). The search
+	// returns the first witness in canonical order, and only when the
+	// subtree of every earlier first atom was enumerated completely; a
+	// witness it discards leaves the field -1 too. See
 	// CandidatesObserved for the raw count.
 	Candidates int `json:"candidates" sem:"det"`
 
 	// CandidatesObserved is the raw number of verifications granted,
-	// including those after a truncated branch. NONDETERMINISTIC.
+	// including those after a truncated subtree. NONDETERMINISTIC.
 	CandidatesObserved int `json:"candidates_observed" sem:"nondet"`
 	// NodesVisited counts enumeration-tree nodes expanded.
 	// NONDETERMINISTIC.
@@ -151,8 +146,8 @@ type SearchStats struct {
 
 // Fingerprint renders the deterministic search fields canonically.
 func (s SearchStats) Fingerprint() string {
-	return fmt.Sprintf("search{branches=%d bound=%d budget=%d winner=%d exhausted=%v candidates=%d}",
-		s.Branches, s.Bound, s.Budget, s.WinnerBranch, s.Exhausted, s.Candidates)
+	return fmt.Sprintf("search{bound=%d budget=%d exhausted=%v candidates=%d}",
+		s.Bound, s.Budget, s.Exhausted, s.Candidates)
 }
 
 // ContainmentStats observes the verification side of the search.
@@ -169,9 +164,9 @@ type ContainmentStats struct {
 	RewriteComplete bool `json:"rewrite_complete" sem:"det"`
 	// PreparedChecks is the number of Check calls served by the
 	// decision's prepared right-hand side — the Prepare reuse count.
-	// The checker serves layers 2 and 3 before layer 4, so their checks
-	// count too, and a decision settled before layer 4 reports them as
-	// well; 0 when no layer prepared a checker. NONDETERMINISTIC (a
+	// The checker serves layers 2 and 3 and the shape layer before
+	// layer 4, so their checks count too, and a decision settled before
+	// layer 4 reports them as well; 0 when no layer prepared a checker. NONDETERMINISTIC (a
 	// cost counter: candidate-memo hits skip the check).
 	PreparedChecks int64 `json:"prepared_checks" sem:"nondet"`
 }

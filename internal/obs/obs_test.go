@@ -8,9 +8,6 @@ import (
 
 func TestNewStatsSentinels(t *testing.T) {
 	st := NewStats()
-	if st.Search.WinnerBranch != -1 {
-		t.Errorf("WinnerBranch = %d, want -1", st.Search.WinnerBranch)
-	}
 	if st.Search.Candidates != -1 {
 		t.Errorf("Candidates = %d, want -1", st.Search.Candidates)
 	}
@@ -22,7 +19,7 @@ func TestNewStatsSentinels(t *testing.T) {
 func TestDeterministicFingerprintExcludesNondeterministicFields(t *testing.T) {
 	a := NewStats()
 	a.Chase = ChaseStats{Rounds: 3, TriggersFired: 7, Complete: true}
-	a.Search = SearchStats{Branches: 9, Bound: 6, Budget: 1500, WinnerBranch: 2, Candidates: 41}
+	a.Search = SearchStats{Bound: 6, Budget: 1500, Candidates: 41}
 	a.AddLayer("core", 1, 100)
 	a.AddLayer("complete", 41, 5000)
 
@@ -52,7 +49,7 @@ func TestDeterministicFingerprintSeesDeterministicFields(t *testing.T) {
 	base := func() *Stats {
 		st := NewStats()
 		st.Chase = ChaseStats{Rounds: 2}
-		st.Search = SearchStats{Branches: 4, WinnerBranch: -1, Candidates: -1}
+		st.Search = SearchStats{Bound: 4, Candidates: -1}
 		st.AddLayer("core", 1, 0)
 		return st
 	}
@@ -63,8 +60,8 @@ func TestDeterministicFingerprintSeesDeterministicFields(t *testing.T) {
 		{"chase.rounds", func(s *Stats) { s.Chase.Rounds++ }},
 		{"chase.fired", func(s *Stats) { s.Chase.TriggersFired++ }},
 		{"chase.nulls", func(s *Stats) { s.Chase.NullsCreated++ }},
-		{"search.branches", func(s *Stats) { s.Search.Branches++ }},
-		{"search.winner", func(s *Stats) { s.Search.WinnerBranch = 0 }},
+		{"search.bound", func(s *Stats) { s.Search.Bound++ }},
+		{"search.budget", func(s *Stats) { s.Search.Budget++ }},
 		{"search.exhausted", func(s *Stats) { s.Search.Exhausted = true }},
 		{"search.candidates", func(s *Stats) { s.Search.Candidates = 7 }},
 		{"containment.method", func(s *Stats) { s.Containment.Method = "chase" }},
@@ -83,13 +80,13 @@ func TestDeterministicFingerprintSeesDeterministicFields(t *testing.T) {
 func TestStatsJSONRoundTrip(t *testing.T) {
 	st := NewStats()
 	st.Chase = ChaseStats{Rounds: 3, TriggersCollected: 12, TriggersFired: 7, NullsCreated: 2, Atoms: 10, Complete: true}
-	st.Search.Branches = 5
+	st.Search.Bound = 5
 	st.AddLayer("core", 1, 42)
 	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"chase"`, `"search"`, `"containment"`, `"hom"`, `"layers"`, `"wall_ns"`, `"winner_branch"`} {
+	for _, key := range []string{`"chase"`, `"search"`, `"containment"`, `"hom"`, `"layers"`, `"wall_ns"`, `"bound"`} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("JSON missing %s: %s", key, b)
 		}

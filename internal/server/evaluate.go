@@ -15,8 +15,8 @@ import (
 // EvaluateRequest is the JSON body of POST /evaluate: decide semantic
 // acyclicity of (query, deps), compile an evaluation plan, and run it
 // against a registered instance. The decision knobs (budget,
-// max_witness, skip_complete) mirror /decide and enter the plan-cache
-// key; deadline_ms is a per-request execution knob and does not.
+// skip_complete) mirror /decide and enter the plan-cache key;
+// deadline_ms is a per-request execution knob and does not.
 type EvaluateRequest struct {
 	// Query is the conjunctive query to evaluate.
 	Query string `json:"query"`
@@ -29,10 +29,9 @@ type EvaluateRequest struct {
 	// "yannakakis", "guarded-game", "egd-game" or "generic". See
 	// core.CompilePlan for the contract of each.
 	Method string `json:"method,omitempty"`
-	// Budget / MaxWitness / SkipComplete tune the underlying decision
-	// exactly as on /decide.
+	// Budget / SkipComplete tune the underlying decision exactly as on
+	// /decide.
 	Budget       int  `json:"budget,omitempty"`
-	MaxWitness   int  `json:"max_witness,omitempty"`
 	SkipComplete bool `json:"skip_complete,omitempty"`
 	// DeadlineMS bounds plan compilation plus execution.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -162,7 +161,6 @@ func (s *Server) serveEvaluate(w http.ResponseWriter, r *http.Request) {
 		Query:        req.Query,
 		Deps:         req.Deps,
 		Budget:       req.Budget,
-		MaxWitness:   req.MaxWitness,
 		SkipComplete: req.SkipComplete,
 		DeadlineMS:   req.DeadlineMS,
 	}

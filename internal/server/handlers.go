@@ -29,8 +29,6 @@ type DecideRequest struct {
 	Deps string `json:"deps,omitempty"`
 	// Budget caps candidates examined per layer (0 = default).
 	Budget int `json:"budget,omitempty"`
-	// MaxWitness overrides the class-derived small-query bound.
-	MaxWitness int `json:"max_witness,omitempty"`
 	// SkipComplete disables the exhaustive layer 4.
 	SkipComplete bool `json:"skip_complete,omitempty"`
 	// DeadlineMS overrides the server's default deadline for this
@@ -151,7 +149,7 @@ func parseRequest(req *DecideRequest) (*decideUnit, error) {
 // and the set's rendering.
 func (u *decideUnit) setKey(kind string) {
 	u.key = kind + "\x00" + u.q.CanonicalKey() + "\x00" + u.set.String() + "\x00" +
-		fmt.Sprintf("b=%d w=%d skip=%v", u.req.Budget, u.req.MaxWitness, u.req.SkipComplete)
+		fmt.Sprintf("b=%d skip=%v", u.req.Budget, u.req.SkipComplete)
 }
 
 // requestCtx derives the request's deadline context: deadline_ms when
@@ -172,7 +170,6 @@ func (s *Server) requestCtx(parent context.Context, ms int64) (context.Context, 
 func options(u *decideUnit, cancel <-chan struct{}, rec *telemetry.Recorder) core.Options {
 	return core.Options{
 		SearchBudget:       u.req.Budget,
-		MaxWitnessSize:     u.req.MaxWitness,
 		SkipCompleteSearch: u.req.SkipComplete,
 		Cancel:             cancel,
 		Trace:              rec,

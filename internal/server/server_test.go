@@ -329,9 +329,12 @@ func TestBadRequests(t *testing.T) {
 		{"/decide", DecideRequest{Query: "q :- E(x,y)", Deps: "not a dependency"}},
 		{"/decide/batch", BatchRequest{}},
 		{"/approximate", DecideRequest{Query: "broken("}},
-		// The removed per-request worker count is an unknown field now.
+		// The removed per-request worker count and witness bound are
+		// unknown fields now.
 		{"/decide", map[string]any{"query": "q :- E(x,y), E(y,x)", "parallelism": 2}},
 		{"/evaluate", map[string]any{"query": "q :- E(x,y)", "instance": "db", "parallelism": 2}},
+		{"/decide", map[string]any{"query": "q :- E(x,y), E(y,z), E(z,x).", "max_witness": 2}},
+		{"/evaluate", map[string]any{"query": "q :- E(x,y)", "instance": "db", "max_witness": 2}},
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts, c.path, c.body)

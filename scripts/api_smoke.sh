@@ -64,6 +64,11 @@ echo "-- approximate"
 expect_contains "$(request POST /approximate 200 '{"query":"q :- E(x,y), E(y,z), E(z,x)."}')" \
     '"equivalent":false' approximate
 
+echo "-- decide errors: removed max_witness field 400"
+expect_contains "$(request POST /decide 400 \
+    '{"query":"q :- E(x,y), E(y,z), E(z,x).","deps":"E(x,y), E(y,z), E(z,x) -> R(x,y,z).","max_witness":2}')" \
+    'max_witness' decide-max-witness
+
 echo "-- instances: load, conflict, list, 404 evaluate"
 ATOMS='Interest(alice,jazz). Class(kindofblue,jazz). Owns(alice,kindofblue).'
 load=$(request POST /instances 201 "{\"name\":\"musicstore\",\"atoms\":\"$ATOMS\"}")

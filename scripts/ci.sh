@@ -77,8 +77,9 @@ echo "== allocation guards (no race: counts must be exact) =="
 # Reset keeps its tables, a reused cq.Freezer allocates only the stored
 # atoms' cells, and a reused chase.Runner keeps its run state and null
 # names (chase); the decision's verifier owns the one runner that
-# layers 2 to 4 verify in, and layer 4 walks its branches in one
-# goroutine with one keyer and buffers reused across branches; layers
+# layers 2 to 4 and the shape layer verify in, and layer 4 walks every
+# candidate from the empty one in one goroutine, with one keyer and
+# buffers reused along the walk; layers
 # 3 and 4 check a candidate by a scan instead of CQ.Validate (core); a
 # decision chases q once, in its verifier, for the unsatisfiability
 # test and layers 3 and 4 (core). semacycd renders
