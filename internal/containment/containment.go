@@ -23,9 +23,12 @@ import (
 	"semacyclic/internal/cq"
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hom"
+	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/rewrite"
+	"semacyclic/internal/stop"
 	"semacyclic/internal/telemetry"
+	"semacyclic/internal/term"
 )
 
 // Method names a containment decision procedure.
@@ -50,9 +53,10 @@ type Options struct {
 	Rewrite rewrite.Options
 	// Trace, when non-nil, records a span around Prepare (the hoisted,
 	// possibly-exponential right-hand-side work); the Prepared does not
-	// keep it. Per-candidate Check calls are deliberately unspanned: a
-	// decision runs thousands of them, and the span tree records the
-	// stages, not the candidates. Nil is free.
+	// keep it. PrepareLeft, which only freezes q, and per-candidate
+	// Check calls are deliberately unspanned: a decision runs thousands
+	// of checks, and the span tree records the stages, not the
+	// candidates. Nil is free.
 	Trace *telemetry.Recorder
 }
 
@@ -64,23 +68,20 @@ type Decision struct {
 }
 
 // Contains decides q ⊆Σ q'. See the package comment for the guarantees
-// attached to the returned Decision.
+// attached to the returned Decision. It is a one-shot PreparedLeft: one
+// Check of q' against the prepared left-hand side q.
 func Contains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error) {
-	obs.ContainmentChecks.Add(1)
-	if len(q.Free) != len(qp.Free) {
-		return Decision{Holds: false, Definitive: true, Method: MethodPlain}, nil
+	l := PrepareLeft(q, set, opt)
+	return l.Check(qp, opt.cancel(l.m))
+}
+
+// cancel returns the channel Contains polls under method m: the
+// rewriting's for MethodRewrite, the chase's otherwise.
+func (o Options) cancel(m Method) <-chan struct{} {
+	if m == MethodRewrite {
+		return o.Rewrite.Cancel
 	}
-	m := SelectMethod(set, opt)
-	switch m {
-	case MethodPlain:
-		return Decision{Holds: hom.Contained(q, qp), Definitive: true, Method: MethodPlain}, nil
-	case MethodChase, MethodBounded:
-		return chaseContains(q, qp, set, m, opt.Chase, new(chase.Runner))
-	case MethodRewrite:
-		return rewriteContains(q, qp, set, opt)
-	default:
-		return Decision{}, fmt.Errorf("containment: unknown method %q", m)
-	}
+	return o.Chase.Cancel
 }
 
 // SelectMethod resolves the decision procedure a Contains/Prepare call
@@ -118,26 +119,31 @@ func pickMethod(set *deps.Set) Method {
 	}
 }
 
-// chaseContains decides q ⊆Σ q' by chasing q in the runner r.
-func chaseContains(q, qp *cq.CQ, set *deps.Set, m Method, copt chase.Options, r *chase.Runner) (Decision, error) {
-	if m == MethodBounded && copt.MaxDepth <= 0 {
-		copt.MaxDepth = defaultGuardedDepth(qp, set)
-	}
-	res, frozen, err := r.Query(q, set, copt)
+// chaseDecision decides q ⊆Σ w by Lemma 1 from what chasing q
+// returned: the chased instance, the frozen head tuple and the error.
+func chaseDecision(w *cq.CQ, res *chase.Result, frozen []term.Term, err error, m Method) (Decision, error) {
 	if errors.Is(err, chase.ErrFailed) {
 		// chase(q,Σ) fails ⇒ q is Σ-unsatisfiable ⇒ q(D) = ∅ on every
-		// D ⊨ Σ ⇒ q ⊆Σ q' trivially.
+		// D ⊨ Σ ⇒ q ⊆Σ w trivially.
 		return Decision{Holds: true, Definitive: true, Method: m}, nil
 	}
 	if err != nil {
 		return Decision{}, err
 	}
-	holds := hom.HasTuple(qp, res.Instance, frozen)
-	return Decision{
-		Holds:      holds,
-		Definitive: holds || res.Complete,
-		Method:     m,
-	}, nil
+	holds := hom.HasTuple(w, res.Instance, frozen)
+	return Decision{Holds: holds, Definitive: holds || res.Complete, Method: m}, nil
+}
+
+// rewriteDecision decides q ⊆Σ w from the UCQ rewriting of w and D_q
+// with its frozen head tuple: q ⊆Σ w iff some disjunct has the tuple
+// over D_q, and a miss is definitive when the rewriting is complete.
+func rewriteDecision(rw *rewrite.Result, db *instance.Instance, frozen []term.Term) Decision {
+	for _, d := range rw.UCQ.Disjuncts {
+		if hom.HasTuple(d, db, frozen) {
+			return Decision{Holds: true, Definitive: true, Method: MethodRewrite}
+		}
+	}
+	return Decision{Holds: false, Definitive: rw.Complete, Method: MethodRewrite}
 }
 
 // defaultGuardedDepth picks the chase depth budget for guarded sets.
@@ -153,18 +159,131 @@ func defaultGuardedDepth(qp *cq.CQ, set *deps.Set) int {
 	return d
 }
 
-func rewriteContains(q, qp *cq.CQ, set *deps.Set, opt Options) (Decision, error) {
-	rw, err := rewrite.Rewrite(qp, set, opt.Rewrite)
-	if err != nil {
-		return Decision{}, err
+// PreparedLeft fixes the left-hand query q of a containment test and
+// keeps what does not depend on the right-hand side w. Within one
+// decision q and Σ are fixed and only the candidate varies, and by
+// Lemma 1 q ⊆Σ w iff c(x̄) ∈ w(chase(q,Σ)), so the checker
+//
+//   - freezes D_q once and tries plain Chandra–Merlin containment
+//     first: it implies containment under any Σ, and every procedure
+//     answers it holds, definitively;
+//   - keeps chase(q,Σ) once per depth budget: one chase for
+//     MethodChase, and one per candidate size for MethodBounded, whose
+//     default budget grows with |w| (defaultGuardedDepth). A failed
+//     chase (chase.ErrFailed) is kept; a cancelled one is not;
+//   - rewrites each w in one rewrite.Rewriter for MethodRewrite.
+//
+// Check(w, cancel) returns exactly what Contains(q, w, Σ, opt) returns
+// with cancel as the channel opt gives the selected method. Like
+// Prepared, the checker keeps no cancel channel and is not safe for
+// concurrent use.
+type PreparedLeft struct {
+	q   *cq.CQ
+	set *deps.Set
+	m   Method
+	// err is the selected method's own error, which Check returns for
+	// every right-hand side of q's arity: an unknown method, or egds
+	// under MethodRewrite.
+	err error
+	// copt and ropt are opt's budgets without their cancel channels.
+	copt chase.Options
+	ropt rewrite.Options
+	// db and frozen are D_q and its frozen head tuple.
+	db     *instance.Instance
+	frozen []term.Term
+	// chases holds chase(q,Σ) for each depth budget a Check has needed,
+	// in the order they were first needed.
+	chases []leftChase
+	rw     *rewrite.Rewriter // only for MethodRewrite
+}
+
+// leftChase is chase(q,Σ) under one depth budget: what chase.Query
+// returned, its error nil or chase.ErrFailed.
+type leftChase struct {
+	depth  int
+	res    *chase.Result
+	frozen []term.Term
+	err    error
+}
+
+// PrepareLeft builds a PreparedLeft checker for the fixed left-hand
+// side q. It does no work that can fail or be cancelled: opt's cancel
+// channels are dropped, and each chase runs at the first Check that
+// needs it, under that Check's channel.
+func PrepareLeft(q *cq.CQ, set *deps.Set, opt Options) *PreparedLeft {
+	l := &PreparedLeft{q: q, set: set, m: SelectMethod(set, opt), copt: opt.Chase, ropt: opt.Rewrite}
+	l.copt.Cancel, l.ropt.Cancel = nil, nil
+	switch l.m {
+	case MethodPlain, MethodChase, MethodBounded:
+	case MethodRewrite:
+		l.rw, l.err = rewrite.NewRewriter(set)
+	default:
+		l.err = fmt.Errorf("containment: unknown method %q", l.m)
 	}
-	db, frozen := q.Freeze()
-	for _, d := range rw.UCQ.Disjuncts {
-		if hom.HasTuple(d, db, frozen) {
-			return Decision{Holds: true, Definitive: true, Method: MethodRewrite}, nil
+	l.db, l.frozen = q.Freeze()
+	return l
+}
+
+// Check decides q ⊆Σ w for the prepared left-hand side. A closed
+// cancel aborts it with stop.ErrCancelled, unless the method is plain.
+func (l *PreparedLeft) Check(w *cq.CQ, cancel <-chan struct{}) (Decision, error) {
+	obs.ContainmentChecks.Add(1)
+	if len(l.q.Free) != len(w.Free) {
+		return Decision{Holds: false, Definitive: true, Method: MethodPlain}, nil
+	}
+	if l.err != nil {
+		return Decision{}, l.err
+	}
+	// The chase and the rewriting poll cancel before any other work, so
+	// a closed channel stops every call that runs them; a plain hit or a
+	// kept chase must not answer in their place.
+	if l.m != MethodPlain && stop.Cancelled(cancel) {
+		return Decision{}, stop.ErrCancelled
+	}
+	if hom.HasTuple(w, l.db, l.frozen) {
+		return Decision{Holds: true, Definitive: true, Method: l.m}, nil
+	}
+	switch l.m {
+	case MethodPlain:
+		return Decision{Holds: false, Definitive: true, Method: MethodPlain}, nil
+	case MethodRewrite:
+		ropt := l.ropt
+		ropt.Cancel = cancel
+		rw, err := l.rw.Rewrite(w, ropt)
+		if err != nil {
+			return Decision{}, err
+		}
+		return rewriteDecision(rw, l.db, l.frozen), nil
+	default:
+		c, err := l.chase(w, cancel)
+		if err != nil {
+			return Decision{}, err
+		}
+		return chaseDecision(w, c.res, c.frozen, c.err, l.m)
+	}
+}
+
+// chase returns chase(q,Σ) under the depth budget Contains would give
+// w, chasing q on the first need of that budget. It keeps a failed
+// chase and returns any other error without keeping it.
+func (l *PreparedLeft) chase(w *cq.CQ, cancel <-chan struct{}) (leftChase, error) {
+	copt := l.copt
+	if l.m == MethodBounded && copt.MaxDepth <= 0 {
+		copt.MaxDepth = defaultGuardedDepth(w, l.set)
+	}
+	for _, c := range l.chases {
+		if c.depth == copt.MaxDepth {
+			return c, nil
 		}
 	}
-	return Decision{Holds: false, Definitive: rw.Complete, Method: MethodRewrite}, nil
+	copt.Cancel = cancel
+	res, frozen, err := chase.Query(l.q, l.set, copt)
+	if err != nil && !errors.Is(err, chase.ErrFailed) {
+		return leftChase{}, err
+	}
+	c := leftChase{depth: copt.MaxDepth, res: res, frozen: frozen, err: err}
+	l.chases = append(l.chases, c)
+	return c, nil
 }
 
 // Prepared fixes the right-hand query q' of a containment test and
@@ -228,18 +347,14 @@ func (p *Prepared) Check(q *cq.CQ, r *chase.Runner, cancel <-chan struct{}) (Dec
 		return Decision{Holds: hom.HasTuple(p.qp, db, frozen), Definitive: true, Method: MethodPlain}, nil
 	case MethodRewrite:
 		db, frozen := r.Freeze(q)
-		for _, d := range p.rw.UCQ.Disjuncts {
-			if hom.HasTuple(d, db, frozen) {
-				return Decision{Holds: true, Definitive: true, Method: MethodRewrite}, nil
-			}
-		}
-		return Decision{Holds: false, Definitive: p.rw.Complete, Method: MethodRewrite}, nil
+		return rewriteDecision(p.rw, db, frozen), nil
 	default:
 		// Chase methods chase the left-hand side, which varies per
 		// call; the depth budget above is the only precomputable part.
 		copt := p.copt
 		copt.Cancel = cancel
-		return chaseContains(q, p.qp, p.set, p.m, copt, r)
+		res, frozen, err := r.Query(q, p.set, copt)
+		return chaseDecision(p.qp, res, frozen, err, p.m)
 	}
 }
 

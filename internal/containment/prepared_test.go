@@ -79,3 +79,32 @@ func TestPreparedCheckCancelMidChase(t *testing.T) {
 		t.Fatalf("Check returned %v after the cancel closed, want at most 250ms", lag)
 	}
 }
+
+// TestPreparedLeftCheckCancelMidChase: the channel a PreparedLeft's
+// Check passes reaches the chase of the left-hand side, and the
+// cancelled chase is not kept. The unbounded chase of q :- E(x,y) under
+// E(x,y) → E(y,z) runs for well over five seconds, and q' :- E(x,x)
+// never holds on it; a cancel closed 20 ms into the check must stop it
+// within 250 ms of the close, also under -race.
+func TestPreparedLeftCheckCancelMidChase(t *testing.T) {
+	set := deps.MustParse("E(x,y) -> E(y,z).")
+	l := PrepareLeft(cq.MustParse("q :- E(x,y)."), set, Options{Chase: chase.Options{MaxDepth: 1 << 30}})
+	cancel := make(chan struct{})
+	var closedAt atomic.Int64
+	timer := time.AfterFunc(20*time.Millisecond, func() {
+		closedAt.Store(time.Now().UnixNano())
+		close(cancel)
+	})
+	defer timer.Stop()
+	_, err := l.Check(cq.MustParse("q :- E(x,x)."), cancel)
+	returned := time.Now()
+	if !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("err = %v, want stop.ErrCancelled", err)
+	}
+	if lag := returned.Sub(time.Unix(0, closedAt.Load())); lag > 250*time.Millisecond {
+		t.Fatalf("Check returned %v after the cancel closed, want at most 250ms", lag)
+	}
+	if len(l.chases) != 0 {
+		t.Fatalf("the cancelled chase was kept: %d chases", len(l.chases))
+	}
+}

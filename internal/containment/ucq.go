@@ -15,14 +15,16 @@ import (
 // Per-disjunct testing is sound always; for UCQ right-hand sides it is
 // also complete whenever the chase characterization applies, because
 // chase(q,Σ) is a single canonical instance: c(x̄) ∈ Q'(chase(q,Σ)) iff
-// it is in some disjunct's evaluation.
+// it is in some disjunct's evaluation. Each disjunct of Q is prepared
+// once (PrepareLeft) and checked against every disjunct of Q'.
 func ContainsUCQ(q, qp *cq.UCQ, set *deps.Set, opt Options) (Decision, error) {
 	overall := Decision{Holds: true, Definitive: true}
 	for _, qi := range q.Disjuncts {
+		left := PrepareLeft(qi, set, opt)
 		hit := false
 		definitiveMiss := true
 		for _, qj := range qp.Disjuncts {
-			dec, err := Contains(qi, qj, set, opt)
+			dec, err := left.Check(qj, opt.cancel(left.m))
 			if err != nil {
 				return Decision{}, err
 			}

@@ -29,8 +29,16 @@ import (
 // The shape layer settles the three binary templates before layer 4
 // (definitive no after 8, 12 and 3 checks): 1,992, 4,140 and 774. The
 // sticky triangle with a third argument, which the shape layer does
-// not serve, still runs out of budget in layer 4: 8,450. The bounds are
-// the measured counts plus 5%.
+// not serve, still runs out of budget in layer 4: 8,450. Checking
+// q ⊆Σ w in one left checker per decision, which freezes q once, keeps
+// chase(q,Σ) per depth budget and rewrites the candidates in one reused
+// rewrite.Rewriter, with the enumerators of 65 to 1,024 terms pooled,
+// takes templates 0, 2 and 3 from 775, 2,007 and 4,155 to 570, 971 and
+// 2,075, and the ternary triangle from 8,426 to 5,396. Template 8 (A, B,
+// C under two linear tgds, whose checks chase) took 1,113 and takes 460;
+// template 7 (Example 5's grid, settled by layer 1's core, whose
+// retraction searches exceed 64 terms) took 579 and takes 123. The
+// bounds are the measured counts plus 5%.
 func TestAllocsDecide(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -44,10 +52,12 @@ func TestAllocsDecide(t *testing.T) {
 		bound float64
 	}{
 		{templates[4], "quotient", 1350}, // clique4 under E(x,y) → E(x,x)
-		{templates[2], "shape", 2090},    // the sticky triangle
-		{templates[3], "shape", 4350},    // S0,S1,S0 under the sticky set
-		{templates[0], "shape", 815},     // the 3-cycle under E(x,y) → E(y,z)
-		{ternarySticky, "budget", 8870},  // the sticky triangle, arity 3
+		{templates[2], "shape", 1020},    // the sticky triangle
+		{templates[3], "shape", 2179},    // S0,S1,S0 under the sticky set
+		{templates[0], "shape", 599},     // the 3-cycle under E(x,y) → E(y,z)
+		{ternarySticky, "budget", 5666},  // the sticky triangle, arity 3
+		{templates[8], "shape", 483},     // A,B,C under two linear tgds
+		{templates[7], "core", 129},      // Example 5's grid
 	} {
 		q, set := parseTemplate(t, tc.tpl)
 		opt := Options{SearchBudget: 100}

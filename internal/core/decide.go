@@ -36,7 +36,6 @@ import (
 	"semacyclic/internal/deps"
 	"semacyclic/internal/hom"
 	"semacyclic/internal/hypergraph"
-	"semacyclic/internal/instance"
 	"semacyclic/internal/obs"
 	"semacyclic/internal/rewrite"
 	"semacyclic/internal/telemetry"
@@ -91,10 +90,13 @@ type Options struct {
 	// (or one rewriting step), not one decision layer.
 	Cancel <-chan struct{}
 	// DisableSearchMemo turns off the complete search's candidate memo
-	// and the hoisted containment checker, so every verification
-	// re-derives its verdict and its right-hand side. A reference and
-	// debugging knob: both hoist pure functions, so the decision is
-	// identical either way — only the cost changes.
+	// and the hoisted containment checkers of both directions, so every
+	// verification re-derives its verdict, chase(q,Σ) or D_q on the left
+	// and the rewriting of q on the right: q ≡Σ w runs
+	// containment.Equivalent, and q ⊆Σ w alone a one-shot
+	// containment.Contains. A reference and debugging knob: every hoist
+	// is of a pure function, so the decision is identical either way —
+	// only the cost changes.
 	DisableSearchMemo bool
 	// Trace, when non-nil, receives a span per pipeline stage (the
 	// decision, each layer, and — inside the first layer that needs
@@ -398,12 +400,16 @@ func polishWitness(w *cq.CQ, cancel <-chan struct{}) (*cq.CQ, error) {
 // checks candidate witnesses w for q ≡Σ w. It chases q once, at first
 // need, under the layers' one chase budget (chaseQuery): the
 // unsatisfiability test, layer 3, the shape layer (shapeClass) and
-// layer 4 read that result. The right-hand side of w ⊆Σ q is the same
-// for every candidate, so one containment checker, built by
-// containment.Prepare at the first verification that needs it, serves
-// layers 2 and 3, the shape layer and layer 4, and so does one
-// chase.Runner. A verifier belongs to one decision and is not safe for
-// concurrent use.
+// layer 4 read that result. Each direction of q ≡Σ w keeps one side
+// fixed for every candidate, so the verifier builds one checker per
+// direction at the first verification that needs it. For w ⊆Σ q,
+// which layers 2 and 3, the shape layer and layer 4 check,
+// containment.Prepare hoists q's rewriting, and one chase.Runner
+// freezes and chases the candidates. For q ⊆Σ w, which layers 2 and 3
+// and the shape layer check, containment.PrepareLeft freezes D_q once,
+// keeps chase(q,Σ) per depth budget and rewrites the candidates in one
+// rewrite.Rewriter. A verifier belongs to one decision and is not safe
+// for concurrent use.
 type verifier struct {
 	q   *cq.CQ
 	set *deps.Set
@@ -419,21 +425,19 @@ type verifier struct {
 	chaseRes    *chase.Result
 	chaseFrozen []term.Term
 	chaseErr    error
-	// checker is the decision's containment checker, nil until needed.
+	// checker is the decision's w ⊆Σ q checker, nil until needed.
 	checker *containment.Prepared
 	// runner freezes and chases the candidates of layers 2 and 3, the
 	// shape layer and layer 4 in w ⊆Σ q.
 	runner chase.Runner
-	// db and frozen are q's frozen instance D_q and head tuple (Lemma
-	// 1), built at the first plain q ⊆ w check.
-	db     *instance.Instance
-	frozen []term.Term
+	// left is the decision's q ⊆Σ w checker, nil until needed.
+	left *containment.PreparedLeft
 }
 
 // newVerifier resolves the containment method and the chase budget
 // once for the decision: Σ's class does not change between candidates,
-// so Prepare, every Contains call and the DisableSearchMemo arm run
-// the method SelectMethod picks here without classifying Σ again.
+// so both checkers and the DisableSearchMemo arm run the method
+// SelectMethod picks here without classifying Σ again.
 func newVerifier(q *cq.CQ, set *deps.Set, opt Options) *verifier {
 	opt.Containment.Method = containment.SelectMethod(set, opt.Containment)
 	copt := opt.Containment.Chase
@@ -486,8 +490,8 @@ func (v *verifier) recordChecks(st *obs.Stats) {
 // definitive — a non-definitive rejection means a budget may have
 // hidden a witness, which exhaustion claims must account for.
 //
-// q ⊆Σ w runs containment.Contains and w ⊆Σ q the shared checker, and
-// each direction first tries plain Chandra–Merlin containment: it
+// q ⊆Σ w runs the left checker (containedIn) and w ⊆Σ q the right one,
+// and each direction first tries plain Chandra–Merlin containment: it
 // implies containment under any Σ, where every procedure answers
 // holds, definitively. The answer is therefore the one
 // containment.Equivalent gives, which DisableSearchMemo still runs, as
@@ -519,20 +523,17 @@ func (v *verifier) verifyWitness(w *cq.CQ) (holds, definitive bool, err error) {
 }
 
 // containedIn decides q ⊆Σ w, the direction of verifyWitness that the
-// shape layer also runs alone: plain Chandra–Merlin containment first,
-// then containment.Contains. DisableSearchMemo skips the plain test,
-// which changes only the cost: plain containment implies q ⊆Σ w,
-// definitively, under every procedure.
+// shape layer also runs alone, in the decision's left checker, built at
+// first need. DisableSearchMemo runs the one-shot containment.Contains
+// instead, which answers the same.
 func (v *verifier) containedIn(w *cq.CQ) (containment.Decision, error) {
-	if !v.opt.DisableSearchMemo {
-		if v.db == nil {
-			v.db, v.frozen = v.q.Freeze()
-		}
-		if hom.HasTuple(w, v.db, v.frozen) {
-			return containment.Decision{Holds: true, Definitive: true}, nil
-		}
+	if v.opt.DisableSearchMemo {
+		return containment.Contains(v.q, w, v.set, v.opt.Containment)
 	}
-	return containment.Contains(v.q, w, v.set, v.opt.Containment)
+	if v.left == nil {
+		v.left = containment.PrepareLeft(v.q, v.set, v.opt.Containment)
+	}
+	return v.left.Check(w, v.opt.Containment.Chase.Cancel)
 }
 
 // rewriting returns q's UCQ rewriting under Σ, which the shape layer

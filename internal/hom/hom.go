@@ -19,7 +19,7 @@ import (
 // enumerator is the state of one Enumerate, Find, Exists or
 // EvaluateCancel call: the substitution being extended, the undo stack
 // of the open levels, the pattern in search order and orderAtoms'
-// scratch. Enumerators are recycled through enumPool, so a
+// scratch. Enumerators are recycled through two pools (poolFor), so a
 // steady-state call allocates nothing for its own bookkeeping. Nested
 // calls (an Exists inside a yield, as in the chase) each take their
 // own enumerator.
@@ -38,7 +38,8 @@ type enumerator struct {
 	cancel <-chan struct{}
 	polls  int
 	// terms bounds how many entries sub and seen can hold: init's
-	// bindings plus the pattern's argument positions.
+	// bindings plus the pattern's argument positions. It picks the pool
+	// the enumerator came from and goes back to.
 	terms int
 	// Backtracks are counted here and flushed to the process-global
 	// counter once per enumeration: the hot loop pays a plain
@@ -46,26 +47,56 @@ type enumerator struct {
 	backtracks int64
 }
 
-// maxPooledTerms is the largest enumerator, in terms its maps may have
-// held, that goes back to the pool. Go maps never shrink, so an
-// enumerator grown for an outsized pattern or init would make every
-// later clear pay for its table; it is left to the collector instead.
-const maxPooledTerms = 64
+// Enumerators are pooled by size, in terms their maps may hold: one
+// pool for enumerators of at most maxPooledTerms, one for those of at
+// most maxLargePooledTerms. Go maps never shrink, so an enumerator
+// keeps its size class for life and goes back to the pool it came
+// from: a small enumerator never inherits a large one's tables, whose
+// every clear would cost the small search their size. Larger
+// enumerators are built fresh and left to the collector.
+const (
+	maxPooledTerms      = 64
+	maxLargePooledTerms = 1024
+)
 
-var enumPool = sync.Pool{New: func() any {
+var (
+	enumPool      = sync.Pool{New: freshEnumerator}
+	largeEnumPool = sync.Pool{New: freshEnumerator}
+)
+
+func freshEnumerator() any {
 	return &enumerator{sub: term.NewSubst(), seen: make(map[term.Term]bool)}
-}}
+}
 
-// newEnumerator takes an enumerator from the pool and readies it for
-// pattern over target, extending init (which is copied, not retained).
+// poolFor returns the pool of enumerators of the given size, nil above
+// maxLargePooledTerms.
+func poolFor(terms int) *sync.Pool {
+	switch {
+	case terms <= maxPooledTerms:
+		return &enumPool
+	case terms <= maxLargePooledTerms:
+		return &largeEnumPool
+	default:
+		return nil
+	}
+}
+
+// newEnumerator takes an enumerator of its size class from the pool and
+// readies it for pattern over target, extending init (which is copied,
+// not retained).
 func newEnumerator(pattern []instance.Atom, target *instance.Instance, init term.Subst) *enumerator {
-	e := enumPool.Get().(*enumerator)
-	e.target = target
 	nargs := 0
 	for _, a := range pattern {
 		nargs += len(a.Args)
 	}
-	e.terms = len(init) + nargs
+	terms := len(init) + nargs
+	var e *enumerator
+	if pool := poolFor(terms); pool != nil {
+		e = pool.Get().(*enumerator)
+	} else {
+		e = freshEnumerator().(*enumerator)
+	}
+	e.target, e.terms = target, terms
 	// Each pattern argument binds at most one key, so one allocation
 	// sizes the undo stack of an enumerator fresh from the pool.
 	if cap(e.undo) < nargs {
@@ -80,13 +111,14 @@ func newEnumerator(pattern []instance.Atom, target *instance.Instance, init term
 }
 
 // release flushes the enumeration's counters and returns e to the pool
-// unless its maps may have grown past maxPooledTerms.
+// of its size class, if it has one.
 func (e *enumerator) release() {
 	obs.HomEnumerations.Add(1)
 	if e.backtracks > 0 {
 		obs.HomBacktracks.Add(e.backtracks)
 	}
-	if e.terms > maxPooledTerms {
+	pool := poolFor(e.terms)
+	if pool == nil {
 		return
 	}
 	clear(e.sub)
@@ -94,7 +126,7 @@ func (e *enumerator) release() {
 	clear(e.order)
 	e.order, e.undo, e.target, e.backtracks = e.order[:0], e.undo[:0], nil, 0
 	e.without, e.cancel, e.polls = instance.Atom{}, nil, 0
-	enumPool.Put(e)
+	pool.Put(e)
 }
 
 // orderAtoms writes the pattern atoms into e.order in a connected,

@@ -176,28 +176,57 @@ func TestPooledEnumeratorConcurrent(t *testing.T) {
 	}
 }
 
-// TestEnumeratorOutsizedNotPooled: an enumerator whose maps may have
-// grown past maxPooledTerms is left to the collector, and the next one
-// taken from the pool starts empty.
+// walk returns the pattern E(x0,x1), E(x1,x2), …, E(x(n-1),xn), whose
+// enumerator holds 2n terms.
+func walk(n int) []instance.Atom {
+	pattern := make([]instance.Atom, n)
+	for i := range pattern {
+		pattern[i] = instance.NewAtom("E", term.Var(fmt.Sprintf("x%d", i)), term.Var(fmt.Sprintf("x%d", i+1)))
+	}
+	return pattern
+}
+
+// TestEnumeratorOutsizedNotPooled: an enumerator goes back only to the
+// pool of its size class, so a small one never receives a large one's
+// maps. An enumerator of 128 terms returns to the large pool, empty,
+// and not to the small one; one past maxLargePooledTerms is left to the
+// collector; every enumerator a pool hands out starts empty.
 func TestEnumeratorOutsizedNotPooled(t *testing.T) {
 	target := benchDB(200, 20)
-	var pattern []instance.Atom
-	for i := 0; i < maxPooledTerms; i++ {
-		pattern = append(pattern, instance.NewAtom("E", term.Var(fmt.Sprintf("x%d", i)), term.Var(fmt.Sprintf("x%d", i+1))))
+	run := func(pattern []instance.Atom) *enumerator {
+		t.Helper()
+		e := newEnumerator(pattern, target, nil)
+		if e.rec(0, nil) {
+			t.Fatalf("no %d-edge walk in the fixture", len(pattern))
+		}
+		e.release()
+		return e
 	}
-	big := newEnumerator(pattern, target, nil)
-	if big.rec(0, nil) {
-		t.Fatal("no 64-edge walk in the fixture")
+	// take takes an enumerator from pool, fails the test if it is not
+	// empty, and puts it back.
+	take := func(name string, pool *sync.Pool) *enumerator {
+		t.Helper()
+		e := pool.Get().(*enumerator)
+		if len(e.sub) != 0 || len(e.seen) != 0 || len(e.order) != 0 || len(e.undo) != 0 {
+			t.Fatalf("%s pool: enumerator not empty: sub %v seen %v order %v undo %v", name, e.sub, e.seen, e.order, e.undo)
+		}
+		pool.Put(e)
+		return e
 	}
-	big.release()
-	e := newEnumerator(nil, target, nil)
-	if e == big {
-		t.Fatal("outsized enumerator went back to the pool")
+
+	large := run(walk(maxPooledTerms))
+	if take("small", &enumPool) == large {
+		t.Fatal("a 128-term enumerator went to the small pool")
 	}
-	if len(e.sub) != 0 || len(e.seen) != 0 || len(e.order) != 0 || len(e.undo) != 0 {
-		t.Fatalf("pooled enumerator not empty: sub %v seen %v order %v undo %v", e.sub, e.seen, e.order, e.undo)
+	// sync.Pool drops items at random under -race.
+	if got := take("large", &largeEnumPool); got != large && !testutil.RaceEnabled {
+		t.Fatal("a 128-term enumerator did not go back to the large pool")
 	}
-	e.release()
+
+	huge := run(walk(maxLargePooledTerms/2 + 1))
+	if take("small", &enumPool) == huge || take("large", &largeEnumPool) == huge {
+		t.Fatalf("a %d-term enumerator went back to a pool", huge.terms)
+	}
 }
 
 // TestAllocsExists: a steady-state Exists with a bound init allocates

@@ -272,9 +272,11 @@ func sameRewriting(got, want *Result) string {
 	return ""
 }
 
-// checkReference runs Rewrite and the reference kernel on q, fails the
-// test on the first difference, and returns Rewrite's result.
-func checkReference(t *testing.T, q *cq.CQ, set *deps.Set, opt Options) *Result {
+// checkReference runs Rewrite and the reference kernel on q, and q
+// through reused, which must return what Rewrite returns, disjunct
+// names included; it fails the test on the first difference and
+// returns Rewrite's result.
+func checkReference(t *testing.T, q *cq.CQ, set *deps.Set, opt Options, reused *Rewriter) *Result {
 	t.Helper()
 	got, err := Rewrite(q, set, opt)
 	if err != nil {
@@ -287,7 +289,40 @@ func checkReference(t *testing.T, q *cq.CQ, set *deps.Set, opt Options) *Result 
 	if diff := sameRewriting(got, want); diff != "" {
 		t.Fatalf("Rewrite(%s) under\n%s\nwith %+v: %s", q, set, opt, diff)
 	}
+	again, err := reused.Rewrite(q, opt)
+	if err != nil {
+		t.Fatalf("reused Rewriter on %s: %v", q, err)
+	}
+	if again.UCQ.String() != got.UCQ.String() || again.Complete != got.Complete || again.Rounds != got.Rounds {
+		t.Fatalf("reused Rewriter on %s under\n%s\nwith %+v: complete %v rounds %d\n%s\nRewrite: complete %v rounds %d\n%s",
+			q, set, opt, again.Complete, again.Rounds, again.UCQ, got.Complete, got.Rounds, got.UCQ)
+	}
 	return got
+}
+
+// newReused returns a Rewriter for the set, for checkReference.
+func newReused(t *testing.T, set *deps.Set) *Rewriter {
+	t.Helper()
+	w, err := NewRewriter(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// interrupt runs q through reused cancelled, then truncated to two
+// disjuncts in one round, so the next call starts from the state a
+// stopped call leaves.
+func interrupt(t *testing.T, reused *Rewriter, q *cq.CQ) {
+	t.Helper()
+	closed := make(chan struct{})
+	close(closed)
+	if _, err := reused.Rewrite(q, Options{Cancel: closed}); !errors.Is(err, stop.ErrCancelled) {
+		t.Fatalf("cancelled run on %s: err = %v, want stop.ErrCancelled", q, err)
+	}
+	if _, err := reused.Rewrite(q, Options{MaxDisjuncts: 2, MaxRounds: 1}); err != nil {
+		t.Fatalf("truncated run on %s: %v", q, err)
+	}
 }
 
 // layerCandidates returns the candidates layers 2 and 3 of a decision
@@ -386,8 +421,11 @@ func sharesVarRef(a instance.Atom, sel []instance.Atom) bool {
 // non-recursive decide-cold templates and every layer-2/3 candidate of
 // their decisions, on random sticky and non-recursive workloads, on
 // Example 3, and under both truncations with a cancelled run between
-// them. The queries never name a variable v<N>, which the reference's
-// fresh tgd variables would capture.
+// them. Every case also runs through one Rewriter per set, reused
+// across its cases with a cancelled and a truncated run before each,
+// which must print what a fresh Rewrite prints. The queries never name
+// a variable v<N>, which the reference's fresh tgd variables would
+// capture.
 func TestRewriteMatchesReference(t *testing.T) {
 	const sticky = "US1(x), US0(y) -> S0(x,y).\nS1(x,y) -> S1(y,w).\nUS0(x), US1(y) -> S1(x,y)."
 	templates := []struct {
@@ -405,8 +443,10 @@ func TestRewriteMatchesReference(t *testing.T) {
 		if len(quotients) != tpl.quotients || len(subsets) != tpl.subsets {
 			t.Fatalf("%s: %d quotients and %d chase subsets, the decision examines %d and %d", q, len(quotients), len(subsets), tpl.quotients, tpl.subsets)
 		}
+		reused := newReused(t, set)
 		for _, c := range append(quotients, subsets...) {
-			checkReference(t, c, set, Options{})
+			interrupt(t, reused, c)
+			checkReference(t, c, set, Options{}, reused)
 			checked++
 		}
 	}
@@ -416,7 +456,9 @@ func TestRewriteMatchesReference(t *testing.T) {
 		rewritten := 0
 		for i := 0; i < 200; i++ {
 			q, set, _ := gen.RandomWorkload(r, class, 1+r.Intn(3), 1+r.Intn(4), 1, 3)
-			if len(checkReference(t, q, set, Options{MaxDisjuncts: 500}).UCQ.Disjuncts) > 1 {
+			reused := newReused(t, set)
+			interrupt(t, reused, q)
+			if len(checkReference(t, q, set, Options{MaxDisjuncts: 500}, reused).UCQ.Disjuncts) > 1 {
 				rewritten++
 			}
 			checked++
@@ -429,12 +471,13 @@ func TestRewriteMatchesReference(t *testing.T) {
 
 	for n := 1; n <= 3; n++ {
 		set, q := gen.Example3Set(n)
-		checkReference(t, q, set, Options{})
+		checkReference(t, q, set, Options{}, newReused(t, set))
 		checked++
 	}
 
 	set, q := gen.Example3Set(3)
-	if checkReference(t, q, set, Options{MaxDisjuncts: 7}).Complete {
+	reused := newReused(t, set)
+	if checkReference(t, q, set, Options{MaxDisjuncts: 7}, reused).Complete {
 		t.Fatal("Example 3 (n=3) within 7 disjuncts reported complete")
 	}
 	closed := make(chan struct{})
@@ -442,9 +485,11 @@ func TestRewriteMatchesReference(t *testing.T) {
 	if _, err := Rewrite(q, set, Options{Cancel: closed}); !errors.Is(err, stop.ErrCancelled) {
 		t.Fatalf("cancelled run: err = %v, want stop.ErrCancelled", err)
 	}
-	if checkReference(t, q, set, Options{MaxAtomsPerCQ: 3}).Complete {
+	interrupt(t, reused, q)
+	if checkReference(t, q, set, Options{MaxAtomsPerCQ: 3}, reused).Complete {
 		t.Fatal("Example 3 (n=3) within 3 atoms per disjunct reported complete")
 	}
-	checked += 2
+	checkReference(t, q, set, Options{}, reused)
+	checked += 3
 	t.Logf("%d rewritings agree with the reference", checked)
 }

@@ -78,40 +78,51 @@ type Result struct {
 // disjunct names its free variables as q does and its other variables
 // v0, v1, … in order of first occurrence, skipping the names of q's
 // free variables, so the rewriting prints the same in every run and
-// parses back. Internally each tgd is renamed once per call into the
-// reserved frozen namespace, which no validated query can hold, so no
-// variable of q or of a disjunct captures a tgd variable.
+// parses back. Internally each tgd is renamed once into the reserved
+// frozen namespace, which no validated query can hold, so no variable
+// of q or of a disjunct captures a tgd variable.
 //
-// One call owns its scratch (see rewriter): a step is built in reused
-// buffers, core-reduced by one hom.Corer and keyed by one cq.Keyer, and
-// only a disjunct whose key is unseen is copied, into one slab.
+// Rewrite is a fresh Rewriter's Rewrite, so the result is the caller's
+// own.
 func Rewrite(q *cq.CQ, set *deps.Set, opt Options) (*Result, error) {
-	if len(set.EGDs) > 0 {
-		return nil, fmt.Errorf("rewrite: egds are not UCQ rewritable")
+	w, err := NewRewriter(set)
+	if err != nil {
+		return nil, err
 	}
-	w := newRewriter(q, set, opt.withDefaults())
-	return w.run(q)
+	return w.Rewrite(q, opt)
 }
 
-// rewriter is the state of one Rewrite call: the renamed tgds, the
-// closure's bookkeeping, and the scratch every step reuses.
-type rewriter struct {
-	opt  Options
-	name string
-	free []term.Term // q's free variables: every disjunct's head
-	// frozenFree holds c(x) for each free variable x: free variables are
-	// rigid during unification, and a rewriting thaws them back.
-	frozenFree []term.Term
-	// freeOK records that the free terms are distinct variables, which
-	// CQ.Validate demands of every rewriting it accepts.
-	freeOK bool
-	tgds   []tgdCopy
+// Rewriter computes the rewritings of many queries under one set of
+// tgds and keeps its scratch between them: the renamed tgds, the
+// closure's seen map, the hom.Corer (and the instance it freezes into)
+// that core-reduces every step, the cq.Keyer that keys it, and the
+// buffers a step is built in. A call allocates the disjuncts it keeps,
+// the result that lists them and the cells its core searches freeze
+// (instance.Reset recycles none), so a checker that rewrites many
+// right-hand sides under one Σ owns one Rewriter. A Rewriter is not
+// safe for concurrent use.
+type Rewriter struct {
+	tgds []tgdCopy
 
 	corer hom.Corer
 	keyer cq.Keyer
 	seen  map[string]struct{} // keys of the disjuncts kept so far, all cores
-	names []term.Term         // v0, v1, … minus the free variables' names
-	tried int                 // the next index names tries
+	// vnames caches v0, v1, …, so a call mints only the names no
+	// earlier call needed.
+	vnames []term.Term
+
+	// The call's options and query: q's name, its free variables (every
+	// disjunct's head) and c(x) for each of them, since free variables
+	// are rigid during unification and a rewriting thaws them back.
+	// freeOK records that the free terms are distinct variables, which
+	// CQ.Validate demands of every rewriting it accepts.
+	opt        Options
+	name       string
+	free       []term.Term
+	frozenFree []term.Term
+	freeOK     bool
+	names      []term.Term // v0, v1, … minus the free variables' names
+	tried      int         // the next index names tries
 
 	order, frontier, next []*cq.CQ
 	complete              bool
@@ -135,6 +146,40 @@ type rewriter struct {
 	err         error       // a core search's cancellation; stops the step
 }
 
+// NewRewriter returns a Rewriter for the tgds of the set, each renamed
+// once. Sets containing egds are rejected, as by Rewrite.
+func NewRewriter(set *deps.Set) (*Rewriter, error) {
+	if len(set.EGDs) > 0 {
+		return nil, fmt.Errorf("rewrite: egds are not UCQ rewritable")
+	}
+	return &Rewriter{tgds: renameTGDs(set.TGDs), seen: make(map[string]struct{}), mu: term.NewSubst()}, nil
+}
+
+// Rewrite computes the UCQ rewriting of q under the Rewriter's tgds:
+// the result Rewrite(q, set, opt) returns, in the Rewriter's scratch.
+// The result is the caller's own; a call that ends in an error or a
+// cancellation leaves nothing the next call reads.
+func (w *Rewriter) Rewrite(q *cq.CQ, opt Options) (*Result, error) {
+	w.reset(q, opt.withDefaults())
+	return w.run(q)
+}
+
+// reset readies the Rewriter for a call on q: it empties the seen map
+// and the closure's lists and freezes q's free variables.
+func (w *Rewriter) reset(q *cq.CQ, opt Options) {
+	w.opt, w.name, w.free, w.freeOK, w.complete, w.err = opt, q.Name, q.Free, true, true, nil
+	clear(w.seen)
+	w.names, w.tried = w.names[:0], 0
+	w.order, w.frontier, w.next = w.order[:0], w.frontier[:0], w.next[:0]
+	w.frozenFree = w.frozenFree[:0]
+	for i, x := range q.Free {
+		w.frozenFree = append(w.frozenFree, cq.FrozenConst(x))
+		if !x.IsVar() || slices.Contains(q.Free[:i], x) {
+			w.freeOK = false
+		}
+	}
+}
+
 // tgdCopy is a tgd renamed apart from every query: its variables are
 // reserved(0), reserved(1), … in the order of its body variables, then
 // its existential ones.
@@ -146,19 +191,6 @@ type tgdCopy struct {
 // reserved returns the j-th name of a renamed tgd variable: a variable
 // in the reserved frozen namespace, which CQ.Validate rejects.
 func reserved(j int) term.Term { return term.Var(term.FrozenPrefix + strconv.Itoa(j)) }
-
-func newRewriter(q *cq.CQ, set *deps.Set, opt Options) *rewriter {
-	w := &rewriter{opt: opt, name: q.Name, free: q.Free, freeOK: true, complete: true,
-		tgds: renameTGDs(set.TGDs), seen: make(map[string]struct{}), mu: term.NewSubst()}
-	w.frozenFree = make([]term.Term, len(q.Free))
-	for i, x := range q.Free {
-		w.frozenFree[i] = cq.FrozenConst(x)
-		if !x.IsVar() || slices.Contains(q.Free[:i], x) {
-			w.freeOK = false
-		}
-	}
-	return w
-}
 
 // renameTGDs copies the tgds with the j-th of each one's body variables
 // followed by its existential variables renamed to reserved(j). The
@@ -219,7 +251,7 @@ func renameTGDs(tgds []*deps.TGD) []tgdCopy {
 // run computes the closure of q: a breadth-first search over disjuncts,
 // one level per round, in which every (disjunct, tgd) step polls
 // Options.Cancel.
-func (w *rewriter) run(q *cq.CQ) (*Result, error) {
+func (w *Rewriter) run(q *cq.CQ) (*Result, error) {
 	start, err := w.corer.Core(q.Free, q.Atoms, w.opt.Cancel)
 	if err != nil {
 		return nil, err
@@ -249,7 +281,8 @@ func (w *rewriter) run(q *cq.CQ) (*Result, error) {
 	if len(w.frontier) > 0 {
 		w.complete = false
 	}
-	ucq, err := cq.NewUCQ(w.order...)
+	// The UCQ keeps its own list: w.order is the next call's scratch.
+	ucq, err := cq.NewUCQ(slices.Clone(w.order)...)
 	if err != nil {
 		return nil, fmt.Errorf("rewrite: internal: %w", err)
 	}
@@ -258,7 +291,7 @@ func (w *rewriter) run(q *cq.CQ) (*Result, error) {
 
 // load makes p the disjunct to rewrite: its atoms with the free
 // variables frozen, and its other variables.
-func (w *rewriter) load(p *cq.CQ) {
+func (w *Rewriter) load(p *cq.CQ) {
 	nargs := 0
 	for _, a := range p.Atoms {
 		nargs += len(a.Args)
@@ -282,7 +315,7 @@ func (w *rewriter) load(p *cq.CQ) {
 // enumerate assigns each atom of p from the i-th on either to be kept
 // or to a head atom of the tgd with its predicate and arity, and applies
 // every assignment that maps some atom.
-func (w *rewriter) enumerate(i int, any bool) {
+func (w *Rewriter) enumerate(i int, any bool) {
 	if w.err != nil {
 		return
 	}
@@ -308,7 +341,7 @@ func (w *rewriter) enumerate(i int, any bool) {
 // it for the closure. A head that is not a list of distinct variables
 // comes only from a q CQ.Validate rejects (Rewrite takes q as given),
 // and Validate rejects every rewriting of it.
-func (w *rewriter) applyPiece() {
+func (w *Rewriter) applyPiece() {
 	if w.freeOK && w.unifyPiece() && w.build() {
 		w.consider()
 	}
@@ -317,7 +350,7 @@ func (w *rewriter) applyPiece() {
 // unifyPiece unifies the atoms the assignment maps with their head
 // atoms into w.mu and reports whether the unifier exists and meets the
 // piece conditions.
-func (w *rewriter) unifyPiece() bool {
+func (w *Rewriter) unifyPiece() bool {
 	t := w.t
 	w.left, w.right = w.left[:0], w.right[:0]
 	for i, a := range w.p {
@@ -386,7 +419,7 @@ func (w *rewriter) unifyPiece() bool {
 // rejects once the tgd variables it holds are renamed out of the
 // reserved namespace (TestRewriteScanMatchesValidate checks the two
 // against each other).
-func (w *rewriter) build() bool {
+func (w *Rewriter) build() bool {
 	t := w.t
 	nargs := 0
 	for _, b := range t.body {
@@ -418,7 +451,7 @@ func (w *rewriter) build() bool {
 // second arity needs only a q and a Σ that disagree on a predicate; a
 // null or a stray frozen constant comes only from a q that Validate
 // rejects, since tgds hold neither and unification makes neither.
-func (w *rewriter) appendImage(a instance.Atom) bool {
+func (w *Rewriter) appendImage(a instance.Atom) bool {
 	start := len(w.args)
 	for _, t := range a.Args {
 		t = w.mu.Resolve(t)
@@ -455,7 +488,7 @@ func (w *rewriter) appendImage(a instance.Atom) bool {
 // rewriting, as CQ.Validate demands. Only a q whose own body misses an
 // answer variable fails it: a step carries each answer variable of S
 // into μ(body), through a frontier variable, or rejects the piece.
-func (w *rewriter) coversFree() bool {
+func (w *Rewriter) coversFree() bool {
 	for _, x := range w.free {
 		found := false
 		for _, a := range w.atoms {
@@ -481,7 +514,7 @@ func (w *rewriter) coversFree() bool {
 // isomorphic to a kept disjunct, which is a core, so it is a core
 // itself, its core is itself, and the step is skipped without a
 // retraction search.
-func (w *rewriter) consider() {
+func (w *Rewriter) consider() {
 	if w.opt.MaxAtomsPerCQ > 0 && len(w.atoms) > w.opt.MaxAtomsPerCQ {
 		w.complete = false
 		return
@@ -512,7 +545,7 @@ func (w *rewriter) consider() {
 
 // seenKey reports whether a kept disjunct has the key; the lookup
 // converts the key without copying it.
-func (w *rewriter) seenKey(key []byte) bool {
+func (w *Rewriter) seenKey(key []byte) bool {
 	_, ok := w.seen[string(key)]
 	return ok
 }
@@ -520,7 +553,7 @@ func (w *rewriter) seenKey(key []byte) bool {
 // copyDisjunct copies a kept core into one term slab holding its head
 // and its arguments. Free variables keep their names; every other
 // variable takes the next of v0, v1, … in order of first occurrence.
-func (w *rewriter) copyDisjunct(atoms []instance.Atom) *cq.CQ {
+func (w *Rewriter) copyDisjunct(atoms []instance.Atom) *cq.CQ {
 	nf, nargs := len(w.free), 0
 	for _, a := range atoms {
 		nargs += len(a.Args)
@@ -546,7 +579,7 @@ func (w *rewriter) copyDisjunct(atoms []instance.Atom) *cq.CQ {
 
 // rename returns the name of existential variable v in the disjunct
 // being copied, naming v on its first occurrence.
-func (w *rewriter) rename(v term.Term) term.Term {
+func (w *Rewriter) rename(v term.Term) term.Term {
 	for i := 0; i < len(w.ren); i += 2 {
 		if w.ren[i] == v {
 			return w.ren[i+1]
@@ -555,7 +588,10 @@ func (w *rewriter) rename(v term.Term) term.Term {
 	n := len(w.ren) / 2
 	// Each free variable's name is skipped at most once.
 	for ; len(w.names) <= n; w.tried++ {
-		if name := term.Var("v" + strconv.Itoa(w.tried)); !slices.Contains(w.free, name) {
+		if len(w.vnames) == w.tried {
+			w.vnames = append(w.vnames, term.Var("v"+strconv.Itoa(w.tried)))
+		}
+		if name := w.vnames[w.tried]; !slices.Contains(w.free, name) {
 			w.names = append(w.names, name)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // as the replaced kernel built it — μ(body(t)) ∪ μ(p∖S) with the answer
 // variables thawed — and with every tgd variable it still holds renamed
 // out of the reserved namespace to τ<j>, a name no query holds.
-func rawRewriting(w *rewriter) *cq.CQ {
+func rawRewriting(w *Rewriter) *cq.CQ {
 	var atoms []instance.Atom
 	add := func(a instance.Atom) {
 		args := make([]term.Term, len(a.Args))
@@ -45,7 +45,7 @@ func rawRewriting(w *rewriter) *cq.CQ {
 
 // renamedAtoms returns the atoms build left in w.atoms with the tgd
 // variables renamed as rawRewriting renames them.
-func renamedAtoms(w *rewriter) []instance.Atom {
+func renamedAtoms(w *Rewriter) []instance.Atom {
 	out := make([]instance.Atom, len(w.atoms))
 	for i, a := range w.atoms {
 		args := make([]term.Term, len(a.Args))
@@ -63,7 +63,7 @@ func renamedAtoms(w *rewriter) []instance.Atom {
 // eachPiece calls f after every piece unification that meets the piece
 // conditions, over every assignment of p's atoms to t's head atoms, as
 // enumerate does.
-func eachPiece(w *rewriter, i int, any bool, f func()) {
+func eachPiece(w *Rewriter, i int, any bool, f func()) {
 	if i == len(w.p) {
 		if any && w.unifyPiece() {
 			f()
@@ -122,7 +122,11 @@ func TestRewriteScanMatchesValidate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Rewrite(%s): %v", in.q, err)
 		}
-		w := newRewriter(in.q, in.set, Options{}.withDefaults())
+		w, err := NewRewriter(in.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.reset(in.q, Options{}.withDefaults())
 		reached := false
 		for _, p := range res.UCQ.Disjuncts {
 			w.load(p)

@@ -41,6 +41,19 @@ func chain(t *testing.T, n int) *instance.Instance {
 	return db
 }
 
+// leftHolds runs l.Check(w, cancel) and returns its error, or an error
+// when the check does not hold by method m.
+func leftHolds(l *containment.PreparedLeft, w *cq.CQ, m containment.Method, cancel <-chan struct{}) error {
+	dec, err := l.Check(w, cancel)
+	if err != nil {
+		return err
+	}
+	if !dec.Holds || dec.Method != m {
+		return fmt.Errorf("Check(%s) = %+v, want holds by %s", w, dec, m)
+	}
+	return nil
+}
+
 // TestCancelContract is the cancellation contract, entry point by
 // entry point: with a closed channel every cancellable call returns an
 // error that errors.Is matches to stop.ErrCancelled, whichever engine
@@ -84,7 +97,20 @@ func TestCancelContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ucq, err := cq.NewUCQ(q, cq.MustParse("q(x,y) :- Interest(x,z), Class(y,z)."))
+	witness := cq.MustParse("q(x,y) :- Interest(x,z), Class(y,z).")
+	ucq, err := cq.NewUCQ(q, witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Left checkers, one per method, each built once, so the nil-channel
+	// call runs in the checker the cancelled call used: a cancellation
+	// must never be kept. Each right-hand side holds under Σ but not
+	// plainly, so the nil-channel call runs the method's procedure.
+	guarded := deps.MustParse("Person(x) -> Parent(x,y).\nParent(x,y) -> Person(y).")
+	chaseLeft := containment.PrepareLeft(witness, full, containment.Options{})
+	boundedLeft := containment.PrepareLeft(cq.MustParse("q(x) :- Person(x)."), guarded, containment.Options{})
+	rewriteLeft := containment.PrepareLeft(cq.MustParse("q :- US1(x), US0(y), US1(y), US0(z)."), sticky, containment.Options{})
+	rewriter, err := rewrite.NewRewriter(sticky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +137,10 @@ func TestCancelContract(t *testing.T) {
 		}},
 		{"rewrite.Rewrite", func(c <-chan struct{}) error {
 			_, err := rewrite.Rewrite(sq, sticky, rewrite.Options{Cancel: c})
+			return err
+		}},
+		{"rewrite.Rewriter.Rewrite", func(c <-chan struct{}) error {
+			_, err := rewriter.Rewrite(sq, rewrite.Options{Cancel: c})
 			return err
 		}},
 		{"hom.CoreCancel", func(c <-chan struct{}) error {
@@ -158,6 +188,15 @@ func TestCancelContract(t *testing.T) {
 		{"containment.Prepared.Check", func(c <-chan struct{}) error {
 			_, err := checker.Check(q, new(chase.Runner), c)
 			return err
+		}},
+		{"containment.PreparedLeft.Check/chase", func(c <-chan struct{}) error {
+			return leftHolds(chaseLeft, q, containment.MethodChase, c)
+		}},
+		{"containment.PreparedLeft.Check/bounded-chase", func(c <-chan struct{}) error {
+			return leftHolds(boundedLeft, cq.MustParse("q(x) :- Parent(x,y), Parent(y,z)."), containment.MethodBounded, c)
+		}},
+		{"containment.PreparedLeft.Check/ucq-rewriting", func(c <-chan struct{}) error {
+			return leftHolds(rewriteLeft, sq, containment.MethodRewrite, c)
 		}},
 		{"core.Decide", func(c <-chan struct{}) error {
 			_, err := core.Decide(q, full, core.Options{Cancel: c})

@@ -85,10 +85,12 @@ echo "== allocation guards (no race: counts must be exact) =="
 # test and layers 3 and 4 (core). semacycd renders
 # answer rows as windows of one slab, two allocations however many
 # answers (server).
-# A UCQ rewriting owns its scratch: each tgd is renamed once per call,
+# A UCQ rewriting owns its scratch: a Rewriter renames each tgd once,
 # piece unification and the rewriting reuse buffers, one hom.Corer
 # core-reduces every step (freezing into one reset instance), one
-# cq.Keyer keys it, and only an unseen disjunct is copied (rewrite).
+# cq.Keyer keys it, and only an unseen disjunct is copied; a reused
+# Rewriter's call pays none of that setup again (rewrite). Enumerators
+# of up to 1,024 terms are pooled, in two size classes (hom).
 # ApplyDelta copies a batch's effective inserts into one slab.
 # ExecuteDelta reuses an unchanged state for one allocation and repairs
 # from the rows a batch appended to the view, without atom keys or
@@ -104,7 +106,14 @@ echo "== reference gate =="
 # atom order; the scratch UCQ rewriting against the kernel it replaced
 # (same disjunct keys in the same order, Complete and Rounds) on the
 # sticky and non-recursive decide-cold templates and their layer-2/3
-# candidates, random workloads, Example 3 and truncated runs; cq's DedupAtoms,
+# candidates, random workloads, Example 3 and truncated runs, also
+# through one reused Rewriter per set, with a cancelled and a truncated
+# run before every case; the decision's left checker (one PreparedLeft
+# reused over many right-hand sides, each checked twice) against the
+# per-call procedure Contains ran before it (a fresh chase.Runner per
+# check, rewriting per check) on every workload class, under forced
+# bounded chases of several candidate sizes and forced rewritings, and
+# on an egd set whose chase fails; cq's DedupAtoms,
 # Freeze (also through one reused Freezer) and CanonicalKey (also
 # through one reused Keyer), hypergraph's IsAcyclic and GYO (same
 # forest); one reused chase.Runner against a fresh chase.Query per
@@ -124,7 +133,7 @@ echo "== reference gate =="
 # fifteen decide-cold templates, and Approximate's query.
 # -count=1: a cached 'ok' can never satisfy the gate.
 go test -count=1 -run 'MatchesReference|MatchesEquivalent|MatchesValidate|PreparedServes|DecideColdGolden|ShapeAgreesWithCompleteSearch|ShapeRenamingKeepsDecision' \
-    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/ ./internal/rewrite/
+    ./internal/hom/ ./internal/cq/ ./internal/hypergraph/ ./internal/chase/ ./internal/core/ ./internal/rewrite/ ./internal/containment/
 
 echo "== cancellation & server gate (race) =="
 # The semacycd service package and the per-layer cancellation tests are
@@ -136,7 +145,9 @@ echo "== cancellation & server gate (race) =="
 # polls every 64 nodes, so an answer-free triangle search over a
 # 43,200-atom DAG stops too. Every engine polls through internal/stop,
 # whose contract test calls each cancellable entry point with a closed
-# channel (stop.ErrCancelled) and a nil one (success).
+# channel (stop.ErrCancelled) and a nil one (success); the left
+# checker's Check and a reused Rewriter are called in the checker the
+# cancelled call used, so a kept cancellation would fail the nil call.
 go test -race -count=1 ./internal/server/
 go test -race -count=1 -run 'Cancel' ./internal/chase/ ./internal/rewrite/ ./internal/core/ ./internal/hom/ \
     ./internal/yannakakis/ ./internal/game/ ./internal/containment/ ./internal/stop/
